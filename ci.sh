@@ -19,6 +19,12 @@ WLAN_THREADS=1 cargo test -q --offline
 cargo test -q --offline
 cargo clippy --workspace --offline -- -D warnings
 
+# The benchmark (perfbench/, its own package) builds against the crates'
+# public API by path; running its self-tests here makes an API change
+# that breaks the benchmark's build fail CI rather than the next
+# benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Kill-and-resume smoke: a campaign SIGKILLed mid-flight must resume from
 # its checkpoint journal and print a result table byte-identical to a run
 # that was never interrupted. This exercises the real signal path (no

@@ -20,6 +20,7 @@
 //! [`CityConfig`], the PER-table digest, the stopping rule), so a
 //! checkpoint can never silently resume a different city.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use crate::layout::CityConfig;
@@ -33,10 +34,9 @@ use wlan_runner::journal::{self, f64_from_hex, f64_to_hex, kv, kv_u64};
 use wlan_runner::{Budget, JournalError, Outcome, Resume, StopReason};
 use wlan_math::WlanError;
 
-/// Values packed per journal body line. The journal checksums
-/// cumulatively (one digest per body line over all preceding bytes), so
-/// many short lines cost quadratic hashing — big chunks keep checkpoints
-/// cheap even at 10⁵ stations.
+/// Values packed per journal body line. The journal adds a 21-byte `sum`
+/// line after every body line, so big chunks keep that overhead small
+/// (and lines a readable length) even at 10⁵ stations.
 const CHUNK: usize = 1024;
 
 /// Everything a city campaign invocation needs.
@@ -276,20 +276,50 @@ fn snapshot(state: &CityState) -> Vec<String> {
         state.unprot_sta_epochs,
         d[0], d[1], d[2], d[3], a[0], a[1], a[2], a[3]
     ));
-    for (start, chunk) in state.assoc.chunks(CHUNK).enumerate() {
-        let vals: Vec<String> = chunk.iter().map(|v| v.to_string()).collect();
-        body.push(format!("assoc o={} v={}", start * CHUNK, vals.join(",")));
-    }
-    for (start, chunk) in state.delivered.chunks(CHUNK).enumerate() {
-        let vals: Vec<String> = chunk.iter().map(|v| v.to_string()).collect();
-        body.push(format!("del o={} v={}", start * CHUNK, vals.join(",")));
-    }
-    for (start, chunk) in state.busy_frac.chunks(CHUNK).enumerate() {
-        let vals: Vec<String> = chunk.iter().map(|&v| f64_to_hex(v)).collect();
-        body.push(format!("busy o={} v={}", start * CHUNK, vals.join(",")));
-    }
+    push_chunks(&mut body, "assoc", &state.assoc, false, u64::from);
+    push_chunks(&mut body, "del", &state.delivered, false, |v| v);
+    // Busy fractions as IEEE-754 bit patterns, exactly as `f64_to_hex`.
+    push_chunks(&mut body, "busy", &state.busy_frac, true, f64::to_bits);
     body.push("end".to_owned());
     body
+}
+
+/// Appends one `<tag> o=<offset> v=<v>,<v>,…` body line per [`CHUNK`]
+/// values, each rendered from `bits(value)` as decimal or as 16 hex
+/// digits. A line is sized exactly up front and every value is written
+/// straight into it — no per-value strings.
+fn push_chunks<T: Copy>(
+    body: &mut Vec<String>,
+    tag: &str,
+    values: &[T],
+    hex: bool,
+    bits: impl Fn(T) -> u64,
+) {
+    let width = |v: u64| if hex { 16 } else { decimal_len(v) };
+    for (index, chunk) in values.chunks(CHUNK).enumerate() {
+        let offset = index * CHUNK;
+        let len = tag.len()
+            + " o= v=".len()
+            + decimal_len(offset as u64)
+            + chunk.iter().map(|&v| width(bits(v))).sum::<usize>()
+            + chunk.len()
+            - 1;
+        let mut line = String::with_capacity(len);
+        let _ = write!(line, "{tag} o={offset} v=");
+        for (i, &value) in chunk.iter().enumerate() {
+            if i > 0 {
+                line.push(',');
+            }
+            let v = bits(value);
+            let _ = if hex { write!(line, "{v:016x}") } else { write!(line, "{v}") };
+        }
+        body.push(line);
+    }
+}
+
+/// Number of decimal digits in `v`.
+fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// Rebuilds a state from journal body lines. `None` on any structural
@@ -449,6 +479,61 @@ mod tests {
         let body = snapshot(&state);
         let back = parse_snapshot(&city, &body).expect("round trip");
         assert_eq!(back, state);
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        // FNV-1a digest of the small city's snapshot after three epochs,
+        // recorded from the original `to_string` + `join` encoder: the
+        // in-place encoder must write the very same bytes.
+        let cfg = small_campaign(None);
+        let city = City::new(cfg.city.clone(), cfg.tables.clone()).expect("valid");
+        let mut state = city.fresh_state();
+        for _ in 0..3 {
+            city.run_epoch(&mut state, 1);
+        }
+        let body = snapshot(&state);
+        let text: String = body.iter().map(|line| format!("{line}\n")).collect();
+        assert_eq!((body.len(), text.len()), (5, 1151));
+        assert_eq!(journal::fnv1a64(text.as_bytes()), 0xa231_fdf9_43f3_a17b);
+    }
+
+    #[test]
+    fn multi_chunk_snapshot_round_trips_exactly() {
+        // 25 × 95 = 2375 stations: three chunks per station vector, the
+        // last one partial — the shape a real metro checkpoint has (busy
+        // fractions are per AP, one chunk).
+        for (seed, epochs) in [(3, 1), (11, 3)] {
+            let city = City::new(CityConfig::metro(25, 95, seed), PerTableSet::synthetic())
+                .expect("valid");
+            let mut state = city.fresh_state();
+            assert!(state.assoc.len() > 2 * CHUNK);
+            for _ in 0..epochs {
+                city.run_epoch(&mut state, 1);
+            }
+            let body = snapshot(&state);
+            let chunked: Vec<&String> = body[1..body.len() - 1].iter().collect();
+            let heads: Vec<String> = chunked
+                .iter()
+                .map(|l| l.split_ascii_whitespace().take(2).collect::<Vec<_>>().join(" "))
+                .collect();
+            assert_eq!(
+                heads,
+                [
+                    "assoc o=0", "assoc o=1024", "assoc o=2048", "del o=0", "del o=1024",
+                    "del o=2048", "busy o=0"
+                ]
+            );
+            // Every chunk line was sized exactly before it was written.
+            assert!(chunked.iter().all(|l| l.len() == l.capacity()));
+            let back = parse_snapshot(&city, &body).expect("round trip");
+            assert_eq!(back, state);
+            if seed == 3 {
+                // Recorded from the original encoder, like the small city.
+                let text: String = body.iter().map(|line| format!("{line}\n")).collect();
+                assert_eq!(journal::fnv1a64(text.as_bytes()), 0x8bf7_71f1_8b01_ba0c);
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! [`save`] writes one after each body line, so the file carries a chain
 //! of cumulative checksums and the *last* one covers the whole file; a
 //! torn, truncated, or hand-edited file is detected rather than trusted.
+//! Because FNV-1a folds bytes one at a time, the chain is computed in a
+//! single streaming pass — each `sum` extends the running digest by the
+//! bytes since the previous one — so writing or walking a journal costs
+//! O(bytes), not O(lines × bytes).
 //! Writes go to a temporary sibling file which is then renamed over the
 //! target, so a `SIGKILL` mid-checkpoint leaves either the old journal
 //! or the new one — never a hybrid. Body lines starting with `sum ` are
@@ -27,7 +31,7 @@
 //! lines of the longest verified prefix, so a resumed campaign only
 //! re-runs the damaged tail instead of starting over.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -84,16 +88,35 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
+/// Running FNV-1a 64 state. FNV-1a is a byte-serial fold, so feeding a
+/// byte stream in pieces yields the digest of the concatenation — which
+/// lets the cumulative `sum` chain be written and checked in one pass.
+#[derive(Debug, Clone, Copy)]
+struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    const fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
 /// FNV-1a 64-bit digest — tiny, dependency-free, and plenty to catch
 /// torn writes and hand edits (this is corruption detection, not crypto).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hash = Fnv1a64::new();
+    hash.update(bytes);
+    hash.0
 }
+
+/// Length of one `sum <16 hex digits>\n` line.
+const SUM_LINE_LEN: usize = 21;
 
 /// Renders `value` as the 16-hex-digit bit pattern of its IEEE-754
 /// encoding, so journal round-trips are bit-exact (no decimal drift).
@@ -108,21 +131,31 @@ pub fn f64_from_hex(hex: &str) -> Option<f64> {
 
 /// Saves a journal atomically: header + `key` line + `body` lines are
 /// written to `<path>.tmp`, then renamed over `path`. A cumulative `sum`
-/// line follows every body line (each digesting all bytes before it), so
-/// [`load_salvage`] can recover the longest intact prefix of a later
-/// corruption; the final `sum` line doubles as the whole-file checksum
-/// [`load`] verifies.
+/// line follows every body line (each digesting all bytes before it, via
+/// one running hash), so [`load_salvage`] can recover the longest intact
+/// prefix of a later corruption; the final `sum` line doubles as the
+/// whole-file checksum [`load`] verifies.
 pub fn save(path: &Path, key: &str, body: &[String]) -> Result<(), JournalError> {
-    let mut text = format!("{MAGIC} {VERSION}\nkey {key}\n");
+    let header = format!("{MAGIC} {VERSION}\nkey {key}\n");
+    let len = header.len()
+        + body.iter().map(|line| line.len() + 1).sum::<usize>()
+        + body.len().max(1) * SUM_LINE_LEN;
+    let mut text = String::with_capacity(len);
+    text.push_str(&header);
+    let mut hash = Fnv1a64::new();
+    let mut hashed = 0; // bytes of `text` already folded into `hash`
+    let mut push_sum = |text: &mut String| {
+        hash.update(&text.as_bytes()[hashed..]);
+        hashed = text.len();
+        let _ = writeln!(text, "sum {:016x}", hash.0);
+    };
     for line in body {
         text.push_str(line);
         text.push('\n');
-        let digest = fnv1a64(text.as_bytes());
-        text.push_str(&format!("sum {digest:016x}\n"));
+        push_sum(&mut text);
     }
     if body.is_empty() {
-        let digest = fnv1a64(text.as_bytes());
-        text.push_str(&format!("sum {digest:016x}\n"));
+        push_sum(&mut text);
     }
 
     let tmp = tmp_path(path);
@@ -205,8 +238,9 @@ pub fn load_salvage(path: &Path, expected_key: &str) -> (Vec<String>, Option<Jou
     }
 }
 
-/// Walks the cumulative checksum chain from the top of the file and
-/// returns the body lines covered by the last `sum` line that verifies.
+/// Walks the cumulative checksum chain from the top of the file, in one
+/// streaming pass, and returns the body lines covered by the last `sum`
+/// line that verifies.
 /// `None` when the header or key is damaged or no `sum` line verifies —
 /// there is no trustworthy prefix at all.
 fn salvage_prefix(path: &Path, expected_key: &str) -> Option<Vec<String>> {
@@ -216,6 +250,8 @@ fn salvage_prefix(path: &Path, expected_key: &str) -> Option<Vec<String>> {
 
     let mut offset = 0usize; // start of the current line
     let mut line_no = 0usize;
+    let mut hash = Fnv1a64::new();
+    let mut hashed = 0usize; // bytes already folded into `hash`
     let mut body: Vec<String> = Vec::new();
     let mut verified_len: Option<usize> = None; // body lines under a good sum
 
@@ -246,7 +282,9 @@ fn salvage_prefix(path: &Path, expected_key: &str) -> Option<Vec<String>> {
             _ => {
                 if let Some(sum_hex) = line.strip_prefix("sum ") {
                     let recorded = u64::from_str_radix(sum_hex, 16).ok();
-                    if recorded == Some(fnv1a64(&bytes[..offset])) {
+                    hash.update(&bytes[hashed..offset]);
+                    hashed = offset;
+                    if recorded == Some(hash.0) {
                         verified_len = Some(body.len());
                     } else {
                         break; // chain broken: everything beyond is suspect
@@ -481,6 +519,85 @@ mod tests {
             assert_eq!(load(&path, "k").unwrap(), body);
             let _ = fs::remove_file(&path);
         }
+    }
+
+    #[test]
+    fn on_disk_format_is_pinned_byte_exact() {
+        // Bytes recorded from the original writer, which re-hashed the
+        // whole file after every body line: journals it wrote must keep
+        // resuming, so the streaming chain has to reproduce them exactly.
+        let path = tmp_file("golden");
+        let key = "golden v1 seed=7";
+        let body = ["point i=0 trials=96 errors=12", "quar point=1 frame=2", "end"]
+            .map(str::to_owned)
+            .to_vec();
+        save(&path, key, &body).unwrap();
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "WLANJRNL 1\nkey golden v1 seed=7\n\
+             point i=0 trials=96 errors=12\nsum ea55c85e143d0f26\n\
+             quar point=1 frame=2\nsum 153e20470361ce63\n\
+             end\nsum fb7c3d6b3bb275f7\n"
+        );
+        assert_eq!(load(&path, key).unwrap(), body);
+
+        save(&path, key, &[]).unwrap();
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "WLANJRNL 1\nkey golden v1 seed=7\nsum 85894a996e9bc65e\n"
+        );
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn sum_chain_matches_whole_prefix_digests_and_salvages_exact_prefix() {
+        use wlan_math::rng::{Rng, WlanRng};
+
+        // No 's', '\r' or '\n': a body line can never be, or be split
+        // into, a reserved `sum ` line.
+        const ALPHABET: &[u8] = b"abcdefghijklmnopqrtuvwxyz0123456789 =,.-_";
+        let mut rng = WlanRng::seed_from_u64(0x6a6f_7572_6e61_6c31);
+        let path = tmp_file("chain_property");
+        for _ in 0..48 {
+            let n = rng.gen_range(0..=200usize);
+            let body: Vec<String> = (0..n)
+                .map(|_| {
+                    let len = rng.gen_range(0..=80usize);
+                    (0..len)
+                        .map(|_| char::from(ALPHABET[rng.gen_range(0..ALPHABET.len())]))
+                        .collect()
+                })
+                .collect();
+            save(&path, "prop v1", &body).unwrap();
+            assert_eq!(load(&path, "prop v1").unwrap(), body);
+
+            // Every `sum` line is the digest of all bytes before it — the
+            // definition the original whole-prefix writer used.
+            let bytes = fs::read(&path).unwrap();
+            let mut sum_ends = Vec::new(); // offset just past each sum line
+            let mut offset = 0;
+            for line in bytes.split_inclusive(|&b| b == b'\n') {
+                if let Some(hex) = line.strip_prefix(b"sum ") {
+                    let hex = std::str::from_utf8(&hex[..16]).unwrap();
+                    assert_eq!(u64::from_str_radix(hex, 16).unwrap(), fnv1a64(&bytes[..offset]));
+                    sum_ends.push(offset + line.len());
+                }
+                offset += line.len();
+            }
+            assert_eq!(sum_ends.len(), n.max(1));
+
+            // A bit flip anywhere keeps exactly the body lines whose `sum`
+            // line lies wholly before the damaged byte.
+            let flip = rng.gen_range(0..bytes.len());
+            let mut damaged = bytes.clone();
+            damaged[flip] ^= 1 << rng.gen_range(0..8u32);
+            fs::write(&path, &damaged).unwrap();
+            let intact = sum_ends.iter().take(n).filter(|&&end| end <= flip).count();
+            let (records, err) = load_salvage(&path, "prop v1");
+            assert!(err.is_some(), "flip at byte {flip} went unnoticed");
+            assert_eq!(records, body[..intact], "flip at byte {flip} of {}", bytes.len());
+        }
+        let _ = fs::remove_file(&path);
     }
 
     #[test]
