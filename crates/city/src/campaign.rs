@@ -1,9 +1,11 @@
 //! The city campaign runner: budgets, checkpoint/resume, early stopping.
 //!
 //! A campaign wraps [`crate::sim::City`] in the `wlan-runner`
-//! conventions: a [`Budget`] metered in MAC attempts (the city's trial
-//! unit), an optional checkpoint journal, and Wilson-interval early
-//! stopping on the city-wide loss rate.
+//! conventions — it is one more [`Campaign`] kind run by
+//! [`wlan_runner::campaign::drive`]: a [`Budget`] metered in MAC
+//! attempts (the city's trial unit), one epoch per wave, an optional
+//! checkpoint journal, and Wilson-interval early stopping on the
+//! city-wide loss rate.
 //!
 //! # Journal semantics
 //!
@@ -13,7 +15,7 @@
 //! resumed campaign continues bit-identically from it. That also means a
 //! *partially* intact journal is useless — unlike the per-point PER
 //! campaigns there is no meaningful prefix of a snapshot — so restore
-//! uses strict [`journal::load`] only (no salvage): any damage is a
+//! is strict (no salvage): any damage is a
 //! [`wlan_runner::Resume::ColdStart`].
 //!
 //! The journal key pins every result-shaping parameter (the full
@@ -28,11 +30,10 @@ use crate::pertable::PerTableSet;
 use crate::sim::{City, CityReport, CityState};
 use wlan_math::ci::wilson95;
 use wlan_math::par::num_threads;
-use wlan_obs::json::Value;
-use wlan_runner::budget::BudgetMeter;
-use wlan_runner::journal::{self, f64_from_hex, f64_to_hex, kv, kv_u64};
-use wlan_runner::{Budget, JournalError, Outcome, Resume, StopReason};
 use wlan_math::WlanError;
+use wlan_runner::campaign::{drive, Campaign, Wave};
+use wlan_runner::journal::{self, f64_from_hex, f64_to_hex, kv, kv_u64};
+use wlan_runner::{Budget, JournalError, Outcome, Resume};
 
 /// Values packed per journal body line. The journal adds a 21-byte `sum`
 /// line after every body line, so big chunks keep that overhead small
@@ -50,7 +51,8 @@ pub struct CityCampaignConfig {
     pub budget: Budget,
     /// Checkpoint journal path; `None` disables checkpointing.
     pub journal: Option<PathBuf>,
-    /// Checkpoint every this many epochs (0 = only at campaign end).
+    /// Checkpoint every this many epochs of an invocation (0 = only when
+    /// the invocation ends).
     pub checkpoint_every_epochs: u64,
     /// Worker threads; `None` uses `WLAN_THREADS`/available parallelism.
     /// Never affects results, only wall-clock.
@@ -88,12 +90,15 @@ pub struct CityRunSummary {
     pub outcome: Outcome,
     /// How the invocation started (fresh / resumed / cold-start).
     pub resume: Resume,
-    /// Whether the Wilson early-stop rule ended the run before `epochs`.
+    /// Whether the Wilson early-stop rule ended the run.
     pub early_stopped: bool,
     /// Epochs simulated by *this* invocation (excludes restored ones).
     pub epochs_this_invocation: u64,
     /// The final state (journal-equivalent; lets callers diff runs).
     pub state: CityState,
+    /// Set when a checkpoint failed to write (the campaign continues —
+    /// checkpointing is an optimisation, not a correctness requirement).
+    pub journal_error: Option<JournalError>,
 }
 
 /// Runs (or resumes) a city campaign to completion, budget exhaustion,
@@ -104,122 +109,86 @@ pub struct CityRunSummary {
 ///
 /// [`WlanError::InvalidConfig`] if the scenario fails validation.
 pub fn run_city_campaign(cfg: &CityCampaignConfig) -> Result<CityRunSummary, WlanError> {
-    let city = City::new(cfg.city.clone(), cfg.tables.clone())?;
-    let key = journal_key(cfg);
-    let threads = cfg.threads.unwrap_or_else(num_threads);
-
-    let (mut state, resume) = restore(cfg, &city, &key);
-    let banked = state.attempts;
-    let mut meter = BudgetMeter::resumed(cfg.budget, banked);
-
-    let obs = wlan_obs::global();
-    obs.event(
-        "city_campaign_start",
-        &[
-            ("kind", Value::Str("city".into())),
-            ("aps", Value::U64(cfg.city.n_aps as u64)),
-            ("stations", Value::U64(cfg.city.n_stations() as u64)),
-            ("epochs", Value::U64(cfg.city.epochs)),
-            ("restored_epochs", Value::U64(state.epoch)),
-            ("banked_trials", Value::U64(banked)),
-        ],
-    );
-
-    let epochs_at_entry = state.epoch;
-    let mut early_stopped = false;
-    let mut stop_reason: Option<StopReason> = None;
-    let t_checkpoint = obs.histogram("city.journal_write");
-
-    while state.epoch < cfg.city.epochs {
-        if let Some(reason) = meter.exhausted() {
-            stop_reason = Some(reason);
-            break;
-        }
-        let attempts_before = state.attempts;
-        city.run_epoch(&mut state, threads);
-        meter.add_trials(state.attempts - attempts_before);
-
-        if let Some(path) = &cfg.journal {
-            let cadence = cfg.checkpoint_every_epochs;
-            if cadence > 0 && state.epoch % cadence == 0 && state.epoch < cfg.city.epochs {
-                let span = t_checkpoint.start();
-                // Checkpoint failures are non-fatal: the campaign still
-                // holds its state and will try again at the next cadence.
-                let saved = journal::save(path, &key, &snapshot(&state)).is_ok();
-                span.stop();
-                obs.event(
-                    "city_checkpoint",
-                    &[
-                        ("epoch", Value::U64(state.epoch)),
-                        ("trials", Value::U64(state.attempts)),
-                        ("saved", Value::Bool(saved)),
-                    ],
-                );
-            }
-        }
-
-        if let Some(target) = cfg.target_half_width {
-            if state.epoch >= cfg.min_epochs && state.attempts > 0 {
-                let hw = wilson95(state.failures, state.attempts).half_width();
-                if hw < target {
-                    early_stopped = true;
-                    obs.counter("city.early_stops").add(1);
-                    obs.event(
-                        "city_early_stop",
-                        &[
-                            ("epoch", Value::U64(state.epoch)),
-                            ("half_width", Value::F64(hw)),
-                            ("target", Value::F64(target)),
-                        ],
-                    );
-                    break;
-                }
-            }
-        }
-    }
-
-    // Final checkpoint: a budget-stopped campaign must be resumable, and
-    // a completed one leaves a journal that resumes to a no-op.
-    if let Some(path) = &cfg.journal {
-        let span = t_checkpoint.start();
-        let _ = journal::save(path, &key, &snapshot(&state));
-        span.stop();
-    }
-
-    let outcome = match stop_reason {
-        None => Outcome::Complete,
-        Some(reason) => {
-            let epochs_done = state.epoch.max(1);
-            let per_epoch = state.attempts / epochs_done;
-            let remaining_epochs = cfg.city.epochs - state.epoch;
-            Outcome::Partial {
-                completed: meter.trials(),
-                remaining: remaining_epochs * per_epoch.max(1),
-                reason,
-            }
-        }
+    let campaign = CityCampaign {
+        cfg,
+        city: City::new(cfg.city.clone(), cfg.tables.clone())?,
+        threads: cfg.threads.unwrap_or_else(num_threads),
     };
-
-    let report = city.report(&state);
-    obs.event(
-        "city_campaign_done",
-        &[
-            ("epochs_run", Value::U64(state.epoch)),
-            ("attempts", Value::U64(state.attempts)),
-            ("delivered", Value::U64(report.delivered_frames)),
-            ("complete", Value::Bool(outcome.is_complete())),
-            ("early_stopped", Value::Bool(early_stopped)),
-        ],
-    );
-
+    let journal = cfg.journal.as_deref();
+    let run = drive(&campaign, cfg.budget, journal, cfg.checkpoint_every_epochs);
     Ok(CityRunSummary {
-        report,
-        outcome,
-        resume,
-        early_stopped,
-        epochs_this_invocation: state.epoch - epochs_at_entry,
-        state,
+        report: campaign.city.report(&run.state),
+        early_stopped: run.outcome.is_complete() && campaign.early_stop(&run.state),
+        outcome: run.outcome,
+        resume: run.resume,
+        epochs_this_invocation: run.waves,
+        state: run.state,
+        journal_error: run.journal_error,
     })
+}
+
+struct CityCampaign<'a> {
+    cfg: &'a CityCampaignConfig,
+    city: City,
+    threads: usize,
+}
+
+impl CityCampaign<'_> {
+    /// The Wilson early-stop rule on the city-wide loss rate.
+    fn early_stop(&self, state: &CityState) -> bool {
+        self.cfg.target_half_width.is_some_and(|target| {
+            state.epoch >= self.cfg.min_epochs
+                && state.attempts > 0
+                && wilson95(state.failures, state.attempts).half_width() < target
+        })
+    }
+}
+
+impl Campaign for CityCampaign<'_> {
+    type State = CityState;
+    const KIND: &'static str = "city";
+    const SALVAGE: bool = false;
+    const JOURNAL_TIMER: &'static str = "city.journal_write";
+
+    fn key(&self) -> String {
+        journal_key(self.cfg)
+    }
+
+    fn fresh(&self) -> CityState {
+        self.city.fresh_state()
+    }
+
+    fn encode(&self, state: &CityState) -> Vec<String> {
+        snapshot(state)
+    }
+
+    fn decode(&self, body: &[String], _complete: bool) -> Result<CityState, JournalError> {
+        parse_snapshot(&self.city, body)
+    }
+
+    fn trials(&self, state: &CityState) -> u64 {
+        state.attempts
+    }
+
+    fn wave(&self, state: &mut CityState) -> Wave {
+        let attempts = state.attempts;
+        self.city.run_epoch(state, self.threads);
+        Wave {
+            trials: state.attempts - attempts,
+            quarantined: 0,
+            early_stops: if self.early_stop(state) { vec![0] } else { Vec::new() },
+        }
+    }
+
+    fn done(&self, state: &CityState) -> bool {
+        state.epoch >= self.cfg.city.epochs || self.early_stop(state)
+    }
+
+    /// Remaining epochs at the mean attempts per epoch so far.
+    fn remaining(&self, state: &CityState) -> u64 {
+        let per_epoch = state.attempts / state.epoch.max(1);
+        (self.cfg.city.epochs - state.epoch) * per_epoch.max(1)
+    }
 }
 
 /// The campaign identity: every parameter that shapes the deterministic
@@ -322,95 +291,105 @@ fn decimal_len(v: u64) -> usize {
     v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
-/// Rebuilds a state from journal body lines. `None` on any structural
-/// defect (the caller cold-starts).
-fn parse_snapshot(city: &City, body: &[String]) -> Option<CityState> {
+/// Rebuilds a state from journal body lines: the `state` header, then
+/// the `assoc`, `del` and `busy` chunks — each section complete before
+/// the next begins — then `end`. A defective line is `Malformed` at its
+/// file line; a snapshot that stops short is `Malformed` at the line
+/// where the next record belongs.
+fn parse_snapshot(city: &City, body: &[String]) -> Result<CityState, JournalError> {
     let mut state = city.fresh_state();
-    let mut have_header = false;
-    let mut have_end = false;
-    let mut assoc_seen = 0usize;
-    let mut del_seen = 0usize;
-    let mut busy_seen = 0usize;
-
-    for line in body {
-        if have_end {
-            return None; // trailing garbage after the end marker
-        }
+    let n_aps = city.cfg.n_aps;
+    let mut header = false;
+    let mut ended = false;
+    let mut filled = [0usize; 3]; // values restored into assoc, del, busy
+    journal::decode_lines(body, |line| {
         let mut tokens = line.split_ascii_whitespace();
-        match tokens.next()? {
-            "state" => {
-                let t: Vec<&str> = tokens.collect();
-                if t.len() != 17 {
-                    return None;
-                }
-                state.epoch = kv_u64(t[0], "epoch")?;
-                state.attempts = kv_u64(t[1], "attempts")?;
-                state.failures = kv_u64(t[2], "failures")?;
-                state.handoffs = kv_u64(t[3], "handoffs")?;
-                state.defer_us = f64_from_hex(kv(t[4], "defer")?)?;
-                state.prot_delivered = kv_u64(t[5], "pd")?;
-                state.prot_sta_epochs = kv_u64(t[6], "pse")?;
-                state.unprot_delivered = kv_u64(t[7], "ud")?;
-                state.unprot_sta_epochs = kv_u64(t[8], "use")?;
-                for i in 0..4 {
-                    state.ac_delivered[i] = kv_u64(t[9 + i], &format!("d{i}"))?;
-                    state.ac_attempts[i] = kv_u64(t[13 + i], &format!("a{i}"))?;
-                }
-                have_header = true;
-            }
-            "assoc" => {
-                let (o, vals) = chunk_fields(&mut tokens)?;
-                if o != assoc_seen {
-                    return None;
-                }
-                for v in vals.split(',') {
-                    if assoc_seen >= state.assoc.len() {
-                        return None;
-                    }
-                    state.assoc[assoc_seen] = v.parse().ok()?;
-                    assoc_seen += 1;
-                }
-            }
-            "del" => {
-                let (o, vals) = chunk_fields(&mut tokens)?;
-                if o != del_seen {
-                    return None;
-                }
-                for v in vals.split(',') {
-                    if del_seen >= state.delivered.len() {
-                        return None;
-                    }
-                    state.delivered[del_seen] = v.parse().ok()?;
-                    del_seen += 1;
-                }
-            }
-            "busy" => {
-                let (o, vals) = chunk_fields(&mut tokens)?;
-                if o != busy_seen {
-                    return None;
-                }
-                for v in vals.split(',') {
-                    if busy_seen >= state.busy_frac.len() {
-                        return None;
-                    }
-                    state.busy_frac[busy_seen] = f64_from_hex(v)?;
-                    busy_seen += 1;
-                }
-            }
-            "end" => have_end = true,
-            _ => return None,
+        let tag = tokens.next();
+        if !header {
+            header = tag == Some("state") && parse_header(&mut state, tokens, city.cfg.epochs);
+            return header;
         }
+        let full = [state.assoc.len(), state.delivered.len(), state.busy_frac.len()];
+        let section = match tag {
+            Some("assoc") => 0,
+            Some("del") => 1,
+            Some("busy") => 2,
+            Some("end") if !ended && filled == full => {
+                ended = true;
+                return tokens.next().is_none();
+            }
+            _ => return false,
+        };
+        if ended || filled[..section] != full[..section] {
+            return false;
+        }
+        let Some((offset, values)) = chunk_fields(&mut tokens) else {
+            return false;
+        };
+        let seen = &mut filled[section];
+        offset == *seen
+            && match section {
+                0 => fill(&mut state.assoc, seen, values, |v| {
+                    v.parse().ok().filter(|&ap: &u16| usize::from(ap) < n_aps)
+                }),
+                1 => fill(&mut state.delivered, seen, values, |v| v.parse().ok()),
+                _ => fill(&mut state.busy_frac, seen, values, f64_from_hex),
+            }
+    })?;
+    if !ended {
+        return Err(JournalError::Malformed {
+            line: body.len() + 3,
+        });
     }
+    Ok(state)
+}
 
-    let complete = have_header
-        && have_end
-        && assoc_seen == state.assoc.len()
-        && del_seen == state.delivered.len()
-        && busy_seen == state.busy_frac.len()
-        && state.assoc.iter().all(|&ap| (ap as usize) < city.cfg.n_aps)
-        && state.failures <= state.attempts
-        && state.epoch <= city.cfg.epochs;
-    complete.then_some(state)
+/// Parses the `state` header's 17 fields into `state`; `false` on any
+/// malformation or impossible tally.
+fn parse_header<'a>(
+    state: &mut CityState,
+    tokens: impl Iterator<Item = &'a str>,
+    max_epochs: u64,
+) -> bool {
+    let t: Vec<&str> = tokens.collect();
+    let parsed = (|| {
+        if t.len() != 17 {
+            return None;
+        }
+        state.epoch = kv_u64(t[0], "epoch")?;
+        state.attempts = kv_u64(t[1], "attempts")?;
+        state.failures = kv_u64(t[2], "failures")?;
+        state.handoffs = kv_u64(t[3], "handoffs")?;
+        state.defer_us = f64_from_hex(kv(t[4], "defer")?)?;
+        state.prot_delivered = kv_u64(t[5], "pd")?;
+        state.prot_sta_epochs = kv_u64(t[6], "pse")?;
+        state.unprot_delivered = kv_u64(t[7], "ud")?;
+        state.unprot_sta_epochs = kv_u64(t[8], "use")?;
+        for i in 0..4 {
+            state.ac_delivered[i] = kv_u64(t[9 + i], &format!("d{i}"))?;
+            state.ac_attempts[i] = kv_u64(t[13 + i], &format!("a{i}"))?;
+        }
+        Some(())
+    })();
+    parsed.is_some() && state.failures <= state.attempts && state.epoch <= max_epochs
+}
+
+/// Writes one chunk's comma-separated values into `dst` from index
+/// `*seen` on; `false` on a bad value or overflow.
+fn fill<T>(
+    dst: &mut [T],
+    seen: &mut usize,
+    values: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> bool {
+    for v in values.split(',') {
+        match (dst.get_mut(*seen), parse(v)) {
+            (Some(slot), Some(value)) => *slot = value,
+            _ => return false,
+        }
+        *seen += 1;
+    }
+    true
 }
 
 /// Parses `o=<offset> v=<csv>` out of a chunked line's remaining tokens.
@@ -420,38 +399,11 @@ fn chunk_fields<'a, I: Iterator<Item = &'a str>>(tokens: &mut I) -> Option<(usiz
     tokens.next().is_none().then_some((o, vals))
 }
 
-/// Restores state from the configured journal (strict load, no salvage —
-/// see the module docs for why a snapshot has no usable prefix).
-fn restore(cfg: &CityCampaignConfig, city: &City, key: &str) -> (CityState, Resume) {
-    let Some(path) = &cfg.journal else {
-        return (city.fresh_state(), Resume::Fresh);
-    };
-    match journal::load(path, key) {
-        Ok(body) => match parse_snapshot(city, &body) {
-            Some(state) => {
-                let trials = state.attempts;
-                (state, Resume::Resumed { trials })
-            }
-            // Verified checksum but unparseable body: treat like any
-            // other untrustworthy journal.
-            None => (
-                city.fresh_state(),
-                Resume::ColdStart {
-                    error: JournalError::Malformed { line: 0 },
-                },
-            ),
-        },
-        Err(JournalError::Io(std::io::ErrorKind::NotFound)) => {
-            (city.fresh_state(), Resume::Fresh)
-        }
-        Err(error) => (city.fresh_state(), Resume::ColdStart { error }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::path::Path;
+    use wlan_runner::StopReason;
 
     fn tmp_journal(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -544,26 +496,56 @@ mod tests {
         city.run_epoch(&mut state, 1);
         let good = snapshot(&state);
 
-        // Dropped end marker, dropped header, truncated chunks, trailing
-        // garbage, out-of-range association.
+        assert_eq!(good.len(), 5, "state, assoc, del, busy, end");
+        let line = |body: &[String]| match parse_snapshot(&city, body) {
+            Err(JournalError::Malformed { line }) => line,
+            other => panic!("expected a malformed line, got {other:?}"),
+        };
+
+        // Dropped end marker: the snapshot stops short where `end`
+        // belongs (body line 4, file line 7).
         let mut no_end = good.clone();
         no_end.pop();
-        assert!(parse_snapshot(&city, &no_end).is_none());
+        assert_eq!(line(&no_end), 7);
 
-        let headerless = good[1..].to_vec();
-        assert!(parse_snapshot(&city, &headerless).is_none());
+        // Dropped header: the first body line (file line 3) is a chunk.
+        assert_eq!(line(&good[1..]), 3);
 
+        // Dropped assoc chunk: `del` starts before assoc is complete.
         let mut truncated = good.clone();
         truncated.remove(1);
-        assert!(parse_snapshot(&city, &truncated).is_none());
+        assert_eq!(line(&truncated), 4);
 
+        // Trailing garbage after the end marker.
         let mut trailing = good.clone();
         trailing.push("assoc o=0 v=1".to_owned());
-        assert!(parse_snapshot(&city, &trailing).is_none());
+        assert_eq!(line(&trailing), 8);
 
+        // Out-of-range association in the assoc chunk.
         let mut bad_ap = good.clone();
         bad_ap[1] = bad_ap[1].replacen("v=", "v=9999,", 1);
-        assert!(parse_snapshot(&city, &bad_ap).is_none());
+        assert_eq!(line(&bad_ap), 4);
+
+        // More failures than attempts in the header.
+        let mut bad_header = good.clone();
+        bad_header[0] = bad_header[0]
+            .split(' ')
+            .map(|t| if t.starts_with("failures=") { "failures=18446744073709551615" } else { t })
+            .collect::<Vec<_>>()
+            .join(" ");
+        assert_eq!(line(&bad_header), 3);
+    }
+
+    #[test]
+    fn unwritable_journal_is_reported_and_the_campaign_completes() {
+        let path = tmp_journal("missing_dir").join("journal");
+        let summary = run_city_campaign(&small_campaign(Some(path))).expect("runs");
+        assert!(summary.outcome.is_complete());
+        assert!(
+            matches!(summary.journal_error, Some(JournalError::Io(_))),
+            "{:?}",
+            summary.journal_error
+        );
     }
 
     #[test]

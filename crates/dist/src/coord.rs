@@ -46,9 +46,9 @@ use wlan_runner::budget::{BudgetMeter, Outcome, StopReason};
 use wlan_runner::journal::{self, f64_from_hex, f64_to_hex, kv_u64, JournalError};
 use wlan_core::linksim::PhyLink;
 use wlan_fault::FaultChain;
+use wlan_runner::campaign;
 use wlan_runner::per::{
-    evaluate_status, fresh_points, parse_point_line, PerCampaignConfig, PointProgress, PointStatus,
-    ROUND_TRIALS,
+    evaluate_status, PerCampaignConfig, PerProgress, PointProgress, PointStatus, ROUND_TRIALS,
 };
 use wlan_runner::quarantine::QuarantinedTrial;
 use wlan_runner::Resume;
@@ -985,7 +985,7 @@ impl Coord<'_> {
 
     /// Folds completed leases into the per-point tallies, in frame
     /// order, applying the stopping rule at every round boundary.
-    /// Returns the number of rounds folded (for checkpoint cadence).
+    /// Returns the number of rounds folded (any fold is checkpointed).
     fn fold(&mut self, meter: &mut BudgetMeter) -> u64 {
         let mut folded = 0u64;
         for p in 0..self.points.len() {
@@ -1273,18 +1273,15 @@ impl Coord<'_> {
         self.stats.leases_completed += 1;
     }
 
-    fn checkpoint(&self, key: &str) -> Result<(), JournalError> {
-        let Some(path) = self.cfg.per.journal.as_deref() else {
-            return Ok(());
-        };
-        // Ledgers first, tallies after — the same salvage-consistency
-        // ordering the single-process campaign uses (lost tallies re-run
-        // and their quarantine entries deduplicate; a tally never
-        // survives without its ledger entries).
+    /// Journal body lines: ledgers first, tallies after — the same
+    /// salvage-consistency ordering the single-process campaign uses
+    /// (lost tallies re-run and their quarantine entries deduplicate; a
+    /// tally never survives without its ledger entries).
+    fn journal_body(&self) -> Vec<String> {
         let mut body: Vec<String> = self.quarantine.iter().map(QuarantinedTrial::to_line).collect();
         body.extend(self.lease_quarantine.iter().map(QuarantinedLease::to_line));
         body.extend(self.points.iter().enumerate().map(|(i, p)| p.to_line(i)));
-        journal::save(path, key, &body)
+        body
     }
 }
 
@@ -1360,10 +1357,43 @@ pub fn run_dist_per_campaign_on(
         cfg.per.journal_key(link.as_ref(), &faults)
     );
 
-    let (points, quarantine, resume) = restore_dist(&cfg.per, &key);
+    // PER's restore ladder and body decoder, plus the two dist extras:
+    // `qlease` ledger lines are validated but *not* restored (a
+    // re-invocation retries abandoned ranges fresh rather than
+    // inheriting last run's fleet failures), and every restored frontier
+    // must sit on the lease grid, since distributed folds stop only at
+    // round boundaries.
+    let journal_path = cfg.per.journal.as_deref();
+    let on_grid =
+        |p: &PointProgress| p.trials.is_multiple_of(ROUND_TRIALS) || p.trials == cfg.per.max_frames;
+    let (PerProgress { points, quarantine, .. }, resume) = campaign::restore(
+        journal_path,
+        &key,
+        true,
+        || PerProgress::fresh(&cfg.per),
+        |body, complete| {
+            let mut progress = PerProgress::default();
+            journal::decode_lines(body, |line| {
+                if line.starts_with("qlease ") {
+                    QuarantinedLease::from_line(line).is_some()
+                } else {
+                    progress.decode_line(&cfg.per, line) && progress.points.last().is_none_or(on_grid)
+                }
+            })?;
+            progress.finish(&cfg.per, complete)
+        },
+        PerProgress::trials,
+    );
     let banked: u64 = points.iter().map(|p| p.trials).sum();
     let mut meter = BudgetMeter::resumed(cfg.per.budget, banked);
     let mut journal_error: Option<JournalError> = None;
+    let mut checkpoint = |coord: &Coord| {
+        if let Some(path) = journal_path {
+            if let Err(e) = journal::save(path, &key, &coord.journal_body()) {
+                journal_error.get_or_insert(e);
+            }
+        }
+    };
 
     let obs = wlan_obs::global();
     let start = Instant::now();
@@ -1395,9 +1425,6 @@ pub fn run_dist_per_campaign_on(
     for w in 0..coord.fleet.slots.len() {
         coord.send_hello(w, start);
     }
-    for p in &mut coord.points {
-        p.status = evaluate_status(p, &cfg.per);
-    }
     coord.dispatched = coord.points.iter().map(|p| p.trials).collect();
 
     obs.event(
@@ -1412,7 +1439,6 @@ pub fn run_dist_per_campaign_on(
 
     let mut chaos_done = false;
     let mut fallback_announced = false;
-    let mut rounds_since_checkpoint: u64 = 0;
     let stop_reason = loop {
         let now = Instant::now();
         // Joiners first: a worker queued before the campaign started (or
@@ -1437,13 +1463,8 @@ pub fn run_dist_per_campaign_on(
             }
         }
 
-        let folded = coord.fold(&mut meter);
-        rounds_since_checkpoint += folded;
-        if folded > 0 && rounds_since_checkpoint >= cfg.per.checkpoint_every_rounds {
-            rounds_since_checkpoint = 0;
-            if let Err(e) = coord.checkpoint(&key) {
-                journal_error.get_or_insert(e);
-            }
+        if coord.fold(&mut meter) > 0 {
+            checkpoint(&coord);
         }
         if coord.all_resolved() {
             break None;
@@ -1503,9 +1524,7 @@ pub fn run_dist_per_campaign_on(
 
     // Final checkpoint: a budget-stopped campaign resumes from its exact
     // exit state; a complete one re-loads as complete.
-    if let Err(e) = coord.checkpoint(&key) {
-        journal_error.get_or_insert(e);
-    }
+    checkpoint(&coord);
 
     let mut outcome = Outcome::Complete;
     for (p, pt) in coord.points.iter().enumerate() {
@@ -1565,97 +1584,6 @@ pub fn run_dist_per_campaign_on(
         journal_error,
         stats: coord.stats,
     }
-}
-
-/// Loads distributed-campaign state from the journal (verified,
-/// salvaged, or cold-started) — the same tolerance ladder as the
-/// single-process campaign, plus `qlease` ledger lines, which are
-/// validated but *not* restored: a re-invocation retries abandoned
-/// ranges fresh rather than inheriting last run's fleet failures.
-fn restore_dist(
-    cfg: &PerCampaignConfig,
-    key: &str,
-) -> (Vec<PointProgress>, Vec<QuarantinedTrial>, Resume) {
-    let Some(path) = cfg.journal.as_deref() else {
-        return (fresh_points(cfg), Vec::new(), Resume::Fresh);
-    };
-    match journal::load_salvage(path, key) {
-        (body, None) => match parse_dist_body(cfg, &body, true) {
-            Ok((points, quarantine)) => {
-                let trials = points.iter().map(|p| p.trials).sum();
-                (points, quarantine, Resume::Resumed { trials })
-            }
-            Err(error) => (fresh_points(cfg), Vec::new(), Resume::ColdStart { error }),
-        },
-        (_, Some(JournalError::Io(std::io::ErrorKind::NotFound))) => {
-            (fresh_points(cfg), Vec::new(), Resume::Fresh)
-        }
-        (body, Some(error)) => match parse_dist_body(cfg, &body, false) {
-            Ok((points, quarantine))
-                if points.iter().any(|p| p.trials > 0) || !quarantine.is_empty() =>
-            {
-                let trials = points.iter().map(|p| p.trials).sum();
-                (points, quarantine, Resume::Salvaged { trials, error })
-            }
-            _ => (fresh_points(cfg), Vec::new(), Resume::ColdStart { error }),
-        },
-    }
-}
-
-fn parse_dist_body(
-    cfg: &PerCampaignConfig,
-    body: &[String],
-    complete: bool,
-) -> Result<(Vec<PointProgress>, Vec<QuarantinedTrial>), JournalError> {
-    let mut points: Vec<PointProgress> = Vec::with_capacity(cfg.snrs_db.len());
-    let mut quarantine = Vec::new();
-    for (idx, line) in body.iter().enumerate() {
-        // Body line `idx` sits at file line `idx + 3` (header, key first).
-        let malformed = JournalError::Malformed { line: idx + 3 };
-        if line.starts_with("point ") {
-            let Some((i, trials, errors, erasures, status)) = parse_point_line(line) else {
-                return Err(malformed);
-            };
-            // Distributed folds stop only at round boundaries, so any
-            // restored frontier must sit on the lease grid.
-            let aligned = trials % ROUND_TRIALS == 0 || trials == cfg.max_frames;
-            let in_bounds = i == points.len() && i < cfg.snrs_db.len() && trials <= cfg.max_frames;
-            if !in_bounds || !aligned || errors > trials || erasures > errors {
-                return Err(malformed);
-            }
-            points.push(PointProgress {
-                snr_db: cfg.snrs_db[i],
-                trials,
-                errors,
-                erasures,
-                status,
-            });
-        } else if line.starts_with("quar ") {
-            let Some(q) = QuarantinedTrial::from_line(line, cfg.seed) else {
-                return Err(malformed);
-            };
-            quarantine.push(q);
-        } else if line.starts_with("qlease ") {
-            if QuarantinedLease::from_line(line).is_none() {
-                return Err(malformed);
-            }
-        } else {
-            return Err(malformed);
-        }
-    }
-    if complete && points.len() != cfg.snrs_db.len() {
-        return Err(JournalError::Truncated);
-    }
-    while points.len() < cfg.snrs_db.len() {
-        points.push(PointProgress {
-            snr_db: cfg.snrs_db[points.len()],
-            trials: 0,
-            errors: 0,
-            erasures: 0,
-            status: PointStatus::Active,
-        });
-    }
-    Ok((points, quarantine))
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@ use std::path::PathBuf;
 use wlan_mesh::capacity::{client_route, GatewayCapacity};
 use wlan_math::par;
 
-use crate::budget::{Budget, BudgetMeter, Outcome};
-use crate::journal::{self, f64_to_hex, kv_f64, kv_u64, JournalError};
+use crate::budget::{Budget, Outcome};
+use crate::campaign::{drive, Campaign, Wave};
+use crate::journal::{f64_to_hex, kv_f64, kv_u64, JournalError};
 use crate::Resume;
 
 /// Clients routed per wave.
@@ -66,20 +67,6 @@ impl CapacityCampaignConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
-    }
-
-    fn key(&self) -> String {
-        let pos = |v: &[(f64, f64)]| -> String {
-            v.iter()
-                .map(|&(x, y)| format!("{},{}", f64_to_hex(x), f64_to_hex(y)))
-                .collect::<Vec<_>>()
-                .join(";")
-        };
-        format!(
-            "capacity v1 infra={} clients={}",
-            pos(&self.infrastructure),
-            pos(&self.clients)
-        )
     }
 }
 
@@ -133,140 +120,119 @@ impl CapacityCampaignReport {
 pub fn run_capacity_campaign(cfg: &CapacityCampaignConfig) -> CapacityCampaignReport {
     assert!(!cfg.infrastructure.is_empty(), "need at least the gateway");
 
-    let key = cfg.key();
-    let (mut routed, mut connected, mut airtime, mut hop_sum, resume) = restore(cfg, &key);
-    // Journal-restored clients are banked trials: the trial budget is
-    // cumulative across resume (see `budget` module docs).
-    let mut meter = BudgetMeter::resumed(cfg.budget, routed);
-    let mut journal_error: Option<JournalError> = None;
-    let total = cfg.clients.len() as u64;
+    let run = drive(&CapacityCampaign(cfg), cfg.budget, cfg.journal.as_deref(), 1);
+    CapacityCampaignReport {
+        routed: run.state.routed,
+        connected: run.state.connected,
+        round_airtime_us: run.state.round_airtime_us,
+        hop_sum: run.state.hop_sum,
+        outcome: run.outcome,
+        resume: run.resume,
+        journal_error: run.journal_error,
+    }
+}
 
-    let obs = wlan_obs::global();
-    let c_waves = obs.counter("runner.waves");
-    let c_trials = obs.counter("runner.trials");
-    let t_journal = obs.histogram("runner.journal_write");
+/// Clients routed so far and what the connected ones add up to.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Tally {
+    routed: u64,
+    connected: u64,
+    round_airtime_us: f64,
+    hop_sum: u64,
+}
 
-    let stop_reason = loop {
-        if routed >= total {
-            break None;
-        }
-        if let Some(reason) = meter.exhausted() {
-            break Some(reason);
-        }
+struct CapacityCampaign<'a>(&'a CapacityCampaignConfig);
 
-        let start = routed as usize;
+impl Campaign for CapacityCampaign<'_> {
+    type State = Tally;
+    const KIND: &'static str = "capacity";
+    const SALVAGE: bool = false;
+
+    fn key(&self) -> String {
+        let pos = |v: &[(f64, f64)]| -> String {
+            v.iter()
+                .map(|&(x, y)| format!("{},{}", f64_to_hex(x), f64_to_hex(y)))
+                .collect::<Vec<_>>()
+                .join(";")
+        };
+        format!(
+            "capacity v1 infra={} clients={}",
+            pos(&self.0.infrastructure),
+            pos(&self.0.clients)
+        )
+    }
+
+    fn fresh(&self) -> Tally {
+        Tally::default()
+    }
+
+    fn encode(&self, t: &Tally) -> Vec<String> {
+        vec![format!(
+            "cap routed={} connected={} airtime={} hops={}",
+            t.routed,
+            t.connected,
+            f64_to_hex(t.round_airtime_us),
+            t.hop_sum
+        )]
+    }
+
+    fn decode(&self, body: &[String], _complete: bool) -> Result<Tally, JournalError> {
+        let [line] = body else {
+            return Err(JournalError::Truncated);
+        };
+        let parsed = (|| {
+            let mut t = line.strip_prefix("cap ")?.split_whitespace();
+            let routed = kv_u64(t.next()?, "routed")?;
+            let connected = kv_u64(t.next()?, "connected")?;
+            let round_airtime_us = kv_f64(t.next()?, "airtime")?;
+            let hop_sum = kv_u64(t.next()?, "hops")?;
+            let valid = t.next().is_none()
+                && routed <= self.0.clients.len() as u64
+                && connected <= routed
+                && round_airtime_us.is_finite();
+            valid.then_some(Tally {
+                routed,
+                connected,
+                round_airtime_us,
+                hop_sum,
+            })
+        })();
+        parsed.ok_or(JournalError::Malformed { line: 3 })
+    }
+
+    fn trials(&self, t: &Tally) -> u64 {
+        t.routed
+    }
+
+    fn wave(&self, t: &mut Tally) -> Wave {
+        let cfg = self.0;
+        let start = t.routed as usize;
         let end = cfg.clients.len().min(start + CLIENTS_PER_WAVE);
         let wave = &cfg.clients[start..end];
-        let route_one =
-            |_: usize, &client: &(f64, f64)| client_route(&cfg.infrastructure, client);
-        let routes = match cfg.threads {
-            Some(t) => par::parallel_map_with_threads(t, wave, route_one),
-            None => par::parallel_map(wave, route_one),
-        };
+        let route_one = |_: usize, &client: &(f64, f64)| client_route(&cfg.infrastructure, client);
+        let threads = cfg.threads.unwrap_or_else(par::num_threads);
+        let routes = par::parallel_map_with_threads(threads, wave, route_one);
         // Client-order fold, one client at a time — the one-shot
         // analysis' float association.
         for (airtime_us, hops) in routes.iter().flatten() {
-            airtime += airtime_us;
-            connected += 1;
-            hop_sum += *hops as u64;
+            t.round_airtime_us += airtime_us;
+            t.connected += 1;
+            t.hop_sum += *hops as u64;
         }
-        routed = end as u64;
-        meter.add_trials((end - start) as u64);
-        c_waves.inc();
-        c_trials.add((end - start) as u64);
-
-        let span = t_journal.start();
-        let saved = checkpoint(cfg, &key, routed, connected, airtime, hop_sum);
-        span.stop();
-        if let Err(e) = saved {
-            journal_error.get_or_insert(e);
+        t.routed = end as u64;
+        Wave {
+            trials: (end - start) as u64,
+            ..Wave::default()
         }
-    };
-
-    let outcome = match stop_reason {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Partial {
-            completed: routed,
-            remaining: total - routed,
-            reason,
-        },
-    };
-
-    CapacityCampaignReport {
-        routed,
-        connected,
-        round_airtime_us: airtime,
-        hop_sum,
-        outcome,
-        resume,
-        journal_error,
     }
-}
 
-type CapacityState = (u64, u64, f64, u64, Resume);
-
-fn restore(cfg: &CapacityCampaignConfig, key: &str) -> CapacityState {
-    let fresh = (0u64, 0u64, 0.0f64, 0u64, Resume::Fresh);
-    let Some(path) = cfg.journal.as_deref() else {
-        return fresh;
-    };
-    match journal::load(path, key) {
-        Ok(body) => match parse_body(cfg, &body) {
-            Ok((routed, connected, airtime, hops)) => {
-                (routed, connected, airtime, hops, Resume::Resumed { trials: routed })
-            }
-            Err(error) => (0, 0, 0.0, 0, Resume::ColdStart { error }),
-        },
-        Err(JournalError::Io(std::io::ErrorKind::NotFound)) => fresh,
-        Err(error) => (0, 0, 0.0, 0, Resume::ColdStart { error }),
+    fn done(&self, t: &Tally) -> bool {
+        t.routed >= self.0.clients.len() as u64
     }
-}
 
-fn parse_body(
-    cfg: &CapacityCampaignConfig,
-    body: &[String],
-) -> Result<(u64, u64, f64, u64), JournalError> {
-    let malformed = JournalError::Malformed { line: 3 };
-    let [line] = body else {
-        return Err(JournalError::Truncated);
-    };
-    let rest = line.strip_prefix("cap ").ok_or(malformed.clone())?;
-    let mut t = rest.split_whitespace();
-    let parsed = (|| {
-        let routed = kv_u64(t.next()?, "routed")?;
-        let connected = kv_u64(t.next()?, "connected")?;
-        let airtime = kv_f64(t.next()?, "airtime")?;
-        let hops = kv_u64(t.next()?, "hops")?;
-        if t.next().is_some() {
-            return None;
-        }
-        Some((routed, connected, airtime, hops))
-    })();
-    let Some((routed, connected, airtime, hops)) = parsed else {
-        return Err(malformed);
-    };
-    if routed > cfg.clients.len() as u64 || connected > routed || !airtime.is_finite() {
-        return Err(malformed);
+    fn remaining(&self, t: &Tally) -> u64 {
+        self.0.clients.len() as u64 - t.routed
     }
-    Ok((routed, connected, airtime, hops))
-}
-
-fn checkpoint(
-    cfg: &CapacityCampaignConfig,
-    key: &str,
-    routed: u64,
-    connected: u64,
-    airtime: f64,
-    hops: u64,
-) -> Result<(), JournalError> {
-    let Some(path) = cfg.journal.as_deref() else {
-        return Ok(());
-    };
-    let body = vec![format!(
-        "cap routed={routed} connected={connected} airtime={} hops={hops}",
-        f64_to_hex(airtime)
-    )];
-    journal::save(path, key, &body)
 }
 
 #[cfg(test)]
@@ -330,6 +296,33 @@ mod tests {
             one_shot.round_airtime_us.to_bits(),
             "resumed fold must be bit-identical"
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn corrupt_journal_cold_starts() {
+        let path = std::env::temp_dir()
+            .join(format!("wlan_cap_corrupt_{}.journal", std::process::id()));
+        let c = clients(40);
+        let cfg = CapacityCampaignConfig::new(&infra(), &c)
+            .with_budget(Budget::unlimited().with_max_trials(16))
+            .with_journal(path.clone())
+            .with_threads(1);
+        run_capacity_campaign(&cfg);
+        // Flip one byte of the verified journal: a strict kind never
+        // salvages, so the whole campaign restarts.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let report = run_capacity_campaign(&cfg.clone().with_budget(Budget::unlimited()));
+        assert!(
+            matches!(report.resume, Resume::ColdStart { .. }),
+            "{:?}",
+            report.resume
+        );
+        assert!(report.outcome.is_complete());
+        assert_eq!(report.to_gateway_capacity(), gateway_capacity(&infra(), &c));
         let _ = std::fs::remove_file(&path);
     }
 

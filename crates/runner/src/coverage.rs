@@ -16,8 +16,9 @@ use wlan_math::ci::{wilson95, Interval};
 use wlan_math::par;
 use wlan_math::rng::WlanRng;
 
-use crate::budget::{Budget, BudgetMeter, Outcome};
-use crate::journal::{self, f64_to_hex, kv, kv_f64, kv_u64, JournalError};
+use crate::budget::{Budget, Outcome};
+use crate::campaign::{drive, Campaign, Wave};
+use crate::journal::{f64_to_hex, kv, kv_f64, kv_u64, JournalError};
 use crate::Resume;
 
 /// Samples per wave: budget checks, stopping decisions, and checkpoints
@@ -91,27 +92,6 @@ impl CoverageCampaignConfig {
         self.threads = Some(threads);
         self
     }
-
-    fn key(&self) -> String {
-        let infra: Vec<String> = self
-            .infrastructure
-            .iter()
-            .map(|&(x, y)| format!("{},{}", f64_to_hex(x), f64_to_hex(y)))
-            .collect();
-        let target = match self.target_half_width {
-            Some(t) => f64_to_hex(t),
-            None => "none".to_owned(),
-        };
-        format!(
-            "coverage v1 seed={} side={} max={} min={} target={} infra={}",
-            self.seed,
-            f64_to_hex(self.side_m),
-            self.max_samples,
-            self.min_samples,
-            target,
-            infra.join(";"),
-        )
-    }
 }
 
 /// The full result of a coverage campaign invocation.
@@ -170,32 +150,111 @@ pub fn run_coverage_campaign(cfg: &CoverageCampaignConfig) -> CoverageCampaignRe
     assert!(cfg.max_samples > 0, "need at least one sample");
     assert!(cfg.min_samples > 0, "min_samples must be at least 1");
 
-    let master = WlanRng::seed_from_u64(cfg.seed);
-    let key = cfg.key();
-    let (mut samples, mut covered, mut throughput_sum, mut done, resume) = restore(cfg, &key);
-    // Journal-restored samples are banked trials: the trial budget is
-    // cumulative across resume (see `budget` module docs).
-    let mut meter = BudgetMeter::resumed(cfg.budget, samples);
-    let mut journal_error: Option<JournalError> = None;
+    let campaign = CoverageCampaign {
+        cfg,
+        master: WlanRng::seed_from_u64(cfg.seed),
+    };
+    let run = drive(&campaign, cfg.budget, cfg.journal.as_deref(), 1);
+    CoverageCampaignReport {
+        samples: run.state.samples,
+        covered: run.state.covered,
+        throughput_sum: run.state.throughput_sum,
+        stopped_early: run.state.samples < cfg.max_samples && run.outcome.is_complete(),
+        outcome: run.outcome,
+        resume: run.resume,
+        journal_error: run.journal_error,
+    }
+}
 
-    let obs = wlan_obs::global();
-    let c_waves = obs.counter("runner.waves");
-    let c_trials = obs.counter("runner.trials");
-    let c_early = obs.counter("runner.early_stops");
-    let t_journal = obs.histogram("runner.journal_write");
+/// Samples evaluated, how many were covered, and their throughput sum.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Tally {
+    samples: u64,
+    covered: u64,
+    throughput_sum: f64,
+}
 
-    let stop_reason = loop {
-        done = done
-            || samples >= cfg.max_samples
-            || stop_rule_met(cfg, covered, samples);
-        if done {
-            break None;
-        }
-        if let Some(reason) = meter.exhausted() {
-            break Some(reason);
-        }
+struct CoverageCampaign<'a> {
+    cfg: &'a CoverageCampaignConfig,
+    master: WlanRng,
+}
 
-        let start = samples;
+impl Campaign for CoverageCampaign<'_> {
+    type State = Tally;
+    const KIND: &'static str = "coverage";
+    const SALVAGE: bool = false;
+
+    fn key(&self) -> String {
+        let cfg = self.cfg;
+        let infra: Vec<String> = cfg
+            .infrastructure
+            .iter()
+            .map(|&(x, y)| format!("{},{}", f64_to_hex(x), f64_to_hex(y)))
+            .collect();
+        let target = match cfg.target_half_width {
+            Some(t) => f64_to_hex(t),
+            None => "none".to_owned(),
+        };
+        format!(
+            "coverage v1 seed={} side={} max={} min={} target={} infra={}",
+            cfg.seed,
+            f64_to_hex(cfg.side_m),
+            cfg.max_samples,
+            cfg.min_samples,
+            target,
+            infra.join(";"),
+        )
+    }
+
+    fn fresh(&self) -> Tally {
+        Tally::default()
+    }
+
+    /// One `cov` line; `done=yes` marks a journal that resumes as
+    /// complete.
+    fn encode(&self, t: &Tally) -> Vec<String> {
+        vec![format!(
+            "cov samples={} covered={} tsum={} done={}",
+            t.samples,
+            t.covered,
+            f64_to_hex(t.throughput_sum),
+            if self.done(t) { "yes" } else { "no" }
+        )]
+    }
+
+    /// The `done` flag is validated but not stored: the stopping rule
+    /// recomputes it from the tallies.
+    fn decode(&self, body: &[String], _complete: bool) -> Result<Tally, JournalError> {
+        let [line] = body else {
+            return Err(JournalError::Truncated);
+        };
+        let parsed = (|| {
+            let mut t = line.strip_prefix("cov ")?.split_whitespace();
+            let samples = kv_u64(t.next()?, "samples")?;
+            let covered = kv_u64(t.next()?, "covered")?;
+            let throughput_sum = kv_f64(t.next()?, "tsum")?;
+            let done = kv(t.next()?, "done")?;
+            let valid = matches!(done, "yes" | "no")
+                && t.next().is_none()
+                && samples <= self.cfg.max_samples
+                && covered <= samples
+                && throughput_sum.is_finite();
+            valid.then_some(Tally {
+                samples,
+                covered,
+                throughput_sum,
+            })
+        })();
+        parsed.ok_or(JournalError::Malformed { line: 3 })
+    }
+
+    fn trials(&self, t: &Tally) -> u64 {
+        t.samples
+    }
+
+    fn wave(&self, t: &mut Tally) -> Wave {
+        let cfg = self.cfg;
+        let start = t.samples;
         let end = cfg.max_samples.min(start + SAMPLES_PER_ROUND);
         let work: Vec<std::ops::Range<u64>> = par::batches((end - start) as usize, SAMPLES_PER_BATCH)
             .into_iter()
@@ -204,143 +263,44 @@ pub fn run_coverage_campaign(cfg: &CoverageCampaignConfig) -> CoverageCampaignRe
         let run_batch = |_: usize, range: &std::ops::Range<u64>| {
             range
                 .clone()
-                .map(|i| coverage_sample(&cfg.infrastructure, cfg.side_m, &master, i))
+                .map(|i| coverage_sample(&cfg.infrastructure, cfg.side_m, &self.master, i))
                 .collect::<Vec<(bool, f64)>>()
         };
-        let batches = match cfg.threads {
-            Some(t) => par::parallel_map_with_threads(t, &work, run_batch),
-            None => par::parallel_map(&work, run_batch),
-        };
+        let threads = cfg.threads.unwrap_or_else(par::num_threads);
+        let batches = par::parallel_map_with_threads(threads, &work, run_batch);
 
         // Single-sample fold in sample order: the same float association
         // as `estimate_coverage_seeded`'s reduction.
-        for (hit, t) in batches.iter().flatten() {
-            covered += *hit as u64;
-            throughput_sum += t;
+        for (hit, throughput) in batches.iter().flatten() {
+            t.covered += *hit as u64;
+            t.throughput_sum += throughput;
         }
-        samples = end;
-        meter.add_trials(end - start);
-        c_waves.inc();
-        c_trials.add(end - start);
-
-        let span = t_journal.start();
-        let saved = checkpoint(cfg, &key, samples, covered, throughput_sum, false);
-        span.stop();
-        if let Err(e) = saved {
-            journal_error.get_or_insert(e);
-        }
-    };
-
-    if stop_reason.is_none() && samples < cfg.max_samples {
-        c_early.inc();
-    }
-
-    let stopped_early = samples < cfg.max_samples && stop_reason.is_none();
-    if stop_reason.is_none() {
-        // Mark the journal done so re-invocation resumes as complete.
-        if let Err(e) = checkpoint(cfg, &key, samples, covered, throughput_sum, true) {
-            journal_error.get_or_insert(e);
+        t.samples = end;
+        Wave {
+            trials: end - start,
+            quarantined: 0,
+            early_stops: if end < cfg.max_samples && self.done(t) {
+                vec![0]
+            } else {
+                Vec::new()
+            },
         }
     }
 
-    let outcome = match stop_reason {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Partial {
-            completed: samples,
-            remaining: cfg.max_samples - samples,
-            reason,
-        },
-    };
-
-    CoverageCampaignReport {
-        samples,
-        covered,
-        throughput_sum,
-        stopped_early,
-        outcome,
-        resume,
-        journal_error,
+    /// All samples run, or the Wilson CI on the covered fraction is tight
+    /// enough.
+    fn done(&self, t: &Tally) -> bool {
+        let cfg = self.cfg;
+        t.samples >= cfg.max_samples
+            || cfg.target_half_width.is_some_and(|target| {
+                t.samples >= cfg.min_samples
+                    && wilson95(t.covered, t.samples).half_width() <= target
+            })
     }
-}
 
-fn stop_rule_met(cfg: &CoverageCampaignConfig, covered: u64, samples: u64) -> bool {
-    match cfg.target_half_width {
-        Some(target) => {
-            samples >= cfg.min_samples && wilson95(covered, samples).half_width() <= target
-        }
-        None => false,
+    fn remaining(&self, t: &Tally) -> u64 {
+        self.cfg.max_samples - t.samples
     }
-}
-
-type CoverageState = (u64, u64, f64, bool, Resume);
-
-fn restore(cfg: &CoverageCampaignConfig, key: &str) -> CoverageState {
-    let fresh = (0u64, 0u64, 0.0f64, false, Resume::Fresh);
-    let Some(path) = cfg.journal.as_deref() else {
-        return fresh;
-    };
-    match journal::load(path, key) {
-        Ok(body) => match parse_body(cfg, &body) {
-            Ok((samples, covered, tsum, done)) => {
-                (samples, covered, tsum, done, Resume::Resumed { trials: samples })
-            }
-            Err(error) => (0, 0, 0.0, false, Resume::ColdStart { error }),
-        },
-        Err(JournalError::Io(std::io::ErrorKind::NotFound)) => fresh,
-        Err(error) => (0, 0, 0.0, false, Resume::ColdStart { error }),
-    }
-}
-
-fn parse_body(
-    cfg: &CoverageCampaignConfig,
-    body: &[String],
-) -> Result<(u64, u64, f64, bool), JournalError> {
-    let malformed = JournalError::Malformed { line: 3 };
-    let [line] = body else {
-        return Err(JournalError::Truncated);
-    };
-    let rest = line.strip_prefix("cov ").ok_or(malformed.clone())?;
-    let mut t = rest.split_whitespace();
-    let parsed = (|| {
-        let samples = kv_u64(t.next()?, "samples")?;
-        let covered = kv_u64(t.next()?, "covered")?;
-        let tsum = kv_f64(t.next()?, "tsum")?;
-        let done = match kv(t.next()?, "done")? {
-            "yes" => true,
-            "no" => false,
-            _ => return None,
-        };
-        if t.next().is_some() {
-            return None;
-        }
-        Some((samples, covered, tsum, done))
-    })();
-    let Some((samples, covered, tsum, done)) = parsed else {
-        return Err(malformed);
-    };
-    if samples > cfg.max_samples || covered > samples || !tsum.is_finite() {
-        return Err(malformed);
-    }
-    Ok((samples, covered, tsum, done))
-}
-
-fn checkpoint(
-    cfg: &CoverageCampaignConfig,
-    key: &str,
-    samples: u64,
-    covered: u64,
-    tsum: f64,
-    done: bool,
-) -> Result<(), JournalError> {
-    let Some(path) = cfg.journal.as_deref() else {
-        return Ok(());
-    };
-    let body = vec![format!(
-        "cov samples={samples} covered={covered} tsum={} done={}",
-        f64_to_hex(tsum),
-        if done { "yes" } else { "no" }
-    )];
-    journal::save(path, key, &body)
 }
 
 #[cfg(test)]

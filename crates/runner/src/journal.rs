@@ -304,6 +304,19 @@ fn salvage_prefix(path: &Path, expected_key: &str) -> Option<Vec<String>> {
     })
 }
 
+/// Feeds body lines to `accept` in order and stops at the first one it
+/// rejects, reporting that line's number in the file: body line `idx`
+/// sits at file line `idx + 3`, after the header and the key.
+pub fn decode_lines(
+    body: &[String],
+    mut accept: impl FnMut(&str) -> bool,
+) -> Result<(), JournalError> {
+    match body.iter().position(|line| !accept(line)) {
+        Some(idx) => Err(JournalError::Malformed { line: idx + 3 }),
+        None => Ok(()),
+    }
+}
+
 /// Parses `name=value` out of one whitespace-separated journal token,
 /// checking the name. Campaign modules build their line parsers on this.
 pub fn kv<'a>(token: &'a str, name: &str) -> Option<&'a str> {

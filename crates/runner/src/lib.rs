@@ -27,6 +27,10 @@
 //!   ledger with their exact `(seed, point, frame)` stream coordinates
 //!   for later bit-identical replay, while the campaign keeps going.
 //!
+//! The loop that composes them — restore, meter, wave, stop check,
+//! checkpoint, [`Outcome`] — is written once, in [`campaign::drive`];
+//! each campaign kind only implements [`campaign::Campaign`].
+//!
 //! Determinism is inherited, not re-derived: campaigns fan out over
 //! `wlan_math::par` using the same stream addressing as the one-shot
 //! sweeps, so a completed campaign equals the one-shot sweep at any
@@ -35,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod budget;
+pub mod campaign;
 pub mod capacity;
 pub mod coverage;
 pub mod journal;

@@ -23,6 +23,7 @@
 //!   of the uninterrupted campaign's (the wave schedule never depends on
 //!   wall-clock — only *how many* waves ran does).
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 use wlan_core::linksim::{frame_trial_at, FaultSweep, FaultSweepPoint, PhyLink};
@@ -31,9 +32,8 @@ use wlan_math::ci::{wilson95, Interval};
 use wlan_math::par;
 use wlan_math::rng::WlanRng;
 
-use wlan_obs::json;
-
-use crate::budget::{Budget, BudgetMeter, Outcome};
+use crate::budget::{Budget, Outcome};
+use crate::campaign::{drive, Campaign, Wave};
 use crate::journal::{self, f64_to_hex, kv, kv_u64, JournalError};
 use crate::quarantine::QuarantinedTrial;
 use crate::Resume;
@@ -65,10 +65,9 @@ pub struct PerCampaignConfig {
     /// Resource limits: `max_trials` is cumulative across resume,
     /// `wall_ms` is per-invocation (see [`crate::budget`] module docs).
     pub budget: Budget,
-    /// Checkpoint journal path; `None` disables checkpointing.
+    /// Checkpoint journal path (written after every wave); `None`
+    /// disables checkpointing.
     pub journal: Option<PathBuf>,
-    /// Checkpoint every this many waves (and always on exit).
-    pub checkpoint_every_rounds: u64,
     /// Worker threads; `None` = the `WLAN_THREADS` pool. Results are
     /// identical either way — this exists so tests can pin a thread count
     /// without racing on the environment.
@@ -89,7 +88,6 @@ impl PerCampaignConfig {
             seed,
             budget: Budget::from_env(),
             journal: None,
-            checkpoint_every_rounds: 1,
             threads: None,
         }
     }
@@ -119,9 +117,9 @@ impl PerCampaignConfig {
     }
 
     /// The journal key: every parameter that shapes trial streams or
-    /// stopping decisions. Budgets, thread counts, and checkpoint cadence
-    /// are deliberately absent — resuming under a different budget or
-    /// thread count is the whole point. Public so the distributed
+    /// stopping decisions. Budgets and thread counts are deliberately
+    /// absent — resuming under a different budget or thread count is the
+    /// whole point. Public so the distributed
     /// coordinator (`wlan-dist`) can derive its own journal key from the
     /// same campaign identity.
     pub fn journal_key(&self, link: &dyn PhyLink, faults: &FaultChain) -> String {
@@ -215,7 +213,7 @@ impl PointProgress {
         (self.trials > 0).then(|| wilson95(self.errors, self.trials))
     }
 
-    /// Journal body line for this point (inverse of [`parse_point_line`]).
+    /// Journal body line for this point (see [`PerProgress::decode_line`]).
     pub fn to_line(self, index: usize) -> String {
         format!(
             "point i={index} trials={} errors={} erasures={} status={}",
@@ -225,23 +223,106 @@ impl PointProgress {
             self.status.as_str()
         )
     }
+
+    /// Parses [`PointProgress::to_line`] output for point `index` of
+    /// `cfg`; `None` on any malformation or out-of-range tally.
+    fn from_line(line: &str, index: usize, cfg: &PerCampaignConfig) -> Option<Self> {
+        let mut tokens = line.strip_prefix("point ")?.split_whitespace();
+        let i = kv_u64(tokens.next()?, "i")? as usize;
+        let trials = kv_u64(tokens.next()?, "trials")?;
+        let errors = kv_u64(tokens.next()?, "errors")?;
+        let erasures = kv_u64(tokens.next()?, "erasures")?;
+        let status = PointStatus::parse(kv(tokens.next()?, "status")?)?;
+        let valid = tokens.next().is_none()
+            && i == index
+            && i < cfg.snrs_db.len()
+            && trials <= cfg.max_frames
+            && errors <= trials
+            && erasures <= errors;
+        valid.then(|| PointProgress {
+            snr_db: cfg.snrs_db[i],
+            trials,
+            errors,
+            erasures,
+            status,
+        })
+    }
 }
 
-/// Parses a `point i=… trials=… errors=… erasures=… status=…` journal
-/// body line into `(index, trials, errors, erasures, status)`. Shared
-/// with the distributed coordinator's journal parser; the caller is
-/// responsible for bounds/sanity checks against its own configuration.
-pub fn parse_point_line(line: &str) -> Option<(usize, u64, u64, u64, PointStatus)> {
-    let mut tokens = line.strip_prefix("point ")?.split_whitespace();
-    let i = kv_u64(tokens.next()?, "i")? as usize;
-    let trials = kv_u64(tokens.next()?, "trials")?;
-    let errors = kv_u64(tokens.next()?, "errors")?;
-    let erasures = kv_u64(tokens.next()?, "erasures")?;
-    let status = PointStatus::parse(kv(tokens.next()?, "status")?)?;
-    if tokens.next().is_some() {
-        return None;
+/// What a PER journal restores: per-point tallies and the trial
+/// quarantine ledger. The distributed coordinator journals the same
+/// records (plus its own `qlease` lines) and decodes them with
+/// [`PerProgress::decode_line`] and [`PerProgress::finish`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PerProgress {
+    /// Per-point tallies, in SNR order.
+    pub points: Vec<PointProgress>,
+    /// Trials that returned typed errors, in execution order.
+    pub quarantine: Vec<QuarantinedTrial>,
+    /// `(point, frame)` of every ledger entry. After a salvage, restored
+    /// entries may belong to trials whose tallies were lost; those trials
+    /// re-run and regenerate identical entries, which must not duplicate.
+    seen: HashSet<(usize, u64)>,
+}
+
+impl PerProgress {
+    /// Zeroed, active progress for every configured SNR.
+    pub fn fresh(cfg: &PerCampaignConfig) -> Self {
+        Self::default().pad(cfg)
     }
-    Some((i, trials, errors, erasures, status))
+
+    /// Applies one journal body line — a `point` tally (points must come
+    /// in index order) or a `quar` ledger entry. `false` means the line
+    /// is malformed or inconsistent with `cfg`.
+    pub fn decode_line(&mut self, cfg: &PerCampaignConfig, line: &str) -> bool {
+        if line.starts_with("point ") {
+            let Some(p) = PointProgress::from_line(line, self.points.len(), cfg) else {
+                return false;
+            };
+            self.points.push(p);
+        } else {
+            let Some(q) = QuarantinedTrial::from_line(line, cfg.seed) else {
+                return false;
+            };
+            self.seen.insert((q.point, q.frame));
+            self.quarantine.push(q);
+        }
+        true
+    }
+
+    /// Ends decoding. With `complete` set (an intact journal) every
+    /// configured point must be present; a salvaged prefix may cover only
+    /// the first points, and the rest start fresh.
+    pub fn finish(self, cfg: &PerCampaignConfig, complete: bool) -> Result<Self, JournalError> {
+        if complete && self.points.len() != cfg.snrs_db.len() {
+            return Err(JournalError::Truncated);
+        }
+        Ok(self.pad(cfg))
+    }
+
+    /// Total trials banked across all points.
+    pub fn trials(&self) -> u64 {
+        self.points.iter().map(|p| p.trials).sum()
+    }
+
+    /// Appends fresh points up to the configured count and recomputes
+    /// every status — cheap, and it makes "statuses are current at every
+    /// wave boundary" independent of what a journal stored.
+    fn pad(mut self, cfg: &PerCampaignConfig) -> Self {
+        for &snr_db in cfg.snrs_db.iter().skip(self.points.len()) {
+            self.points.push(PointProgress {
+                snr_db,
+                trials: 0,
+                errors: 0,
+                erasures: 0,
+                status: PointStatus::Active,
+            });
+        }
+        for p in &mut self.points {
+            p.status = evaluate_status(p, cfg);
+        }
+        self
+    }
 }
 
 /// The full result of a campaign invocation.
@@ -311,66 +392,79 @@ pub fn run_per_campaign(
     assert!(cfg.max_frames > 0, "need at least one frame per point");
     assert!(cfg.min_frames > 0, "min_frames must be at least 1");
 
-    let master = WlanRng::seed_from_u64(cfg.seed);
-    let key = cfg.journal_key(link, faults);
+    let campaign = PerCampaign {
+        link,
+        faults,
+        cfg,
+        master: WlanRng::seed_from_u64(cfg.seed),
+    };
+    let run = drive(&campaign, cfg.budget, cfg.journal.as_deref(), 1);
+    PerCampaignReport {
+        name: link.name(),
+        fault: faults.name(),
+        rate_mbps: link.rate_mbps(),
+        seed: cfg.seed,
+        points: run.state.points,
+        quarantine: run.state.quarantine,
+        outcome: run.outcome,
+        resume: run.resume,
+        journal_error: run.journal_error,
+    }
+}
 
-    let (mut points, mut quarantine, resume) = restore(cfg, &key);
-    // After a salvage, restored ledger entries may belong to trials whose
-    // tallies were lost; those trials re-run and regenerate identical
-    // entries, which must not duplicate in the ledger.
-    let mut seen_quars: std::collections::HashSet<(usize, u64)> =
-        quarantine.iter().map(|q| (q.point, q.frame)).collect();
-    // The trial budget is cumulative across resume: trials restored from
-    // the journal are already spent. The wall clock is per-invocation.
-    let banked: u64 = points.iter().map(|p| p.trials).sum();
-    let mut meter = BudgetMeter::resumed(cfg.budget, banked);
-    let mut journal_error: Option<JournalError> = None;
-    let mut waves_since_checkpoint: u64 = 0;
+struct PerCampaign<'a> {
+    link: &'a dyn PhyLink,
+    faults: &'a FaultChain,
+    cfg: &'a PerCampaignConfig,
+    master: WlanRng,
+}
 
-    // Observability: write-only counters/timers plus JSONL events; none
-    // of it feeds back into trial streams or stopping decisions.
-    let obs = wlan_obs::global();
-    let c_waves = obs.counter("runner.waves");
-    let c_trials = obs.counter("runner.trials");
-    let c_early = obs.counter("runner.early_stops");
-    let c_quar = obs.counter("runner.quarantined");
-    let t_journal = obs.histogram("runner.journal_write");
-    obs.event(
-        "campaign_start",
-        &[
-            ("kind", json::Value::Str("per".into())),
-            ("link", json::Value::Str(link.name())),
-            ("points", json::Value::U64(cfg.snrs_db.len() as u64)),
-            ("banked_trials", json::Value::U64(banked)),
-        ],
-    );
+impl Campaign for PerCampaign<'_> {
+    type State = PerProgress;
+    const KIND: &'static str = "per";
+    // A checkpoint is a ledger plus per-point tallies, so a verified
+    // prefix is worth restoring.
+    const SALVAGE: bool = true;
 
-    // A resumed journal stores statuses, but they are cheap to recompute
-    // and recomputing makes the loop's invariant ("statuses are current
-    // at every wave boundary") independent of what was stored.
-    for p in &mut points {
-        p.status = evaluate_status(p, cfg);
+    fn key(&self) -> String {
+        self.cfg.journal_key(self.link, self.faults)
     }
 
-    let stop_reason = loop {
-        let active: Vec<usize> = points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.status == PointStatus::Active)
-            .map(|(i, _)| i)
-            .collect();
-        if active.is_empty() {
-            break None;
-        }
-        if let Some(reason) = meter.exhausted() {
-            break Some(reason);
-        }
+    fn fresh(&self) -> PerProgress {
+        PerProgress::fresh(self.cfg)
+    }
 
-        // One wave: up to ROUND_TRIALS new frames for every active point,
-        // split into the same 8-frame batch grain as the one-shot sweep.
+    fn encode(&self, state: &PerProgress) -> Vec<String> {
+        // Ledger first, tallies after: a salvaged prefix then never holds
+        // a tally whose quarantine entries were lost — either the full
+        // ledger precedes the surviving tallies, or lost tallies re-run
+        // and their entries deduplicate against the restored ledger.
+        let mut body: Vec<String> = state.quarantine.iter().map(QuarantinedTrial::to_line).collect();
+        body.extend(state.points.iter().enumerate().map(|(i, p)| p.to_line(i)));
+        body
+    }
+
+    fn decode(&self, body: &[String], complete: bool) -> Result<PerProgress, JournalError> {
+        let mut state = PerProgress::default();
+        journal::decode_lines(body, |line| state.decode_line(self.cfg, line))?;
+        state.finish(self.cfg, complete)
+    }
+
+    fn trials(&self, state: &PerProgress) -> u64 {
+        state.trials()
+    }
+
+    /// Up to [`ROUND_TRIALS`] new frames for every active point, split
+    /// into the one-shot sweep's 8-frame batch grain, folded in work-item
+    /// order; then the stopping rule at the round boundary.
+    fn wave(&self, state: &mut PerProgress) -> Wave {
+        let cfg = self.cfg;
+        let active: Vec<usize> = (0..state.points.len())
+            .filter(|&i| state.points[i].status == PointStatus::Active)
+            .collect();
         let mut work: Vec<(usize, std::ops::Range<u64>)> = Vec::new();
         for &i in &active {
-            let start = points[i].trials;
+            let start = state.points[i].trials;
             let end = cfg.max_frames.min(start + ROUND_TRIALS);
             for b in par::batches((end - start) as usize, FRAMES_PER_BATCH) {
                 work.push((i, start + b.start as u64..start + b.end as u64));
@@ -378,13 +472,15 @@ pub fn run_per_campaign(
         }
 
         let run_batch = |_: usize, (point, frames): &(usize, std::ops::Range<u64>)| {
-            let point_rng = master.fork(*point as u64);
+            let point_rng = self.master.fork(*point as u64);
             let snr_db = cfg.snrs_db[*point];
             let mut tally = (0u64, 0u64, 0u64); // (trials, errors, erasures)
             let mut quars: Vec<(u64, String)> = Vec::new();
             for frame in frames.clone() {
                 tally.0 += 1;
-                match frame_trial_at(link, faults, snr_db, cfg.payload_len, &point_rng, frame) {
+                let trial =
+                    frame_trial_at(self.link, self.faults, snr_db, cfg.payload_len, &point_rng, frame);
+                match trial {
                     Ok(true) => {}
                     Ok(false) => tally.1 += 1,
                     Err(e) => {
@@ -396,24 +492,20 @@ pub fn run_per_campaign(
             }
             (tally, quars)
         };
-        let results = match cfg.threads {
-            Some(t) => par::parallel_map_with_threads(t, &work, run_batch),
-            None => par::parallel_map(&work, run_batch),
-        };
+        let threads = cfg.threads.unwrap_or_else(par::num_threads);
+        let results = par::parallel_map_with_threads(threads, &work, run_batch);
 
-        // Deterministic fold in work-item order.
-        let mut wave_trials = 0u64;
-        let mut wave_quarantined = 0u64;
+        let mut wave = Wave::default();
         for ((point, _), ((trials, errors, erasures), quars)) in work.iter().zip(&results) {
-            let p = &mut points[*point];
+            let p = &mut state.points[*point];
             p.trials += trials;
             p.errors += errors;
             p.erasures += erasures;
-            wave_trials += trials;
-            wave_quarantined += quars.len() as u64;
+            wave.trials += trials;
+            wave.quarantined += quars.len() as u64;
             for (frame, error) in quars {
-                if seen_quars.insert((*point, *frame)) {
-                    quarantine.push(QuarantinedTrial {
+                if state.seen.insert((*point, *frame)) {
+                    state.quarantine.push(QuarantinedTrial {
                         seed: cfg.seed,
                         point: *point,
                         snr_db: cfg.snrs_db[*point],
@@ -423,98 +515,27 @@ pub fn run_per_campaign(
                 }
             }
         }
-        meter.add_trials(wave_trials);
-        c_waves.inc();
-        c_trials.add(wave_trials);
-        c_quar.add(wave_quarantined);
-
-        // Stopping rules: pure functions of the integer tallies, applied
-        // only here at the round boundary.
-        for &i in &active {
-            let status = evaluate_status(&points[i], cfg);
+        for i in active {
+            let status = evaluate_status(&state.points[i], cfg);
             if status == PointStatus::StoppedEarly {
-                c_early.inc();
-                obs.event(
-                    "early_stop",
-                    &[
-                        ("kind", json::Value::Str("per".into())),
-                        ("point", json::Value::U64(i as u64)),
-                        ("trials", json::Value::U64(points[i].trials)),
-                    ],
-                );
+                wave.early_stops.push(i);
             }
-            points[i].status = status;
+            state.points[i].status = status;
         }
-        obs.event(
-            "wave",
-            &[
-                ("kind", json::Value::Str("per".into())),
-                ("trials", json::Value::U64(wave_trials)),
-                ("banked_trials", json::Value::U64(meter.trials())),
-                ("active_points", json::Value::U64(active.len() as u64)),
-                ("quarantined", json::Value::U64(wave_quarantined)),
-            ],
-        );
-
-        waves_since_checkpoint += 1;
-        if waves_since_checkpoint >= cfg.checkpoint_every_rounds {
-            waves_since_checkpoint = 0;
-            let span = t_journal.start();
-            let written = checkpoint(cfg, &key, &points, &quarantine);
-            span.stop();
-            if let Err(e) = written {
-                journal_error.get_or_insert(e);
-            }
-        }
-    };
-
-    // Final checkpoint so a budget-stopped campaign can resume from its
-    // exact exit state (and a complete one can be re-loaded as complete).
-    if waves_since_checkpoint > 0 || points.iter().all(|p| p.status != PointStatus::Active) {
-        let span = t_journal.start();
-        let written = checkpoint(cfg, &key, &points, &quarantine);
-        span.stop();
-        if let Err(e) = written {
-            journal_error.get_or_insert(e);
-        }
+        wave
     }
 
-    let outcome = match stop_reason {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Partial {
-            completed: points.iter().map(|p| p.trials).sum(),
-            remaining: points
-                .iter()
-                .filter(|p| p.status == PointStatus::Active)
-                .map(|p| cfg.max_frames - p.trials)
-                .sum(),
-            reason,
-        },
-    };
+    fn done(&self, state: &PerProgress) -> bool {
+        state.points.iter().all(|p| p.status != PointStatus::Active)
+    }
 
-    obs.event(
-        "campaign_done",
-        &[
-            ("kind", json::Value::Str("per".into())),
-            ("complete", json::Value::Bool(outcome.is_complete())),
-            (
-                "banked_trials",
-                json::Value::U64(points.iter().map(|p| p.trials).sum()),
-            ),
-            ("quarantined", json::Value::U64(quarantine.len() as u64)),
-        ],
-    );
-
-    PerCampaignReport {
-        name: link.name(),
-        fault: faults.name(),
-        rate_mbps: link.rate_mbps(),
-        seed: cfg.seed,
-        points,
-        quarantine,
-        outcome,
-        resume,
-        journal_error,
+    fn remaining(&self, state: &PerProgress) -> u64 {
+        state
+            .points
+            .iter()
+            .filter(|p| p.status == PointStatus::Active)
+            .map(|p| self.cfg.max_frames - p.trials)
+            .sum()
     }
 }
 
@@ -545,134 +566,6 @@ pub fn evaluate_status(p: &PointProgress, cfg: &PerCampaignConfig) -> PointStatu
         }
     }
     PointStatus::Active
-}
-
-/// Zeroed per-point progress for every configured SNR.
-pub fn fresh_points(cfg: &PerCampaignConfig) -> Vec<PointProgress> {
-    cfg.snrs_db
-        .iter()
-        .map(|&snr_db| PointProgress {
-            snr_db,
-            trials: 0,
-            errors: 0,
-            erasures: 0,
-            status: PointStatus::Active,
-        })
-        .collect()
-}
-
-/// Loads campaign state from the journal, salvages a damaged one, or
-/// cold-starts. Never panics: a missing journal is a fresh start, an
-/// unsalvageable failure is a cold start carrying the typed error, and
-/// a damaged journal with a verified prefix restores that prefix so
-/// only the damaged tail re-runs ([`journal::load_salvage`]).
-fn restore(
-    cfg: &PerCampaignConfig,
-    key: &str,
-) -> (Vec<PointProgress>, Vec<QuarantinedTrial>, Resume) {
-    let Some(path) = cfg.journal.as_deref() else {
-        return (fresh_points(cfg), Vec::new(), Resume::Fresh);
-    };
-    match journal::load_salvage(path, key) {
-        (body, None) => match parse_body(cfg, &body, true) {
-            Ok((points, quarantine)) => {
-                let trials = points.iter().map(|p| p.trials).sum();
-                (points, quarantine, Resume::Resumed { trials })
-            }
-            Err(error) => (fresh_points(cfg), Vec::new(), Resume::ColdStart { error }),
-        },
-        (_, Some(JournalError::Io(std::io::ErrorKind::NotFound))) => {
-            (fresh_points(cfg), Vec::new(), Resume::Fresh)
-        }
-        (body, Some(error)) => {
-            // A salvaged prefix may stop mid-record-stream: tolerate
-            // missing tail points (they restart fresh). Checkpoints
-            // write the quarantine ledger *before* the point tallies, so
-            // any salvaged prefix is self-consistent: either the ledger
-            // is complete for every restored tally, or tallies are
-            // missing and their trials re-run (regenerating identical
-            // ledger entries, deduplicated on push).
-            match parse_body(cfg, &body, false) {
-                Ok((points, quarantine)) if points.iter().any(|p| p.trials > 0) || !quarantine.is_empty() => {
-                    let trials = points.iter().map(|p| p.trials).sum();
-                    (points, quarantine, Resume::Salvaged { trials, error })
-                }
-                _ => (fresh_points(cfg), Vec::new(), Resume::ColdStart { error }),
-            }
-        }
-    }
-}
-
-/// Parses journal body lines back into campaign state. With `complete`
-/// set, every configured point must be present (an intact journal);
-/// without it, a salvaged prefix may cover only the first points and
-/// the rest start fresh.
-fn parse_body(
-    cfg: &PerCampaignConfig,
-    body: &[String],
-    complete: bool,
-) -> Result<(Vec<PointProgress>, Vec<QuarantinedTrial>), JournalError> {
-    let mut points = Vec::with_capacity(cfg.snrs_db.len());
-    let mut quarantine = Vec::new();
-    for (idx, line) in body.iter().enumerate() {
-        // Body line `idx` sits at file line `idx + 3` (header, key first).
-        let malformed = JournalError::Malformed { line: idx + 3 };
-        if line.starts_with("point ") {
-            let Some((i, trials, errors, erasures, status)) = parse_point_line(line) else {
-                return Err(malformed);
-            };
-            let in_bounds =
-                i == points.len() && i < cfg.snrs_db.len() && trials <= cfg.max_frames;
-            if !in_bounds || errors > trials || erasures > errors {
-                return Err(malformed);
-            }
-            points.push(PointProgress {
-                snr_db: cfg.snrs_db[i],
-                trials,
-                errors,
-                erasures,
-                status,
-            });
-        } else if line.starts_with("quar ") {
-            let Some(q) = QuarantinedTrial::from_line(line, cfg.seed) else {
-                return Err(malformed);
-            };
-            quarantine.push(q);
-        } else {
-            return Err(malformed);
-        }
-    }
-    if complete && points.len() != cfg.snrs_db.len() {
-        return Err(JournalError::Truncated);
-    }
-    while points.len() < cfg.snrs_db.len() {
-        points.push(PointProgress {
-            snr_db: cfg.snrs_db[points.len()],
-            trials: 0,
-            errors: 0,
-            erasures: 0,
-            status: PointStatus::Active,
-        });
-    }
-    Ok((points, quarantine))
-}
-
-fn checkpoint(
-    cfg: &PerCampaignConfig,
-    key: &str,
-    points: &[PointProgress],
-    quarantine: &[QuarantinedTrial],
-) -> Result<(), JournalError> {
-    let Some(path) = cfg.journal.as_deref() else {
-        return Ok(());
-    };
-    // Ledger first, tallies after: a salvaged prefix then never holds a
-    // tally whose quarantine entries were lost — either the full ledger
-    // precedes the surviving tallies, or lost tallies re-run and their
-    // entries deduplicate against the restored ledger.
-    let mut body: Vec<String> = quarantine.iter().map(QuarantinedTrial::to_line).collect();
-    body.extend(points.iter().enumerate().map(|(i, p)| p.to_line(i)));
-    journal::save(path, key, &body)
 }
 
 #[cfg(test)]

@@ -24,7 +24,8 @@ use wlan_mac::traffic::{
 use wlan_math::par;
 use wlan_math::stats::RunningStats;
 
-use crate::budget::{Budget, BudgetMeter, Outcome};
+use crate::budget::{Budget, Outcome};
+use crate::campaign::{drive, Campaign, Wave};
 use crate::journal::{self, f64_to_hex, kv_f64, kv_u64, JournalError};
 use crate::quarantine::QuarantinedRun;
 use crate::Resume;
@@ -88,13 +89,6 @@ impl TrafficCampaignConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
-    }
-
-    fn key(&self) -> String {
-        format!(
-            "traffic v1 runs={} maxsteps={} cfg={:?}",
-            self.runs, self.max_steps_per_run, self.base
-        )
     }
 }
 
@@ -208,79 +202,7 @@ impl TrafficCampaignReport {
 pub fn run_traffic_campaign(cfg: &TrafficCampaignConfig) -> TrafficCampaignReport {
     assert!(cfg.runs > 0, "need at least one run");
 
-    let key = cfg.key();
-    let (mut records, resume) = restore(cfg, &key);
-    // Trials (= simulated runs) restored from the journal count against
-    // the cumulative trial budget; the wall clock is per-invocation.
-    let mut meter = BudgetMeter::resumed(cfg.budget, records.len() as u64);
-    let mut journal_error: Option<JournalError> = None;
-
-    let obs = wlan_obs::global();
-    let c_waves = obs.counter("runner.waves");
-    let c_trials = obs.counter("runner.trials");
-    let c_quar = obs.counter("runner.quarantined");
-    let t_journal = obs.histogram("runner.journal_write");
-
-    let stop_reason = loop {
-        let done = records.len();
-        if done >= cfg.runs {
-            break None;
-        }
-        if let Some(reason) = meter.exhausted() {
-            break Some(reason);
-        }
-
-        let wave: Vec<usize> = (done..cfg.runs.min(done + RUNS_PER_WAVE)).collect();
-        let run_one = |_: usize, &r: &usize| {
-            let seed = ensemble_seed(cfg.base.seed, r);
-            let stepped = simulate_traffic_stepped(
-                &TrafficConfig {
-                    seed,
-                    ..cfg.base
-                },
-                cfg.max_steps_per_run,
-            );
-            if stepped.truncated {
-                RunRecord::Quarantined(QuarantinedRun {
-                    run: r,
-                    seed,
-                    steps: stepped.steps,
-                })
-            } else {
-                RunRecord::Done(r, stepped.result)
-            }
-        };
-        let wave_records = match cfg.threads {
-            Some(t) => par::parallel_map_with_threads(t, &wave, run_one),
-            None => par::parallel_map(&wave, run_one),
-        };
-        meter.add_trials(wave_records.len() as u64);
-        c_waves.inc();
-        c_trials.add(wave_records.len() as u64);
-        c_quar.add(
-            wave_records
-                .iter()
-                .filter(|r| matches!(r, RunRecord::Quarantined(_)))
-                .count() as u64,
-        );
-        records.extend(wave_records);
-
-        let span = t_journal.start();
-        let written = checkpoint(cfg, &key, &records);
-        span.stop();
-        if let Err(e) = written {
-            journal_error.get_or_insert(e);
-        }
-    };
-
-    let outcome = match stop_reason {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Partial {
-            completed: records.len() as u64,
-            remaining: (cfg.runs - records.len()) as u64,
-            reason,
-        },
-    };
+    let run = drive(&TrafficCampaign(cfg), cfg.budget, cfg.journal.as_deref(), 1);
 
     // Summary statistics: re-folded in run order from the exact per-run
     // values (journaled as bit patterns), so resumed == uninterrupted.
@@ -289,7 +211,7 @@ pub fn run_traffic_campaign(cfg: &TrafficCampaignConfig) -> TrafficCampaignRepor
     let mut delivered_mbps = RunningStats::new();
     let mut mean_delay_us = RunningStats::new();
     let mut dropped = RunningStats::new();
-    for rec in records {
+    for rec in run.state {
         match rec {
             RunRecord::Done(i, r) => {
                 delivered_mbps.push(r.delivered_mbps);
@@ -307,56 +229,99 @@ pub fn run_traffic_campaign(cfg: &TrafficCampaignConfig) -> TrafficCampaignRepor
         delivered_mbps,
         mean_delay_us,
         dropped,
-        outcome,
-        resume,
-        journal_error,
+        outcome: run.outcome,
+        resume: run.resume,
+        journal_error: run.journal_error,
     }
 }
 
-fn restore(cfg: &TrafficCampaignConfig, key: &str) -> (Vec<RunRecord>, Resume) {
-    let Some(path) = cfg.journal.as_deref() else {
-        return (Vec::new(), Resume::Fresh);
-    };
-    match journal::load(path, key) {
-        Ok(body) => match parse_body(cfg, &body) {
-            Ok(records) => {
-                let trials = records.len() as u64;
-                (records, Resume::Resumed { trials })
+/// The finished runs are always an index prefix, one record per run.
+struct TrafficCampaign<'a>(&'a TrafficCampaignConfig);
+
+impl Campaign for TrafficCampaign<'_> {
+    type State = Vec<RunRecord>;
+    const KIND: &'static str = "traffic";
+    const SALVAGE: bool = false;
+
+    fn key(&self) -> String {
+        format!(
+            "traffic v1 runs={} maxsteps={} cfg={:?}",
+            self.0.runs, self.0.max_steps_per_run, self.0.base
+        )
+    }
+
+    fn fresh(&self) -> Vec<RunRecord> {
+        Vec::new()
+    }
+
+    fn encode(&self, records: &Vec<RunRecord>) -> Vec<String> {
+        records.iter().map(RunRecord::to_line).collect()
+    }
+
+    fn decode(&self, body: &[String], _complete: bool) -> Result<Vec<RunRecord>, JournalError> {
+        let mut records = Vec::with_capacity(body.len());
+        journal::decode_lines(body, |line| {
+            // Finished runs must form an index prefix in order — anything
+            // else means the journal was not written by this campaign shape.
+            let next = records.len();
+            match RunRecord::from_line(line) {
+                Some(rec) if rec.index() == next && next < self.0.runs => {
+                    records.push(rec);
+                    true
+                }
+                _ => false,
             }
-            Err(error) => (Vec::new(), Resume::ColdStart { error }),
-        },
-        Err(JournalError::Io(std::io::ErrorKind::NotFound)) => (Vec::new(), Resume::Fresh),
-        Err(error) => (Vec::new(), Resume::ColdStart { error }),
+        })?;
+        Ok(records)
     }
-}
 
-fn parse_body(cfg: &TrafficCampaignConfig, body: &[String]) -> Result<Vec<RunRecord>, JournalError> {
-    let mut records = Vec::with_capacity(body.len());
-    for (idx, line) in body.iter().enumerate() {
-        let malformed = JournalError::Malformed { line: idx + 3 };
-        let Some(rec) = RunRecord::from_line(line) else {
-            return Err(malformed);
+    fn trials(&self, records: &Vec<RunRecord>) -> u64 {
+        records.len() as u64
+    }
+
+    fn wave(&self, records: &mut Vec<RunRecord>) -> Wave {
+        let done = records.len();
+        let wave: Vec<usize> = (done..self.0.runs.min(done + RUNS_PER_WAVE)).collect();
+        let run_one = |_: usize, &r: &usize| {
+            let seed = ensemble_seed(self.0.base.seed, r);
+            let stepped = simulate_traffic_stepped(
+                &TrafficConfig {
+                    seed,
+                    ..self.0.base
+                },
+                self.0.max_steps_per_run,
+            );
+            if stepped.truncated {
+                RunRecord::Quarantined(QuarantinedRun {
+                    run: r,
+                    seed,
+                    steps: stepped.steps,
+                })
+            } else {
+                RunRecord::Done(r, stepped.result)
+            }
         };
-        // Finished runs must form an index prefix in order — anything
-        // else means the journal was not written by this campaign shape.
-        if rec.index() != idx || idx >= cfg.runs {
-            return Err(malformed);
+        let threads = self.0.threads.unwrap_or_else(par::num_threads);
+        let wave_records = par::parallel_map_with_threads(threads, &wave, run_one);
+        let quarantined = wave_records
+            .iter()
+            .filter(|r| matches!(r, RunRecord::Quarantined(_)))
+            .count();
+        records.extend(wave_records);
+        Wave {
+            trials: wave.len() as u64,
+            quarantined: quarantined as u64,
+            early_stops: Vec::new(),
         }
-        records.push(rec);
     }
-    Ok(records)
-}
 
-fn checkpoint(
-    cfg: &TrafficCampaignConfig,
-    key: &str,
-    records: &[RunRecord],
-) -> Result<(), JournalError> {
-    let Some(path) = cfg.journal.as_deref() else {
-        return Ok(());
-    };
-    let body: Vec<String> = records.iter().map(RunRecord::to_line).collect();
-    journal::save(path, key, &body)
+    fn done(&self, records: &Vec<RunRecord>) -> bool {
+        records.len() >= self.0.runs
+    }
+
+    fn remaining(&self, records: &Vec<RunRecord>) -> u64 {
+        (self.0.runs - records.len()) as u64
+    }
 }
 
 #[cfg(test)]
@@ -440,6 +405,31 @@ mod tests {
         assert_eq!(resumed.runs, uninterrupted.runs);
         assert_eq!(resumed.delivered_mbps, uninterrupted.delivered_mbps);
         assert_eq!(resumed.mean_delay_us, uninterrupted.mean_delay_us);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn corrupt_journal_cold_starts() {
+        let path = std::env::temp_dir()
+            .join(format!("wlan_traffic_corrupt_{}.journal", std::process::id()));
+        let cfg = TrafficCampaignConfig::new(base(), 6)
+            .with_budget(Budget::unlimited())
+            .with_journal(path.clone())
+            .with_threads(1);
+        // A checksum-valid journal whose first record is not run 0.
+        journal::save(&path, &TrafficCampaign(&cfg).key(), &["run i=3".to_owned()]).unwrap();
+        let report = run_traffic_campaign(&cfg);
+        assert_eq!(
+            report.resume,
+            Resume::ColdStart {
+                error: JournalError::Malformed { line: 3 }
+            }
+        );
+        assert!(report.outcome.is_complete());
+        assert_eq!(report.to_ensemble(), simulate_traffic_multi(&base(), 6));
+        // The cold start rewrote the journal: it now resumes as complete.
+        let again = run_traffic_campaign(&cfg);
+        assert_eq!(again.resume, Resume::Resumed { trials: 6 });
         let _ = std::fs::remove_file(&path);
     }
 
