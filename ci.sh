@@ -8,13 +8,10 @@ cargo build --release --offline
 
 # The tier-1 suite runs twice: pinned serial (WLAN_THREADS=1) and the
 # machine default. The parallel_determinism harness asserts sweeps are
-# bit-identical across thread counts *inside* each run, and the
-# flow_equivalence harness asserts the streaming flowgraph sweeps match
-# the monolithic oracle bit for bit; running the whole suite at both
-# settings additionally fails the build if any test result (pinned
-# regression values included) diverges with the thread count — for the
-# flowgraph that means both the serial in-place loop and the
-# work-stealing scheduler are held to the oracle.
+# bit-identical across thread counts *inside* each run and pins their
+# digest to a golden value; running the whole suite at both settings
+# additionally fails the build if any test result (pinned regression
+# values included) diverges with the thread count.
 WLAN_THREADS=1 cargo test -q --offline
 cargo test -q --offline
 cargo clippy --workspace --offline -- -D warnings
@@ -155,8 +152,8 @@ cargo run -q --release --offline -p wlan-bench --example check_bench_json -- \
 # times above the PR-5 seed emissions (1191.9 / 1144.3 frames/s), so the
 # floors now sit at roughly half the post-kernel committed numbers
 # (~6400 / ~3300 in a quiet window) — low enough that a busy CI machine
-# cannot flake, high enough that losing the kernel wins (or the streaming
-# flowgraph regressing the sweep hot path) fails the build. Floors are
+# cannot flake, high enough that losing the kernel wins (or any other
+# regression of the per-trial sweep hot path) fails the build. Floors are
 # constants rather than read from the regenerated committed files so the
 # bar cannot drift with the files. Schema validity of the committed files
 # is enforced alongside.
@@ -207,14 +204,10 @@ rm -rf "$BENCH_DIR"
 # itself runs hundreds of BSS-epochs per wave, so one panicking degenerate
 # input would kill a whole campaign invocation — same bar (their public
 # APIs return typed WlanErrors instead; see interference.rs/protection.rs).
-# crates/flow is the streaming scheduler every default sweep now rides:
-# a panic in a stage or the work-stealing loop would take down the whole
-# sweep (its scheduler recovers poisoned locks and unwinds via an abort
-# flag instead) — same bar.
 for f in crates/coding/src/*.rs crates/mimo/src/*.rs crates/core/src/*.rs \
          crates/runner/src/*.rs crates/obs/src/*.rs crates/dist/src/*.rs \
          crates/channel/src/*.rs crates/mac/src/*.rs crates/mesh/src/*.rs \
-         crates/city/src/*.rs crates/flow/src/*.rs crates/fault/src/transport.rs \
+         crates/city/src/*.rs crates/fault/src/transport.rs \
          crates/math/src/ci.rs crates/math/src/par.rs; do
         awk '
             /#\[cfg\(test\)\]/ { exit }

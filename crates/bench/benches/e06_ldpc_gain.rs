@@ -47,7 +47,8 @@ fn bcc_ber(ebn0_db: f64, blocks: usize, soft: bool, rng: &mut WlanRng) -> f64 {
         } else {
             let hard: Vec<u8> = llrs.iter().map(|&l| (l < 0.0) as u8).collect();
             ViterbiDecoder::new().decode_hard(&hard, INFO_BITS)
-        };
+        }
+        .expect("a terminated block is (INFO_BITS + 6) * 2 long");
         errors += decoded.iter().zip(&info).filter(|(a, b)| a != b).count();
         total += INFO_BITS;
     }

@@ -366,5 +366,10 @@ mod tests {
         // Determinism: same seed, same digest.
         let again = PerTableSet::calibrated(100, 12, 7).expect("calibration");
         assert_eq!(set.digest(), again.digest());
+        // Golden pin, recorded when calibration ran on a second
+        // (flowgraph) execution path: the per-trial chain must reproduce
+        // the exact table bits.
+        let digest = set.digest();
+        assert_eq!(digest, 0x0ce6_cee7_117e_cba6, "calibration digest {digest:#018x}");
     }
 }

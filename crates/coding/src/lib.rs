@@ -25,8 +25,9 @@
 //!
 //! let data = vec![1, 0, 1, 1, 0, 0, 1, 0];
 //! let coded = ConvEncoder::new().encode_terminated(&data);
-//! let decoded = ViterbiDecoder::new().decode_hard(&coded, data.len());
+//! let decoded = ViterbiDecoder::new().decode_hard(&coded, data.len())?;
 //! assert_eq!(decoded, data);
+//! # Ok::<(), wlan_math::WlanError>(())
 //! ```
 
 pub mod bits;

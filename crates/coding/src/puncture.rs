@@ -172,7 +172,7 @@ mod tests {
             let tx = puncture(&mother, rate);
             let llrs: Vec<f64> = tx.iter().map(|&b| if b == 0 { 4.0 } else { -4.0 }).collect();
             let restored = depuncture(&llrs, rate, mother.len());
-            let decoded = ViterbiDecoder::new().decode_soft(&restored, data.len());
+            let decoded = ViterbiDecoder::new().decode_soft(&restored, data.len()).unwrap();
             assert_eq!(decoded, data, "roundtrip failed at rate {rate}");
         }
     }
@@ -189,7 +189,7 @@ mod tests {
         tx[9] ^= 1;
         let llrs: Vec<f64> = tx.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
         let restored = depuncture(&llrs, CodeRate::R1_2, mother.len());
-        let decoded = ViterbiDecoder::new().decode_soft(&restored, data.len());
+        let decoded = ViterbiDecoder::new().decode_soft(&restored, data.len()).unwrap();
         assert_eq!(decoded, data);
     }
 

@@ -459,8 +459,9 @@ fn with_thread_kernel<R>(f: impl FnOnce(&mut ViterbiKernel) -> R) -> R {
 /// let mut coded = ConvEncoder::new().encode_terminated(&data);
 /// coded[3] ^= 1; // a channel error
 /// coded[10] ^= 1; // another one
-/// let decoded = ViterbiDecoder::new().decode_hard(&coded, data.len());
+/// let decoded = ViterbiDecoder::new().decode_hard(&coded, data.len())?;
 /// assert_eq!(decoded, data);
+/// # Ok::<(), wlan_math::WlanError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ViterbiDecoder {
@@ -479,22 +480,14 @@ impl ViterbiDecoder {
     /// [`crate::ConvEncoder::encode_terminated`]; `num_info` information bits
     /// are returned.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `coded.len() != (num_info + 6) * 2`; see
-    /// [`ViterbiDecoder::try_decode_hard`] for the non-panicking variant.
-    pub fn decode_hard(&self, coded: &[u8], num_info: usize) -> Vec<u8> {
+    /// [`WlanError::LengthMismatch`] if `coded.len() != (num_info + 6) * 2`
+    /// (e.g. a truncated frame).
+    pub fn decode_hard(&self, coded: &[u8], num_info: usize) -> Result<Vec<u8>, WlanError> {
         // Map hard bits to bipolar soft values: 0 → +1, 1 → −1.
         let llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
         self.decode_soft(&llrs, num_info)
-    }
-
-    /// Like [`ViterbiDecoder::decode_hard`], but reports a truncated or
-    /// mis-sized input as a typed error instead of panicking — the form the
-    /// fault-injection sweeps rely on.
-    pub fn try_decode_hard(&self, coded: &[u8], num_info: usize) -> Result<Vec<u8>, WlanError> {
-        let llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
-        self.try_decode_soft(&llrs, num_info)
     }
 
     /// Decodes soft log-likelihood ratios.
@@ -502,25 +495,10 @@ impl ViterbiDecoder {
     /// The LLR convention is `llr = log(P(bit=0)/P(bit=1))`: positive values
     /// favour 0. An erasure (punctured position) is an LLR of exactly 0.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `llrs.len() != (num_info + 6) * 2`; see
-    /// [`ViterbiDecoder::try_decode_soft`] for the non-panicking variant.
-    pub fn decode_soft(&self, llrs: &[f64], num_info: usize) -> Vec<u8> {
-        assert_eq!(
-            llrs.len(),
-            (num_info + TAIL) * 2,
-            "coded length must be (num_info + 6) * 2"
-        );
-        with_thread_kernel(|k| {
-            k.run_trellis(llrs, num_info + TAIL, true);
-            k.decoded[..num_info].to_vec()
-        })
-    }
-
-    /// Like [`ViterbiDecoder::decode_soft`], but a mis-sized LLR block
-    /// returns [`WlanError::LengthMismatch`] instead of panicking.
-    pub fn try_decode_soft(&self, llrs: &[f64], num_info: usize) -> Result<Vec<u8>, WlanError> {
+    /// [`WlanError::LengthMismatch`] if `llrs.len() != (num_info + 6) * 2`.
+    pub fn decode_soft(&self, llrs: &[f64], num_info: usize) -> Result<Vec<u8>, WlanError> {
         with_thread_kernel(|k| k.decode(FrameLlrs::terminated(llrs, num_info)))
     }
 
@@ -529,22 +507,10 @@ impl ViterbiDecoder {
     /// best-metric end state instead of state 0. All `num_bits` inputs are
     /// returned.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `llrs.len() != num_bits * 2`; see
-    /// [`ViterbiDecoder::try_decode_soft_unterminated`] for the
-    /// non-panicking variant.
-    pub fn decode_soft_unterminated(&self, llrs: &[f64], num_bits: usize) -> Vec<u8> {
-        assert_eq!(llrs.len(), num_bits * 2, "coded length must be num_bits * 2");
-        with_thread_kernel(|k| {
-            k.run_trellis(llrs, num_bits, false);
-            k.decoded[..num_bits].to_vec()
-        })
-    }
-
-    /// Like [`ViterbiDecoder::decode_soft_unterminated`], but a mis-sized
-    /// LLR block returns [`WlanError::LengthMismatch`] instead of panicking.
-    pub fn try_decode_soft_unterminated(
+    /// [`WlanError::LengthMismatch`] if `llrs.len() != num_bits * 2`.
+    pub fn decode_soft_unterminated(
         &self,
         llrs: &[f64],
         num_bits: usize,
@@ -570,7 +536,7 @@ mod tests {
 
     fn roundtrip(data: &[u8]) -> Vec<u8> {
         let coded = ConvEncoder::new().encode_terminated(data);
-        ViterbiDecoder::new().decode_hard(&coded, data.len())
+        ViterbiDecoder::new().decode_hard(&coded, data.len()).unwrap()
     }
 
     #[test]
@@ -686,7 +652,7 @@ mod tests {
         for &pos in &[2usize, 20, 45, 70] {
             coded[pos] ^= 1;
         }
-        let decoded = ViterbiDecoder::new().decode_hard(&coded, data.len());
+        let decoded = ViterbiDecoder::new().decode_hard(&coded, data.len()).unwrap();
         assert_eq!(decoded, data);
     }
 
@@ -699,7 +665,7 @@ mod tests {
         for b in coded.iter_mut().take(12) {
             *b ^= 1;
         }
-        let decoded = ViterbiDecoder::new().decode_hard(&coded, data.len());
+        let decoded = ViterbiDecoder::new().decode_hard(&coded, data.len()).unwrap();
         assert_eq!(decoded.len(), data.len());
     }
 
@@ -711,7 +677,7 @@ mod tests {
         let coded = ConvEncoder::new().encode_terminated(&data);
         let mut llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 5.0 } else { -5.0 }).collect();
         llrs[7] = -llrs[7].signum() * 0.1; // weak wrong observation
-        let decoded = ViterbiDecoder::new().decode_soft(&llrs, data.len());
+        let decoded = ViterbiDecoder::new().decode_soft(&llrs, data.len()).unwrap();
         assert_eq!(decoded, data);
     }
 
@@ -725,7 +691,7 @@ mod tests {
         for i in (0..llrs.len()).step_by(6) {
             llrs[i] = 0.0;
         }
-        let decoded = ViterbiDecoder::new().decode_soft(&llrs, data.len());
+        let decoded = ViterbiDecoder::new().decode_soft(&llrs, data.len()).unwrap();
         assert_eq!(decoded, data);
     }
 
@@ -741,7 +707,7 @@ mod tests {
         let mut enc = ConvEncoder::new();
         let coded = enc.encode(&data);
         let llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 2.0 } else { -2.0 }).collect();
-        let decoded = ViterbiDecoder::new().decode_soft_unterminated(&llrs, data.len());
+        let decoded = ViterbiDecoder::new().decode_soft_unterminated(&llrs, data.len()).unwrap();
         assert_eq!(decoded, data);
     }
 
@@ -755,14 +721,8 @@ mod tests {
             coded.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
         llrs[10] = -llrs[10];
         llrs[50] = -llrs[50];
-        let decoded = ViterbiDecoder::new().decode_soft_unterminated(&llrs, data.len());
+        let decoded = ViterbiDecoder::new().decode_soft_unterminated(&llrs, data.len()).unwrap();
         assert_eq!(&decoded[..50], &data[..50]);
-    }
-
-    #[test]
-    #[should_panic(expected = "(num_info + 6) * 2")]
-    fn length_mismatch_panics() {
-        let _ = ViterbiDecoder::new().decode_hard(&[0, 1, 0], 4);
     }
 
     #[test]
@@ -770,29 +730,12 @@ mod tests {
         use wlan_math::WlanError;
         let dec = ViterbiDecoder::new();
         assert_eq!(
-            dec.try_decode_hard(&[0, 1, 0], 4).unwrap_err(),
+            dec.decode_hard(&[0, 1, 0], 4).unwrap_err(),
             WlanError::LengthMismatch { expected: 20, got: 3 }
         );
         assert_eq!(
-            dec.try_decode_soft_unterminated(&[0.0; 5], 4).unwrap_err(),
+            dec.decode_soft_unterminated(&[0.0; 5], 4).unwrap_err(),
             WlanError::LengthMismatch { expected: 8, got: 5 }
-        );
-    }
-
-    #[test]
-    fn try_variants_agree_with_panicking_ones() {
-        let data: Vec<u8> = (0..32).map(|i| (i % 3 == 0) as u8).collect();
-        let coded = ConvEncoder::new().encode_terminated(&data);
-        let dec = ViterbiDecoder::new();
-        assert_eq!(
-            dec.try_decode_hard(&coded, data.len()).unwrap(),
-            dec.decode_hard(&coded, data.len())
-        );
-        let stream = ConvEncoder::new().encode(&data);
-        let llrs: Vec<f64> = stream.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
-        assert_eq!(
-            dec.try_decode_soft_unterminated(&llrs, data.len()).unwrap(),
-            dec.decode_soft_unterminated(&llrs, data.len())
         );
     }
 

@@ -169,43 +169,6 @@ where
     indexed.into_iter().map(|(_, u)| u).collect()
 }
 
-/// Spawns `workers` scoped worker threads, each running `f(worker_index)`,
-/// and joins them all before returning.
-///
-/// This is the raw fan-out primitive under [`parallel_map`], exposed for
-/// schedulers (e.g. the `wlan-flow` streaming runtime) that need long-lived
-/// workers sharing their own queues rather than an item cursor. `workers <=
-/// 1` runs `f(0)` on the calling thread — the exact serial path, no threads
-/// spawned — so callers inherit the `WLAN_THREADS=1` contract for free.
-///
-/// If any worker panics, the panic is propagated to the caller after the
-/// pool drains (first spawned panicking worker wins). `f` is responsible
-/// for making sure its sibling workers still terminate when one of them
-/// unwinds — a worker that waits forever on a peer's progress must watch an
-/// abort flag (see `wlan-flow`'s scheduler), or the join here would block.
-pub fn run_workers<F>(workers: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if workers <= 1 {
-        f(0);
-        return;
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move || f(w))
-            })
-            .collect();
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-}
-
 /// Splits `0..len` into contiguous batches of at most `batch` elements.
 ///
 /// Batch boundaries are a pure function of `(len, batch)` — independent of
@@ -295,32 +258,6 @@ mod tests {
         // per-batch partials stay bit-identical at any worker count.
         assert_eq!(batches(20, 8), batches(20, 8));
         assert_eq!(batches(20, 8), vec![0..8, 8..16, 16..20]);
-    }
-
-    #[test]
-    fn run_workers_runs_every_index_once() {
-        use std::sync::Mutex;
-        for workers in [1, 2, 5] {
-            let seen = Mutex::new(Vec::new());
-            run_workers(workers, |w| {
-                seen.lock().unwrap().push(w);
-            });
-            let mut got = seen.into_inner().unwrap();
-            got.sort_unstable();
-            assert_eq!(got, (0..workers.max(1)).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn run_workers_propagates_panics() {
-        let out = std::panic::catch_unwind(|| {
-            run_workers(3, |w| {
-                if w == 1 {
-                    panic!("worker down");
-                }
-            })
-        });
-        assert!(out.is_err(), "worker panic must reach the caller");
     }
 
     #[test]

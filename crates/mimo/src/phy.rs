@@ -305,7 +305,7 @@ impl MimoOfdmPhy {
         let coded = self.merge_streams_soft(&deinterleaved, merged_len);
         let total_bits = n_sym * self.data_bits_per_symbol();
         let mother = depuncture(&coded, self.cfg.code_rate, total_bits * 2);
-        let scrambled = ViterbiDecoder::new().try_decode_soft_unterminated(&mother, total_bits)?;
+        let scrambled = ViterbiDecoder::new().decode_soft_unterminated(&mother, total_bits)?;
         let descrambled = Scrambler::new(self.scrambler_seed).scramble(&scrambled);
         Ok(bits::bits_to_bytes(&descrambled[16..16 + 8 * payload_len]))
     }

@@ -252,7 +252,7 @@ impl StbcOfdmPhy {
         let deinterleaved = il.try_deinterleave_stream_soft(&llrs)?;
         let total_bits = n_sym * self.data_bits_per_symbol();
         let mother = depuncture(&deinterleaved, self.code_rate, total_bits * 2);
-        let scrambled = ViterbiDecoder::new().try_decode_soft_unterminated(&mother, total_bits)?;
+        let scrambled = ViterbiDecoder::new().decode_soft_unterminated(&mother, total_bits)?;
         let descrambled = Scrambler::new(self.scrambler_seed).scramble(&scrambled);
         Ok(bits::bits_to_bytes(&descrambled[16..16 + 8 * payload_len]))
     }

@@ -144,7 +144,7 @@ impl OfdmPhy {
         if samples.len() < DATA_OFFSET + n_sym * N_SYM_SAMPLES {
             return Err(RxError::TooShort);
         }
-        Ok(self.decode_data(&samples[DATA_OFFSET..], length, &channel))
+        self.decode_data(&samples[DATA_OFFSET..], length, &channel)
     }
 
     /// Convenience wrapper returning `None` on any receive error.
@@ -186,7 +186,10 @@ impl OfdmPhy {
         }
         let il = Interleaver::new(48, 1);
         let deinterleaved = il.deinterleave_soft(&llrs);
-        let info = ViterbiDecoder::new().decode_soft(&deinterleaved, 18);
+        // A mis-sized LLR block means the symbol was cut short.
+        let info = ViterbiDecoder::new()
+            .decode_soft(&deinterleaved, 18)
+            .map_err(|_| RxError::TooShort)?;
         let parity = info[..17].iter().fold(0u8, |a, &b| a ^ b);
         if parity != info[17] {
             return Err(RxError::SignalParity);
@@ -238,7 +241,12 @@ impl OfdmPhy {
         samples
     }
 
-    fn decode_data(&self, samples: &[Complex], length: usize, channel: &[Complex]) -> Vec<u8> {
+    fn decode_data(
+        &self,
+        samples: &[Complex],
+        length: usize,
+        channel: &[Complex],
+    ) -> Result<Vec<u8>, RxError> {
         let ndbps = self.rate.data_bits_per_symbol();
         let n_sym = self.num_data_symbols(length);
         let total_bits = n_sym * ndbps;
@@ -258,10 +266,12 @@ impl OfdmPhy {
         }
         let deinterleaved = il.deinterleave_stream_soft(&llrs);
         let mother = depuncture(&deinterleaved, self.rate.code_rate(), total_bits * 2);
-        let scrambled = ViterbiDecoder::new().decode_soft_unterminated(&mother, total_bits);
+        let scrambled = ViterbiDecoder::new()
+            .decode_soft_unterminated(&mother, total_bits)
+            .map_err(|_| RxError::TooShort)?;
         let descrambled = Scrambler::new(self.scrambler_seed).scramble(&scrambled);
         let payload_bits = &descrambled[16..16 + 8 * length];
-        bits::bits_to_bytes(payload_bits)
+        Ok(bits::bits_to_bytes(payload_bits))
     }
 }
 

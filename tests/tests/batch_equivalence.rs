@@ -72,7 +72,7 @@ fn viterbi_batch_is_bit_identical_to_scalar_over_rates_and_snrs() {
                 .collect();
             let batch_out = kernel.decode_batch(&batch_in).expect("well-formed batch");
             for ((_, llrs), batched) in frames.iter().zip(&batch_out) {
-                let reference = scalar.decode_soft(llrs, INFO_BITS);
+                let reference = scalar.decode_soft(llrs, INFO_BITS).expect("well-formed frame");
                 assert_eq!(
                     &reference, batched,
                     "rate {rate} at {snr_db} dB: batch and scalar decodes diverged"
@@ -101,7 +101,9 @@ fn viterbi_unterminated_batch_matches_scalar() {
         let frame = FrameLlrs::unterminated(&llrs, INFO_BITS);
         let batched = kernel.decode_batch(&[frame]).expect("well-formed frame");
         assert_eq!(
-            scalar.decode_soft_unterminated(&llrs, INFO_BITS),
+            scalar
+                .decode_soft_unterminated(&llrs, INFO_BITS)
+                .expect("well-formed frame"),
             batched[0],
             "unterminated decode diverged at {snr_db} dB"
         );

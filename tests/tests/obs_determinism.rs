@@ -121,17 +121,14 @@ fn span_count(name: &str) -> u64 {
 /// Stage-span accounting contract: the `linksim.tx` / `linksim.channel` /
 /// `linksim.rx` histograms record **exactly one span per frame per
 /// stage** — never one per batch, and never two when trials are batched
-/// (`FRAMES_PER_BATCH` in linksim, the in-flight window in `wlan-flow`).
-/// Both execution paths honour it: the flowgraph records a span around
-/// each stage visit, and the monolithic oracle wraps each chain segment
-/// of each `frame_trial_faulted` call once.
+/// (`FRAMES_PER_BATCH` in linksim): each `frame_trial_faulted` call wraps
+/// each of its chain segments once.
 #[test]
-fn stage_spans_record_once_per_frame_on_both_paths() {
+fn stage_spans_record_once_per_frame() {
     let _gate = OBS_GATE.lock().unwrap_or_else(|p| p.into_inner());
     let link = OfdmLink::awgn(OfdmRate::R12);
     let chain = FaultChain::clean();
-    // 2 points × 20 frames spans several 8-frame batches and, on the
-    // flow path, several scheduler windows.
+    // 2 points × 20 frames spans several 8-frame batches.
     let (points, frames) = (2u64, 20u64);
     let obs = wlan_obs::global();
     obs.set_enabled(true);
@@ -139,46 +136,19 @@ fn stage_spans_record_once_per_frame_on_both_paths() {
     let stages = ["linksim.tx", "linksim.channel", "linksim.rx"];
     let expected = points * frames;
 
-    // Flowgraph path (sweep_per_faulted dispatches to wlan-flow).
     let before: Vec<u64> = stages.iter().map(|s| span_count(s)).collect();
-    let flow = wlan_core::linksim::sweep_per_faulted(
-        &link,
-        &chain,
-        &[6.0, 12.0],
-        48,
-        frames as usize,
-        404,
-    );
-    for (stage, was) in stages.iter().zip(&before) {
-        assert_eq!(
-            span_count(stage) - was,
-            expected,
-            "flow path: {stage} must record one span per frame"
-        );
-    }
-
-    // Monolithic oracle path: same accounting, bit-identical sweep.
-    let before: Vec<u64> = stages.iter().map(|s| span_count(s)).collect();
-    let oracle = wlan_core::linksim::sweep_per_faulted_oracle(
-        &link,
-        &chain,
-        &[6.0, 12.0],
-        48,
-        frames as usize,
-        404,
-    );
-    for (stage, was) in stages.iter().zip(&before) {
-        assert_eq!(
-            span_count(stage) - was,
-            expected,
-            "oracle path: {stage} must record one span per frame"
-        );
-    }
+    wlan_core::linksim::sweep_per_faulted(&link, &chain, &[6.0, 12.0], 48, frames as usize, 404);
     obs.set_enabled(false);
-    assert_eq!(flow, oracle, "span accounting aside, the sweeps agree bit-for-bit");
+    for (stage, was) in stages.iter().zip(&before) {
+        assert_eq!(
+            span_count(stage) - was,
+            expected,
+            "{stage} must record one span per frame"
+        );
+    }
 }
 
-/// The flow path's trial counters must match the oracle's exactly: one
+/// A sweep's trial counters must match its report exactly: one
 /// `linksim.frames` bump per frame, one `frame_errors` per failed frame,
 /// one `erasures` per typed erasure — no double counting under batching.
 #[test]

@@ -68,8 +68,15 @@ fn with_threads<T>(threads: Option<&str>, f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// FNV-1a over the `per`/`erasure_rate` bits of every generation ×
+/// injector serial sweep, recorded when sweeps still had a second
+/// (flowgraph) execution path; the single per-trial chain must reproduce
+/// it bit for bit.
+const GOLDEN_SWEEP_DIGEST: u64 = 0x321c_93ea_af7d_f62d;
+
 #[test]
 fn every_generation_and_injector_is_thread_count_invariant() {
+    let mut bits = Vec::new();
     for link in all_generations() {
         for kind in FaultKind::all() {
             let chain = kind.chain(0.7);
@@ -78,6 +85,10 @@ fn every_generation_and_injector_is_thread_count_invariant() {
             let serial = with_threads(Some("1"), run);
             let two = with_threads(Some("2"), run);
             let default = with_threads(None, run);
+            for p in &serial.points {
+                bits.extend_from_slice(&p.per.to_bits().to_le_bytes());
+                bits.extend_from_slice(&p.erasure_rate.to_bits().to_le_bytes());
+            }
             assert_eq!(
                 serial,
                 two,
@@ -94,6 +105,8 @@ fn every_generation_and_injector_is_thread_count_invariant() {
             );
         }
     }
+    let digest = wlan_runner::journal::fnv1a64(&bits);
+    assert_eq!(digest, GOLDEN_SWEEP_DIGEST, "sweep digest {digest:#018x}");
 }
 
 #[test]

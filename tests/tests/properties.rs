@@ -67,7 +67,9 @@ fn viterbi_inverts_encoder() {
     sweep(0x03, |rng| {
         let bits = bit_vec(rng, 200);
         let coded = ConvEncoder::new().encode_terminated(&bits);
-        let decoded = ViterbiDecoder::new().decode_hard(&coded, bits.len());
+        let decoded = ViterbiDecoder::new()
+            .decode_hard(&coded, bits.len())
+            .expect("terminated block");
         assert_eq!(decoded, bits);
     });
 }
@@ -86,7 +88,9 @@ fn viterbi_corrects_two_scattered_errors() {
         if p2 != p1 {
             coded[p2] ^= 1;
         }
-        let decoded = ViterbiDecoder::new().decode_hard(&coded, bits.len());
+        let decoded = ViterbiDecoder::new()
+            .decode_hard(&coded, bits.len())
+            .expect("terminated block");
         assert_eq!(decoded, bits, "errors at {p1},{p2}");
     });
 }
