@@ -2,8 +2,11 @@
 //!
 //! Two modes:
 //!
-//! * `check_bench_json FILE...` — each file must parse as JSON and pass
-//!   the `BENCH_<EXP>.json` schema (`wlan_bench::emit::REQUIRED_KEYS`).
+//! * `check_bench_json [--floor EXP=FRAMES_PER_S]... FILE...` — each
+//!   file must parse as JSON and pass the `BENCH_<EXP>.json` schema
+//!   (`wlan_bench::emit::REQUIRED_KEYS`). A file whose experiment has a
+//!   floor must also report `frames_per_s` at or above it, and every
+//!   floor must match one of the files (`wlan_bench::emit::Floor`).
 //! * `check_bench_json --jsonl FILE...` — each file is a `wlan-obs`
 //!   event stream: every non-empty line must parse as a JSON object
 //!   carrying a non-empty string `"event"` key, and lines whose event
@@ -17,10 +20,12 @@
 
 use std::process::ExitCode;
 
-use wlan_bench::emit::{jsonl_violations, schema_violations};
+use wlan_bench::emit::{jsonl_violations, schema_violations, Floor};
 use wlan_obs::json::Value;
 
-fn check_bench_file(path: &str) -> Result<String, String> {
+/// Checks one bench file, and its floor if `floors` has one for its
+/// experiment; a matched floor is removed from `floors`.
+fn check_bench_file(path: &str, floors: &mut Vec<Floor>) -> Result<String, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
     let doc = Value::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
@@ -37,7 +42,11 @@ fn check_bench_file(path: &str) -> Result<String, String> {
         Some(Value::Obj(entries)) => entries.len(),
         _ => 0,
     };
-    Ok(format!("{experiment}: schema ok, {counters} counters"))
+    let mut msg = format!("{experiment}: schema ok, {counters} counters");
+    if let Some(i) = floors.iter().position(|f| f.experiment == experiment) {
+        msg = format!("{msg}; {}", floors.remove(i).check(&doc)?);
+    }
+    Ok(msg)
 }
 
 fn check_jsonl_file(path: &str) -> Result<String, String> {
@@ -68,8 +77,23 @@ fn main() -> ExitCode {
     if jsonl {
         args.remove(0);
     }
+    let mut floors = Vec::new();
+    while !jsonl && args.first().is_some_and(|a| a == "--floor") {
+        let floor = args
+            .get(1)
+            .ok_or_else(|| "--floor needs EXP=FRAMES_PER_S".to_owned())
+            .and_then(|a| Floor::parse(a));
+        match floor {
+            Ok(f) => floors.push(f),
+            Err(msg) => {
+                eprintln!("{msg}");
+                return ExitCode::FAILURE;
+            }
+        }
+        args.drain(..2);
+    }
     if args.is_empty() {
-        eprintln!("usage: check_bench_json [--jsonl] FILE...");
+        eprintln!("usage: check_bench_json [--jsonl | --floor EXP=FRAMES_PER_S...] FILE...");
         return ExitCode::FAILURE;
     }
 
@@ -78,7 +102,7 @@ fn main() -> ExitCode {
         let result = if jsonl {
             check_jsonl_file(path)
         } else {
-            check_bench_file(path)
+            check_bench_file(path, &mut floors)
         };
         match result {
             Ok(msg) => println!("ok   {path}: {msg}"),
@@ -87,6 +111,10 @@ fn main() -> ExitCode {
                 failed = true;
             }
         }
+    }
+    for f in &floors {
+        eprintln!("FAIL floor {}: no file reports that experiment", f.experiment);
+        failed = true;
     }
     if failed {
         ExitCode::FAILURE

@@ -212,6 +212,58 @@ pub fn schema_violations(doc: &Value) -> Vec<String> {
     errs
 }
 
+/// A throughput floor for one experiment: the `--floor EXP=FRAMES_PER_S`
+/// argument of `check_bench_json`.
+#[derive(Debug)]
+pub struct Floor {
+    /// Experiment name as stamped in the document (`"E04"`).
+    pub experiment: String,
+    /// Lowest acceptable `frames_per_s`.
+    pub frames_per_s: f64,
+}
+
+impl Floor {
+    /// Parses `EXP=FRAMES_PER_S` (a non-empty name, a finite
+    /// non-negative rate).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the malformed argument.
+    pub fn parse(arg: &str) -> Result<Floor, String> {
+        let bad = || format!("floor {arg:?} is not EXP=FRAMES_PER_S");
+        let (experiment, rate) = arg.split_once('=').ok_or_else(bad)?;
+        let frames_per_s: f64 = rate.parse().map_err(|_| bad())?;
+        if experiment.is_empty() || !(frames_per_s.is_finite() && frames_per_s >= 0.0) {
+            return Err(bad());
+        }
+        Ok(Floor {
+            experiment: experiment.to_owned(),
+            frames_per_s,
+        })
+    }
+
+    /// Checks a schema-valid document against the floor: `Ok` carries
+    /// the guard line to print, `Err` the regression.
+    ///
+    /// # Errors
+    ///
+    /// The document's `frames_per_s` is missing or below the floor.
+    pub fn check(&self, doc: &Value) -> Result<String, String> {
+        let name = &self.experiment;
+        let floor = self.frames_per_s;
+        match doc.get("frames_per_s").and_then(Value::as_f64) {
+            Some(fresh) if fresh >= floor => Ok(format!(
+                "bench guard: {name} frames/s {fresh:.1} >= seed floor {floor:.1} ({:.2}x)",
+                fresh / floor
+            )),
+            fresh => Err(format!(
+                "bench regression: {name} frames/s {} below seed floor {floor:.1}",
+                fresh.map_or("missing".to_owned(), |v| format!("{v:.1}"))
+            )),
+        }
+    }
+}
+
 /// Validates one parsed `wlan-obs` JSONL event line; returns every
 /// violation found (empty = valid). The event schema is open — any
 /// object carrying a non-empty string `"event"` passes — except for the
@@ -272,6 +324,21 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("non-empty string")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains("schema must be")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains("stages must be an object")), "{errs:?}");
+    }
+
+    #[test]
+    fn floors_parse_and_gate_frames_per_s() {
+        let floor = Floor::parse("E99=150").expect("valid floor");
+        assert_eq!(floor.experiment, "E99");
+        assert!(floor.check(&valid_doc()).is_ok());
+        let high = Floor::parse("E99=200.5").expect("valid floor");
+        let err = high.check(&valid_doc()).unwrap_err();
+        assert!(err.contains("below seed floor 200.5"), "{err}");
+        let missing = Value::parse(r#"{"experiment":"E99"}"#).expect("parse");
+        assert!(floor.check(&missing).is_err());
+        for bad in ["E99", "=10", "E99=", "E99=x", "E99=-1", "E99=NaN", "E99=inf"] {
+            assert!(Floor::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! module provides the SINR arithmetic for overlapping-BSS scenarios and a
 //! Monte-Carlo hidden-node probability estimator.
 //!
-//! Both entry points are `try_*` functions returning a typed
-//! [`WlanError`] on degenerate inputs (the PR 2 policy every other public
-//! path follows): the city-scale simulator evaluates them once per
-//! station per epoch inside a long campaign, and a malformed layout must
-//! surface as a typed configuration error, never a panic mid-run.
+//! The entry points are `try_*` functions returning a typed [`WlanError`]
+//! on degenerate inputs, like every other public path: the city-scale
+//! simulator evaluates [`try_noise_plus_interference_dbm`] once per cell
+//! per epoch inside a long campaign, and a malformed layout must surface
+//! as a typed configuration error, never a panic mid-run.
 
 use crate::pathloss::{LinkBudget, PathLossModel};
 use wlan_math::rng::Rng;
@@ -29,7 +29,8 @@ pub struct Interferer {
 
 /// Mean SINR (dB) of a link of length `signal_distance_m` in the presence
 /// of co-channel interferers (mean interference = duty-weighted received
-/// power; all stations use the same budget).
+/// power; all stations use the same budget): the link's received power
+/// minus [`try_noise_plus_interference_dbm`].
 ///
 /// # Errors
 ///
@@ -47,6 +48,24 @@ pub fn try_co_channel_sinr_db(
         ));
     }
     let signal_dbm = budget.rx_power_dbm(model.path_loss_db(signal_distance_m));
+    Ok(signal_dbm - try_noise_plus_interference_dbm(budget, model, interferers)?)
+}
+
+/// Receiver noise floor plus the duty-weighted received power of
+/// `interferers`, in dBm: the denominator of
+/// [`try_co_channel_sinr_db`]. It depends only on the receiver, so a cell
+/// computes it once and every member's SINR is its own received power
+/// minus this value.
+///
+/// # Errors
+///
+/// [`WlanError::InvalidConfig`] if an interferer distance is nonpositive,
+/// infinite, or NaN, or a duty cycle is outside `[0, 1]` (NaN included).
+pub fn try_noise_plus_interference_dbm(
+    budget: &LinkBudget,
+    model: &PathLossModel,
+    interferers: &[Interferer],
+) -> Result<f64, WlanError> {
     let noise_mw = db_to_lin(budget.noise_floor_dbm());
     let mut interference_mw = 0.0;
     for i in interferers {
@@ -61,7 +80,7 @@ pub fn try_co_channel_sinr_db(
         let rx_dbm = budget.rx_power_dbm(model.path_loss_db(i.distance_m));
         interference_mw += i.duty_cycle * db_to_lin(rx_dbm);
     }
-    Ok(signal_dbm - lin_to_db(noise_mw + interference_mw))
+    Ok(lin_to_db(noise_mw + interference_mw))
 }
 
 /// Monte-Carlo hidden-node probability: place two contending transmitters
@@ -226,6 +245,68 @@ mod tests {
         assert!(matches!(bad_i(10.0, -0.1), WlanError::InvalidConfig(_)));
         assert!(matches!(bad_i(10.0, 1.5), WlanError::InvalidConfig(_)));
         assert!(matches!(bad_i(10.0, f64::NAN), WlanError::InvalidConfig(_)));
+    }
+
+    /// Seeded random geometry: a signal distance and 0–12 interferers.
+    fn random_geometry(rng: &mut WlanRng) -> (f64, Vec<Interferer>) {
+        let d = 1.0 + 199.0 * rng.gen::<f64>();
+        let n = rng.gen_range(0..=12usize);
+        let interferers = (0..n)
+            .map(|_| Interferer {
+                distance_m: 1.0 + 499.0 * rng.gen::<f64>(),
+                duty_cycle: rng.gen::<f64>(),
+            })
+            .collect();
+        (d, interferers)
+    }
+
+    #[test]
+    fn co_channel_sinr_digest_is_pinned() {
+        // FNV-1a over the SINR bits of 500 seeded geometries, recorded
+        // before the noise-plus-interference split: summing the same terms
+        // in the same order must reproduce every bit.
+        let (budget, model) = env();
+        let mut rng = WlanRng::seed_from_u64(0x5157);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for _ in 0..500 {
+            let (d, interferers) = random_geometry(&mut rng);
+            for b in sinr(&budget, &model, d, &interferers).to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0xf837_ef3f_31df_6d03);
+    }
+
+    #[test]
+    fn sinr_is_signal_minus_noise_plus_interference() {
+        let (budget, model) = env();
+        let mut rng = WlanRng::seed_from_u64(0x5158);
+        let bad = [0.0, -3.0, f64::NAN, f64::INFINITY];
+        let mut errors = 0;
+        for trial in 0..400 {
+            let (d, mut interferers) = random_geometry(&mut rng);
+            // Every fourth geometry carries one degenerate interferer.
+            if trial % 4 == 3 && !interferers.is_empty() {
+                let k = rng.gen_range(0..interferers.len());
+                let v = bad[rng.gen_range(0..bad.len())];
+                if rng.gen_bool(0.5) {
+                    interferers[k].distance_m = v;
+                } else {
+                    interferers[k].duty_cycle = v - 0.5;
+                }
+            }
+            let whole = try_co_channel_sinr_db(&budget, &model, d, &interferers);
+            let ni = try_noise_plus_interference_dbm(&budget, &model, &interferers);
+            match (whole, ni) {
+                (Ok(s), Ok(ni)) => {
+                    let split = budget.rx_power_dbm(model.path_loss_db(d)) - ni;
+                    assert_eq!(s.to_bits(), split.to_bits(), "trial {trial}");
+                }
+                (Err(_), Err(_)) => errors += 1,
+                (whole, ni) => panic!("trial {trial}: {whole:?} vs {ni:?}"),
+            }
+        }
+        assert!(errors > 50, "only {errors} degenerate geometries drawn");
     }
 
     #[test]

@@ -23,8 +23,6 @@ pub const THERMAL_NOISE_DBM_PER_HZ: f64 = -174.0;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathLossModel {
-    /// Carrier frequency in Hz (sets the 1 m reference loss).
-    carrier_hz: f64,
     /// Breakpoint distance in metres.
     breakpoint_m: f64,
     /// Exponent before the breakpoint.
@@ -33,6 +31,11 @@ pub struct PathLossModel {
     exp_after: f64,
     /// Log-normal shadowing standard deviation in dB (0 = none).
     shadowing_db: f64,
+    /// Free-space loss at 1 m for the carrier (set once in [`Self::new`]).
+    ref_loss_db: f64,
+    /// Median loss at the breakpoint (set once in [`Self::new`]), where the
+    /// far branch of [`Self::path_loss_db`] starts: a call costs one `log10`.
+    breakpoint_loss_db: f64,
 }
 
 impl PathLossModel {
@@ -53,12 +56,16 @@ impl PathLossModel {
         assert!(breakpoint_m > 0.0, "breakpoint must be positive");
         assert!(exp_before > 0.0 && exp_after > 0.0, "exponents must be positive");
         assert!(shadowing_db >= 0.0, "shadowing must be nonnegative");
+        // FSPL(d, f) = 20 log10(4π d f / c), at d = 1 m.
+        let c = 299_792_458.0;
+        let ref_loss_db = 20.0 * (4.0 * std::f64::consts::PI * carrier_hz / c).log10();
         PathLossModel {
-            carrier_hz,
             breakpoint_m,
             exp_before,
             exp_after,
             shadowing_db,
+            ref_loss_db,
+            breakpoint_loss_db: ref_loss_db + 10.0 * exp_before * breakpoint_m.log10(),
         }
     }
 
@@ -80,9 +87,7 @@ impl PathLossModel {
 
     /// Free-space path loss at 1 m for this carrier (Friis).
     pub fn reference_loss_db(&self) -> f64 {
-        // FSPL(d, f) = 20 log10(4π d f / c), at d = 1 m.
-        let c = 299_792_458.0;
-        20.0 * (4.0 * std::f64::consts::PI * self.carrier_hz / c).log10()
+        self.ref_loss_db
     }
 
     /// Median path loss in dB at `distance_m` metres (no shadowing).
@@ -92,11 +97,10 @@ impl PathLossModel {
     /// Panics if `distance_m <= 0`.
     pub fn path_loss_db(&self, distance_m: f64) -> f64 {
         assert!(distance_m > 0.0, "distance must be positive");
-        let l0 = self.reference_loss_db();
         if distance_m <= self.breakpoint_m {
-            l0 + 10.0 * self.exp_before * distance_m.log10()
+            self.ref_loss_db + 10.0 * self.exp_before * distance_m.log10()
         } else {
-            l0 + 10.0 * self.exp_before * self.breakpoint_m.log10()
+            self.breakpoint_loss_db
                 + 10.0 * self.exp_after * (distance_m / self.breakpoint_m).log10()
         }
     }
@@ -211,6 +215,80 @@ mod tests {
         let below = pl.path_loss_db(10.0 - eps);
         let above = pl.path_loss_db(10.0 + eps);
         assert!((below - above).abs() < 1e-3);
+    }
+
+    #[test]
+    fn path_loss_bits_are_pinned() {
+        // Recorded from the direct formula (reference loss and breakpoint
+        // term recomputed on every call); caching them per model must not
+        // move a single bit, at the breakpoint or either side of it.
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let shared = [0.01, 0.25, 1.0, 3.7, 4.2, 10.5, 57.3, 137.5, 333.3, 1e3, 2e6];
+        let cases: [(PathLossModel, f64, [u64; 11], [u64; 3]); 3] = [
+            (
+                PathLossModel::tgn_model_d(),
+                10.0,
+                [
+                    0x3faa_a0cc_c84a_0800,
+                    0x403c_02c4_5400_78c4,
+                    0x4044_06a8_3332_1282,
+                    0x4049_b540_e1c2_0ed2,
+                    0x404a_422c_dadd_36d5,
+                    0x404e_6595_c886_5b5c,
+                    0x4055_a598_4952_524e,
+                    0x4058_f920_6633_cc30,
+                    0x405c_567a_c841_fcd2,
+                    0x4060_41aa_0ccc_84a0,
+                    0x406e_b2d1_5ecf_6b78,
+                ],
+                [0x404e_06a8_3332_1282; 3],
+            ),
+            (
+                PathLossModel::tgn_model_b(),
+                5.0,
+                [
+                    0x3faa_a0cc_c84a_0800,
+                    0x403c_02c4_5400_78c4,
+                    0x4044_06a8_3332_1282,
+                    0x4049_b540_e1c2_0ed2,
+                    0x404a_422c_dadd_36d5,
+                    0x4050_53c8_05fc_85d4,
+                    0x4056_c695_6b0b_aa74,
+                    0x405a_1a1d_87ed_2456,
+                    0x405d_7777_e9fb_54f8,
+                    0x4060_d228_9da9_30b4,
+                    0x406f_434f_efac_178a,
+                ],
+                [0x404b_0405_2e99_2772; 3],
+            ),
+            (
+                PathLossModel::free_space_5ghz(),
+                1e6,
+                [
+                    0x401b_1247_4b91_cba0,
+                    0x4041_5d02_e040_6354,
+                    0x4047_6248_e972_3974,
+                    0x404d_10e1_9802_35c4,
+                    0x404d_9dcd_911d_5dc7,
+                    0x4050_cc43_c3f5_c3d4,
+                    0x4054_7b94_8ffe_6b0a,
+                    0x4056_622b_7bec_f9d5,
+                    0x4058_4e5f_21ab_f10d,
+                    0x405a_b124_74b9_1cba,
+                    0x4065_993a_fb82_c921,
+                ],
+                [0x4064_d892_3a5c_8e5d; 3],
+            ),
+        ];
+        for (model, bp, shared_bits, bp_bits) in cases {
+            for (d, bits) in shared.iter().zip(shared_bits) {
+                assert_eq!(model.path_loss_db(*d).to_bits(), bits, "{model:?} at {d} m");
+            }
+            for (d, bits) in [down(bp), bp, up(bp)].iter().zip(bp_bits) {
+                assert_eq!(model.path_loss_db(*d).to_bits(), bits, "{model:?} at {d} m");
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::edca::{AccessCategory, EdcaParams};
 use crate::layout::{propagation, CityConfig, CityLayout, Generation};
 use crate::pertable::PerTableSet;
-use wlan_channel::interference::{try_co_channel_sinr_db, Interferer};
+use wlan_channel::interference::{try_noise_plus_interference_dbm, Interferer};
 use wlan_channel::pathloss::{LinkBudget, PathLossModel};
 use wlan_mac::params::MacProfile;
 use wlan_mac::protection::try_cts_to_self_overhead_us;
@@ -321,15 +321,7 @@ impl City {
         }
         out.defer_us = epoch_us - t_avail;
 
-        // Interference at the AP receiver: co-channel neighbour APs as
-        // proxies for their cells' transmitters, duty = their airtime.
-        let interferers: Vec<Interferer> = lay.interferers[bss]
-            .iter()
-            .map(|&i| Interferer {
-                distance_m: ap_distance_m(lay, bss, i as usize),
-                duty_cycle: busy_prev[i as usize].clamp(0.0, 1.0),
-            })
-            .collect();
+        let ni_dbm = self.noise_plus_interference_dbm(bss, busy_prev);
         let obss_load = neighbor_busy.min(1.0);
 
         let protected = mem
@@ -348,12 +340,7 @@ impl City {
             .iter()
             .map(|&s| {
                 let s = s as usize;
-                let d = lay.sta_ap_distance_m(s, bss);
-                // Layout validation guarantees positive finite distances
-                // and clamped duties, so this cannot fail; an impossible
-                // geometry degrades to SINR −∞ (PER 1) rather than UB.
-                let sinr = try_co_channel_sinr_db(&self.budget, &self.model, d, &interferers)
-                    .unwrap_or(f64::NEG_INFINITY);
+                let sinr = self.member_sinr_db(s, bss, ni_dbm);
                 let is_ofdm = lay.station_gen[s] == Generation::OfdmG;
                 let (profile, per) = if is_ofdm {
                     let (rate, per) = self.tables.ofdm_rate_and_per(sinr);
@@ -486,6 +473,39 @@ impl City {
         out
     }
 
+    /// Noise plus interference (dBm) at `bss`'s AP receiver: co-channel
+    /// neighbour APs stand in for their cells' transmitters, duty = their
+    /// previous-epoch airtime. It is the same for every member, so a
+    /// BSS-epoch computes it once. `None` marks an impossible geometry.
+    fn noise_plus_interference_dbm(&self, bss: usize, busy_prev: &[f64]) -> Option<f64> {
+        let lay = &self.layout;
+        let interferers: Vec<Interferer> = lay.interferers[bss]
+            .iter()
+            .map(|&i| Interferer {
+                distance_m: ap_distance_m(lay, bss, i as usize),
+                duty_cycle: busy_prev[i as usize].clamp(0.0, 1.0),
+            })
+            .collect();
+        try_noise_plus_interference_dbm(&self.budget, &self.model, &interferers).ok()
+    }
+
+    /// Mean SINR (dB) of station `s` at AP `bss`: its received power minus
+    /// the cell's noise plus interference. Layout validation guarantees
+    /// positive finite distances and clamped duties, so this cannot fail;
+    /// an impossible geometry degrades to SINR −∞ (PER 1) rather than UB.
+    fn member_sinr_db(&self, s: usize, bss: usize, ni_dbm: Option<f64>) -> f64 {
+        let d = self.layout.sta_ap_distance_m(s, bss);
+        match ni_dbm {
+            Some(ni) if d > 0.0 && d.is_finite() => self.rx_power_dbm(d) - ni,
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    /// Median received power (dBm) of a link `d` metres long.
+    fn rx_power_dbm(&self, d: f64) -> f64 {
+        self.budget.rx_power_dbm(self.model.path_loss_db(d))
+    }
+
     /// RSSI-hysteresis roaming: every station re-measures its candidate
     /// APs (log-normal shadowing from its own `(station, epoch)` stream)
     /// and hands off when the best candidate beats the current AP by the
@@ -508,8 +528,7 @@ impl City {
                 let mut cur_rssi = f64::NEG_INFINITY;
                 for &ap in cands {
                     let d = lay.sta_ap_distance_m(s, ap as usize);
-                    let rssi = self.budget.rx_power_dbm(self.model.path_loss_db(d))
-                        + cfg.shadow_sigma_db * rng.gen_gaussian();
+                    let rssi = self.rx_power_dbm(d) + cfg.shadow_sigma_db * rng.gen_gaussian();
                     if ap == cur {
                         cur_rssi = rssi;
                     }
@@ -657,6 +676,45 @@ mod tests {
         let eight = run(&city, 8, 3);
         assert_eq!(serial, two);
         assert_eq!(serial, eight);
+    }
+
+    #[test]
+    fn per_cell_interference_matches_the_per_member_call() {
+        // Each member's SINR is its received power minus the cell's noise
+        // plus interference, computed once per BSS-epoch; it must equal
+        // the direct per-member co-channel SINR bit for bit, on the
+        // (assoc, busy_prev) inputs every later epoch actually sees.
+        use wlan_channel::interference::try_co_channel_sinr_db;
+        let city = small_city();
+        let lay = &city.layout;
+        let mut state = city.fresh_state();
+        let mut loaded = 0;
+        for _ in 0..5 {
+            city.run_epoch(&mut state, 1);
+            let busy = &state.busy_frac;
+            for (s, &ap) in state.assoc.iter().enumerate() {
+                let bss = ap as usize;
+                let interferers: Vec<Interferer> = lay.interferers[bss]
+                    .iter()
+                    .map(|&i| Interferer {
+                        distance_m: ap_distance_m(lay, bss, i as usize),
+                        duty_cycle: busy[i as usize].clamp(0.0, 1.0),
+                    })
+                    .collect();
+                loaded += usize::from(interferers.iter().any(|i| i.duty_cycle > 0.0));
+                let d = lay.sta_ap_distance_m(s, bss);
+                let direct = try_co_channel_sinr_db(&city.budget, &city.model, d, &interferers)
+                    .expect("valid geometry");
+                let ni = city.noise_plus_interference_dbm(bss, busy);
+                assert_eq!(
+                    city.member_sinr_db(s, bss, ni).to_bits(),
+                    direct.to_bits(),
+                    "epoch {} station {s}",
+                    state.epoch
+                );
+            }
+        }
+        assert!(loaded > 0, "no member saw a busy interferer");
     }
 
     #[test]
