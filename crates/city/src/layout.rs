@@ -11,6 +11,7 @@
 use crate::sim::{S_HIDDEN, S_LAYOUT, S_STATIONS};
 use wlan_channel::interference::try_hidden_node_probability;
 use wlan_channel::pathloss::{LinkBudget, PathLossModel};
+use wlan_core::ofdm::phy::MAX_PAYLOAD;
 use wlan_math::rng::{Rng, WlanRng};
 use wlan_math::WlanError;
 use wlan_mesh::layout::{grid_side, jittered_grid};
@@ -151,8 +152,10 @@ impl CityConfig {
         if !(self.offered_load > 0.0 && self.offered_load <= 1.0) {
             return Err(WlanError::InvalidConfig("offered_load must be in (0, 1]"));
         }
-        if self.payload_bytes == 0 {
-            return Err(WlanError::InvalidConfig("payload_bytes must be ≥ 1"));
+        if !(1..=MAX_PAYLOAD).contains(&self.payload_bytes) {
+            return Err(WlanError::InvalidConfig(
+                "payload_bytes must be in 1..=4095 (the 12-bit OFDM LENGTH field)",
+            ));
         }
         if self.epochs == 0 {
             return Err(WlanError::InvalidConfig("epochs must be ≥ 1"));
@@ -392,6 +395,7 @@ mod tests {
             |c: &mut CityConfig| c.offered_load = 0.0,
             |c: &mut CityConfig| c.offered_load = f64::NAN,
             |c: &mut CityConfig| c.payload_bytes = 0,
+            |c: &mut CityConfig| c.payload_bytes = 4096,
             |c: &mut CityConfig| c.epochs = 0,
             |c: &mut CityConfig| c.epoch_ms = 0.0,
             |c: &mut CityConfig| c.hysteresis_db = f64::NAN,
@@ -402,6 +406,17 @@ mod tests {
             assert!(bad.validate().is_err(), "{bad:?}");
             assert!(CityLayout::build(&bad).is_err());
         }
+    }
+
+    #[test]
+    fn payload_limit_is_the_ofdm_length_field() {
+        // The PER tables are calibrated on 802.11a frames, whose 12-bit
+        // LENGTH field caps the payload at 4095 bytes.
+        let mut cfg = CityConfig::small_test();
+        cfg.payload_bytes = 4095;
+        assert!(cfg.validate().is_ok());
+        cfg.payload_bytes = 4096;
+        assert!(matches!(cfg.validate(), Err(WlanError::InvalidConfig(_))));
     }
 
     #[test]

@@ -1,11 +1,22 @@
 //! PER lookup tables: the contract that lets a city run at MAC speed.
 //!
 //! A city-scale epoch evaluates tens of thousands of station SINRs; at
-//! ~565 µs per real PHY frame even the batched kernels would cap the city
-//! at a few thousand frames per second. Instead the PHY is consulted
-//! *once*, at calibration time: [`PerTable::calibrate`] sweeps a real
-//! TX→channel→RX chain over an SNR grid (`wlan_core::linksim::sweep_per`)
-//! and the hot loop interpolates the resulting curve in SINR.
+//! roughly a millisecond per real 1 200-byte PHY frame (tx + channel +
+//! rx, averaged over the rate ladder; EXPERIMENTS.md E20) even the
+//! per-symbol kernels would cap the city at about a thousand frames per
+//! second. Instead the PHY is consulted *once*, at calibration time:
+//! [`PerTable::calibrate`] sweeps a real TX→channel→RX chain over an SNR
+//! grid (`wlan_core::linksim::sweep_per`) and the hot loop interpolates
+//! the resulting curve in SINR.
+//!
+//! Calibration is the city's whole set-up cost: [`PerTableSet::calibrated`]
+//! runs 9 links × 20 SNR points × `frames` trials every time it is called,
+//! with no in-process memo, so a restarted process pays for it again. What
+//! makes it cheaper is the chain itself — the OFDM links stream one
+//! symbol at a time through cache-resident buffers and decode on the
+//! widest Viterbi kernel the CPU has — and every speed-up must keep the
+//! tables bit-identical (the digests pinned below and in
+//! `tests/tests/kernel_pins.rs`).
 //!
 //! Calibration contract (see DESIGN.md "City-scale scenarios"):
 //!
@@ -24,6 +35,7 @@ use std::cmp::Ordering;
 
 use wlan_core::linksim::{sweep_per, DsssLink, OfdmLink, PhyLink};
 use wlan_core::dsss::DsssRate;
+use wlan_core::ofdm::phy::MAX_PAYLOAD;
 use wlan_core::ofdm::OfdmRate;
 use wlan_math::WlanError;
 use wlan_runner::journal::fnv1a64;
@@ -204,8 +216,14 @@ impl PerTableSet {
     ///
     /// # Errors
     ///
-    /// [`WlanError::InvalidConfig`] on zero `frames`/`payload_len`.
+    /// [`WlanError::InvalidConfig`] on zero `frames`/`payload_len`, or a
+    /// payload longer than an 802.11a frame carries ([`MAX_PAYLOAD`]).
     pub fn calibrated(payload_len: usize, frames: usize, seed: u64) -> Result<Self, WlanError> {
+        if payload_len > MAX_PAYLOAD {
+            return Err(WlanError::InvalidConfig(
+                "calibration payload exceeds the 12-bit OFDM LENGTH field",
+            ));
+        }
         // −4..34 dB in 2 dB steps spans CCK's knee (~5 dB) through 64-QAM
         // r3/4's (~25 dB) with clamp headroom on both ends.
         let snrs: Vec<f64> = (0..20).map(|i| -4.0 + 2.0 * i as f64).collect();
@@ -353,6 +371,16 @@ mod tests {
         assert!(floor_per > 0.9 && floor_per <= 1.0);
         assert!(set.dsss_per(-10.0) > 0.9);
         assert!(set.dsss_per(30.0) < 0.01);
+    }
+
+    #[test]
+    fn calibrated_rejects_oversize_payload() {
+        // 4096 bytes do not fit the SIGNAL LENGTH field: a typed error up
+        // front, before any link is swept.
+        assert!(matches!(
+            PerTableSet::calibrated(4096, 1, 7),
+            Err(WlanError::InvalidConfig(_))
+        ));
     }
 
     #[test]

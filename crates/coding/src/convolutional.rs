@@ -13,6 +13,22 @@ pub const CONSTRAINT_LENGTH: usize = 7;
 /// Number of trellis states, `2^(K-1)`.
 pub const NUM_STATES: usize = 1 << (CONSTRAINT_LENGTH - 1);
 
+/// Encoder outputs `(A << 1) | B` for every 7-bit register value
+/// `input << 6 | state`: one lookup per encoded bit. The encoder and the
+/// Viterbi decoder's trellis both read this table, so they cannot drift
+/// apart.
+pub(crate) const OUTPUTS: [u8; 2 * NUM_STATES] = {
+    let mut table = [0u8; 2 * NUM_STATES];
+    let mut reg = 0;
+    while reg < 2 * NUM_STATES {
+        let a = ((reg as u32 & G0).count_ones() & 1) as u8;
+        let b = ((reg as u32 & G1).count_ones() & 1) as u8;
+        table[reg] = (a << 1) | b;
+        reg += 1;
+    }
+    table
+};
+
 /// Rate-1/2, K=7 convolutional encoder.
 ///
 /// The encoder is stateful so streaming use is possible; the typical PHY
@@ -47,12 +63,19 @@ impl ConvEncoder {
     /// Panics if `bit` is not 0 or 1.
     pub fn push(&mut self, bit: u8) -> (u8, u8) {
         assert!(bit <= 1, "input bits must be 0 or 1");
+        let pair = self.push_packed(bit);
+        (pair >> 1, pair & 1)
+    }
+
+    /// Encodes one input bit (only its low bit is read), returning the
+    /// output pair packed as `(A << 1) | B` — the streaming form the
+    /// per-symbol transmit chain uses.
+    #[inline]
+    pub fn push_packed(&mut self, bit: u8) -> u8 {
         // Shift register holds the current bit in the MSB position.
-        let reg = (bit as u32) << (CONSTRAINT_LENGTH - 1) | self.state;
-        let a = (reg & G0).count_ones() as u8 & 1;
-        let b = (reg & G1).count_ones() as u8 & 1;
-        self.state = reg >> 1;
-        (a, b)
+        let reg = ((bit & 1) as usize) << (CONSTRAINT_LENGTH - 1) | self.state as usize;
+        self.state = (reg >> 1) as u32;
+        OUTPUTS[reg]
     }
 
     /// Encodes a bit slice without trellis termination.
@@ -87,8 +110,10 @@ impl ConvEncoder {
     }
 }
 
-/// Precomputed trellis output for `(state, input)`, shared with the Viterbi
-/// decoder: returns `(a, b, next_state)`.
+/// Trellis output for `(state, input)` straight from the generator
+/// polynomials: returns `(a, b, next_state)`. The test oracle for
+/// [`OUTPUTS`] and the Viterbi decoder's reference trellis.
+#[cfg(test)]
 pub(crate) fn trellis_step(state: u32, input: u8) -> (u8, u8, u32) {
     let reg = (input as u32) << (CONSTRAINT_LENGTH - 1) | state;
     let a = (reg & G0).count_ones() as u8 & 1;

@@ -75,6 +75,20 @@ impl Interleaver {
         self.forward.iter().map(|&k| bits[k]).collect()
     }
 
+    /// Like [`Interleaver::interleave`], but gathers into a caller-owned
+    /// block (the per-symbol transmit chain's stack buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits.len()` or `out.len()` is not the block size.
+    pub fn interleave_into(&self, bits: &[u8], out: &mut [u8]) {
+        assert_eq!(bits.len(), self.n_cbps, "interleaver block size mismatch");
+        assert_eq!(out.len(), self.n_cbps, "interleaver block size mismatch");
+        for (o, &k) in out.iter_mut().zip(&self.forward) {
+            *o = bits[k];
+        }
+    }
+
     /// Inverse permutation.
     ///
     /// # Panics
@@ -93,6 +107,20 @@ impl Interleaver {
     pub fn deinterleave_soft(&self, llrs: &[f64]) -> Vec<f64> {
         assert_eq!(llrs.len(), self.n_cbps, "interleaver block size mismatch");
         self.inverse.iter().map(|&k| llrs[k]).collect()
+    }
+
+    /// Like [`Interleaver::deinterleave_soft`], but gathers into a
+    /// caller-owned block (the per-symbol receive chain's stack buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `llrs.len()` or `out.len()` is not the block size.
+    pub fn deinterleave_soft_into(&self, llrs: &[f64], out: &mut [f64]) {
+        assert_eq!(llrs.len(), self.n_cbps, "interleaver block size mismatch");
+        assert_eq!(out.len(), self.n_cbps, "interleaver block size mismatch");
+        for (o, &k) in out.iter_mut().zip(&self.inverse) {
+            *o = llrs[k];
+        }
     }
 
     /// Like [`Interleaver::deinterleave_soft`], but a wrong block size

@@ -7,8 +7,11 @@
 //! The workhorse is [`ViterbiKernel`]: a reusable decoder whose trellis pass
 //! runs allocation-free against a scratch arena owned by the kernel — a flat
 //! per-step branch-metric table (four correlation sums shared by all 64
-//! states), precomputed branch outputs for every 7-bit register value, and
-//! one `u64` of bit-parallel survivor decisions per trellis step. The
+//! states), the encoder's branch outputs for every 7-bit register value,
+//! and one `u64` of bit-parallel survivor decisions per trellis step. The
+//! forward pass runs on the widest of AVX-512F, AVX2 or the portable
+//! scalar step the CPU supports; every vector path is pinned bit-identical
+//! to the scalar step, survivor words included. The
 //! ergonomic [`ViterbiDecoder`] front end delegates to a thread-local kernel,
 //! so the per-call `Vec` churn of the original implementation is gone from
 //! the sweep hot path while the public API is unchanged. Kernel and front
@@ -17,7 +20,9 @@
 //! better high branch, exactly the add-compare-select order of the scalar
 //! reference loop.
 
-use crate::convolutional::{trellis_step, CONSTRAINT_LENGTH, NUM_STATES};
+#[cfg(test)]
+use crate::convolutional::trellis_step;
+use crate::convolutional::{CONSTRAINT_LENGTH, NUM_STATES, OUTPUTS};
 use std::cell::RefCell;
 use wlan_math::WlanError;
 
@@ -92,16 +97,13 @@ impl<'a> FrameLlrs<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ViterbiKernel {
-    /// Branch outputs `(a << 1) | b` indexed by the 7-bit register value
-    /// `input << 6 | state`; built from the encoder's own `trellis_step` so
-    /// the two can never drift apart.
-    out2: [u8; 2 * NUM_STATES],
-    /// Branch-metric sign tables for the vector path (see [`simd`]), laid
-    /// out in that path's lane order; unused when AVX2 is unavailable.
+    /// Branch-metric sign tables for the vector paths (see [`simd`]);
+    /// unused on the scalar path.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     signs: simd::SignTables,
-    /// Whether this process may use the AVX2 add-compare-select step
-    /// (checked once at construction via runtime feature detection).
-    use_avx2: bool,
+    /// The forward pass this kernel runs, picked once at construction by
+    /// runtime feature detection.
+    path: AcsPath,
     /// One survivor word per trellis step: bit `s` set means next-state `s`
     /// kept its high (odd-register) predecessor.
     survivors: Vec<u64>,
@@ -109,27 +111,49 @@ pub struct ViterbiKernel {
     decoded: Vec<u8>,
 }
 
+/// The add-compare-select implementations. Every vector path reproduces
+/// [`acs_step_scalar`] bit for bit, survivor words included; the widest
+/// one the CPU supports is used.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcsPath {
+    /// The portable reference step.
+    Scalar,
+    /// 4 butterflies per 256-bit vector.
+    Avx2,
+    /// 8 butterflies per 512-bit vector, path metrics held in registers
+    /// across the whole frame.
+    Avx512,
+}
+
+impl AcsPath {
+    /// Whether this process may run the path.
+    fn available(self) -> bool {
+        match self {
+            AcsPath::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            AcsPath::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            AcsPath::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The widest available path.
+    fn detect() -> Self {
+        [AcsPath::Avx512, AcsPath::Avx2]
+            .into_iter()
+            .find(|p| p.available())
+            .unwrap_or(AcsPath::Scalar)
+    }
+}
+
 impl ViterbiKernel {
     /// Creates a kernel with an empty scratch arena.
     pub fn new() -> Self {
-        let mut out2 = [0u8; 2 * NUM_STATES];
-        for state in 0..NUM_STATES as u32 {
-            for input in 0..=1u8 {
-                let (a, b, _next) = trellis_step(state, input);
-                let reg = (input as usize) << (CONSTRAINT_LENGTH - 1) | state as usize;
-                out2[reg] = (a << 1) | b;
-            }
-        }
-        // The butterfly in `run_trellis` relies on both generator
-        // polynomials having their top bit set, so the input bit
-        // complements both outputs.
-        for state in 0..NUM_STATES {
-            debug_assert_eq!(out2[state] ^ out2[state | NUM_STATES], 3);
-        }
         ViterbiKernel {
-            out2,
-            signs: simd::SignTables::new(&out2),
-            use_avx2: simd::available(),
+            signs: simd::SignTables::new(&OUTPUTS),
+            path: AcsPath::detect(),
             survivors: Vec::new(),
             decoded: Vec::new(),
         }
@@ -182,26 +206,19 @@ impl ViterbiKernel {
     fn run_trellis(&mut self, llrs: &[f64], total_steps: usize, terminated: bool) {
         self.survivors.clear();
         self.survivors.resize(total_steps, 0);
-
-        // Path metrics ping-pong between two stack banks via pointer swap.
-        let mut bank_a = [NEG_INF; NUM_STATES];
-        let mut bank_b = [NEG_INF; NUM_STATES];
-        bank_a[0] = 0.0; // encoder starts in state 0
-        let (mut metrics, mut next_metrics) = (&mut bank_a, &mut bank_b);
-
-        for t in 0..total_steps {
-            let la = llrs[2 * t];
-            let lb = llrs[2 * t + 1];
-            let word = if self.use_avx2 {
-                // SAFETY: `use_avx2` is only set when runtime detection
-                // confirmed AVX2 support (see `simd::available`).
-                unsafe { simd::acs_step_avx2(&self.signs, metrics, next_metrics, la, lb) }
-            } else {
-                acs_step_scalar(&self.out2, metrics, next_metrics, la, lb)
-            };
-            self.survivors[t] = word;
-            std::mem::swap(&mut metrics, &mut next_metrics);
-        }
+        let llrs = &llrs[..2 * total_steps];
+        let metrics = match self.path {
+            // SAFETY: `path` is only ever a vector path that
+            // `AcsPath::available` confirmed on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            AcsPath::Avx512 => unsafe {
+                simd::forward_avx512(&self.signs, llrs, &mut self.survivors)
+            },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            AcsPath::Avx2 => unsafe { simd::forward_avx2(&self.signs, llrs, &mut self.survivors) },
+            _ => forward_scalar(llrs, &mut self.survivors),
+        };
 
         // Terminated: trace back from state 0; otherwise from the best end
         // state. The fold is infallible over the fixed state set and keeps
@@ -235,11 +252,25 @@ impl Default for ViterbiKernel {
     }
 }
 
+/// The scalar forward pass: one [`acs_step_scalar`] per LLR pair, writing
+/// one survivor word per step; returns the final path metrics.
+fn forward_scalar(llrs: &[f64], survivors: &mut [u64]) -> [f64; NUM_STATES] {
+    // Path metrics ping-pong between two stack banks via pointer swap.
+    let mut bank_a = [NEG_INF; NUM_STATES];
+    let mut bank_b = [NEG_INF; NUM_STATES];
+    bank_a[0] = 0.0; // encoder starts in state 0
+    let (mut metrics, mut next_metrics) = (&mut bank_a, &mut bank_b);
+    for (pair, word) in llrs.chunks_exact(2).zip(survivors.iter_mut()) {
+        *word = acs_step_scalar(metrics, next_metrics, pair[0], pair[1]);
+        std::mem::swap(&mut metrics, &mut next_metrics);
+    }
+    *metrics
+}
+
 /// One add-compare-select trellis step (all 64 next-states); returns the
-/// survivor word. This is the portable reference the vector path must match
-/// bit for bit.
+/// survivor word. This is the portable reference the vector paths must
+/// match bit for bit.
 fn acs_step_scalar(
-    out2: &[u8; 2 * NUM_STATES],
     metrics: &[f64; NUM_STATES],
     next_metrics: &mut [f64; NUM_STATES],
     la: f64,
@@ -252,15 +283,15 @@ fn acs_step_scalar(
     // Butterfly pairing: next-states j and j+32 share predecessors 2j and
     // 2j+1, and because both generator polynomials have their top bit set,
     // flipping the input bit complements both outputs — the j+32 branch
-    // metrics are the exact IEEE negations of the j ones (asserted in
-    // `ViterbiKernel::new`). One pass over the predecessor metrics
-    // therefore feeds both halves.
+    // metrics are the exact IEEE negations of the j ones (pinned by
+    // `output_table_has_butterfly_symmetry`). One pass over the
+    // predecessor metrics therefore feeds both halves.
     for j in 0..NUM_STATES / 2 {
         let reg_lo = j << 1;
         let m0 = metrics[reg_lo];
         let m1 = metrics[reg_lo | 1];
-        let b0 = bm[out2[reg_lo] as usize];
-        let b1 = bm[out2[reg_lo | 1] as usize];
+        let b0 = bm[OUTPUTS[reg_lo] as usize];
+        let b1 = bm[OUTPUTS[reg_lo | 1] as usize];
         // Strict '>' keeps the scalar reference's low-predecessor-wins
         // tie-break, so outputs stay bit-identical.
         let (lo, hi) = (m0 + b0, m1 + b1);
@@ -277,7 +308,7 @@ fn acs_step_scalar(
     word
 }
 
-/// AVX2 add-compare-select step, 4 butterflies per vector iteration.
+/// The vector add-compare-select passes.
 ///
 /// Bit-identity with [`acs_step_scalar`] holds because every float op maps
 /// one-to-one: branch metrics are `±la + ±lb` (sign multiplication is
@@ -285,10 +316,19 @@ fn acs_step_scalar(
 /// order, and the select uses the same strict `hi > lo` predicate
 /// (`_CMP_GT_OQ`). No FMA contraction can occur — intrinsics lower to the
 /// exact instructions named.
+///
+/// Only the even predecessor's branch metric `b0` is formed: the odd
+/// predecessor of a butterfly emits the complementary output pair
+/// (pinned by `output_table_has_butterfly_symmetry`), so `b1 = −b0`, and `m1 + b1`,
+/// `m1 − b1` are computed as `m1 − b0`, `m1 + b0`. The two can differ only
+/// in the sign of a zero branch metric, and adding `±0` to a path metric
+/// gives the same bits unless the metric is `−0`, which no path metric
+/// ever is: they start at `+0` or `−∞`, and a sum is `−0` only when both
+/// operands are.
 mod simd {
     use super::NUM_STATES;
 
-    /// Butterfly lane order inside each 4-wide block: `unpacklo/hi_pd`
+    /// AVX2 butterfly lane order inside each 4-wide block: `unpacklo/hi_pd`
     /// interleave 128-bit lanes, so block k processes butterflies
     /// `4k + [0, 2, 1, 3]` in lanes 0..4. The permutation is self-inverse;
     /// sign tables are pre-permuted, results re-permuted before storing.
@@ -296,6 +336,7 @@ mod simd {
 
     /// Maps a `movemask` nibble (lane order) to survivor bits (butterfly
     /// order): output bit `LANES[l]` = input bit `l`.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     const NIBBLE: [u8; 16] = {
         let mut table = [0u8; 16];
         let mut m = 0;
@@ -310,122 +351,172 @@ mod simd {
         table
     };
 
-    /// Branch-metric signs in lane order: entry `4k + l` belongs to
-    /// butterfly `4k + LANES[l]`, with `bm = sa·la + sb·lb` and
-    /// `sa, sb ∈ {+1, -1}` (+1 when the branch emits a 0).
+    /// Signs of the even predecessor's branch metric, `b0 = sa·la + sb·lb`
+    /// with `sa, sb ∈ {+1, −1}` (+1 when the branch emits a 0): in AVX2
+    /// lane order (entry `4k + l` belongs to butterfly `4k + LANES[l]`) and
+    /// in butterfly order for AVX-512.
     #[derive(Debug, Clone)]
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     pub(super) struct SignTables {
-        pub sae: [f64; NUM_STATES / 2],
-        pub sbe: [f64; NUM_STATES / 2],
-        pub sao: [f64; NUM_STATES / 2],
-        pub sbo: [f64; NUM_STATES / 2],
+        sa_lanes: [f64; NUM_STATES / 2],
+        sb_lanes: [f64; NUM_STATES / 2],
+        sa: [f64; NUM_STATES / 2],
+        sb: [f64; NUM_STATES / 2],
     }
 
     impl SignTables {
-        pub(super) fn new(out2: &[u8; 2 * NUM_STATES]) -> Self {
+        pub(super) fn new(outputs: &[u8; 2 * NUM_STATES]) -> Self {
             let sign = |bit: u8| if bit == 0 { 1.0 } else { -1.0 };
             let mut t = SignTables {
-                sae: [0.0; NUM_STATES / 2],
-                sbe: [0.0; NUM_STATES / 2],
-                sao: [0.0; NUM_STATES / 2],
-                sbo: [0.0; NUM_STATES / 2],
+                sa_lanes: [0.0; NUM_STATES / 2],
+                sb_lanes: [0.0; NUM_STATES / 2],
+                sa: [0.0; NUM_STATES / 2],
+                sb: [0.0; NUM_STATES / 2],
             };
-            for k in 0..NUM_STATES / 8 {
-                for (l, &lane) in LANES.iter().enumerate() {
-                    let j = 4 * k + lane;
-                    let (even, odd) = (out2[2 * j], out2[2 * j + 1]);
-                    t.sae[4 * k + l] = sign(even >> 1);
-                    t.sbe[4 * k + l] = sign(even & 1);
-                    t.sao[4 * k + l] = sign(odd >> 1);
-                    t.sbo[4 * k + l] = sign(odd & 1);
-                }
+            for j in 0..NUM_STATES / 2 {
+                let even = outputs[2 * j];
+                let slot = (j & !3) | LANES[j & 3];
+                t.sa_lanes[slot] = sign(even >> 1);
+                t.sb_lanes[slot] = sign(even & 1);
+                t.sa[j] = sign(even >> 1);
+                t.sb[j] = sign(even & 1);
             }
             t
         }
     }
 
-    /// Whether the AVX2 step may be used in this process.
-    pub(super) fn available() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-
+    /// AVX2 forward pass, 4 butterflies per vector; returns the final
+    /// path metrics.
+    ///
+    /// Runs one step per LLR pair that has a survivor slot.
+    ///
     /// # Safety
     ///
-    /// The CPU must support AVX2 (guaranteed by [`available`]).
+    /// The CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn acs_step_avx2(
+    pub(super) unsafe fn forward_avx2(
         sgn: &SignTables,
-        metrics: &[f64; NUM_STATES],
-        next_metrics: &mut [f64; NUM_STATES],
-        la: f64,
-        lb: f64,
-    ) -> u64 {
+        llrs: &[f64],
+        survivors: &mut [u64],
+    ) -> [f64; NUM_STATES] {
         use std::arch::x86_64::*;
         // Lane selector [0, 2, 1, 3]: undoes the unpack interleave.
         const UNSHUFFLE: i32 = 0b11_01_10_00;
-        let la_v = _mm256_set1_pd(la);
-        let lb_v = _mm256_set1_pd(lb);
-        let mut word = 0u64;
-        for k in 0..NUM_STATES / 8 {
-            // Predecessor metrics for butterflies 4k..4k+4: states
-            // 8k..8k+8, split into even (m0) and odd (m1) lanes.
-            let v0 = _mm256_loadu_pd(metrics.as_ptr().add(8 * k));
-            let v1 = _mm256_loadu_pd(metrics.as_ptr().add(8 * k + 4));
-            let m0 = _mm256_unpacklo_pd(v0, v1);
-            let m1 = _mm256_unpackhi_pd(v0, v1);
-            let b0 = _mm256_add_pd(
-                _mm256_mul_pd(_mm256_loadu_pd(sgn.sae.as_ptr().add(4 * k)), la_v),
-                _mm256_mul_pd(_mm256_loadu_pd(sgn.sbe.as_ptr().add(4 * k)), lb_v),
-            );
-            let b1 = _mm256_add_pd(
-                _mm256_mul_pd(_mm256_loadu_pd(sgn.sao.as_ptr().add(4 * k)), la_v),
-                _mm256_mul_pd(_mm256_loadu_pd(sgn.sbo.as_ptr().add(4 * k)), lb_v),
-            );
-            // Input-0 half: next-states j = 4k..4k+4.
-            let lo = _mm256_add_pd(m0, b0);
-            let hi = _mm256_add_pd(m1, b1);
-            let take = _mm256_cmp_pd::<_CMP_GT_OQ>(hi, lo);
-            let sel = _mm256_blendv_pd(lo, hi, take);
-            _mm256_storeu_pd(
-                next_metrics.as_mut_ptr().add(4 * k),
-                _mm256_permute4x64_pd::<UNSHUFFLE>(sel),
-            );
-            let mask = _mm256_movemask_pd(take) as usize;
-            word |= (NIBBLE[mask] as u64) << (4 * k);
-            // Input-1 half: next-states j+32, exact IEEE negations.
-            let lo = _mm256_sub_pd(m0, b0);
-            let hi = _mm256_sub_pd(m1, b1);
-            let take = _mm256_cmp_pd::<_CMP_GT_OQ>(hi, lo);
-            let sel = _mm256_blendv_pd(lo, hi, take);
-            _mm256_storeu_pd(
-                next_metrics.as_mut_ptr().add(4 * k + NUM_STATES / 2),
-                _mm256_permute4x64_pd::<UNSHUFFLE>(sel),
-            );
-            let mask = _mm256_movemask_pd(take) as usize;
-            word |= (NIBBLE[mask] as u64) << (4 * k + NUM_STATES / 2);
+        let mut bank_a = [f64::NEG_INFINITY; NUM_STATES];
+        let mut bank_b = [f64::NEG_INFINITY; NUM_STATES];
+        bank_a[0] = 0.0;
+        let (mut metrics, mut next_metrics) = (&mut bank_a, &mut bank_b);
+        for (pair, slot) in llrs.chunks_exact(2).zip(survivors.iter_mut()) {
+            let la_v = _mm256_set1_pd(pair[0]);
+            let lb_v = _mm256_set1_pd(pair[1]);
+            let mut word = 0u64;
+            for k in 0..NUM_STATES / 8 {
+                // SAFETY (all loads/stores): 8k + 8 ≤ 64 metric slots and
+                // 4k + 4 ≤ 32 sign slots for k < 8.
+                // Predecessor metrics for butterflies 4k..4k+4: states
+                // 8k..8k+8, split into even (m0) and odd (m1) lanes.
+                let v0 = _mm256_loadu_pd(metrics.as_ptr().add(8 * k));
+                let v1 = _mm256_loadu_pd(metrics.as_ptr().add(8 * k + 4));
+                let m0 = _mm256_unpacklo_pd(v0, v1);
+                let m1 = _mm256_unpackhi_pd(v0, v1);
+                let b0 = _mm256_add_pd(
+                    _mm256_mul_pd(_mm256_loadu_pd(sgn.sa_lanes.as_ptr().add(4 * k)), la_v),
+                    _mm256_mul_pd(_mm256_loadu_pd(sgn.sb_lanes.as_ptr().add(4 * k)), lb_v),
+                );
+                // Input-0 half: next-states j = 4k..4k+4.
+                let lo = _mm256_add_pd(m0, b0);
+                let hi = _mm256_sub_pd(m1, b0);
+                let take = _mm256_cmp_pd::<_CMP_GT_OQ>(hi, lo);
+                let sel = _mm256_blendv_pd(lo, hi, take);
+                _mm256_storeu_pd(
+                    next_metrics.as_mut_ptr().add(4 * k),
+                    _mm256_permute4x64_pd::<UNSHUFFLE>(sel),
+                );
+                let mask = _mm256_movemask_pd(take) as usize;
+                word |= (NIBBLE[mask] as u64) << (4 * k);
+                // Input-1 half: next-states j+32, exact IEEE negations.
+                let lo = _mm256_sub_pd(m0, b0);
+                let hi = _mm256_add_pd(m1, b0);
+                let take = _mm256_cmp_pd::<_CMP_GT_OQ>(hi, lo);
+                let sel = _mm256_blendv_pd(lo, hi, take);
+                _mm256_storeu_pd(
+                    next_metrics.as_mut_ptr().add(4 * k + NUM_STATES / 2),
+                    _mm256_permute4x64_pd::<UNSHUFFLE>(sel),
+                );
+                let mask = _mm256_movemask_pd(take) as usize;
+                word |= (NIBBLE[mask] as u64) << (4 * k + NUM_STATES / 2);
+            }
+            *slot = word;
+            std::mem::swap(&mut metrics, &mut next_metrics);
         }
-        word
+        *metrics
     }
 
-    /// Scalar-only builds still call through the dispatch arm; keep the
-    /// symbol so `run_trellis` compiles everywhere.
-    #[cfg(not(target_arch = "x86_64"))]
-    pub(super) unsafe fn acs_step_avx2(
-        _sgn: &SignTables,
-        _metrics: &[f64; NUM_STATES],
-        _next_metrics: &mut [f64; NUM_STATES],
-        _la: f64,
-        _lb: f64,
-    ) -> u64 {
-        unreachable!("avx2 path is never selected off x86_64")
+    /// AVX-512F forward pass, 8 butterflies per vector; returns the final
+    /// path metrics.
+    ///
+    /// The 64 path metrics live in eight registers for the whole frame:
+    /// register `r` holds states `8r..8r+8`. Butterfly block `k` (next
+    /// states `8k..8k+8` and `32+8k..32+8k+8`) reads registers `2k` and
+    /// `2k+1`, whose even and odd states `permutex2var` splits into the two
+    /// predecessor vectors. Lanes are in butterfly order, so the
+    /// compare-into-mask is already the survivor byte and `mask_blend`
+    /// is the select.
+    ///
+    /// Runs one step per LLR pair that has a survivor slot.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn forward_avx512(
+        sgn: &SignTables,
+        llrs: &[f64],
+        survivors: &mut [u64],
+    ) -> [f64; NUM_STATES] {
+        use std::arch::x86_64::*;
+        let even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+        let odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+        // SAFETY: each table holds 32 = 4 · 8 entries.
+        let sa: [__m512d; 4] = std::array::from_fn(|k| _mm512_loadu_pd(sgn.sa.as_ptr().add(8 * k)));
+        let sb: [__m512d; 4] = std::array::from_fn(|k| _mm512_loadu_pd(sgn.sb.as_ptr().add(8 * k)));
+        let neg_inf = _mm512_set1_pd(f64::NEG_INFINITY);
+        let mut regs = [neg_inf; NUM_STATES / 8];
+        // State 0 starts at metric 0: lane 0 of register 0.
+        regs[0] = _mm512_mask_blend_pd(1, neg_inf, _mm512_setzero_pd());
+        for (pair, slot) in llrs.chunks_exact(2).zip(survivors.iter_mut()) {
+            let la_v = _mm512_set1_pd(pair[0]);
+            let lb_v = _mm512_set1_pd(pair[1]);
+            let mut next = regs;
+            let mut word = 0u64;
+            for k in 0..NUM_STATES / 16 {
+                let m0 = _mm512_permutex2var_pd(regs[2 * k], even, regs[2 * k + 1]);
+                let m1 = _mm512_permutex2var_pd(regs[2 * k], odd, regs[2 * k + 1]);
+                let b0 = _mm512_add_pd(_mm512_mul_pd(sa[k], la_v), _mm512_mul_pd(sb[k], lb_v));
+                // Input-0 half: next-states j = 8k..8k+8.
+                let lo = _mm512_add_pd(m0, b0);
+                let hi = _mm512_sub_pd(m1, b0);
+                let take = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(hi, lo);
+                next[k] = _mm512_mask_blend_pd(take, lo, hi);
+                word |= (take as u64) << (8 * k);
+                // Input-1 half: next-states j+32, exact IEEE negations.
+                let lo = _mm512_sub_pd(m0, b0);
+                let hi = _mm512_add_pd(m1, b0);
+                let take = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(hi, lo);
+                next[k + NUM_STATES / 16] = _mm512_mask_blend_pd(take, lo, hi);
+                word |= (take as u64) << (8 * k + NUM_STATES / 2);
+            }
+            *slot = word;
+            regs = next;
+        }
+        let mut metrics = [0.0; NUM_STATES];
+        for (r, reg) in regs.iter().enumerate() {
+            // SAFETY: 8r + 8 ≤ 64 for r < 8.
+            _mm512_storeu_pd(metrics.as_mut_ptr().add(8 * r), *reg);
+        }
+        metrics
     }
 }
 
@@ -521,10 +612,11 @@ impl ViterbiDecoder {
 
 #[cfg(test)]
 impl ViterbiKernel {
-    /// Forces the portable scalar step, so tests can pin the vector path
-    /// against it on the same machine.
-    fn scalar_only(mut self) -> Self {
-        self.use_avx2 = false;
+    /// Forces one add-compare-select path, so tests can pin every vector
+    /// path the host supports against the scalar step on the same machine.
+    fn on_path(mut self, path: AcsPath) -> Self {
+        assert!(path.available(), "{path:?} is not available on this CPU");
+        self.path = path;
         self
     }
 }
@@ -541,39 +633,76 @@ mod tests {
 
     #[test]
     fn vector_and_scalar_trellis_are_bit_identical() {
+        // Every vector path this host supports against the scalar step:
+        // decoded bits and every survivor word, terminated frames and
+        // unterminated streams (whose traceback starts from the final
+        // metrics, so those are compared through the chosen end state).
         use wlan_math::rng::{Rng, WlanRng};
-        let mut fast = ViterbiKernel::new();
-        if !fast.use_avx2 {
-            // Nothing to cross-check on machines without AVX2; the scalar
-            // path is the reference and is covered by every other test.
-            return;
-        }
-        let mut scalar = ViterbiKernel::new().scalar_only();
-        let mut rng = WlanRng::seed_from_u64(17);
-        for trial in 0..200u64 {
-            let n = 8 + (trial as usize % 64);
-            let data: Vec<u8> = (0..n).map(|_| rng.gen_range(0..2u8)).collect();
-            let coded = ConvEncoder::new().encode_terminated(&data);
-            // Noisy LLRs (including occasional exact erasures) so survivor
-            // selections and tie-breaks are exercised, not just clean runs.
-            let llrs: Vec<f64> = coded
-                .iter()
-                .map(|&b| {
+        let mut scalar = ViterbiKernel::new().on_path(AcsPath::Scalar);
+        for path in [AcsPath::Avx2, AcsPath::Avx512] {
+            if !path.available() {
+                // The scalar path is the reference and is covered by every
+                // other test.
+                continue;
+            }
+            let mut fast = ViterbiKernel::new().on_path(path);
+            let mut rng = WlanRng::seed_from_u64(17);
+            for trial in 0..200u64 {
+                let n = 8 + (trial as usize % 64);
+                let data: Vec<u8> = (0..n).map(|_| rng.gen_range(0..2u8)).collect();
+                let terminated = trial % 2 == 0;
+                let coded = if terminated {
+                    ConvEncoder::new().encode_terminated(&data)
+                } else {
+                    ConvEncoder::new().encode(&data)
+                };
+                // Noisy LLRs (including occasional exact erasures and
+                // opposite pairs whose branch metric is an exact zero) so
+                // survivor selections and tie-breaks are exercised, not
+                // just clean runs.
+                let mut llrs: Vec<f64> = coded
+                    .iter()
+                    .map(|&b| {
+                        if rng.gen_bool(0.05) {
+                            0.0
+                        } else {
+                            (if b == 0 { 1.0 } else { -1.0 }) + rng.gen_gaussian()
+                        }
+                    })
+                    .collect();
+                for pair in llrs.chunks_exact_mut(2) {
                     if rng.gen_bool(0.05) {
-                        0.0
-                    } else {
-                        (if b == 0 { 1.0 } else { -1.0 }) + rng.gen_gaussian()
+                        pair[1] = -pair[0];
                     }
-                })
-                .collect();
-            let frame = FrameLlrs::terminated(&llrs, n);
-            let a = fast.decode(frame).unwrap();
-            let b = scalar.decode(frame).unwrap();
-            assert_eq!(a, b, "decoded bits diverge at trial {trial}");
-            assert_eq!(
-                fast.survivors, scalar.survivors,
-                "survivor words diverge at trial {trial}"
-            );
+                }
+                let frame = if terminated {
+                    FrameLlrs::terminated(&llrs, n)
+                } else {
+                    FrameLlrs::unterminated(&llrs, n)
+                };
+                let a = fast.decode(frame).unwrap();
+                let b = scalar.decode(frame).unwrap();
+                assert_eq!(a, b, "{path:?}: decoded bits diverge at trial {trial}");
+                assert_eq!(
+                    fast.survivors, scalar.survivors,
+                    "{path:?}: survivor words diverge at trial {trial}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn output_table_has_butterfly_symmetry() {
+        // The scalar butterfly needs the input bit to complement both
+        // outputs; the vector paths also need the two predecessors of a
+        // butterfly to emit complementary pairs (so `b1 = -b0`).
+        for state in 0..NUM_STATES {
+            assert_eq!(OUTPUTS[state] ^ OUTPUTS[state | NUM_STATES], 3);
+            let (a, b, _) = trellis_step(state as u32, 0);
+            assert_eq!(OUTPUTS[state], (a << 1) | b);
+        }
+        for j in 0..NUM_STATES / 2 {
+            assert_eq!(OUTPUTS[2 * j] ^ OUTPUTS[2 * j + 1], 3);
         }
     }
 
@@ -885,7 +1014,7 @@ mod perf_probe {
 
     #[test]
     #[ignore = "manual timing probe"]
-    fn time_both_paths() {
+    fn time_every_path() {
         use wlan_math::rng::{Rng, WlanRng};
         let mut rng = WlanRng::seed_from_u64(5);
         let data: Vec<u8> = (0..800).map(|_| rng.gen_range(0..2u8)).collect();
@@ -894,18 +1023,20 @@ mod perf_probe {
             .iter()
             .map(|&b| (if b == 0 { 1.0 } else { -1.0 }) + 0.3 * rng.gen_gaussian())
             .collect();
-        let mut fast = ViterbiKernel::new();
-        println!("avx2 selected: {}", fast.use_avx2);
-        let mut scalar = ViterbiKernel::new().scalar_only();
         let mut bits = Vec::new();
-        for (name, k) in [("vector", &mut fast), ("scalar", &mut scalar)] {
+        for path in [AcsPath::Scalar, AcsPath::Avx2, AcsPath::Avx512] {
+            if !path.available() {
+                continue;
+            }
+            let mut k = ViterbiKernel::new().on_path(path);
             let t = std::time::Instant::now();
             for _ in 0..2000 {
                 k.decode_into(FrameLlrs::terminated(&llrs, data.len()), &mut bits)
                     .unwrap();
                 std::hint::black_box(&bits);
             }
-            println!("{name}: {:.1} us/frame", t.elapsed().as_secs_f64() / 2000.0 * 1e6);
+            let us = t.elapsed().as_secs_f64() / 2000.0 * 1e6;
+            println!("{path:?}: {us:.1} us/frame");
         }
     }
 }

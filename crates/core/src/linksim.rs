@@ -26,13 +26,24 @@
 //!
 //! The receive chains lean on reusable per-thread kernels: every worker
 //! thread owns a thread-local [`wlan_coding::ViterbiKernel`] (survivor
-//! arena + branch-metric tables, reached through `ViterbiDecoder`) and a
-//! thread-local FFT plan cache (`wlan_math::fft::cached_plan`, precomputed
-//! bit-reversal and twiddle tables). Workers therefore share *no* mutable
-//! decode state — each one gets its own kernel set the first time it
-//! touches a frame — and kernel reuse only recycles scratch buffers, never
-//! numeric state, so the bit-identical-at-any-thread-count contract above
-//! is unaffected by the batching.
+//! arena, reached through `ViterbiDecoder`; its add-compare-select runs on
+//! the widest of AVX-512F, AVX2 or the scalar reference step the CPU
+//! supports, all bit-identical) and a thread-local FFT plan cache
+//! (`wlan_math::fft::cached_plan`, precomputed bit-reversal and twiddle
+//! tables). Workers therefore share *no* mutable decode state — each one
+//! gets its own kernel set the first time it touches a frame — and kernel
+//! reuse only recycles scratch buffers, never numeric state, so the
+//! bit-identical-at-any-thread-count contract above is unaffected by the
+//! batching.
+//!
+//! The 802.11a chain ([`OfdmLink`]) streams one OFDM symbol at a time in
+//! both directions: the transmitter encodes, punctures, interleaves, maps
+//! and IFFTs each symbol straight into the frame buffer, and the receiver
+//! FFTs, equalizes, demaps, deinterleaves and depunctures each symbol
+//! straight into the Viterbi LLR buffer. Every floating-point operation
+//! and its order are those of the stage-at-a-time chain it replaced
+//! (pinned by `tests/tests/kernel_pins.rs`), so PER curves and the city's
+//! calibrated tables are unchanged.
 //!
 //! # One chain per generation
 //!
@@ -56,6 +67,7 @@ use wlan_math::WlanError;
 use wlan_mimo::detect::Detector;
 use wlan_mimo::phy::{propagate, MimoOfdmConfig, MimoOfdmPhy};
 use wlan_ofdm::params::Modulation;
+use wlan_ofdm::phy::MAX_PAYLOAD;
 use wlan_ofdm::{OfdmPhy, OfdmRate};
 
 /// Per-stage wall-clock histograms for the TX→channel→RX pipeline, in
@@ -551,6 +563,11 @@ impl PhyLink for OfdmLink {
         faults: &FaultChain,
         rng: &mut WlanRng,
     ) -> Result<bool, WlanError> {
+        if payload.len() > MAX_PAYLOAD {
+            return Err(WlanError::InvalidConfig(
+                "OFDM payload exceeds the 12-bit LENGTH field",
+            ));
+        }
         let timers = stage_timers();
         let phy = OfdmPhy::new(self.rate);
         let span = timers.tx.start();
@@ -1073,6 +1090,22 @@ mod tests {
                 .any(|v| matches!(v, Err(WlanError::FrameTruncated { .. }))),
             "hard truncation must surface as the typed erasure"
         );
+    }
+
+    #[test]
+    fn oversize_ofdm_payload_is_a_typed_error() {
+        // The 12-bit LENGTH field caps an 802.11a frame at 4095 bytes; a
+        // longer payload is a configuration error, not a panic.
+        let link = OfdmLink::awgn(OfdmRate::R54);
+        let mut rng = WlanRng::seed_from_u64(3);
+        let clean = FaultChain::clean();
+        assert!(matches!(
+            link.frame_trial_faulted(20.0, &vec![0u8; 4096], &clean, &mut rng),
+            Err(WlanError::InvalidConfig(_))
+        ));
+        assert!(link
+            .frame_trial_faulted(40.0, &vec![0xA5u8; 4095], &clean, &mut rng)
+            .expect("4095 bytes fit"));
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub fn is_power_of_two(n: usize) -> bool {
 ///
 /// Holds the bit-reversal swap list and per-stage twiddle tables, so
 /// executing a transform performs no allocation and no trigonometry. One
-/// plan serves both directions: the inverse conjugates the tabulated
-/// twiddles (exact) and applies the 1/N normalization.
+/// plan serves both directions: the inverse runs on a conjugated copy of
+/// the twiddles (exact) and applies the 1/N normalization.
 ///
 /// # Examples
 ///
@@ -53,6 +53,10 @@ pub struct FftPlan {
     /// Forward twiddles `e^{-2πik/len}`, stage `len` at offset `len/2 - 1`
     /// holding `len/2` entries (total `n − 1`).
     twiddles: Vec<Complex>,
+    /// The same table conjugated once at build (exact: only the sign of
+    /// the imaginary part flips), so the inverse runs the forward
+    /// butterflies unchanged.
+    inverse_twiddles: Vec<Complex>,
 }
 
 impl FftPlan {
@@ -85,7 +89,13 @@ impl FftPlan {
             }
             len <<= 1;
         }
-        FftPlan { n, swaps, twiddles }
+        let inverse_twiddles = twiddles.iter().map(|w| w.conj()).collect();
+        FftPlan {
+            n,
+            swaps,
+            twiddles,
+            inverse_twiddles,
+        }
     }
 
     /// Like [`FftPlan::new`], but a non-power-of-two length returns a typed
@@ -118,29 +128,27 @@ impl FftPlan {
         }
     }
 
-    /// Danielson-Lanczos butterflies over one `n`-sample block; `inverse`
-    /// conjugates the tabulated forward twiddles (exact, no extra tables).
+    /// Danielson-Lanczos butterflies over one `n`-sample block against a
+    /// stage-ordered twiddle table. Each stage walks its butterfly groups
+    /// with `chunks_exact_mut` and splits each group into its two halves,
+    /// so the inner loop carries no direction branch and no bounds check.
     #[inline]
-    fn butterflies(&self, data: &mut [Complex], inverse: bool) {
-        let n = self.n;
-        let mut len = 2;
+    fn butterflies(data: &mut [Complex], twiddles: &[Complex]) {
+        let mut half = 1;
         let mut stage = 0usize;
-        while len <= n {
-            let half = len / 2;
-            let stage_tw = &self.twiddles[stage..stage + half];
-            let mut i = 0;
-            while i < n {
-                for (k, &tw) in stage_tw.iter().enumerate() {
-                    let w = if inverse { tw.conj() } else { tw };
-                    let u = data[i + k];
-                    let v = data[i + k + half] * w;
-                    data[i + k] = u + v;
-                    data[i + k + half] = u - v;
+        while half < data.len() {
+            let stage_tw = &twiddles[stage..stage + half];
+            for group in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = group.split_at_mut(half);
+                for ((u, v), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage_tw) {
+                    let a = *u;
+                    let b = *v * w;
+                    *u = a + b;
+                    *v = a - b;
                 }
-                i += len;
             }
             stage += half;
-            len <<= 1;
+            half <<= 1;
         }
     }
 
@@ -149,7 +157,12 @@ impl FftPlan {
             return;
         }
         self.permute(data);
-        self.butterflies(data, inverse);
+        let twiddles = if inverse {
+            &self.inverse_twiddles
+        } else {
+            &self.twiddles
+        };
+        Self::butterflies(data, twiddles);
         if inverse {
             let scale = 1.0 / self.n as f64;
             for v in data.iter_mut() {

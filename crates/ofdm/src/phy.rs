@@ -12,16 +12,15 @@
 //! The receiver estimates the channel from the LTF, decodes SIGNAL to learn
 //! rate and length, then equalizes and soft-decodes the data field.
 
-use crate::params::{OfdmRate, N_SYM_SAMPLES};
+use std::sync::OnceLock;
+
+use crate::params::{OfdmRate, N_DATA, N_SYM_SAMPLES};
 use crate::preamble;
 use crate::qam;
-use crate::symbol::{
-    assemble_symbol, disassemble_symbol, disassemble_symbols_into, DisassemblyScratch,
-};
+use crate::symbol::{assemble_symbol_into, Equalizer};
 use wlan_coding::interleaver::Interleaver;
-use wlan_coding::puncture::{depuncture, puncture};
 use wlan_coding::scrambler::Scrambler;
-use wlan_coding::{bits, ConvEncoder, ViterbiDecoder};
+use wlan_coding::{ConvEncoder, ViterbiDecoder};
 use wlan_math::Complex;
 
 /// Errors the receive chain can report.
@@ -73,6 +72,10 @@ pub const PREAMBLE_SAMPLES: usize = 320;
 pub const SIGNAL_OFFSET: usize = PREAMBLE_SAMPLES;
 /// Sample offset of the first data symbol.
 pub const DATA_OFFSET: usize = PREAMBLE_SAMPLES + N_SYM_SAMPLES;
+/// Largest payload in bytes: the SIGNAL field's LENGTH is 12 bits.
+pub const MAX_PAYLOAD: usize = 4095;
+/// Most coded bits one data symbol carries (64-QAM: 48 × 6).
+const MAX_CBPS: usize = N_DATA * 6;
 
 impl OfdmPhy {
     /// Creates a PHY at the given rate (scrambler seed 0x5D, the standard's
@@ -109,14 +112,15 @@ impl OfdmPhy {
     ///
     /// # Panics
     ///
-    /// Panics if `payload.len() >= 4096` (the 12-bit LENGTH limit).
+    /// Panics if `payload.len() > MAX_PAYLOAD` (the 12-bit LENGTH limit).
     pub fn transmit(&self, payload: &[u8]) -> Vec<Complex> {
-        assert!(payload.len() < 4096, "LENGTH field is 12 bits");
-        let mut samples = Vec::with_capacity(self.frame_samples(payload.len()));
-        samples.extend(preamble::short_training_field());
-        samples.extend(preamble::long_training_field());
-        samples.extend(self.encode_signal(payload.len()));
-        samples.extend(self.encode_data(payload));
+        assert!(payload.len() <= MAX_PAYLOAD, "LENGTH field is 12 bits");
+        let mut samples = vec![Complex::ZERO; self.frame_samples(payload.len())];
+        let (head, data) = samples.split_at_mut(DATA_OFFSET);
+        let (preamble, signal) = head.split_at_mut(PREAMBLE_SAMPLES);
+        preamble.copy_from_slice(preamble_samples());
+        self.encode_signal(payload.len(), signal);
+        self.encode_data(payload, data);
         samples
     }
 
@@ -132,11 +136,9 @@ impl OfdmPhy {
         if samples.len() < DATA_OFFSET {
             return Err(RxError::TooShort);
         }
-        let channel = preamble::estimate_channel(&samples[160..320]);
-        let (rate, length) = self.decode_signal(
-            &samples[SIGNAL_OFFSET..SIGNAL_OFFSET + N_SYM_SAMPLES],
-            &channel,
-        )?;
+        let eq = Equalizer::new(&preamble::estimate_channel(&samples[160..320]));
+        let (rate, length) =
+            self.decode_signal(&samples[SIGNAL_OFFSET..SIGNAL_OFFSET + N_SYM_SAMPLES], &eq)?;
         if rate != self.rate {
             return Err(RxError::RateMismatch);
         }
@@ -144,7 +146,7 @@ impl OfdmPhy {
         if samples.len() < DATA_OFFSET + n_sym * N_SYM_SAMPLES {
             return Err(RxError::TooShort);
         }
-        self.decode_data(&samples[DATA_OFFSET..], length, &channel)
+        self.decode_data(&samples[DATA_OFFSET..], length, &eq)
     }
 
     /// Convenience wrapper returning `None` on any receive error.
@@ -152,7 +154,8 @@ impl OfdmPhy {
         self.receive(samples).ok()
     }
 
-    fn encode_signal(&self, length: usize) -> Vec<Complex> {
+    /// Writes the SIGNAL symbol into its 80-sample slot.
+    fn encode_signal(&self, length: usize, out: &mut [Complex]) {
         // RATE(4) ‖ R(1)=0 ‖ LENGTH(12, LSB first) ‖ PARITY(1).
         let mut info = Vec::with_capacity(18);
         info.extend_from_slice(&self.rate.signal_bits());
@@ -171,17 +174,18 @@ impl OfdmPhy {
             .iter()
             .map(|&b| qam::map_bits(crate::params::Modulation::Bpsk, &[b]))
             .collect();
-        assemble_symbol(&data, 0)
+        assemble_symbol_into(&data, 0, out);
     }
 
     fn decode_signal(
         &self,
         samples: &[Complex],
-        channel: &[Complex],
+        eq: &Equalizer,
     ) -> Result<(OfdmRate, usize), RxError> {
-        let rx = disassemble_symbol(samples, channel, 0);
+        let mut data = [Complex::ZERO; N_DATA];
+        eq.symbol_into(samples, 0, &mut data);
         let mut llrs = Vec::with_capacity(48);
-        for (y, &csi) in rx.data.iter().zip(&rx.csi) {
+        for (y, &csi) in data.iter().zip(eq.csi()) {
             llrs.extend(qam::demap_soft(crate::params::Modulation::Bpsk, *y, csi));
         }
         let il = Interleaver::new(48, 1);
@@ -203,76 +207,128 @@ impl OfdmPhy {
         Ok((rate, length))
     }
 
-    fn encode_data(&self, payload: &[u8]) -> Vec<Complex> {
+    /// Streams the DATA field into `out` (whole 80-sample symbols), one
+    /// OFDM symbol at a time: each symbol's `SERVICE ‖ payload ‖ TAIL ‖ PAD`
+    /// bits are scrambled, encoded, punctured, interleaved, mapped and
+    /// IFFT'd into their slot through stack buffers, with the scrambler,
+    /// encoder and puncture phase carried across symbols. Bit-identical
+    /// to running each stage over the whole frame in turn.
+    fn encode_data(&self, payload: &[u8], out: &mut [Complex]) {
         let ndbps = self.rate.data_bits_per_symbol();
-        let n_sym = self.num_data_symbols(payload.len());
-        let total_bits = n_sym * ndbps;
+        let ncbps = self.rate.coded_bits_per_symbol();
+        let modulation = self.rate.modulation();
+        let bpsc = modulation.bits_per_subcarrier();
+        let il = Interleaver::new(ncbps, bpsc);
+        let points = qam::constellation(modulation);
+        let pattern = self.rate.code_rate().pattern();
 
-        // SERVICE ‖ payload ‖ TAIL ‖ PAD.
-        let mut data_bits = vec![0u8; 16];
-        data_bits.extend(bits::bytes_to_bits(payload));
-        let tail_start = data_bits.len();
-        data_bits.resize(total_bits, 0);
-
-        let mut scrambled = Scrambler::new(self.scrambler_seed).scramble(&data_bits);
+        let payload_end = 16 + 8 * payload.len();
         // §17.3.5.2: the six tail bits are zeroed *after* scrambling so the
         // trellis is driven to a known state at that point.
-        for b in scrambled.iter_mut().skip(tail_start).take(6) {
-            *b = 0;
+        let tail = payload_end..payload_end + 6;
+        let mut scrambler = Scrambler::new(self.scrambler_seed);
+        let mut encoder = ConvEncoder::new();
+        let mut keep = pattern.iter().cycle();
+        let mut coded = [0u8; MAX_CBPS];
+        let mut interleaved = [0u8; MAX_CBPS];
+        let mut data = [Complex::ZERO; N_DATA];
+        for (s, slot) in out.chunks_exact_mut(N_SYM_SAMPLES).enumerate() {
+            let mut n = 0;
+            for i in s * ndbps..(s + 1) * ndbps {
+                let bit = if (16..payload_end).contains(&i) {
+                    (payload[(i - 16) / 8] >> ((i - 16) % 8)) & 1
+                } else {
+                    0
+                };
+                let scrambled = bit ^ scrambler.next_bit();
+                let pair = encoder.push_packed(if tail.contains(&i) { 0 } else { scrambled });
+                for coded_bit in [pair >> 1, pair & 1] {
+                    if keep.next() == Some(&true) {
+                        coded[n] = coded_bit;
+                        n += 1;
+                    }
+                }
+            }
+            debug_assert_eq!(n, ncbps);
+            il.interleave_into(&coded[..ncbps], &mut interleaved[..ncbps]);
+            for (point, bits) in data.iter_mut().zip(interleaved[..ncbps].chunks_exact(bpsc)) {
+                let index = bits.iter().fold(0usize, |acc, &b| acc << 1 | b as usize);
+                *point = points[index];
+            }
+            assemble_symbol_into(&data, s + 1, slot);
         }
-
-        let mut enc = ConvEncoder::new();
-        let mother = enc.encode(&scrambled);
-        let coded = puncture(&mother, self.rate.code_rate());
-        debug_assert_eq!(coded.len(), n_sym * self.rate.coded_bits_per_symbol());
-
-        let il = Interleaver::new(
-            self.rate.coded_bits_per_symbol(),
-            self.rate.modulation().bits_per_subcarrier(),
-        );
-        let interleaved = il.interleave_stream(&coded);
-
-        let modulation = self.rate.modulation();
-        let points = qam::map_stream(modulation, &interleaved);
-        let mut samples = Vec::with_capacity(n_sym * N_SYM_SAMPLES);
-        for (s, chunk) in points.chunks(crate::params::N_DATA).enumerate() {
-            samples.extend(assemble_symbol(chunk, s + 1));
-        }
-        samples
     }
 
+    /// Decodes the DATA field one OFDM symbol at a time: each symbol is
+    /// FFT'd, equalized, demapped, deinterleaved and depunctured through
+    /// stack buffers straight into the Viterbi decoder's LLR buffer (the
+    /// puncture phase carried across symbols), then the whole field is
+    /// decoded, descrambled and packed. Bit-identical to running each
+    /// stage over the whole frame in turn.
     fn decode_data(
         &self,
         samples: &[Complex],
         length: usize,
-        channel: &[Complex],
+        eq: &Equalizer,
     ) -> Result<Vec<u8>, RxError> {
         let ndbps = self.rate.data_bits_per_symbol();
+        let ncbps = self.rate.coded_bits_per_symbol();
         let n_sym = self.num_data_symbols(length);
         let total_bits = n_sym * ndbps;
         let modulation = self.rate.modulation();
         let bpsc = modulation.bits_per_subcarrier();
-        let il = Interleaver::new(self.rate.coded_bits_per_symbol(), bpsc);
+        let il = Interleaver::new(ncbps, bpsc);
+        let pattern = self.rate.code_rate().pattern();
 
-        // Batched disassembly: one planned FFT pass over every data symbol,
-        // then demap straight into the LLR plane (no per-carrier Vecs).
-        let mut scratch = DisassemblyScratch::default();
-        let mut data = Vec::new();
-        let mut csi = Vec::new();
-        disassemble_symbols_into(samples, channel, 1, n_sym, &mut scratch, &mut data, &mut csi);
-        let mut llrs = vec![0.0; n_sym * self.rate.coded_bits_per_symbol()];
-        for (i, (y, &w)) in data.iter().zip(&csi).enumerate() {
-            qam::demap_soft_into(modulation, *y, w, &mut llrs[i * bpsc..(i + 1) * bpsc]);
+        // Punctured positions keep their zero-LLR erasure.
+        let mut mother = vec![0.0; 2 * total_bits];
+        let mut keep = pattern.iter().cycle();
+        let mut data = [Complex::ZERO; N_DATA];
+        let mut llrs = [0.0; MAX_CBPS];
+        let mut deinterleaved = [0.0; MAX_CBPS];
+        let symbols = samples.chunks_exact(N_SYM_SAMPLES).take(n_sym);
+        for ((s, symbol), window) in symbols.enumerate().zip(mother.chunks_exact_mut(2 * ndbps)) {
+            eq.symbol_into(symbol, s + 1, &mut data);
+            for ((y, &w), slot) in data.iter().zip(eq.csi()).zip(llrs.chunks_exact_mut(bpsc)) {
+                qam::demap_soft_into(modulation, *y, w, slot);
+            }
+            il.deinterleave_soft_into(&llrs[..ncbps], &mut deinterleaved[..ncbps]);
+            // The pattern keeps exactly `ncbps` slots of the window, and
+            // the zip walks the whole window, so the phase advances by the
+            // window's length.
+            let kept = window
+                .iter_mut()
+                .zip(&mut keep)
+                .filter_map(|(slot, &k)| k.then_some(slot));
+            for (slot, &llr) in kept.zip(&deinterleaved[..ncbps]) {
+                *slot = llr;
+            }
         }
-        let deinterleaved = il.deinterleave_stream_soft(&llrs);
-        let mother = depuncture(&deinterleaved, self.rate.code_rate(), total_bits * 2);
         let scrambled = ViterbiDecoder::new()
             .decode_soft_unterminated(&mother, total_bits)
             .map_err(|_| RxError::TooShort)?;
-        let descrambled = Scrambler::new(self.scrambler_seed).scramble(&scrambled);
-        let payload_bits = &descrambled[16..16 + 8 * length];
-        Ok(bits::bits_to_bytes(payload_bits))
+        // Descramble from the start of SERVICE, keeping only the payload.
+        let mut scrambler = Scrambler::new(self.scrambler_seed);
+        for _ in 0..16 {
+            scrambler.next_bit();
+        }
+        let mut payload = vec![0u8; length];
+        for (i, &b) in scrambled[16..16 + 8 * length].iter().enumerate() {
+            payload[i / 8] |= (b ^ scrambler.next_bit()) << (i % 8);
+        }
+        Ok(payload)
     }
+}
+
+/// The STF ‖ LTF preamble, identical in every frame: built once per
+/// process.
+fn preamble_samples() -> &'static [Complex] {
+    static PREAMBLE: OnceLock<Vec<Complex>> = OnceLock::new();
+    PREAMBLE.get_or_init(|| {
+        let mut samples = preamble::short_training_field();
+        samples.extend(preamble::long_training_field());
+        samples
+    })
 }
 
 #[cfg(test)]
@@ -306,7 +362,10 @@ mod tests {
         let frame = phy.transmit(&[0u8; 321]);
         let channel = preamble::estimate_channel(&frame[160..320]);
         let (rate, len) = phy
-            .decode_signal(&frame[SIGNAL_OFFSET..SIGNAL_OFFSET + 80], &channel)
+            .decode_signal(
+                &frame[SIGNAL_OFFSET..SIGNAL_OFFSET + 80],
+                &Equalizer::new(&channel),
+            )
             .unwrap();
         assert_eq!(rate, OfdmRate::R36);
         assert_eq!(len, 321);

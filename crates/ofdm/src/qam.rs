@@ -89,6 +89,23 @@ pub fn map_bits(modulation: Modulation, bits: &[u8]) -> Complex {
     }
 }
 
+/// Every constellation point of `modulation`, indexed by its `N_BPSC` bits
+/// read most-significant first (the first bit of a subcarrier is the top
+/// bit of the index); entries from `2^N_BPSC` on are unused. Built with
+/// [`map_bits`], so a lookup is bit-identical to mapping.
+pub(crate) fn constellation(modulation: Modulation) -> [Complex; 64] {
+    let bpsc = modulation.bits_per_subcarrier();
+    let mut table = [Complex::ZERO; 64];
+    let mut bits = [0u8; 6];
+    for (index, point) in table.iter_mut().enumerate().take(1 << bpsc) {
+        for (i, b) in bits[..bpsc].iter_mut().enumerate() {
+            *b = ((index >> (bpsc - 1 - i)) & 1) as u8;
+        }
+        *point = map_bits(modulation, &bits[..bpsc]);
+    }
+    table
+}
+
 /// Maps a bit stream onto symbols (must be a whole number of subcarriers).
 ///
 /// # Panics
@@ -318,6 +335,18 @@ mod tests {
         let llrs = demap_soft(Modulation::Qam64, y, 1e-9);
         for l in llrs {
             assert!(l.abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn constellation_table_matches_map_bits() {
+        for m in ALL {
+            let n = m.bits_per_subcarrier();
+            let table = constellation(m);
+            for bits in all_bit_patterns(n) {
+                let index = bits.iter().fold(0usize, |acc, &b| acc << 1 | b as usize);
+                assert_eq!(table[index], map_bits(m, &bits), "{m} {bits:?}");
+            }
         }
     }
 

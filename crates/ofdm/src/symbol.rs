@@ -3,6 +3,7 @@
 use crate::params::{
     data_carriers, N_CP, N_DATA, N_FFT, N_OCCUPIED, PILOT_CARRIERS, PILOT_VALUES,
 };
+use std::rc::Rc;
 use wlan_coding::scrambler::Scrambler;
 use wlan_math::{fft, Complex};
 
@@ -43,10 +44,24 @@ fn carrier_to_bin(k: i32) -> usize {
 ///
 /// Panics if `data.len() != 48`.
 pub fn assemble_symbol(data: &[Complex], sym_idx: usize) -> Vec<Complex> {
+    let mut out = vec![Complex::ZERO; N_CP + N_FFT];
+    assemble_symbol_into(data, sym_idx, &mut out);
+    out
+}
+
+/// Like [`assemble_symbol`], but writes the 80 samples into a caller-owned
+/// slot (typically the symbol's place in the frame buffer); the IFFT runs
+/// on stack bins, so nothing is allocated.
+///
+/// # Panics
+///
+/// Panics if `data.len() != 48` or `out.len() != 80`.
+pub(crate) fn assemble_symbol_into(data: &[Complex], sym_idx: usize, out: &mut [Complex]) {
     assert_eq!(data.len(), N_DATA, "need exactly 48 data subcarriers");
-    let mut bins = vec![Complex::ZERO; N_FFT];
-    for (i, &k) in data_carriers().iter().enumerate() {
-        bins[carrier_to_bin(k)] = data[i];
+    assert_eq!(out.len(), N_CP + N_FFT, "need one 80-sample output slot");
+    let mut bins = [Complex::ZERO; N_FFT];
+    for (&k, &v) in data_carriers().iter().zip(data) {
+        bins[carrier_to_bin(k)] = v;
     }
     let polarity = pilot_polarity(sym_idx);
     for (i, &k) in PILOT_CARRIERS.iter().enumerate() {
@@ -54,11 +69,14 @@ pub fn assemble_symbol(data: &[Complex], sym_idx: usize) -> Vec<Complex> {
     }
     fft::ifft_in_place(&mut bins);
     let scale = tx_scale();
-    let mut out = Vec::with_capacity(N_CP + N_FFT);
     // Cyclic prefix = last 16 samples.
-    out.extend(bins[N_FFT - N_CP..].iter().map(|s| s.scale(scale)));
-    out.extend(bins.iter().map(|s| s.scale(scale)));
-    out
+    let (cp, body) = out.split_at_mut(N_CP);
+    for (o, s) in cp.iter_mut().zip(&bins[N_FFT - N_CP..]) {
+        *o = s.scale(scale);
+    }
+    for (o, s) in body.iter_mut().zip(&bins) {
+        *o = s.scale(scale);
+    }
 }
 
 /// Result of disassembling one received symbol.
@@ -78,106 +96,105 @@ pub struct RxSymbol {
 ///
 /// Panics if `samples.len() != 80` or `channel.len() != 64`.
 pub fn disassemble_symbol(samples: &[Complex], channel: &[Complex], sym_idx: usize) -> RxSymbol {
-    assert_eq!(samples.len(), N_CP + N_FFT, "need one 80-sample symbol");
-    assert_eq!(channel.len(), N_FFT, "need a 64-bin channel estimate");
-    let mut bins: Vec<Complex> = samples[N_CP..]
-        .iter()
-        .map(|s| s.scale(1.0 / tx_scale()))
-        .collect();
-    fft::fft_in_place(&mut bins);
-
-    let mut data = Vec::with_capacity(N_DATA);
-    let mut csi = Vec::with_capacity(N_DATA);
-    equalize_into(&bins, channel, sym_idx, &mut data, &mut csi);
-    RxSymbol { data, csi }
+    let eq = Equalizer::new(channel);
+    let mut data = vec![Complex::ZERO; N_DATA];
+    eq.symbol_into(samples, sym_idx, &mut data);
+    RxSymbol {
+        data,
+        csi: eq.csi().to_vec(),
+    }
 }
 
-/// Pilot CPE correction + per-carrier equalization of one FFT'd symbol,
-/// appending the 48 data points and CSI weights to the caller's buffers.
-fn equalize_into(
-    bins: &[Complex],
-    channel: &[Complex],
-    sym_idx: usize,
-    data: &mut Vec<Complex>,
-    csi: &mut Vec<f64>,
-) {
-    // Common phase error from the four pilots.
-    let polarity = pilot_polarity(sym_idx);
-    let mut cpe = Complex::ZERO;
-    for (i, &k) in PILOT_CARRIERS.iter().enumerate() {
-        let bin = carrier_to_bin(k);
-        let expected = Complex::from_re(PILOT_VALUES[i] * polarity);
-        let h = channel[bin];
-        if h.norm_sqr() > 1e-12 {
-            cpe += (bins[bin] / h) * expected.conj();
+/// A frame's channel estimate prepared for equalizing its symbols one at
+/// a time: the reciprocal and squared magnitude of every bin are taken
+/// once per frame instead of once per symbol.
+///
+/// Dividing by `H` is exactly multiplying by its reciprocal (that is how
+/// `Complex` division is defined), so the per-frame reciprocals change no
+/// bit of the equalized output.
+#[derive(Debug, Clone)]
+pub(crate) struct Equalizer {
+    /// `1 / H_k` per FFT bin (unused where `|H_k|² ≤ 1e-12`).
+    recip: [Complex; N_FFT],
+    /// `|H_k|²` per FFT bin.
+    h2: [f64; N_FFT],
+    /// `|H_k|²` per data carrier, in mapping order: the demapper's CSI.
+    csi: [f64; N_DATA],
+    plan: Rc<fft::FftPlan>,
+}
+
+impl Equalizer {
+    /// Prepares the 64-bin channel estimate `channel`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel.len() != 64`.
+    pub fn new(channel: &[Complex]) -> Self {
+        assert_eq!(channel.len(), N_FFT, "need a 64-bin channel estimate");
+        let mut recip = [Complex::ZERO; N_FFT];
+        let mut h2 = [0.0; N_FFT];
+        for ((r, w), &h) in recip.iter_mut().zip(h2.iter_mut()).zip(channel) {
+            *r = h.recip();
+            *w = h.norm_sqr();
+        }
+        let mut csi = [0.0; N_DATA];
+        for (c, &k) in csi.iter_mut().zip(data_carriers()) {
+            *c = h2[carrier_to_bin(k)];
+        }
+        Equalizer {
+            recip,
+            h2,
+            csi,
+            plan: fft::cached_plan(N_FFT),
         }
     }
-    let rot = if cpe.norm() > 1e-9 {
-        Complex::from_polar(1.0, -cpe.arg())
-    } else {
-        Complex::ONE
-    };
 
-    for &k in data_carriers() {
-        let bin = carrier_to_bin(k);
-        let h = channel[bin];
-        let h2 = h.norm_sqr();
-        if h2 > 1e-12 {
-            data.push(bins[bin] / h * rot);
+    /// Per-data-carrier CSI weights `|H_k|²`, in mapping order.
+    pub fn csi(&self) -> &[f64; N_DATA] {
+        &self.csi
+    }
+
+    /// Strips the CP of one 80-sample symbol, FFTs it on the stack,
+    /// corrects the common pilot phase error and writes the 48 equalized
+    /// data points of symbol `sym_idx` into `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples.len() != 80` or `data.len() != 48`.
+    pub fn symbol_into(&self, samples: &[Complex], sym_idx: usize, data: &mut [Complex]) {
+        assert_eq!(samples.len(), N_CP + N_FFT, "need one 80-sample symbol");
+        assert_eq!(data.len(), N_DATA, "need a 48-point output slot");
+        let inv_scale = 1.0 / tx_scale();
+        let mut bins = [Complex::ZERO; N_FFT];
+        for (b, s) in bins.iter_mut().zip(&samples[N_CP..]) {
+            *b = s.scale(inv_scale);
+        }
+        self.plan.fft_in_place(&mut bins);
+
+        // Common phase error from the four pilots.
+        let polarity = pilot_polarity(sym_idx);
+        let mut cpe = Complex::ZERO;
+        for (i, &k) in PILOT_CARRIERS.iter().enumerate() {
+            let bin = carrier_to_bin(k);
+            let expected = Complex::from_re(PILOT_VALUES[i] * polarity);
+            if self.h2[bin] > 1e-12 {
+                cpe += (bins[bin] * self.recip[bin]) * expected.conj();
+            }
+        }
+        let rot = if cpe.norm() > 1e-9 {
+            Complex::from_polar(1.0, -cpe.arg())
         } else {
-            data.push(Complex::ZERO);
+            Complex::ONE
+        };
+
+        for (d, &k) in data.iter_mut().zip(data_carriers()) {
+            let bin = carrier_to_bin(k);
+            *d = if self.h2[bin] > 1e-12 {
+                bins[bin] * self.recip[bin] * rot
+            } else {
+                Complex::ZERO
+            };
         }
-        csi.push(h2);
-    }
-}
-
-/// Reusable FFT workspace for [`disassemble_symbols_into`]; holding one
-/// across frames keeps the receive chain allocation-free per symbol.
-#[derive(Debug, Clone, Default)]
-pub struct DisassemblyScratch {
-    bins: Vec<Complex>,
-}
-
-/// Disassembles `n_sym` consecutive 80-sample symbols in one batched,
-/// in-place FFT pass, appending equalized data points and CSI weights to
-/// `data`/`csi` in `(symbol, carrier)` order. Symbol `s` uses pilot
-/// polarity index `first_sym_idx + s`. Bit-identical to calling
-/// [`disassemble_symbol`] once per symbol.
-///
-/// # Panics
-///
-/// Panics if `samples` holds fewer than `n_sym` whole symbols or
-/// `channel.len() != 64`.
-pub fn disassemble_symbols_into(
-    samples: &[Complex],
-    channel: &[Complex],
-    first_sym_idx: usize,
-    n_sym: usize,
-    scratch: &mut DisassemblyScratch,
-    data: &mut Vec<Complex>,
-    csi: &mut Vec<f64>,
-) {
-    assert!(
-        samples.len() >= n_sym * (N_CP + N_FFT),
-        "need {n_sym} whole 80-sample symbols"
-    );
-    assert_eq!(channel.len(), N_FFT, "need a 64-bin channel estimate");
-    let plan = fft::cached_plan(N_FFT);
-    let inv_scale = 1.0 / tx_scale();
-
-    scratch.bins.clear();
-    scratch.bins.reserve(n_sym * N_FFT);
-    for s in 0..n_sym {
-        let body = &samples[s * (N_CP + N_FFT) + N_CP..(s + 1) * (N_CP + N_FFT)];
-        scratch.bins.extend(body.iter().map(|v| v.scale(inv_scale)));
-    }
-    plan.fft_batch(&mut scratch.bins);
-
-    data.reserve(n_sym * N_DATA);
-    csi.reserve(n_sym * N_DATA);
-    for s in 0..n_sym {
-        let bins = &scratch.bins[s * N_FFT..(s + 1) * N_FFT];
-        equalize_into(bins, channel, first_sym_idx + s, data, csi);
     }
 }
 
@@ -302,48 +319,82 @@ mod tests {
 
     #[test]
     fn batched_disassembly_is_bit_identical_to_scalar() {
-        // Multi-symbol stream through a frequency-selective channel; batch
-        // output must match the per-symbol path bit for bit.
+        // A multi-symbol stream through a frequency-selective channel with
+        // one nulled bin, equalized symbol by symbol against one
+        // per-frame `Equalizer`: every point and CSI weight must match the
+        // per-symbol reference that divides by `H` afresh, bit for bit.
         let taps = [Complex::from_re(0.9), Complex::new(0.3, -0.2)];
         let mut padded = taps.to_vec();
         padded.resize(N_FFT, Complex::ZERO);
-        let h = wlan_math::fft::fft(&padded);
+        let mut h = wlan_math::fft::fft(&padded);
+        h[carrier_to_bin(data_carriers()[5])] = Complex::ZERO;
 
         let n_sym = 5;
         let mut stream = Vec::new();
-        let mut datas = Vec::new();
         for s in 0..n_sym {
             let data: Vec<Complex> = (0..N_DATA)
                 .map(|i| Complex::from_polar(1.0, (i * (s + 2)) as f64 * 0.53))
                 .collect();
             stream.extend(assemble_symbol(&data, s + 1));
-            datas.push(data);
         }
 
-        let mut scratch = DisassemblyScratch::default();
-        let mut data = Vec::new();
-        let mut csi = Vec::new();
-        disassemble_symbols_into(&stream, &h, 1, n_sym, &mut scratch, &mut data, &mut csi);
-        assert_eq!(data.len(), n_sym * N_DATA);
-
+        let eq = Equalizer::new(&h);
+        let mut data = [Complex::ZERO; N_DATA];
         for s in 0..n_sym {
-            let rx = disassemble_symbol(&stream[s * 80..(s + 1) * 80], &h, s + 1);
+            let samples = &stream[s * 80..(s + 1) * 80];
+            eq.symbol_into(samples, s + 1, &mut data);
+            let (want, want_csi) = reference_disassemble(samples, &h, s + 1);
             for c in 0..N_DATA {
-                let b = data[s * N_DATA + c];
-                let a = rx.data[c];
+                let (a, b) = (want[c], data[c]);
                 assert!(
                     a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
                     "symbol {s} carrier {c}: {a:?} vs {b:?}"
                 );
-                assert_eq!(rx.csi[c].to_bits(), csi[s * N_DATA + c].to_bits());
+                assert_eq!(want_csi[c].to_bits(), eq.csi()[c].to_bits());
             }
         }
+    }
 
-        // Scratch reuse across calls changes nothing.
-        let mut data2 = Vec::new();
-        let mut csi2 = Vec::new();
-        disassemble_symbols_into(&stream, &h, 1, n_sym, &mut scratch, &mut data2, &mut csi2);
-        assert_eq!(data, data2);
-        assert_eq!(csi, csi2);
+    /// The per-symbol equalizer as first written: a heap FFT buffer and a
+    /// fresh complex division by `H` for every pilot and data carrier.
+    fn reference_disassemble(
+        samples: &[Complex],
+        channel: &[Complex],
+        sym_idx: usize,
+    ) -> (Vec<Complex>, Vec<f64>) {
+        let mut bins: Vec<Complex> = samples[N_CP..]
+            .iter()
+            .map(|s| s.scale(1.0 / tx_scale()))
+            .collect();
+        fft::fft_in_place(&mut bins);
+        let polarity = pilot_polarity(sym_idx);
+        let mut cpe = Complex::ZERO;
+        for (i, &k) in PILOT_CARRIERS.iter().enumerate() {
+            let bin = carrier_to_bin(k);
+            let expected = Complex::from_re(PILOT_VALUES[i] * polarity);
+            let h = channel[bin];
+            if h.norm_sqr() > 1e-12 {
+                cpe += (bins[bin] / h) * expected.conj();
+            }
+        }
+        let rot = if cpe.norm() > 1e-9 {
+            Complex::from_polar(1.0, -cpe.arg())
+        } else {
+            Complex::ONE
+        };
+        let mut data = Vec::new();
+        let mut csi = Vec::new();
+        for &k in data_carriers() {
+            let bin = carrier_to_bin(k);
+            let h = channel[bin];
+            let h2 = h.norm_sqr();
+            data.push(if h2 > 1e-12 {
+                bins[bin] / h * rot
+            } else {
+                Complex::ZERO
+            });
+            csi.push(h2);
+        }
+        (data, csi)
     }
 }
