@@ -1,7 +1,8 @@
-//! Golden pins for the OFDM chain's kernels: FFT spectra, transmitted
-//! 802.11a sample streams, receiver outputs near each rate's PER knee and
-//! the metro-sized PER-table calibration, all as FNV-1a-64 digests over
-//! exact IEEE bit patterns.
+//! Golden pins for the OFDM chains' kernels: FFT spectra, transmitted
+//! 802.11a and 802.11n (HT-20 BCC and LDPC, spatial multiplexing, STBC)
+//! sample streams, receiver outputs near each config's PER knee and the
+//! metro-sized PER-table calibration, all as FNV-1a-64 digests over exact
+//! IEEE bit patterns.
 //!
 //! The digests were recorded from the straightforward per-stage chain
 //! (frame-sized bit vectors, one stage at a time, a per-butterfly
@@ -11,10 +12,19 @@
 //! wrong decodes are pinned as well as clean ones.
 
 use wlan_city::PerTableSet;
-use wlan_core::channel::Awgn;
+use wlan_core::channel::mimo::MimoMultipathChannel;
+use wlan_core::channel::{Awgn, PowerDelayProfile};
+use wlan_core::coding::CodeRate;
 use wlan_core::math::fft::{self, FftPlan};
 use wlan_core::math::rng::{Rng, WlanRng};
-use wlan_core::math::Complex;
+use wlan_core::math::special::db_to_lin;
+use wlan_core::math::{Complex, WlanError};
+use wlan_core::mimo::detect::Detector;
+use wlan_core::mimo::ht::HtPhy;
+use wlan_core::mimo::ht_ldpc::HtLdpcPhy;
+use wlan_core::mimo::phy::{propagate, MimoOfdmConfig, MimoOfdmPhy};
+use wlan_core::mimo::stbc_phy::StbcOfdmPhy;
+use wlan_core::ofdm::params::Modulation;
 use wlan_core::ofdm::{OfdmPhy, OfdmRate};
 use wlan_runner::journal::fnv1a64;
 
@@ -178,4 +188,325 @@ fn metro_calibration_digest_is_pinned() {
         digest, 0x4b53_571a_bed7_79a4,
         "metro calibration digest {digest:#018x}"
     );
+}
+
+// ---------------------------------------------------------------------
+// The 802.11n chains: HT-20 (BCC and LDPC), spatial multiplexing and
+// Alamouti STBC. Recorded from the frame-at-a-time chains (one stage over
+// the whole frame, then the next); the per-symbol chains must match.
+
+const HT_MCS: [(Modulation, CodeRate); 8] = [
+    (Modulation::Bpsk, CodeRate::R1_2),
+    (Modulation::Qpsk, CodeRate::R1_2),
+    (Modulation::Qpsk, CodeRate::R3_4),
+    (Modulation::Qam16, CodeRate::R1_2),
+    (Modulation::Qam16, CodeRate::R3_4),
+    (Modulation::Qam64, CodeRate::R2_3),
+    (Modulation::Qam64, CodeRate::R3_4),
+    (Modulation::Qam64, CodeRate::R5_6),
+];
+
+/// The (modulation, rate) pairs whose LDPC codeword spans a whole number
+/// of information bits at the first span reaching 1296 coded bits.
+const HT_LDPC: [(Modulation, CodeRate); 10] = [
+    (Modulation::Bpsk, CodeRate::R1_2),
+    (Modulation::Bpsk, CodeRate::R3_4),
+    (Modulation::Qpsk, CodeRate::R1_2),
+    (Modulation::Qpsk, CodeRate::R3_4),
+    (Modulation::Qam16, CodeRate::R1_2),
+    (Modulation::Qam16, CodeRate::R3_4),
+    (Modulation::Qam64, CodeRate::R1_2),
+    (Modulation::Qam64, CodeRate::R2_3),
+    (Modulation::Qam64, CodeRate::R3_4),
+    (Modulation::Qam64, CodeRate::R5_6),
+];
+
+/// (streams = receive antennas, detector, modulation, rate): every stream
+/// count under both detectors, every modulation and every rate, so the
+/// stream parser runs with s = 1, 2 and 3 bits per block.
+const MIMO: [(usize, Detector, Modulation, CodeRate); 8] = [
+    (1, Detector::ZeroForcing, Modulation::Bpsk, CodeRate::R1_2),
+    (1, Detector::Mmse, Modulation::Qam64, CodeRate::R5_6),
+    (2, Detector::ZeroForcing, Modulation::Qpsk, CodeRate::R3_4),
+    (2, Detector::Mmse, Modulation::Qam16, CodeRate::R1_2),
+    (3, Detector::ZeroForcing, Modulation::Qam16, CodeRate::R3_4),
+    (3, Detector::Mmse, Modulation::Qam64, CodeRate::R2_3),
+    (4, Detector::ZeroForcing, Modulation::Qam64, CodeRate::R3_4),
+    (4, Detector::Mmse, Modulation::Qpsk, CodeRate::R1_2),
+];
+
+/// (receive antennas, modulation, rate) of the Alamouti 2×N chain.
+const STBC: [(usize, Modulation, CodeRate); 2] = [
+    (1, Modulation::Qam16, CodeRate::R3_4),
+    (2, Modulation::Qam64, CodeRate::R2_3),
+];
+
+fn mimo_phy(cfg: (usize, Detector, Modulation, CodeRate)) -> MimoOfdmPhy {
+    let (n_streams, detector, modulation, code_rate) = cfg;
+    MimoOfdmPhy::new(MimoOfdmConfig {
+        n_streams,
+        n_rx: n_streams,
+        modulation,
+        code_rate,
+        detector,
+    })
+}
+
+fn digest_antennas(antennas: &[Vec<Complex>]) -> u64 {
+    let mut bytes = Vec::new();
+    for samples in antennas {
+        push_samples(&mut bytes, samples);
+    }
+    fnv1a64(&bytes)
+}
+
+/// The 24- and 1200-byte payloads every transmit pin sends.
+fn pin_payloads() -> (Vec<u8>, Vec<u8>) {
+    let mut rng = WlanRng::seed_from_u64(0x11A);
+    let short = (0..24).map(|_| rng.gen()).collect();
+    let long = (0..1200).map(|_| rng.gen()).collect();
+    (short, long)
+}
+
+#[test]
+fn ht_transmit_samples_are_pinned() {
+    // Per config: (digest of the 24-byte frame, digest of the 1200-byte
+    // frame); the eight BCC MCSs, then the ten LDPC pairs.
+    let golden: [(u64, u64); 18] = [
+        (0x5d37_9d7c_a27a_f91e, 0xa526_142e_edb2_d894),
+        (0xa4ce_ea7c_4d99_1e33, 0x0c8e_1a15_2d7d_03f9),
+        (0xb042_27a4_1415_b294, 0x5921_a579_4991_9f2e),
+        (0x915a_ce8e_6f2f_f77a, 0x1eff_4a2d_f3d3_5ec3),
+        (0xd5ab_2416_c08e_96ee, 0x2f8c_4b57_2ff5_dedc),
+        (0xf999_351a_6ce9_0b84, 0x0efb_3069_f844_a613),
+        (0xe60a_531b_1013_e037, 0x0161_f0b6_969b_d585),
+        (0x12ba_b8cf_b958_b008, 0x0d0e_5df6_ceda_35c6),
+        (0x72f2_c40b_de58_6f82, 0x676c_d391_259b_87a8),
+        (0xb88b_3cc2_0286_5fd5, 0x425a_6bc2_5980_2284),
+        (0xca15_946d_718c_c3da, 0xfd43_3e7c_93a5_4f50),
+        (0x8c55_3296_e010_da22, 0x01aa_436a_85a1_77cf),
+        (0xc97e_d40a_9c24_91e2, 0x4e86_670a_bb8e_e526),
+        (0xaf48_b06f_3ec6_8f32, 0xc409_f76c_9eda_be61),
+        (0x43dc_8ee9_0856_7aef, 0x2d83_3b29_bc2b_05a9),
+        (0x49a6_a603_ca7d_ac83, 0xfe3a_7626_8ba1_f468),
+        (0x5ac2_3f25_3123_b621, 0xfb69_445a_5ae6_f8c6),
+        (0x7808_d37a_a9a0_f541, 0xb8ca_62fc_1d82_d8a5),
+    ];
+    let (short, long) = pin_payloads();
+    let bcc = HT_MCS.iter().map(|&(m, r)| {
+        let phy = HtPhy::new(m, r);
+        (
+            digest_samples(&phy.transmit(&short)),
+            digest_samples(&phy.transmit(&long)),
+        )
+    });
+    let ldpc = HT_LDPC.iter().map(|&(m, r)| {
+        let phy = HtLdpcPhy::cached(m, r);
+        (
+            digest_samples(&phy.transmit(&short)),
+            digest_samples(&phy.transmit(&long)),
+        )
+    });
+    for (i, (got, want)) in bcc.chain(ldpc).zip(golden).enumerate() {
+        assert_eq!(
+            got, want,
+            "HT config {i}: digests ({:#018x}, {:#018x})",
+            got.0, got.1
+        );
+    }
+}
+
+#[test]
+fn mimo_and_stbc_transmit_samples_are_pinned() {
+    // Per config: (digest of the 24-byte frame, digest of the 1200-byte
+    // frame) over every antenna in turn; the eight MIMO configs, then
+    // the two STBC ones.
+    let golden: [(u64, u64); 10] = [
+        (0x855b_1b2f_f979_4511, 0x7c2d_1110_e145_27fc),
+        (0xf22a_f276_44ec_30c5, 0x4407_0a16_0a70_2005),
+        (0x3d9e_11e4_0573_fcaf, 0x3089_84cd_77fc_23ce),
+        (0x40ca_b1d3_ce2b_3a5b, 0xee0b_1ec3_c66e_710e),
+        (0x033c_1c7c_19d9_f9b7, 0x384c_3582_c724_b237),
+        (0x3c47_308f_2b91_26a0, 0x4353_42ee_7fc3_e39a),
+        (0xc495_e09a_8266_24c8, 0xde91_8f80_5823_5373),
+        (0x10c4_984b_ea4f_81aa, 0xcbd7_d6b4_4a22_81f7),
+        (0xdd59_39b6_cb41_89ec, 0xb363_7a82_99bc_a9ee),
+        (0x902b_6054_b18f_b96b, 0x7f28_8e5e_02bd_3340),
+    ];
+    let (short, long) = pin_payloads();
+    let mimo = MIMO.iter().map(|&cfg| {
+        let phy = mimo_phy(cfg);
+        (
+            digest_antennas(&phy.transmit(&short)),
+            digest_antennas(&phy.transmit(&long)),
+        )
+    });
+    let stbc = STBC.iter().map(|&(n_rx, m, r)| {
+        let phy = StbcOfdmPhy::new(m, r, n_rx);
+        (
+            digest_antennas(&phy.transmit(&short)),
+            digest_antennas(&phy.transmit(&long)),
+        )
+    });
+    for (i, (got, want)) in mimo.chain(stbc).zip(golden).enumerate() {
+        assert_eq!(
+            got, want,
+            "MIMO/STBC config {i}: digests ({:#018x}, {:#018x})",
+            got.0, got.1
+        );
+    }
+}
+
+/// The outcomes of one config's eight knee frames: a right decode, a
+/// wrong decode and an erasure all hash differently.
+#[derive(Default)]
+struct Outcomes {
+    bytes: Vec<u8>,
+    right: usize,
+    wrong: usize,
+}
+
+impl Outcomes {
+    fn push(&mut self, payload: &[u8], decoded: Result<Vec<u8>, WlanError>) {
+        match decoded {
+            Ok(out) => {
+                if out == payload {
+                    self.right += 1;
+                } else {
+                    self.wrong += 1;
+                }
+                self.bytes.push(1);
+                self.bytes.extend_from_slice(&out);
+            }
+            Err(e) => {
+                self.wrong += 1;
+                self.bytes.push(0);
+                self.bytes.extend_from_slice(e.to_string().as_bytes());
+            }
+        }
+    }
+}
+
+/// Sends eight 200-byte frames of config `idx` of `family` (0 HT, 1
+/// HT-LDPC, 2 MIMO, 3 STBC) at `snr_db`: AWGN for the single-antenna
+/// chains, flat Rayleigh MIMO fading plus AWGN for the others.
+fn knee_outcomes(family: u64, idx: usize, snr_db: f64) -> Outcomes {
+    let mut outcomes = Outcomes::default();
+    let n0 = db_to_lin(-snr_db);
+    let flat = PowerDelayProfile::flat();
+    for frame in 0..8 {
+        let mut rng = WlanRng::seed_from_u64(0x11E)
+            .fork(family)
+            .fork(idx as u64)
+            .fork(frame);
+        let payload: Vec<u8> = (0..200).map(|_| rng.gen()).collect();
+        let decoded = match family {
+            0 | 1 => {
+                let (m, r) = if family == 0 {
+                    HT_MCS[idx]
+                } else {
+                    HT_LDPC[idx]
+                };
+                let awgn = Awgn::from_snr_db(snr_db);
+                if family == 0 {
+                    let phy = HtPhy::new(m, r);
+                    let mut samples = phy.transmit(&payload);
+                    awgn.apply_in_place(&mut samples, &mut rng);
+                    phy.try_receive(&samples, payload.len())
+                } else {
+                    let phy = HtLdpcPhy::cached(m, r);
+                    let mut samples = phy.transmit(&payload);
+                    awgn.apply_in_place(&mut samples, &mut rng);
+                    phy.try_receive(&samples, payload.len())
+                }
+            }
+            2 => {
+                let cfg = MIMO[idx];
+                let phy = mimo_phy(cfg);
+                let ch = MimoMultipathChannel::realize(cfg.0, cfg.0, &flat, &mut rng);
+                let rx = propagate(&ch, &phy.transmit(&payload), n0, &mut rng);
+                phy.try_receive(&rx, n0, payload.len())
+            }
+            _ => {
+                let (n_rx, m, r) = STBC[idx];
+                let phy = StbcOfdmPhy::new(m, r, n_rx);
+                let ch = MimoMultipathChannel::realize(n_rx, 2, &flat, &mut rng);
+                let rx = propagate(&ch, &phy.transmit(&payload), n0, &mut rng);
+                phy.try_receive(&rx, n0, payload.len())
+            }
+        };
+        outcomes.push(&payload, decoded);
+    }
+    outcomes
+}
+
+#[test]
+fn ht_mimo_stbc_receive_near_each_knee_is_pinned() {
+    // Per family, per config (in the order of the tables above): (SNR dB
+    // on the 200-byte knee, digest of the eight frames' outcomes).
+    let golden: [(u64, &[(f64, u64)]); 4] = [
+        (
+            0,
+            &[
+                (1.5, 0x21ee_a807_2459_a7e8),
+                (4.5, 0xdbd4_0db7_9386_7d51),
+                (7.0, 0xf8af_b137_54ca_7f27),
+                (9.5, 0xa317_ad71_35d3_fce2),
+                (13.5, 0xc4b8_5673_bb20_5b51),
+                (17.0, 0x3f60_3f1d_9277_de37),
+                (18.5, 0x8e04_2eab_ce67_88c3),
+                (20.0, 0xfcfe_323b_5ee0_4630),
+            ],
+        ),
+        (
+            1,
+            &[
+                (1.0, 0xb5dd_726b_fc6e_55e7),
+                (3.0, 0x1851_4679_7065_a62c),
+                (4.0, 0x5a82_1e08_a30b_c1ef),
+                (6.0, 0xee65_12ec_c018_ef77),
+                (9.5, 0x7f42_fa15_85eb_6729),
+                (12.5, 0x1701_bd5e_955e_5a2f),
+                (14.0, 0x3b34_6aad_45f5_669a),
+                (16.5, 0x4fa7_d6b9_f73a_8538),
+                (18.5, 0x246e_bb5b_a61b_3185),
+                (19.5, 0xd0ff_5108_7ccc_5509),
+            ],
+        ),
+        (
+            2,
+            &[
+                (3.5, 0x6ed5_ebfb_e4a1_5acd),
+                (23.0, 0x02f6_4abe_17ac_00fc),
+                (12.5, 0x2b08_92b5_7a7c_8ab1),
+                (15.5, 0x8b10_91c6_3b91_88ed),
+                (16.5, 0x10e9_5c03_badf_a1ef),
+                (24.0, 0x7327_4c29_bc50_efaa),
+                (26.0, 0xdc63_49fe_3b99_c46b),
+                (12.0, 0x8042_2db6_0953_e970),
+            ],
+        ),
+        (
+            3,
+            &[(13.5, 0xaec8_c6b5_c9e9_d813), (14.0, 0x6da1_1bb0_8897_9427)],
+        ),
+    ];
+    for (family, configs) in golden {
+        for (idx, &(snr_db, want)) in configs.iter().enumerate() {
+            let outcomes = knee_outcomes(family, idx, snr_db);
+            let got = fnv1a64(&outcomes.bytes);
+            assert_eq!(
+                got, want,
+                "family {family} config {idx} at {snr_db} dB: outcome digest {got:#018x}"
+            );
+            // On the knee both outcomes occur, so the pin covers wrong
+            // decodes as well as right ones.
+            assert!(
+                outcomes.right > 0 && outcomes.wrong > 0,
+                "family {family} config {idx}: {} right / {} wrong decodes",
+                outcomes.right,
+                outcomes.wrong
+            );
+        }
+    }
 }
