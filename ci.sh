@@ -184,6 +184,9 @@ cargo run -q --release --offline -p wlan-bench --example check_bench_json -- \
 # crates/obs sits inside every instrumented hot loop, so it gets the
 # same no-panic bar (its lock helper recovers from poisoning instead of
 # unwrapping).
+# crates/ofdm carries the symbol I/O (subcarrier mapping, IFFT/FFT slots,
+# training symbols, QAM tables) of every OFDM chain, 802.11a and 802.11n
+# alike, so a panic there takes down every OFDM-family sweep — same bar.
 # crates/dist coordinates the whole fleet, so a panic there loses every
 # worker's in-flight results at once — same bar. The byte-stream fault
 # injector (crates/fault/src/transport.rs) wraps live sockets inside
@@ -193,7 +196,7 @@ cargo run -q --release --offline -p wlan-bench --example check_bench_json -- \
 # itself runs hundreds of BSS-epochs per wave, so one panicking degenerate
 # input would kill a whole campaign invocation — same bar (their public
 # APIs return typed WlanErrors instead; see interference.rs/protection.rs).
-for f in crates/coding/src/*.rs crates/mimo/src/*.rs crates/core/src/*.rs \
+for f in crates/coding/src/*.rs crates/ofdm/src/*.rs crates/mimo/src/*.rs crates/core/src/*.rs \
          crates/runner/src/*.rs crates/obs/src/*.rs crates/dist/src/*.rs \
          crates/channel/src/*.rs crates/mac/src/*.rs crates/mesh/src/*.rs \
          crates/city/src/*.rs crates/fault/src/transport.rs \

@@ -9,7 +9,7 @@
 use crate::multipath::{MultipathChannel, PowerDelayProfile};
 use crate::noise::complex_gaussian;
 use wlan_math::rng::Rng;
-use wlan_math::{CMatrix, Complex};
+use wlan_math::{CMatrix, Complex, WlanError};
 
 /// A flat MIMO channel realization.
 ///
@@ -188,6 +188,48 @@ impl MimoMultipathChannel {
         &self.pairs[rx * self.n_tx + tx]
     }
 
+    /// Propagates per-antenna transmit streams through every antenna pair
+    /// and adds AWGN of variance `n0` per receive antenna: one stream per
+    /// receive antenna, as long as the longest transmit stream.
+    ///
+    /// # Errors
+    ///
+    /// [`WlanError::LengthMismatch`] if `tx.len() != self.n_tx()`.
+    pub fn propagate(
+        &self,
+        tx: &[Vec<Complex>],
+        n0: f64,
+        rng: &mut impl Rng,
+    ) -> Result<Vec<Vec<Complex>>, WlanError> {
+        if tx.len() != self.n_tx {
+            return Err(WlanError::LengthMismatch {
+                expected: self.n_tx,
+                got: tx.len(),
+            });
+        }
+        let len = tx.iter().map(|t| t.len()).max().unwrap_or(0);
+        let mut rx = Vec::with_capacity(self.n_rx);
+        for r in 0..self.n_rx {
+            let mut acc = vec![Complex::ZERO; len];
+            for (t, stream) in tx.iter().enumerate() {
+                let filtered = self.pair(r, t).filter(stream);
+                for (i, v) in filtered.into_iter().enumerate() {
+                    if i < len {
+                        acc[i] += v;
+                    }
+                }
+            }
+            if n0 > 0.0 {
+                let sigma = n0.sqrt();
+                for v in acc.iter_mut() {
+                    *v += complex_gaussian(rng).scale(sigma);
+                }
+            }
+            rx.push(acc);
+        }
+        Ok(rx)
+    }
+
     /// The per-subcarrier channel matrices for an `n_fft`-point OFDM system:
     /// element `k` is the `n_rx × n_tx` matrix at subcarrier `k`.
     pub fn frequency_response(&self, n_fft: usize) -> Vec<CMatrix> {
@@ -266,6 +308,17 @@ fn log2_det_hermitian(m: &CMatrix) -> f64 {
 mod tests {
     use super::*;
     use wlan_math::rng::WlanRng;
+
+    #[test]
+    fn propagate_checks_the_antenna_count() {
+        let mut rng = WlanRng::seed_from_u64(163);
+        let ch = MimoMultipathChannel::realize(2, 2, &PowerDelayProfile::flat(), &mut rng);
+        let one = vec![Complex::ONE; 8];
+        let err = ch.propagate(&[one.clone()], 0.0, &mut rng).unwrap_err();
+        assert_eq!(err, WlanError::LengthMismatch { expected: 2, got: 1 });
+        let rx = ch.propagate(&[one.clone(), one], 0.0, &mut rng).unwrap();
+        assert_eq!(rx.len(), 2);
+    }
 
     #[test]
     fn iid_entries_have_unit_power() {

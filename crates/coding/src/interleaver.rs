@@ -1,15 +1,17 @@
-//! The 802.11a block interleaver.
+//! The 802.11a/n block interleaver.
 //!
 //! Coded bits of each OFDM symbol pass through two permutations
 //! (IEEE 802.11a-1999 §17.3.5.6): the first spreads adjacent coded bits onto
 //! non-adjacent subcarriers; the second alternates them between more- and
 //! less-significant constellation bit positions so deep fades do not wipe
-//! out runs of equally-unreliable bits.
+//! out runs of equally-unreliable bits. 802.11n keeps both permutations
+//! and only changes the column count of the first (13 for its 52 HT-20
+//! data carriers, where 802.11a's 48 use 16).
 
 use wlan_math::WlanError;
 
-/// Block interleaver parameterized by coded bits per symbol (`n_cbps`) and
-/// coded bits per subcarrier (`n_bpsc`).
+/// Block interleaver parameterized by coded bits per symbol (`n_cbps`),
+/// coded bits per subcarrier (`n_bpsc`) and column count.
 ///
 /// # Examples
 ///
@@ -31,23 +33,39 @@ pub struct Interleaver {
 }
 
 impl Interleaver {
-    /// Creates the interleaver for a symbol of `n_cbps` coded bits carrying
-    /// `n_bpsc` bits per subcarrier.
+    /// Creates the 802.11a interleaver (16 columns) for a symbol of
+    /// `n_cbps` coded bits carrying `n_bpsc` bits per subcarrier.
     ///
     /// # Panics
     ///
-    /// Panics if `n_cbps` is not a multiple of 16·(n_bpsc/..) structure, i.e.
-    /// if `n_cbps % 16 != 0`, or `n_bpsc` is zero.
+    /// Panics if `n_cbps % 16 != 0` or `n_bpsc` is zero.
     pub fn new(n_cbps: usize, n_bpsc: usize) -> Self {
+        Interleaver::with_columns(n_cbps, n_bpsc, 16)
+    }
+
+    /// The same two permutations over `n_col` columns of `n_cbps / n_col`
+    /// rows: 802.11n writes its 52-carrier HT-20 symbols into 13 columns
+    /// (4·N_BPSC rows) and its 108-carrier HT-40 symbols into 18 (6·N_BPSC
+    /// rows), where 802.11a uses 16.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_cbps` is not a multiple of `n_col`, or `n_bpsc` or
+    /// `n_col` is zero.
+    pub fn with_columns(n_cbps: usize, n_bpsc: usize, n_col: usize) -> Self {
         assert!(n_bpsc > 0, "bits per subcarrier must be positive");
-        assert!(n_cbps.is_multiple_of(16), "N_CBPS must be a multiple of 16");
+        assert!(
+            n_col > 0 && n_cbps.is_multiple_of(n_col),
+            "N_CBPS must be a multiple of {n_col}"
+        );
+        let n_row = n_cbps / n_col;
         let s = (n_bpsc / 2).max(1);
 
         // Standard text defines where input bit k lands; build that map.
         let mut land = vec![0usize; n_cbps]; // land[k] = output index of input k
         for (k, slot) in land.iter_mut().enumerate() {
-            let i = (n_cbps / 16) * (k % 16) + k / 16;
-            *slot = s * (i / s) + (i + n_cbps - 16 * i / n_cbps) % s;
+            let i = n_row * (k % n_col) + k / n_col;
+            *slot = s * (i / s) + (i + n_cbps - n_col * i / n_cbps) % s;
         }
         let mut forward = vec![0usize; n_cbps];
         for (k, &j) in land.iter().enumerate() {
@@ -101,12 +119,17 @@ impl Interleaver {
 
     /// Deinterleaves soft values (LLRs) instead of bits.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `llrs.len() != self.block_size()`.
-    pub fn deinterleave_soft(&self, llrs: &[f64]) -> Vec<f64> {
-        assert_eq!(llrs.len(), self.n_cbps, "interleaver block size mismatch");
-        self.inverse.iter().map(|&k| llrs[k]).collect()
+    /// [`WlanError::LengthMismatch`] if `llrs.len()` is not the block size.
+    pub fn deinterleave_soft(&self, llrs: &[f64]) -> Result<Vec<f64>, WlanError> {
+        if llrs.len() != self.n_cbps {
+            return Err(WlanError::LengthMismatch {
+                expected: self.n_cbps,
+                got: llrs.len(),
+            });
+        }
+        Ok(self.inverse.iter().map(|&k| llrs[k]).collect())
     }
 
     /// Like [`Interleaver::deinterleave_soft`], but gathers into a
@@ -123,18 +146,6 @@ impl Interleaver {
         }
     }
 
-    /// Like [`Interleaver::deinterleave_soft`], but a wrong block size
-    /// returns [`WlanError::LengthMismatch`] instead of panicking.
-    pub fn try_deinterleave_soft(&self, llrs: &[f64]) -> Result<Vec<f64>, WlanError> {
-        if llrs.len() != self.n_cbps {
-            return Err(WlanError::LengthMismatch {
-                expected: self.n_cbps,
-                got: llrs.len(),
-            });
-        }
-        Ok(self.inverse.iter().map(|&k| llrs[k]).collect())
-    }
-
     /// Interleaves a multi-symbol stream symbol by symbol.
     ///
     /// # Panics
@@ -149,160 +160,6 @@ impl Interleaver {
             out.extend(self.forward.iter().map(|&k| c[k]));
         }
         out
-    }
-
-    /// Deinterleaves a multi-symbol soft stream symbol by symbol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `llrs.len()` is not a multiple of the block size.
-    pub fn deinterleave_stream_soft(&self, llrs: &[f64]) -> Vec<f64> {
-        assert_eq!(llrs.len() % self.n_cbps, 0, "stream must be whole symbols");
-        let mut out = Vec::with_capacity(llrs.len());
-        for c in llrs.chunks(self.n_cbps) {
-            out.extend(self.inverse.iter().map(|&k| c[k]));
-        }
-        out
-    }
-
-    /// Like [`Interleaver::deinterleave_stream_soft`], but a ragged stream
-    /// (truncated mid-symbol) returns [`WlanError::LengthMismatch`] instead
-    /// of panicking.
-    pub fn try_deinterleave_stream_soft(&self, llrs: &[f64]) -> Result<Vec<f64>, WlanError> {
-        if !llrs.len().is_multiple_of(self.n_cbps) {
-            return Err(WlanError::LengthMismatch {
-                expected: llrs.len().div_ceil(self.n_cbps) * self.n_cbps,
-                got: llrs.len(),
-            });
-        }
-        Ok(self.deinterleave_stream_soft(llrs))
-    }
-}
-
-/// The 802.11n HT interleaver (20 MHz: 13 columns × 4·N_BPSC rows over 52
-/// data subcarriers; 40 MHz: 18 columns × 6·N_BPSC rows over 108).
-///
-/// Same two-permutation structure as the legacy interleaver but sized for
-/// the HT carrier counts, whose `N_CBPS` is not a multiple of 16.
-///
-/// # Examples
-///
-/// ```
-/// use wlan_coding::interleaver::HtInterleaver;
-///
-/// let il = HtInterleaver::new_20mhz(4); // 16-QAM: 208 coded bits/symbol
-/// assert_eq!(il.block_size(), 208);
-/// let bits: Vec<u8> = (0..208).map(|i| (i % 2) as u8).collect();
-/// assert_eq!(il.deinterleave(&il.interleave(&bits)), bits);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HtInterleaver {
-    n_cbps: usize,
-    forward: Vec<usize>,
-    inverse: Vec<usize>,
-}
-
-impl HtInterleaver {
-    /// HT interleaver for `n_bpsc` bits per subcarrier over `n_col` columns
-    /// and `row_factor·n_bpsc` rows (13/4 for 20 MHz, 18/6 for 40 MHz).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_bpsc` is zero.
-    pub fn new(n_bpsc: usize, n_col: usize, row_factor: usize) -> Self {
-        assert!(n_bpsc > 0, "bits per subcarrier must be positive");
-        let n_row = row_factor * n_bpsc;
-        let n_cbps = n_col * n_row;
-        let s = (n_bpsc / 2).max(1);
-        let mut land = vec![0usize; n_cbps];
-        for (k, slot) in land.iter_mut().enumerate() {
-            let i = n_row * (k % n_col) + k / n_col;
-            *slot = s * (i / s) + (i + n_cbps - n_col * i / n_cbps) % s;
-        }
-        let mut forward = vec![0usize; n_cbps];
-        for (k, &j) in land.iter().enumerate() {
-            forward[j] = k;
-        }
-        HtInterleaver {
-            n_cbps,
-            inverse: land,
-            forward,
-        }
-    }
-
-    /// The 20 MHz HT interleaver (52 data subcarriers).
-    pub fn new_20mhz(n_bpsc: usize) -> Self {
-        HtInterleaver::new(n_bpsc, 13, 4)
-    }
-
-    /// The 40 MHz HT interleaver (108 data subcarriers).
-    pub fn new_40mhz(n_bpsc: usize) -> Self {
-        HtInterleaver::new(n_bpsc, 18, 6)
-    }
-
-    /// Coded bits per OFDM symbol.
-    pub fn block_size(&self) -> usize {
-        self.n_cbps
-    }
-
-    /// Interleaves one symbol of bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != self.block_size()`.
-    pub fn interleave(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len(), self.n_cbps, "interleaver block size mismatch");
-        self.forward.iter().map(|&k| bits[k]).collect()
-    }
-
-    /// Inverse permutation on bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != self.block_size()`.
-    pub fn deinterleave(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len(), self.n_cbps, "interleaver block size mismatch");
-        self.inverse.iter().map(|&k| bits[k]).collect()
-    }
-
-    /// Interleaves a multi-symbol stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len()` is not a multiple of the block size.
-    pub fn interleave_stream(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len() % self.n_cbps, 0, "stream must be whole symbols");
-        let mut out = Vec::with_capacity(bits.len());
-        for c in bits.chunks(self.n_cbps) {
-            out.extend(self.forward.iter().map(|&k| c[k]));
-        }
-        out
-    }
-
-    /// Deinterleaves a multi-symbol soft stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `llrs.len()` is not a multiple of the block size.
-    pub fn deinterleave_stream_soft(&self, llrs: &[f64]) -> Vec<f64> {
-        assert_eq!(llrs.len() % self.n_cbps, 0, "stream must be whole symbols");
-        let mut out = Vec::with_capacity(llrs.len());
-        for c in llrs.chunks(self.n_cbps) {
-            out.extend(self.inverse.iter().map(|&k| c[k]));
-        }
-        out
-    }
-
-    /// Like [`HtInterleaver::deinterleave_stream_soft`], but a ragged
-    /// stream returns [`WlanError::LengthMismatch`] instead of panicking.
-    pub fn try_deinterleave_stream_soft(&self, llrs: &[f64]) -> Result<Vec<f64>, WlanError> {
-        if !llrs.len().is_multiple_of(self.n_cbps) {
-            return Err(WlanError::LengthMismatch {
-                expected: llrs.len().div_ceil(self.n_cbps) * self.n_cbps,
-                got: llrs.len(),
-            });
-        }
-        Ok(self.deinterleave_stream_soft(llrs))
     }
 }
 
@@ -371,7 +228,7 @@ mod tests {
         let bits: Vec<u8> = (0..96).map(|i| ((i / 5) % 2) as u8).collect();
         let tx = il.interleave(&bits);
         let llrs: Vec<f64> = tx.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
-        let soft = il.deinterleave_soft(&llrs);
+        let soft = il.deinterleave_soft(&llrs).unwrap();
         let hard: Vec<u8> = soft.iter().map(|&l| (l < 0.0) as u8).collect();
         assert_eq!(hard, bits);
     }
@@ -395,37 +252,50 @@ mod tests {
     #[test]
     fn try_deinterleave_reports_ragged_blocks() {
         let il = Interleaver::new(48, 1);
-        assert!(il.try_deinterleave_soft(&[0.0; 47]).is_err());
-        assert!(il.try_deinterleave_stream_soft(&[0.0; 49]).is_err());
-        let ok = il.try_deinterleave_stream_soft(&[0.5; 96]).unwrap();
-        assert_eq!(ok, il.deinterleave_stream_soft(&[0.5; 96]));
+        assert!(il.deinterleave_soft(&[0.0; 47]).is_err());
+        assert!(il.deinterleave_soft(&[0.0; 49]).is_err());
+        let ok = il.deinterleave_soft(&[0.5; 48]).unwrap();
+        let mut into = [0.0; 48];
+        il.deinterleave_soft_into(&[0.5; 48], &mut into);
+        assert_eq!(ok, into);
 
-        let ht = HtInterleaver::new_20mhz(2);
-        assert!(ht.try_deinterleave_stream_soft(&[0.0; 100]).is_err());
+        let ht = Interleaver::with_columns(104, 2, 13);
+        assert!(ht.deinterleave_soft(&[0.0; 100]).is_err());
         let n = ht.block_size();
-        assert_eq!(
-            ht.try_deinterleave_stream_soft(&vec![1.0; n]).unwrap().len(),
-            n
-        );
+        assert_eq!(ht.deinterleave_soft(&vec![1.0; n]).unwrap().len(), n);
+    }
+
+    /// The 20 MHz (13 columns) and 40 MHz (18 columns) HT interleavers.
+    fn ht_interleavers(bpsc: usize) -> [Interleaver; 2] {
+        [
+            Interleaver::with_columns(52 * bpsc, bpsc, 13),
+            Interleaver::with_columns(108 * bpsc, bpsc, 18),
+        ]
     }
 
     #[test]
     fn ht_block_sizes_match_standard() {
-        // 20 MHz: 52·N_BPSC; 40 MHz: 108·N_BPSC.
+        // 20 MHz: 13 columns × 4·N_BPSC rows; 40 MHz: 18 × 6·N_BPSC.
         for bpsc in [1usize, 2, 4, 6] {
-            assert_eq!(HtInterleaver::new_20mhz(bpsc).block_size(), 52 * bpsc);
-            assert_eq!(HtInterleaver::new_40mhz(bpsc).block_size(), 108 * bpsc);
+            let [ht20, ht40] = ht_interleavers(bpsc);
+            assert_eq!(ht20.block_size(), 52 * bpsc);
+            assert_eq!(ht40.block_size(), 108 * bpsc);
+        }
+        // BPSK (s = 1): input bit k lands at N_ROW·(k mod 13) + ⌊k/13⌋.
+        let [ht20, _] = ht_interleavers(1);
+        let bits: Vec<u8> = (0..52).map(|i| (i % 3 == 0) as u8).collect();
+        let out = ht20.interleave(&bits);
+        for (k, bit) in bits.iter().enumerate() {
+            assert_eq!(out[4 * (k % 13) + k / 13], *bit, "input bit {k}");
         }
     }
 
     #[test]
     fn ht_permutation_is_bijective() {
         for bpsc in [1usize, 2, 4, 6] {
-            for il in [HtInterleaver::new_20mhz(bpsc), HtInterleaver::new_40mhz(bpsc)] {
+            for il in ht_interleavers(bpsc) {
                 let n = il.block_size();
                 let mut seen = vec![false; n];
-                let ident: Vec<u8> = vec![0; n];
-                let _ = &ident;
                 for k in 0..n {
                     let one_hot: Vec<u8> = (0..n).map(|i| (i == k) as u8).collect();
                     let pos = il
@@ -442,20 +312,21 @@ mod tests {
 
     #[test]
     fn ht_roundtrip() {
-        let il = HtInterleaver::new_20mhz(6);
+        let [il, _] = ht_interleavers(6);
         let bits: Vec<u8> = (0..il.block_size()).map(|i| ((i * 17) % 3 == 0) as u8).collect();
         assert_eq!(il.deinterleave(&il.interleave(&bits)), bits);
-        // Soft stream path agrees with the hard path.
-        let tx = il.interleave_stream(&bits);
+        // The soft path agrees with the hard path.
+        let tx = il.interleave(&bits);
         let llrs: Vec<f64> = tx.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
-        let soft = il.deinterleave_stream_soft(&llrs);
+        let mut soft = vec![0.0; llrs.len()];
+        il.deinterleave_soft_into(&llrs, &mut soft);
         let hard: Vec<u8> = soft.iter().map(|&l| (l < 0.0) as u8).collect();
         assert_eq!(hard, bits);
     }
 
     #[test]
     fn ht_spreads_adjacent_bits() {
-        let il = HtInterleaver::new_20mhz(2);
+        let [il, _] = ht_interleavers(2);
         let pos = |k: usize| {
             let n = il.block_size();
             let one_hot: Vec<u8> = (0..n).map(|i| (i == k) as u8).collect();

@@ -10,7 +10,10 @@
 //! - [`viterbi`] — hard- and soft-decision Viterbi decoding,
 //! - [`puncture`] — rate 2/3, 3/4 and 5/6 puncturing/depuncturing,
 //! - [`interleaver`] — the two-permutation block interleaver of
-//!   802.11a §17.3.5.6,
+//!   802.11a §17.3.5.6 (16 columns) and 802.11n (13 at HT-20),
+//! - [`codec`] — the per-symbol BCC data-field codec (scramble → encode →
+//!   puncture, and depuncture → Viterbi → descramble) every BCC-coded
+//!   OFDM chain shares,
 //! - [`crc`] — CRC-32 (the 802.11 FCS),
 //! - [`ldpc`] — an IRA-structured quasi-regular LDPC code with normalized
 //!   min-sum decoding, standing in for the optional 802.11n LDPC codes,
@@ -31,6 +34,7 @@
 //! ```
 
 pub mod bits;
+pub mod codec;
 pub mod convolutional;
 pub mod crc;
 pub mod interleaver;

@@ -65,7 +65,7 @@ use wlan_fault::FaultChain;
 use wlan_math::special::db_to_lin;
 use wlan_math::WlanError;
 use wlan_mimo::detect::Detector;
-use wlan_mimo::phy::{propagate, MimoOfdmConfig, MimoOfdmPhy};
+use wlan_mimo::phy::{rate_mbps as mimo_rate_mbps, MimoOfdmConfig, MimoOfdmPhy};
 use wlan_ofdm::params::Modulation;
 use wlan_ofdm::phy::MAX_PAYLOAD;
 use wlan_ofdm::{OfdmPhy, OfdmRate};
@@ -630,7 +630,7 @@ impl MimoLink {
         }
     }
 
-    fn phy(&self) -> MimoOfdmPhy {
+    fn phy(&self) -> Result<MimoOfdmPhy, WlanError> {
         MimoOfdmPhy::new(MimoOfdmConfig {
             n_streams: self.n_streams,
             n_rx: self.n_rx,
@@ -650,7 +650,7 @@ impl PhyLink for MimoLink {
     }
 
     fn rate_mbps(&self) -> f64 {
-        self.phy().rate_mbps()
+        mimo_rate_mbps(self.n_streams, self.modulation, self.code_rate)
     }
 
     fn frame_trial_faulted(
@@ -661,14 +661,14 @@ impl PhyLink for MimoLink {
         rng: &mut WlanRng,
     ) -> Result<bool, WlanError> {
         let timers = stage_timers();
-        let phy = self.phy();
+        let phy = self.phy()?;
         let n0 = db_to_lin(-snr_db);
         let ch = MimoMultipathChannel::realize(self.n_rx, self.n_streams, &self.pdp, rng);
         let span = timers.tx.start();
         let tx = phy.transmit(payload);
         span.stop();
         let span = timers.channel.start();
-        let mut rx = propagate(&ch, &tx, n0, rng);
+        let mut rx = ch.propagate(&tx, n0, rng)?;
         faults.inject_streams(&mut rx, rng);
         span.stop();
         let span = timers.rx.start();
@@ -832,7 +832,7 @@ impl StbcLink {
         }
     }
 
-    fn phy(&self) -> wlan_mimo::stbc_phy::StbcOfdmPhy {
+    fn phy(&self) -> Result<wlan_mimo::stbc_phy::StbcOfdmPhy, WlanError> {
         wlan_mimo::stbc_phy::StbcOfdmPhy::new(self.modulation, self.code_rate, self.n_rx)
     }
 }
@@ -843,7 +843,9 @@ impl PhyLink for StbcLink {
     }
 
     fn rate_mbps(&self) -> f64 {
-        self.phy().rate_mbps()
+        // Alamouti spends the second antenna on diversity: one stream's
+        // rate, whatever the receive side.
+        mimo_rate_mbps(1, self.modulation, self.code_rate)
     }
 
     fn frame_trial_faulted(
@@ -854,18 +856,18 @@ impl PhyLink for StbcLink {
         rng: &mut WlanRng,
     ) -> Result<bool, WlanError> {
         let timers = stage_timers();
-        let phy = self.phy();
+        let phy = self.phy()?;
         let n0 = db_to_lin(-snr_db);
         let ch = MimoMultipathChannel::realize(self.n_rx, 2, &self.pdp, rng);
         let span = timers.tx.start();
         let tx = phy.transmit(payload);
         span.stop();
         let span = timers.channel.start();
-        let mut rx = propagate(&ch, &tx, n0, rng);
+        let mut rx = ch.propagate(&tx, n0, rng)?;
         faults.inject_streams(&mut rx, rng);
         span.stop();
         let span = timers.rx.start();
-        let decoded = phy.try_receive(&rx, n0, payload.len());
+        let decoded = phy.try_receive(&rx, payload.len());
         span.stop();
         Ok(decoded? == payload)
     }
@@ -982,6 +984,33 @@ mod tests {
             ldpc_curve.points[0].per,
             bcc_curve.points[0].per
         );
+    }
+
+    #[test]
+    fn mimo_link_rejects_unsupported_antenna_counts() {
+        let mut rng = WlanRng::seed_from_u64(24);
+        let clean = FaultChain::clean();
+        for (n_streams, n_rx) in [(0, 1), (5, 5), (2, 0)] {
+            let link = MimoLink::flat(n_streams, n_rx);
+            let rate = link.rate_mbps();
+            assert!((rate - 12.0 * n_streams as f64).abs() < 1e-9, "{rate} Mbps");
+            let err = link
+                .frame_trial_faulted(20.0, &[7; 30], &clean, &mut rng)
+                .unwrap_err();
+            assert!(matches!(err, WlanError::InvalidConfig(_)), "{err:?}");
+            assert!(!link.frame_trial(20.0, &[7; 30], &mut rng));
+        }
+    }
+
+    #[test]
+    fn stbc_link_rejects_zero_receive_antennas() {
+        let mut rng = WlanRng::seed_from_u64(25);
+        let link = StbcLink::flat(0);
+        assert!((link.rate_mbps() - 12.0).abs() < 1e-9);
+        let err = link
+            .frame_trial_faulted(20.0, &[7; 30], &FaultChain::clean(), &mut rng)
+            .unwrap_err();
+        assert!(matches!(err, WlanError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]

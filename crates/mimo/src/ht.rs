@@ -6,16 +6,19 @@
 //! interleaver (13 columns × 4·N_BPSC rows), and the extended HT-LTF.
 //! Its per-symbol arithmetic therefore matches the MCS table *exactly* —
 //! MCS 7 carries 52·6·(5/6) = 260 bits per 4 µs symbol = 65 Mbps — which
-//! the tests assert against [`crate::mcs::HtMcs`].
+//! the tests assert against [`crate::mcs::HtMcs`]. The numerology's symbol
+//! I/O here is shared with the LDPC-coded variant in [`crate::ht_ldpc`].
 
-use wlan_coding::interleaver::HtInterleaver;
-use wlan_coding::puncture::{depuncture, puncture};
-use wlan_coding::scrambler::Scrambler;
-use wlan_coding::{bits, CodeRate, ConvEncoder, ViterbiDecoder};
-use wlan_math::{fft, Complex, WlanError};
-use wlan_ofdm::params::{Modulation, N_CP, N_FFT, N_SYM_SAMPLES};
-use wlan_ofdm::preamble::ltf_value;
-use wlan_ofdm::qam;
+use wlan_coding::codec::DataCodec;
+use wlan_coding::interleaver::Interleaver;
+use wlan_coding::CodeRate;
+use wlan_math::{Complex, WlanError};
+use wlan_ofdm::params::{Modulation, N_FFT, N_SYM_SAMPLES};
+use wlan_ofdm::preamble::ht_ltf_value;
+use wlan_ofdm::qam::{self, Constellation};
+use wlan_ofdm::symbol::{
+    carrier_to_bin, fft_of_slot, ht_training_symbol, ht_tx_scale, ifft_into_slot,
+};
 
 /// HT-20 data subcarriers per symbol.
 pub const N_DATA_HT20: usize = 52;
@@ -37,13 +40,53 @@ pub fn ht20_data_carriers() -> &'static [i32; N_DATA_HT20] {
     })
 }
 
-/// The HT-LTF value at subcarrier `k`: the legacy sequence extended with
-/// `+1, +1` at −28, −27 and `−1, −1` at +27, +28 (802.11n equation 20-24).
-pub fn ht_ltf_value(k: i32) -> f64 {
-    match k {
-        -28 | -27 => 1.0,
-        27 | 28 => -1.0,
-        _ => ltf_value(k),
+/// Maps one symbol's coded bits onto the 52 data carriers, adds the static
+/// unit pilots (no phase noise to track in this simulation) and writes the
+/// symbol into its 80-sample slot.
+pub(crate) fn ht_symbol_into(constellation: &Constellation, bits: &[u8], slot: &mut [Complex]) {
+    let mut points = [Complex::ZERO; N_DATA_HT20];
+    constellation.map_into(bits, &mut points);
+    let mut bins = [Complex::ZERO; N_FFT];
+    for (&k, &v) in ht20_data_carriers().iter().zip(&points) {
+        bins[carrier_to_bin(k)] = v;
+    }
+    for &k in &PILOT_CARRIERS_HT20 {
+        bins[carrier_to_bin(k)] = Complex::ONE;
+    }
+    ifft_into_slot(&mut bins, ht_tx_scale(), slot);
+}
+
+/// A frame's least-squares channel estimate from its single HT-LTF, per
+/// data carrier.
+pub(crate) struct HtChannel([Complex; N_DATA_HT20]);
+
+impl HtChannel {
+    /// Estimates the channel from the 80-sample HT-LTF slot.
+    pub(crate) fn estimate(ltf: &[Complex]) -> Self {
+        let train = fft_of_slot(ltf, ht_tx_scale());
+        let mut h = [Complex::ZERO; N_DATA_HT20];
+        for (h, &k) in h.iter_mut().zip(ht20_data_carriers()) {
+            *h = train[carrier_to_bin(k)].scale(1.0 / ht_ltf_value(k));
+        }
+        HtChannel(h)
+    }
+
+    /// Equalizes one 80-sample data symbol (zero forcing; a carrier with
+    /// `|H|² ≤ 1e-12` reads as zero) and writes each carrier's `N_BPSC`
+    /// LLRs, weighted by `|H|²`, into `llrs` in carrier order.
+    pub(crate) fn demap_symbol(&self, slot: &[Complex], modulation: Modulation, llrs: &mut [f64]) {
+        let bins = fft_of_slot(slot, ht_tx_scale());
+        let carriers = ht20_data_carriers().iter().zip(&self.0);
+        let slots = llrs.chunks_exact_mut(modulation.bits_per_subcarrier());
+        for ((&k, &h), out) in carriers.zip(slots) {
+            let h2 = h.norm_sqr();
+            let y = if h2 > 1e-12 {
+                bins[carrier_to_bin(k)] / h
+            } else {
+                Complex::ZERO
+            };
+            qam::demap_soft_into(modulation, y, h2, out);
+        }
     }
 }
 
@@ -87,8 +130,7 @@ impl HtPhy {
 
     /// Data bits per OFDM symbol.
     pub fn data_bits_per_symbol(&self) -> usize {
-        let (n, d) = self.code_rate.as_fraction();
-        self.coded_bits_per_symbol() * n / d
+        self.codec().data_bits_per_symbol()
     }
 
     /// PHY rate in Mbps (20 MHz, long GI) — matches the MCS table.
@@ -98,7 +140,7 @@ impl HtPhy {
 
     /// Data symbols for `len` payload bytes.
     pub fn num_data_symbols(&self, len: usize) -> usize {
-        (16 + 8 * len + 6).div_ceil(self.data_bits_per_symbol())
+        self.codec().num_symbols(len)
     }
 
     /// Frame length in samples (1 HT-LTF + data).
@@ -106,34 +148,34 @@ impl HtPhy {
         (1 + self.num_data_symbols(len)) * N_SYM_SAMPLES
     }
 
-    fn interleaver(&self) -> HtInterleaver {
-        HtInterleaver::new_20mhz(self.modulation.bits_per_subcarrier())
+    fn codec(&self) -> DataCodec {
+        let n_cbps = self.coded_bits_per_symbol();
+        DataCodec::new(self.code_rate, n_cbps, self.scrambler_seed)
+    }
+
+    fn interleaver(&self) -> Interleaver {
+        Interleaver::with_columns(
+            self.coded_bits_per_symbol(),
+            self.modulation.bits_per_subcarrier(),
+            13,
+        )
     }
 
     /// Encodes a payload into a baseband frame (HT-LTF then data symbols).
     pub fn transmit(&self, payload: &[u8]) -> Vec<Complex> {
+        let mut frame = vec![Complex::ZERO; self.frame_samples(payload.len())];
+        let (ltf, data) = frame.split_at_mut(N_SYM_SAMPLES);
+        ltf.copy_from_slice(ht_training_symbol());
+        let il = self.interleaver();
+        let constellation = Constellation::new(self.modulation);
+        let mut interleaved = vec![0u8; il.block_size()];
         let n_sym = self.num_data_symbols(payload.len());
-        let total_bits = n_sym * self.data_bits_per_symbol();
-
-        let mut data_bits = vec![0u8; 16];
-        data_bits.extend(bits::bytes_to_bits(payload));
-        let tail_start = data_bits.len();
-        data_bits.resize(total_bits, 0);
-        let mut scrambled = Scrambler::new(self.scrambler_seed).scramble(&data_bits);
-        for b in scrambled.iter_mut().skip(tail_start).take(6) {
-            *b = 0;
-        }
-        let mut enc = ConvEncoder::new();
-        let coded = puncture(&enc.encode(&scrambled), self.code_rate);
-        let interleaved = self.interleaver().interleave_stream(&coded);
-        let points = qam::map_stream(self.modulation, &interleaved);
-
-        let mut out = Vec::with_capacity(self.frame_samples(payload.len()));
-        out.extend(ht_training_symbol());
-        for chunk in points.chunks(N_DATA_HT20) {
-            out.extend(assemble_ht_symbol(chunk));
-        }
-        out
+        self.codec().encode(payload, n_sym, |s, coded| {
+            il.interleave_into(coded, &mut interleaved);
+            let slot = &mut data[s * N_SYM_SAMPLES..(s + 1) * N_SYM_SAMPLES];
+            ht_symbol_into(&constellation, &interleaved, slot);
+        });
+        frame
     }
 
     /// Decodes a received frame (channel estimated from the HT-LTF). A
@@ -151,91 +193,17 @@ impl HtPhy {
                 got: samples.len(),
             });
         }
-
-        // LS channel estimate from the single HT-LTF.
-        let train = symbol_bins(&samples[..N_SYM_SAMPLES]);
-        let carriers = ht20_data_carriers();
-        let channel: Vec<Complex> = carriers
-            .iter()
-            .map(|&k| train[carrier_to_bin(k)].scale(1.0 / ht_ltf_value(k)))
-            .collect();
-
+        let (ltf, data) = samples.split_at(N_SYM_SAMPLES);
+        let channel = HtChannel::estimate(ltf);
+        let il = self.interleaver();
+        let mut llrs = vec![0.0; il.block_size()];
         let n_sym = self.num_data_symbols(payload_len);
-        let mut llrs = Vec::with_capacity(n_sym * self.coded_bits_per_symbol());
-        for s in 0..n_sym {
-            let off = (1 + s) * N_SYM_SAMPLES;
-            let bins = symbol_bins(&samples[off..off + N_SYM_SAMPLES]);
-            for (c, &k) in carriers.iter().enumerate() {
-                let h = channel[c];
-                let h2 = h.norm_sqr();
-                let y = if h2 > 1e-12 {
-                    bins[carrier_to_bin(k)] / h
-                } else {
-                    Complex::ZERO
-                };
-                llrs.extend(qam::demap_soft(self.modulation, y, h2));
-            }
-        }
-        let deinterleaved = self.interleaver().try_deinterleave_stream_soft(&llrs)?;
-        let total_bits = n_sym * self.data_bits_per_symbol();
-        let mother = depuncture(&deinterleaved, self.code_rate, total_bits * 2);
-        let scrambled = ViterbiDecoder::new().decode_soft_unterminated(&mother, total_bits)?;
-        let descrambled = Scrambler::new(self.scrambler_seed).scramble(&scrambled);
-        Ok(bits::bits_to_bytes(&descrambled[16..16 + 8 * payload_len]))
+        self.codec().decode(payload_len, n_sym, |s, out| {
+            let slot = &data[s * N_SYM_SAMPLES..(s + 1) * N_SYM_SAMPLES];
+            channel.demap_symbol(slot, self.modulation, &mut llrs);
+            il.deinterleave_soft_into(&llrs, out);
+        })
     }
-}
-
-/// HT time-domain scale: 56 occupied carriers.
-fn ht_tx_scale() -> f64 {
-    N_FFT as f64 / 56f64.sqrt()
-}
-
-fn carrier_to_bin(k: i32) -> usize {
-    ((k + N_FFT as i32) % N_FFT as i32) as usize
-}
-
-fn ht_training_symbol() -> Vec<Complex> {
-    let mut bins = vec![Complex::ZERO; N_FFT];
-    for k in -28..=28i32 {
-        let v = ht_ltf_value(k);
-        if v != 0.0 {
-            bins[carrier_to_bin(k)] = Complex::from_re(v);
-        }
-    }
-    finish(bins)
-}
-
-fn assemble_ht_symbol(data: &[Complex]) -> Vec<Complex> {
-    debug_assert_eq!(data.len(), N_DATA_HT20);
-    let mut bins = vec![Complex::ZERO; N_FFT];
-    for (i, &k) in ht20_data_carriers().iter().enumerate() {
-        bins[carrier_to_bin(k)] = data[i];
-    }
-    // Static unit pilots (no phase noise to track in this simulation).
-    for &k in &PILOT_CARRIERS_HT20 {
-        bins[carrier_to_bin(k)] = Complex::ONE;
-    }
-    finish(bins)
-}
-
-fn finish(bins: Vec<Complex>) -> Vec<Complex> {
-    let time = fft::ifft(&bins);
-    let s = ht_tx_scale();
-    let mut out = Vec::with_capacity(N_SYM_SAMPLES);
-    out.extend(time[N_FFT - N_CP..].iter().map(|v| v.scale(s)));
-    out.extend(time.iter().map(|v| v.scale(s)));
-    out
-}
-
-fn symbol_bins(samples: &[Complex]) -> Vec<Complex> {
-    let mut body: Vec<Complex> = samples[N_CP..N_CP + N_FFT]
-        .iter()
-        .map(|v| v.scale(1.0 / ht_tx_scale()))
-        .collect();
-    // Planned, in-place: the 64-point length is structural, so the cached
-    // plan always applies.
-    fft::fft_in_place(&mut body);
-    body
 }
 
 #[cfg(test)]
@@ -244,6 +212,7 @@ mod tests {
     use crate::mcs::{Bandwidth, GuardInterval, HtMcs};
     use wlan_math::rng::{Rng, WlanRng};
     use wlan_channel::{Awgn, MultipathChannel, PowerDelayProfile};
+    use wlan_ofdm::preamble::ltf_value;
 
     #[test]
     fn carrier_plan_is_52_plus_4() {

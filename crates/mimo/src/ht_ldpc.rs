@@ -3,17 +3,22 @@
 //! The paper: "Other likely enhancements in the 802.11n standard will also
 //! increase the range of wireless networks, such as the use of LDPC codes."
 //! This module swaps the BCC+interleaver of [`crate::ht::HtPhy`] for
-//! per-symbol LDPC codewords (LDPC needs no interleaver: the sparse graph
-//! itself spreads bits across the constellation), reproducing the
-//! architecture of the 802.11n LDPC option on the HT-20 numerology.
+//! LDPC codewords spanning whole OFDM symbols (LDPC needs no interleaver:
+//! the sparse graph itself spreads bits across the constellation),
+//! reproducing the architecture of the 802.11n LDPC option on the HT-20
+//! numerology, whose symbol I/O it shares with [`crate::ht::HtPhy`].
 
-use crate::ht::{ht20_data_carriers, ht_ltf_value, N_DATA_HT20, PILOT_CARRIERS_HT20};
+use crate::ht::{ht_symbol_into, HtChannel, N_DATA_HT20};
 use wlan_coding::ldpc::{LdpcCode, MinSum};
 use wlan_coding::scrambler::Scrambler;
 use wlan_coding::{bits, CodeRate};
-use wlan_math::{fft, Complex, WlanError};
-use wlan_ofdm::params::{Modulation, N_CP, N_FFT, N_SYM_SAMPLES};
-use wlan_ofdm::qam;
+use wlan_math::{Complex, WlanError};
+use wlan_ofdm::params::{Modulation, N_SYM_SAMPLES};
+use wlan_ofdm::qam::Constellation;
+use wlan_ofdm::symbol::ht_training_symbol;
+
+/// The normalized min-sum decoder every codeword runs.
+const MIN_SUM: MinSum = MinSum::Normalized(0.8);
 
 /// A single-stream HT-20 PHY with LDPC coding.
 ///
@@ -44,30 +49,22 @@ pub struct HtLdpcPhy {
 }
 
 impl HtLdpcPhy {
-    /// Creates the PHY; the LDPC codeword spans enough symbols to reach
-    /// ≥ 1296 coded bits (`n = L·52·N_BPSC`, `k = n·rate`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate does not divide the symbol size into integer
-    /// `k`/`m` (all four 802.11 rates do for every HT modulation except
-    /// BPSK at 5/6-adjacent corner cases — those panic).
+    /// Creates the PHY. The LDPC codeword spans the fewest symbols `L`
+    /// that reach 1296 coded bits (`n = L·52·N_BPSC`) and hold a whole
+    /// number of information bits (`k = n·rate`).
     pub fn new(modulation: Modulation, rate: CodeRate) -> Self {
         let n_cbps = N_DATA_HT20 * modulation.bits_per_subcarrier();
-        // Span enough symbols to reach ≥ 1296 coded bits per codeword.
-        let span = 1296usize.div_ceil(n_cbps);
-        let n = span * n_cbps;
         let (num, den) = rate.as_fraction();
-        assert!(
-            (n * num).is_multiple_of(den),
-            "rate {rate} does not divide the {n}-bit codeword"
-        );
+        let mut span = 1296usize.div_ceil(n_cbps);
+        while !(span * n_cbps * num).is_multiple_of(den) {
+            span += 1;
+        }
+        let n = span * n_cbps;
         let k = n * num / den;
-        let m = n - k;
         HtLdpcPhy {
             modulation,
             span,
-            code: LdpcCode::new(k, m, 0x11AC),
+            code: LdpcCode::new(k, n - k, 0x11AC),
             scrambler_seed: 0x5D,
             max_iters: 40,
         }
@@ -80,9 +77,8 @@ impl HtLdpcPhy {
     /// deterministic — so sweeps must share one instance instead of
     /// rebuilding the graph per trial.
     pub fn cached(modulation: Modulation, rate: CodeRate) -> &'static HtLdpcPhy {
-        static CACHE: std::sync::Mutex<
-            Vec<((Modulation, CodeRate), &'static HtLdpcPhy)>,
-        > = std::sync::Mutex::new(Vec::new());
+        type Cache = Vec<((Modulation, CodeRate), &'static HtLdpcPhy)>;
+        static CACHE: std::sync::Mutex<Cache> = std::sync::Mutex::new(Vec::new());
         let mut guard = CACHE.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(&(_, phy)) = guard.iter().find(|(key, _)| *key == (modulation, rate)) {
             return phy;
@@ -97,14 +93,16 @@ impl HtLdpcPhy {
         self.span
     }
 
-    /// Information bits per OFDM symbol.
+    /// Information bits per OFDM symbol, rounded down where a codeword's
+    /// `k` does not split evenly over its symbols.
     pub fn data_bits_per_symbol(&self) -> usize {
         self.code.info_len() / self.span
     }
 
-    /// PHY rate in Mbps (20 MHz, long GI).
+    /// PHY rate in Mbps (20 MHz, long GI): a codeword's information bits
+    /// over its symbols' airtime.
     pub fn rate_mbps(&self) -> f64 {
-        self.data_bits_per_symbol() as f64 / 4.0
+        self.code.info_len() as f64 / (self.span as f64 * 4.0)
     }
 
     /// Data symbols for `len` payload bytes (16 service bits, no tail —
@@ -121,25 +119,28 @@ impl HtLdpcPhy {
 
     /// Encodes a payload (HT-LTF, then codewords of `L` symbols each).
     pub fn transmit(&self, payload: &[u8]) -> Vec<Complex> {
-        let n_sym = self.num_data_symbols(payload.len());
         let k_cw = self.code.info_len();
-        let codewords = n_sym / self.span;
+        let n_cbps = N_DATA_HT20 * self.modulation.bits_per_subcarrier();
+        let mut frame = vec![Complex::ZERO; self.frame_samples(payload.len())];
+        let (ltf, data) = frame.split_at_mut(N_SYM_SAMPLES);
+        ltf.copy_from_slice(ht_training_symbol());
 
+        let codewords = self.num_data_symbols(payload.len()) / self.span;
         let mut data_bits = vec![0u8; 16];
         data_bits.extend(bits::bytes_to_bits(payload));
         data_bits.resize(codewords * k_cw, 0);
         let scrambled = Scrambler::new(self.scrambler_seed).scramble(&data_bits);
 
-        let mut out = Vec::with_capacity(self.frame_samples(payload.len()));
-        out.extend(training_symbol());
-        for block in scrambled.chunks(k_cw) {
-            let cw = self.code.encode(block);
-            let points = qam::map_stream(self.modulation, &cw);
-            for sym_points in points.chunks(N_DATA_HT20) {
-                out.extend(assemble_symbol(sym_points));
+        let constellation = Constellation::new(self.modulation);
+        let blocks = data.chunks_exact_mut(self.span * N_SYM_SAMPLES);
+        for (info, slots) in scrambled.chunks(k_cw).zip(blocks) {
+            let codeword = self.code.encode(info);
+            let slots = slots.chunks_exact_mut(N_SYM_SAMPLES);
+            for (bits, slot) in codeword.chunks_exact(n_cbps).zip(slots) {
+                ht_symbol_into(&constellation, bits, slot);
             }
         }
-        out
+        frame
     }
 
     /// Decodes a frame; per-codeword min-sum BP with early termination. A
@@ -157,92 +158,24 @@ impl HtLdpcPhy {
                 got: samples.len(),
             });
         }
-        let train = symbol_bins(&samples[..N_SYM_SAMPLES]);
-        let carriers = ht20_data_carriers();
-        let channel: Vec<Complex> = carriers
-            .iter()
-            .map(|&k| train[carrier_to_bin(k)].scale(1.0 / ht_ltf_value(k)))
-            .collect();
-
-        let n_sym = self.num_data_symbols(payload_len);
-        let codewords = n_sym / self.span;
-        let bpsc = self.modulation.bits_per_subcarrier();
-        let mut scrambled = Vec::with_capacity(codewords * self.code.info_len());
+        let channel = HtChannel::estimate(&samples[..N_SYM_SAMPLES]);
+        let n_cbps = N_DATA_HT20 * self.modulation.bits_per_subcarrier();
+        let blocks = samples[N_SYM_SAMPLES..needed].chunks_exact(self.span * N_SYM_SAMPLES);
+        let mut scrambled = Vec::with_capacity(blocks.len() * self.code.info_len());
         // One LLR buffer for the whole frame: every slot is overwritten per
-        // codeword, and `demap_soft_into` keeps the demapper out of the
-        // per-carrier allocator.
+        // codeword.
         let mut llrs = vec![0.0f64; self.code.codeword_len()];
-        for cw_idx in 0..codewords {
-            for s in 0..self.span {
-                let off = (1 + cw_idx * self.span + s) * N_SYM_SAMPLES;
-                let bins = symbol_bins(&samples[off..off + N_SYM_SAMPLES]);
-                let base = s * N_DATA_HT20 * bpsc;
-                for (c, &kc) in carriers.iter().enumerate() {
-                    let h = channel[c];
-                    let h2 = h.norm_sqr();
-                    let y = if h2 > 1e-12 {
-                        bins[carrier_to_bin(kc)] / h
-                    } else {
-                        Complex::ZERO
-                    };
-                    let slot = base + c * bpsc;
-                    qam::demap_soft_into(self.modulation, y, h2, &mut llrs[slot..slot + bpsc]);
-                }
+        for block in blocks {
+            let slots = block.chunks_exact(N_SYM_SAMPLES);
+            for (slot, out) in slots.zip(llrs.chunks_exact_mut(n_cbps)) {
+                channel.demap_symbol(slot, self.modulation, out);
             }
-            let decoded = self.code.try_decode(&llrs, self.max_iters, MinSum::Normalized(0.8))?;
+            let decoded = self.code.try_decode(&llrs, self.max_iters, MIN_SUM)?;
             scrambled.extend(decoded.info_bits);
         }
         let descrambled = Scrambler::new(self.scrambler_seed).scramble(&scrambled);
         Ok(bits::bits_to_bytes(&descrambled[16..16 + 8 * payload_len]))
     }
-}
-
-fn tx_scale() -> f64 {
-    N_FFT as f64 / 56f64.sqrt()
-}
-
-fn carrier_to_bin(k: i32) -> usize {
-    ((k + N_FFT as i32) % N_FFT as i32) as usize
-}
-
-fn training_symbol() -> Vec<Complex> {
-    let mut bins = vec![Complex::ZERO; N_FFT];
-    for k in -28..=28i32 {
-        let v = ht_ltf_value(k);
-        if v != 0.0 {
-            bins[carrier_to_bin(k)] = Complex::from_re(v);
-        }
-    }
-    finish(bins)
-}
-
-fn assemble_symbol(data: &[Complex]) -> Vec<Complex> {
-    let mut bins = vec![Complex::ZERO; N_FFT];
-    for (i, &k) in ht20_data_carriers().iter().enumerate() {
-        bins[carrier_to_bin(k)] = data[i];
-    }
-    for &k in &PILOT_CARRIERS_HT20 {
-        bins[carrier_to_bin(k)] = Complex::ONE;
-    }
-    finish(bins)
-}
-
-fn finish(mut bins: Vec<Complex>) -> Vec<Complex> {
-    fft::ifft_in_place(&mut bins);
-    let s = tx_scale();
-    let mut out = Vec::with_capacity(N_SYM_SAMPLES);
-    out.extend(bins[N_FFT - N_CP..].iter().map(|v| v.scale(s)));
-    out.extend(bins.iter().map(|v| v.scale(s)));
-    out
-}
-
-fn symbol_bins(samples: &[Complex]) -> Vec<Complex> {
-    let mut body: Vec<Complex> = samples[N_CP..N_CP + N_FFT]
-        .iter()
-        .map(|v| v.scale(1.0 / tx_scale()))
-        .collect();
-    fft::fft_in_place(&mut body);
-    body
 }
 
 #[cfg(test)]
@@ -364,6 +297,37 @@ mod tests {
             let phy = HtLdpcPhy::new(m, CodeRate::R1_2);
             let n = phy.symbols_per_codeword() * 52 * m.bits_per_subcarrier();
             assert!((1296..1296 + 52 * 6).contains(&n), "{m}: n = {n}");
+        }
+    }
+
+    #[test]
+    fn every_modulation_and_rate_builds_and_roundtrips() {
+        // BPSK, QPSK and 16-QAM at 2/3 and 5/6 need a longer span than the
+        // first one reaching 1296 bits for `k` to be whole; the other pairs
+        // keep that first span.
+        let payload: Vec<u8> = (0..150).map(|i| (i * 29 + 7) as u8).collect();
+        let modulations = [
+            Modulation::Bpsk,
+            Modulation::Qpsk,
+            Modulation::Qam16,
+            Modulation::Qam64,
+        ];
+        for m in modulations {
+            for r in CodeRate::all() {
+                let phy = HtLdpcPhy::new(m, r);
+                let n_cbps = 52 * m.bits_per_subcarrier();
+                let first = 1296usize.div_ceil(n_cbps);
+                let (num, den) = r.as_fraction();
+                if (first * n_cbps * num).is_multiple_of(den) {
+                    assert_eq!(phy.symbols_per_codeword(), first, "{m} r={r}");
+                }
+                let n = phy.symbols_per_codeword() * n_cbps;
+                assert_eq!(phy.code.info_len() * den, n * num, "{m} r={r}");
+                let frame = phy.transmit(&payload);
+                assert_eq!(frame.len(), phy.frame_samples(payload.len()));
+                let decoded = phy.try_receive(&frame, payload.len()).unwrap();
+                assert_eq!(decoded, payload, "{m} r={r}");
+            }
         }
     }
 }

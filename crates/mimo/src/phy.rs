@@ -1,8 +1,9 @@
 //! A spatially-multiplexed MIMO-OFDM frame chain (802.11n HT style).
 //!
-//! The transmit side runs one encoder over the whole frame, parses the coded
+//! The transmit side runs the shared BCC data-field codec
+//! ([`DataCodec`]) one OFDM symbol at a time, parses each symbol's coded
 //! bits round-robin onto `N_ss` spatial streams, and sends each stream
-//! through the familiar interleave → QAM → IFFT pipeline on its own antenna.
+//! through the 802.11a interleave → QAM → IFFT symbol on its own antenna.
 //! Training uses HT-LTF-like orthogonal covers (the `P` matrix) so the
 //! receiver can estimate the full per-subcarrier channel matrix, after which
 //! MMSE (or ZF) detection separates the streams.
@@ -12,16 +13,14 @@
 //! SISO one — the fair comparison the range experiment (E5) needs.
 
 use crate::detect::{Detector, LinearDetector};
+use wlan_coding::codec::DataCodec;
 use wlan_coding::interleaver::Interleaver;
-use wlan_coding::puncture::{depuncture, puncture};
-use wlan_coding::scrambler::Scrambler;
-use wlan_coding::{bits, CodeRate, ConvEncoder, ViterbiDecoder};
-use wlan_ofdm::params::{data_carriers, Modulation, N_CP, N_FFT, N_SYM_SAMPLES};
-use wlan_ofdm::preamble::ltf_value;
-use wlan_ofdm::qam;
-use wlan_ofdm::symbol::{assemble_symbol, tx_scale};
-use wlan_math::rng::Rng;
+use wlan_coding::CodeRate;
 use wlan_math::{fft, CMatrix, Complex, WlanError};
+use wlan_ofdm::params::{data_carriers, Modulation, N_CP, N_DATA, N_FFT, N_SYM_SAMPLES};
+use wlan_ofdm::preamble::ltf_value;
+use wlan_ofdm::qam::{self, Constellation};
+use wlan_ofdm::symbol::{assemble_symbol_into, carrier_to_bin, legacy_training_symbol, tx_scale};
 
 /// The 802.11n HT-LTF orthogonal cover matrix `P` (rows = streams,
 /// columns = training symbols).
@@ -31,6 +30,32 @@ pub const P_HTLTF: [[f64; 4]; 4] = [
     [1.0, 1.0, 1.0, -1.0],
     [-1.0, 1.0, 1.0, 1.0],
 ];
+
+/// Why a configuration without receive antennas is rejected.
+pub(crate) const NO_RX_ANTENNA: &str = "need at least one receive antenna";
+
+/// PHY rate in Mbps of `n_streams` spatial streams on the 48-data-carrier
+/// symbol (20 MHz, long GI).
+pub fn rate_mbps(n_streams: usize, modulation: Modulation, code_rate: CodeRate) -> f64 {
+    let (n, d) = code_rate.as_fraction();
+    (N_DATA * modulation.bits_per_subcarrier() * n_streams * n / d) as f64 / 4.0
+}
+
+/// Writes `n_ltf` HT-LTF training symbols into the head of every
+/// antenna's frame: antenna `i` sends the legacy training symbol under
+/// the covers `P_HTLTF[i][m]`, scaled by `power_scale`.
+pub(crate) fn write_training(antennas: &mut [Vec<Complex>], n_ltf: usize, power_scale: f64) {
+    let ltf = legacy_training_symbol();
+    for (ant, covers) in antennas.iter_mut().zip(&P_HTLTF) {
+        let slots = ant.chunks_exact_mut(N_SYM_SAMPLES);
+        for (&p, slot) in covers.iter().take(n_ltf).zip(slots) {
+            let scale = p * power_scale;
+            for (o, s) in slot.iter_mut().zip(ltf) {
+                *o = s.scale(scale);
+            }
+        }
+    }
+}
 
 /// Configuration of the MIMO-OFDM link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +88,9 @@ pub struct MimoOfdmConfig {
 ///     modulation: Modulation::Qpsk,
 ///     code_rate: CodeRate::R1_2,
 ///     detector: Detector::Mmse,
-/// });
+/// })?;
 /// assert_eq!(phy.data_bits_per_symbol(), 96);
+/// # Ok::<(), wlan_math::WlanError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MimoOfdmPhy {
@@ -75,24 +101,21 @@ pub struct MimoOfdmPhy {
 impl MimoOfdmPhy {
     /// Creates a PHY.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `n_streams` is not 1–4 or `n_rx` is zero.
-    pub fn new(cfg: MimoOfdmConfig) -> Self {
-        assert!(
-            (1..=4).contains(&cfg.n_streams),
-            "stream count must be 1-4"
-        );
-        assert!(cfg.n_rx >= 1, "need at least one receive antenna");
-        MimoOfdmPhy {
+    /// [`WlanError::InvalidConfig`] if `n_streams` is not 1–4 or `n_rx` is
+    /// zero.
+    pub fn new(cfg: MimoOfdmConfig) -> Result<Self, WlanError> {
+        if !(1..=4).contains(&cfg.n_streams) {
+            return Err(WlanError::InvalidConfig("stream count must be 1-4"));
+        }
+        if cfg.n_rx == 0 {
+            return Err(WlanError::InvalidConfig(NO_RX_ANTENNA));
+        }
+        Ok(MimoOfdmPhy {
             cfg,
             scrambler_seed: 0x5D,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &MimoOfdmConfig {
-        &self.cfg
+        })
     }
 
     /// Number of HT-LTF training symbols (equals streams, except 3 → 4).
@@ -105,18 +128,17 @@ impl MimoOfdmPhy {
 
     /// Coded bits per OFDM symbol per stream.
     pub fn coded_bits_per_symbol_per_stream(&self) -> usize {
-        48 * self.cfg.modulation.bits_per_subcarrier()
+        N_DATA * self.cfg.modulation.bits_per_subcarrier()
     }
 
     /// Data bits per OFDM symbol across all streams.
     pub fn data_bits_per_symbol(&self) -> usize {
-        let (n, d) = self.cfg.code_rate.as_fraction();
-        self.coded_bits_per_symbol_per_stream() * self.cfg.n_streams * n / d
+        self.codec().data_bits_per_symbol()
     }
 
     /// Number of data symbols for a payload of `len` bytes.
     pub fn num_data_symbols(&self, len: usize) -> usize {
-        (16 + 8 * len + 6).div_ceil(self.data_bits_per_symbol())
+        self.codec().num_symbols(len)
     }
 
     /// Per-antenna samples for a payload of `len` bytes.
@@ -126,7 +148,21 @@ impl MimoOfdmPhy {
 
     /// PHY data rate in Mbps (20 MHz, long GI).
     pub fn rate_mbps(&self) -> f64 {
-        self.data_bits_per_symbol() as f64 / 4.0
+        rate_mbps(self.cfg.n_streams, self.cfg.modulation, self.cfg.code_rate)
+    }
+
+    /// The codec over all streams' coded bits of one symbol.
+    fn codec(&self) -> DataCodec {
+        let n_cbps = self.coded_bits_per_symbol_per_stream() * self.cfg.n_streams;
+        DataCodec::new(self.cfg.code_rate, n_cbps, self.scrambler_seed)
+    }
+
+    /// The 802.11n stream parser's block: `s = max(N_BPSC/2, 1)` coded bits
+    /// go to each stream in turn. A symbol holds `N_ss·48·N_BPSC` coded
+    /// bits, a multiple of `N_ss·s`, so the round robin restarts at every
+    /// symbol and parsing symbol by symbol is exact.
+    fn parser_block(&self) -> usize {
+        (self.cfg.modulation.bits_per_subcarrier() / 2).max(1)
     }
 
     /// Encodes a payload into `n_streams` per-antenna sample streams
@@ -134,39 +170,34 @@ impl MimoOfdmPhy {
     pub fn transmit(&self, payload: &[u8]) -> Vec<Vec<Complex>> {
         let n_ss = self.cfg.n_streams;
         let power_scale = 1.0 / (n_ss as f64).sqrt();
-        let mut antennas: Vec<Vec<Complex>> =
-            vec![Vec::with_capacity(self.frame_samples(payload.len())); n_ss];
-
-        // HT-LTF training with orthogonal P covers. Each antenna's stream
-        // is independent, so filling antenna-by-antenna preserves the
-        // symbol order m = 0, 1, … within every stream.
-        let ltf_sym = ltf_frequency_symbol();
+        let mut antennas = vec![vec![Complex::ZERO; self.frame_samples(payload.len())]; n_ss];
         let n_ltf = self.num_training_symbols();
-        for (i, ant) in antennas.iter_mut().enumerate() {
-            for &p in P_HTLTF[i].iter().take(n_ltf) {
-                let scale = p * power_scale;
-                ant.extend(ltf_sym.iter().map(|&s| s.scale(scale)));
-            }
-        }
+        write_training(&mut antennas, n_ltf, power_scale);
 
-        // One encoder across the frame, then round-robin stream parsing.
-        let per_stream_bits = self.per_stream_coded_bits(payload.len());
-        let streams = self.encode_streams(payload);
-        let il = Interleaver::new(
-            self.coded_bits_per_symbol_per_stream(),
-            self.cfg.modulation.bits_per_subcarrier(),
-        );
+        let ncbps = self.coded_bits_per_symbol_per_stream();
+        let block = self.parser_block();
+        let il = Interleaver::new(ncbps, self.cfg.modulation.bits_per_subcarrier());
+        let constellation = Constellation::new(self.cfg.modulation);
+        let mut stream_bits = vec![0u8; ncbps];
+        let mut interleaved = vec![0u8; ncbps];
+        let mut points = [Complex::ZERO; N_DATA];
         let n_sym = self.num_data_symbols(payload.len());
-        for (i, stream_bits) in streams.iter().enumerate() {
-            debug_assert_eq!(stream_bits.len(), per_stream_bits);
-            let interleaved = il.interleave_stream(stream_bits);
-            let points = qam::map_stream(self.cfg.modulation, &interleaved);
-            for s in 0..n_sym {
-                let chunk = &points[s * 48..(s + 1) * 48];
-                let sym = assemble_symbol(chunk, s + 1);
-                antennas[i].extend(sym.iter().map(|&v| v.scale(power_scale)));
+        self.codec().encode(payload, n_sym, |s, coded| {
+            let blocks = coded.chunks_exact(block);
+            for (i, ant) in antennas.iter_mut().enumerate() {
+                let parsed = blocks.clone().skip(i).step_by(n_ss);
+                for (dst, src) in stream_bits.chunks_exact_mut(block).zip(parsed) {
+                    dst.copy_from_slice(src);
+                }
+                il.interleave_into(&stream_bits, &mut interleaved);
+                constellation.map_into(&interleaved, &mut points);
+                let slot = &mut ant[(n_ltf + s) * N_SYM_SAMPLES..][..N_SYM_SAMPLES];
+                assemble_symbol_into(&points, s + 1, slot);
+                for v in slot.iter_mut() {
+                    *v = v.scale(power_scale);
+                }
             }
-        }
+        });
         antennas
     }
 
@@ -178,11 +209,13 @@ impl MimoOfdmPhy {
     /// streams — returns a typed [`WlanError`] instead of panicking, so
     /// injected faults become counted erasures.
     ///
-    /// The receive pipeline is batched: every symbol of every antenna is
-    /// FFT'd in one planned pass, and each subcarrier's linear detector is
-    /// factored once ([`LinearDetector::prepare`]) and applied
-    /// structure-of-arrays across all data symbols — identical arithmetic
-    /// to per-symbol detection, hoisted out of the hot loop.
+    /// Detection is batched: every symbol of every antenna is FFT'd in one
+    /// planned pass, and each subcarrier's linear detector is factored
+    /// once ([`LinearDetector::prepare`]) and applied across all data
+    /// symbols — identical arithmetic to per-symbol detection, hoisted out
+    /// of the hot loop. The bit path after demapping then runs one symbol
+    /// at a time: each stream's LLRs are deinterleaved, merged back in
+    /// stream-parser order and handed to the shared codec.
     pub fn try_receive(
         &self,
         rx: &[Vec<Complex>],
@@ -191,78 +224,24 @@ impl MimoOfdmPhy {
     ) -> Result<Vec<u8>, WlanError> {
         let n_rx = self.cfg.n_rx;
         let n_ss = self.cfg.n_streams;
-        if rx.len() != n_rx {
-            return Err(WlanError::LengthMismatch {
-                expected: n_rx,
-                got: rx.len(),
-            });
-        }
-        let needed = self.frame_samples(payload_len);
-        for r in rx {
-            if r.len() < needed {
-                return Err(WlanError::FrameTruncated {
-                    needed,
-                    got: r.len(),
-                });
-            }
-        }
-
-        // Batch-FFT every symbol of every antenna in one planned pass:
-        // bins[(m·n_rx + r)·64 ..][..64] = spectrum of symbol m, antenna r.
         let n_ltf = self.num_training_symbols();
         let n_sym = self.num_data_symbols(payload_len);
-        let total_syms = n_ltf + n_sym;
-        let plan = fft::cached_plan(N_FFT);
-        let inv_scale = 1.0 / tx_scale();
-        let mut bins = Vec::with_capacity(total_syms * n_rx * N_FFT);
-        for m in 0..total_syms {
-            let offset = m * N_SYM_SAMPLES + N_CP;
-            for r in rx {
-                bins.extend(r[offset..offset + N_FFT].iter().map(|s| s.scale(inv_scale)));
-            }
-        }
-        plan.try_fft_batch(&mut bins)?;
-        let bin_row = |m: usize, r: usize| &bins[(m * n_rx + r) * N_FFT..][..N_FFT];
-
-        // h[k] is the n_rx × n_ss matrix at data carrier k (includes the
-        // 1/√N_ss transmit scaling, which is what detection should see),
-        // estimated from the orthogonal training covers.
-        let carriers = data_carriers();
-        let channel: Vec<CMatrix> = carriers
-            .iter()
-            .map(|&k| {
-                let bin = carrier_to_bin(k);
-                let l = ltf_value(k);
-                let mut h = CMatrix::zeros(n_rx, n_ss);
-                for r in 0..n_rx {
-                    for (i, p_row) in P_HTLTF.iter().enumerate().take(n_ss) {
-                        let mut acc = Complex::ZERO;
-                        for (m, &p) in p_row.iter().enumerate().take(n_ltf) {
-                            acc += bin_row(m, r)[bin].scale(p);
-                        }
-                        h.set(r, i, acc.scale(1.0 / (n_ltf as f64 * l)));
-                    }
-                }
-                h
-            })
-            .collect();
+        let spectra = Spectra::new(rx, n_rx, n_ltf + n_sym)?;
+        let channel = spectra.channel(n_ss, n_ltf);
 
         // Structure-of-arrays detection: factor each subcarrier's detector
         // once, then run it down the frame's symbols. LLR planes are
         // preallocated at zero, so any failed carrier or symbol naturally
         // leaves erasures behind.
-        let il = Interleaver::new(
-            self.coded_bits_per_symbol_per_stream(),
-            self.cfg.modulation.bits_per_subcarrier(),
-        );
         // Effective noise after the tx_scale normalization.
         let n0_eff = (n0 / (tx_scale() * tx_scale())).max(1e-12);
         let bpsc = self.cfg.modulation.bits_per_subcarrier();
-        let mut stream_llrs: Vec<Vec<f64>> = vec![vec![0.0; n_sym * 48 * bpsc]; n_ss];
+        let ncbps = self.coded_bits_per_symbol_per_stream();
+        let mut stream_llrs: Vec<Vec<f64>> = vec![vec![0.0; n_sym * ncbps]; n_ss];
         let mut ys: Vec<Complex> = Vec::with_capacity(n_sym * n_rx);
         let mut symbols: Vec<Complex> = Vec::with_capacity(n_sym * n_ss);
         let mut sym_ok: Vec<bool> = Vec::with_capacity(n_sym);
-        for (c, &k) in carriers.iter().enumerate() {
+        for (c, &k) in data_carriers().iter().enumerate() {
             // A carrier whose detector cannot be factored (rank-deficient or
             // non-finite channel) stays all-erasures, exactly as per-symbol
             // detection errors did.
@@ -274,7 +253,7 @@ impl MimoOfdmPhy {
             ys.clear();
             for s in 0..n_sym {
                 for r in 0..n_rx {
-                    ys.push(bin_row(n_ltf + s, r)[bin]);
+                    ys.push(spectra.bins(n_ltf + s, r)[bin]);
                 }
             }
             symbols.clear();
@@ -285,7 +264,7 @@ impl MimoOfdmPhy {
                     continue; // non-finite observation → erasures
                 }
                 for (i, llrs) in stream_llrs.iter_mut().enumerate() {
-                    let slot = (s * 48 + c) * bpsc;
+                    let slot = s * ncbps + c * bpsc;
                     qam::demap_soft_into(
                         self.cfg.modulation,
                         symbols[s * n_ss + i],
@@ -296,123 +275,92 @@ impl MimoOfdmPhy {
             }
         }
 
-        // Deinterleave per stream, merge (inverse parsing), decode.
-        let merged_len = n_sym * self.coded_bits_per_symbol_per_stream() * n_ss;
-        let deinterleaved: Vec<Vec<f64>> = stream_llrs
-            .iter()
-            .map(|l| il.deinterleave_stream_soft(l))
-            .collect();
-        let coded = self.merge_streams_soft(&deinterleaved, merged_len);
-        let total_bits = n_sym * self.data_bits_per_symbol();
-        let mother = depuncture(&coded, self.cfg.code_rate, total_bits * 2);
-        let scrambled = ViterbiDecoder::new().decode_soft_unterminated(&mother, total_bits)?;
-        let descrambled = Scrambler::new(self.scrambler_seed).scramble(&scrambled);
-        Ok(bits::bits_to_bytes(&descrambled[16..16 + 8 * payload_len]))
-    }
-
-    fn per_stream_coded_bits(&self, payload_len: usize) -> usize {
-        self.num_data_symbols(payload_len) * self.coded_bits_per_symbol_per_stream()
-    }
-
-    /// Scramble → encode → puncture → parse into per-stream bit vectors.
-    fn encode_streams(&self, payload: &[u8]) -> Vec<Vec<u8>> {
-        let n_sym = self.num_data_symbols(payload.len());
-        let total_bits = n_sym * self.data_bits_per_symbol();
-        let mut data_bits = vec![0u8; 16];
-        data_bits.extend(bits::bytes_to_bits(payload));
-        let tail_start = data_bits.len();
-        data_bits.resize(total_bits, 0);
-        let mut scrambled = Scrambler::new(self.scrambler_seed).scramble(&data_bits);
-        for b in scrambled.iter_mut().skip(tail_start).take(6) {
-            *b = 0;
-        }
-        let mut enc = ConvEncoder::new();
-        let coded = puncture(&enc.encode(&scrambled), self.cfg.code_rate);
-
-        // 802.11n stream parser: s = max(N_BPSC/2, 1) bits round-robin.
-        let s = (self.cfg.modulation.bits_per_subcarrier() / 2).max(1);
-        let n_ss = self.cfg.n_streams;
-        let mut streams: Vec<Vec<u8>> =
-            vec![Vec::with_capacity(coded.len() / n_ss); n_ss];
-        for (block_idx, block) in coded.chunks(s).enumerate() {
-            streams[block_idx % n_ss].extend_from_slice(block);
-        }
-        streams
-    }
-
-    /// Inverse of the stream parser for soft values.
-    fn merge_streams_soft(&self, streams: &[Vec<f64>], total: usize) -> Vec<f64> {
-        let s = (self.cfg.modulation.bits_per_subcarrier() / 2).max(1);
-        let n_ss = self.cfg.n_streams;
-        let mut out = Vec::with_capacity(total);
-        let mut cursors = vec![0usize; n_ss];
-        let mut stream_idx = 0usize;
-        while out.len() < total {
-            let c = cursors[stream_idx];
-            out.extend_from_slice(&streams[stream_idx][c..c + s]);
-            cursors[stream_idx] += s;
-            stream_idx = (stream_idx + 1) % n_ss;
-        }
-        out
-    }
-}
-
-/// One 80-sample training symbol (CP + IFFT of the LTF sequence at data
-/// scale).
-fn ltf_frequency_symbol() -> Vec<Complex> {
-    let mut bins = vec![Complex::ZERO; N_FFT];
-    for k in -26..=26i32 {
-        let v = ltf_value(k);
-        if v != 0.0 {
-            bins[carrier_to_bin(k)] = Complex::from_re(v);
-        }
-    }
-    let time = fft::ifft(&bins);
-    let scale = tx_scale();
-    let mut out = Vec::with_capacity(N_SYM_SAMPLES);
-    out.extend(time[N_FFT - N_CP..].iter().map(|s| s.scale(scale)));
-    out.extend(time.iter().map(|s| s.scale(scale)));
-    out
-}
-
-fn carrier_to_bin(k: i32) -> usize {
-    ((k + N_FFT as i32) % N_FFT as i32) as usize
-}
-
-/// Propagates per-antenna transmit streams through a frequency-selective
-/// MIMO channel and adds AWGN of variance `n0` per receive antenna.
-///
-/// # Panics
-///
-/// Panics if `tx.len() != channel.n_tx()`.
-pub fn propagate(
-    channel: &wlan_channel::mimo::MimoMultipathChannel,
-    tx: &[Vec<Complex>],
-    n0: f64,
-    rng: &mut impl Rng,
-) -> Vec<Vec<Complex>> {
-    assert_eq!(tx.len(), channel.n_tx(), "transmit antenna count mismatch");
-    let len = tx.iter().map(|t| t.len()).max().unwrap_or(0);
-    let mut rx = Vec::with_capacity(channel.n_rx());
-    for r in 0..channel.n_rx() {
-        let mut acc = vec![Complex::ZERO; len];
-        for (t, stream) in tx.iter().enumerate() {
-            let filtered = channel.pair(r, t).filter(stream);
-            for (i, v) in filtered.into_iter().enumerate() {
-                if i < len {
-                    acc[i] += v;
+        // Per symbol: deinterleave each stream, merge (inverse parsing)
+        // into the codec's buffer.
+        let il = Interleaver::new(ncbps, bpsc);
+        let block = self.parser_block();
+        let mut deinterleaved = vec![0.0; ncbps];
+        self.codec().decode(payload_len, n_sym, |s, merged| {
+            for (i, llrs) in stream_llrs.iter().enumerate() {
+                il.deinterleave_soft_into(&llrs[s * ncbps..(s + 1) * ncbps], &mut deinterleaved);
+                let parsed = merged.chunks_exact_mut(block).skip(i).step_by(n_ss);
+                for (dst, src) in parsed.zip(deinterleaved.chunks_exact(block)) {
+                    dst.copy_from_slice(src);
                 }
             }
+        })
+    }
+}
+
+/// Every OFDM symbol of every receive antenna, CP-stripped and FFT'd in
+/// one planned pass: the front end of the multi-antenna receivers.
+pub(crate) struct Spectra {
+    /// `bins[(m·n_rx + r)·64..][..64]` is the spectrum of symbol `m` at
+    /// antenna `r`.
+    bins: Vec<Complex>,
+    n_rx: usize,
+}
+
+impl Spectra {
+    /// Transforms the first `n_sym` symbols of each of the `n_rx` streams
+    /// in `rx`. A wrong antenna count or a stream shorter than `n_sym`
+    /// symbols is a typed error, so injected faults become
+    /// counted erasures.
+    pub(crate) fn new(rx: &[Vec<Complex>], n_rx: usize, n_sym: usize) -> Result<Self, WlanError> {
+        if rx.len() != n_rx {
+            return Err(WlanError::LengthMismatch {
+                expected: n_rx,
+                got: rx.len(),
+            });
         }
-        if n0 > 0.0 {
-            let sigma = n0.sqrt();
-            for v in acc.iter_mut() {
-                *v += wlan_channel::noise::complex_gaussian(rng).scale(sigma);
+        let needed = n_sym * N_SYM_SAMPLES;
+        for r in rx {
+            if r.len() < needed {
+                return Err(WlanError::FrameTruncated {
+                    needed,
+                    got: r.len(),
+                });
             }
         }
-        rx.push(acc);
+        let inv_scale = 1.0 / tx_scale();
+        let mut bins = Vec::with_capacity(n_sym * n_rx * N_FFT);
+        for m in 0..n_sym {
+            let offset = m * N_SYM_SAMPLES + N_CP;
+            for r in rx {
+                bins.extend(r[offset..offset + N_FFT].iter().map(|s| s.scale(inv_scale)));
+            }
+        }
+        fft::cached_plan(N_FFT).try_fft_batch(&mut bins)?;
+        Ok(Spectra { bins, n_rx })
     }
-    rx
+
+    /// The spectrum of symbol `m` at antenna `r`.
+    pub(crate) fn bins(&self, m: usize, r: usize) -> &[Complex] {
+        &self.bins[(m * self.n_rx + r) * N_FFT..][..N_FFT]
+    }
+
+    /// The `n_rx × n_ss` channel matrix at every data carrier, estimated
+    /// from the first `n_ltf` symbols under the orthogonal `P` covers. It
+    /// includes the transmit power scaling, which is what detection and
+    /// combining should see.
+    pub(crate) fn channel(&self, n_ss: usize, n_ltf: usize) -> Vec<CMatrix> {
+        let estimate = |&k: &i32| {
+            let bin = carrier_to_bin(k);
+            let l = ltf_value(k);
+            let mut h = CMatrix::zeros(self.n_rx, n_ss);
+            for r in 0..self.n_rx {
+                for (i, p_row) in P_HTLTF.iter().enumerate().take(n_ss) {
+                    let mut acc = Complex::ZERO;
+                    for (m, &p) in p_row.iter().enumerate().take(n_ltf) {
+                        acc += self.bins(m, r)[bin].scale(p);
+                    }
+                    h.set(r, i, acc.scale(1.0 / (n_ltf as f64 * l)));
+                }
+            }
+            h
+        };
+        data_carriers().iter().map(estimate).collect()
+    }
 }
 
 #[cfg(test)]
@@ -430,6 +378,7 @@ mod tests {
             code_rate: CodeRate::R1_2,
             detector: Detector::Mmse,
         })
+        .unwrap()
     }
 
     #[test]
@@ -489,7 +438,7 @@ mod tests {
         for _ in 0..trials {
             let ch = MimoMultipathChannel::realize(2, 2, &pdp, &mut rng);
             let tx = p.transmit(&payload);
-            let rx = propagate(&ch, &tx, n0, &mut rng);
+            let rx = ch.propagate(&tx, n0, &mut rng).unwrap();
             if p.try_receive(&rx, n0, payload.len()).unwrap() == payload {
                 ok += 1;
             }
@@ -510,7 +459,7 @@ mod tests {
             for _ in 0..trials {
                 let ch = MimoMultipathChannel::realize(n_rx, 2, &pdp, &mut rng);
                 let tx = p.transmit(&payload);
-                let rx = propagate(&ch, &tx, n0, &mut rng);
+                let rx = ch.propagate(&tx, n0, &mut rng).unwrap();
                 if p.try_receive(&rx, n0, payload.len()).unwrap() == payload {
                     ok[idx] += 1;
                 }
@@ -535,9 +484,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stream count must be 1-4")]
     fn stream_count_validated() {
-        let _ = phy(5, 5, Modulation::Bpsk);
+        let config = |n_streams, n_rx| MimoOfdmConfig {
+            n_streams,
+            n_rx,
+            modulation: Modulation::Bpsk,
+            code_rate: CodeRate::R1_2,
+            detector: Detector::Mmse,
+        };
+        for (n_streams, n_rx) in [(0, 1), (5, 5), (2, 0)] {
+            let err = MimoOfdmPhy::new(config(n_streams, n_rx)).unwrap_err();
+            assert!(matches!(err, WlanError::InvalidConfig(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!
 //! - [`params`] — the rate table (6–54 Mbps) and symbol geometry,
 //! - [`qam`] — Gray-mapped BPSK/QPSK/16-QAM/64-QAM with soft LLR demapping,
-//! - [`symbol`] — subcarrier mapping, pilots, IFFT and cyclic prefix,
+//! - [`symbol`] — the symbol I/O the 802.11a and 802.11n chains share:
+//!   subcarrier mapping, pilots, IFFT/FFT with cyclic prefix, and the
+//!   legacy and HT training symbols,
 //! - [`preamble`] — short/long training fields and LS channel estimation,
 //! - [`phy`] — the frame-level encode/decode chain
 //!   (scramble → BCC → interleave → map → IFFT, and back),

@@ -16,10 +16,10 @@ use std::sync::OnceLock;
 
 use crate::params::{OfdmRate, N_DATA, N_SYM_SAMPLES};
 use crate::preamble;
-use crate::qam;
+use crate::qam::{self, Constellation};
 use crate::symbol::{assemble_symbol_into, Equalizer};
+use wlan_coding::codec::DataCodec;
 use wlan_coding::interleaver::Interleaver;
-use wlan_coding::scrambler::Scrambler;
 use wlan_coding::{ConvEncoder, ViterbiDecoder};
 use wlan_math::Complex;
 
@@ -94,8 +94,7 @@ impl OfdmPhy {
 
     /// Number of data OFDM symbols needed for a payload of `len` bytes.
     pub fn num_data_symbols(&self, len: usize) -> usize {
-        let bits = 16 + 8 * len + 6;
-        bits.div_ceil(self.rate.data_bits_per_symbol())
+        self.codec().num_symbols(len)
     }
 
     /// Total frame length in samples.
@@ -188,9 +187,10 @@ impl OfdmPhy {
         for (y, &csi) in data.iter().zip(eq.csi()) {
             llrs.extend(qam::demap_soft(crate::params::Modulation::Bpsk, *y, csi));
         }
-        let il = Interleaver::new(48, 1);
-        let deinterleaved = il.deinterleave_soft(&llrs);
         // A mis-sized LLR block means the symbol was cut short.
+        let deinterleaved = Interleaver::new(48, 1)
+            .deinterleave_soft(&llrs)
+            .map_err(|_| RxError::TooShort)?;
         let info = ViterbiDecoder::new()
             .decode_soft(&deinterleaved, 18)
             .map_err(|_| RxError::TooShort)?;
@@ -207,116 +207,60 @@ impl OfdmPhy {
         Ok((rate, length))
     }
 
+    /// The DATA field's BCC codec at this rate.
+    fn codec(&self) -> DataCodec {
+        DataCodec::new(
+            self.rate.code_rate(),
+            self.rate.coded_bits_per_symbol(),
+            self.scrambler_seed,
+        )
+    }
+
     /// Streams the DATA field into `out` (whole 80-sample symbols), one
-    /// OFDM symbol at a time: each symbol's `SERVICE ‖ payload ‖ TAIL ‖ PAD`
-    /// bits are scrambled, encoded, punctured, interleaved, mapped and
-    /// IFFT'd into their slot through stack buffers, with the scrambler,
-    /// encoder and puncture phase carried across symbols. Bit-identical
-    /// to running each stage over the whole frame in turn.
+    /// OFDM symbol at a time: each symbol's coded bits from the codec are
+    /// interleaved, mapped and IFFT'd into their slot through stack
+    /// buffers.
     fn encode_data(&self, payload: &[u8], out: &mut [Complex]) {
-        let ndbps = self.rate.data_bits_per_symbol();
         let ncbps = self.rate.coded_bits_per_symbol();
         let modulation = self.rate.modulation();
-        let bpsc = modulation.bits_per_subcarrier();
-        let il = Interleaver::new(ncbps, bpsc);
-        let points = qam::constellation(modulation);
-        let pattern = self.rate.code_rate().pattern();
-
-        let payload_end = 16 + 8 * payload.len();
-        // §17.3.5.2: the six tail bits are zeroed *after* scrambling so the
-        // trellis is driven to a known state at that point.
-        let tail = payload_end..payload_end + 6;
-        let mut scrambler = Scrambler::new(self.scrambler_seed);
-        let mut encoder = ConvEncoder::new();
-        let mut keep = pattern.iter().cycle();
-        let mut coded = [0u8; MAX_CBPS];
+        let il = Interleaver::new(ncbps, modulation.bits_per_subcarrier());
+        let constellation = Constellation::new(modulation);
         let mut interleaved = [0u8; MAX_CBPS];
         let mut data = [Complex::ZERO; N_DATA];
-        for (s, slot) in out.chunks_exact_mut(N_SYM_SAMPLES).enumerate() {
-            let mut n = 0;
-            for i in s * ndbps..(s + 1) * ndbps {
-                let bit = if (16..payload_end).contains(&i) {
-                    (payload[(i - 16) / 8] >> ((i - 16) % 8)) & 1
-                } else {
-                    0
-                };
-                let scrambled = bit ^ scrambler.next_bit();
-                let pair = encoder.push_packed(if tail.contains(&i) { 0 } else { scrambled });
-                for coded_bit in [pair >> 1, pair & 1] {
-                    if keep.next() == Some(&true) {
-                        coded[n] = coded_bit;
-                        n += 1;
-                    }
-                }
-            }
-            debug_assert_eq!(n, ncbps);
-            il.interleave_into(&coded[..ncbps], &mut interleaved[..ncbps]);
-            for (point, bits) in data.iter_mut().zip(interleaved[..ncbps].chunks_exact(bpsc)) {
-                let index = bits.iter().fold(0usize, |acc, &b| acc << 1 | b as usize);
-                *point = points[index];
-            }
+        let n_sym = out.len() / N_SYM_SAMPLES;
+        self.codec().encode(payload, n_sym, |s, coded| {
+            il.interleave_into(coded, &mut interleaved[..ncbps]);
+            constellation.map_into(&interleaved[..ncbps], &mut data);
+            let slot = &mut out[s * N_SYM_SAMPLES..(s + 1) * N_SYM_SAMPLES];
             assemble_symbol_into(&data, s + 1, slot);
-        }
+        });
     }
 
     /// Decodes the DATA field one OFDM symbol at a time: each symbol is
-    /// FFT'd, equalized, demapped, deinterleaved and depunctured through
-    /// stack buffers straight into the Viterbi decoder's LLR buffer (the
-    /// puncture phase carried across symbols), then the whole field is
-    /// decoded, descrambled and packed. Bit-identical to running each
-    /// stage over the whole frame in turn.
+    /// FFT'd, equalized, demapped and deinterleaved through stack buffers
+    /// into the codec, which depunctures, decodes, descrambles and packs.
     fn decode_data(
         &self,
         samples: &[Complex],
         length: usize,
         eq: &Equalizer,
     ) -> Result<Vec<u8>, RxError> {
-        let ndbps = self.rate.data_bits_per_symbol();
         let ncbps = self.rate.coded_bits_per_symbol();
-        let n_sym = self.num_data_symbols(length);
-        let total_bits = n_sym * ndbps;
         let modulation = self.rate.modulation();
         let bpsc = modulation.bits_per_subcarrier();
         let il = Interleaver::new(ncbps, bpsc);
-        let pattern = self.rate.code_rate().pattern();
-
-        // Punctured positions keep their zero-LLR erasure.
-        let mut mother = vec![0.0; 2 * total_bits];
-        let mut keep = pattern.iter().cycle();
         let mut data = [Complex::ZERO; N_DATA];
         let mut llrs = [0.0; MAX_CBPS];
-        let mut deinterleaved = [0.0; MAX_CBPS];
-        let symbols = samples.chunks_exact(N_SYM_SAMPLES).take(n_sym);
-        for ((s, symbol), window) in symbols.enumerate().zip(mother.chunks_exact_mut(2 * ndbps)) {
-            eq.symbol_into(symbol, s + 1, &mut data);
-            for ((y, &w), slot) in data.iter().zip(eq.csi()).zip(llrs.chunks_exact_mut(bpsc)) {
-                qam::demap_soft_into(modulation, *y, w, slot);
-            }
-            il.deinterleave_soft_into(&llrs[..ncbps], &mut deinterleaved[..ncbps]);
-            // The pattern keeps exactly `ncbps` slots of the window, and
-            // the zip walks the whole window, so the phase advances by the
-            // window's length.
-            let kept = window
-                .iter_mut()
-                .zip(&mut keep)
-                .filter_map(|(slot, &k)| k.then_some(slot));
-            for (slot, &llr) in kept.zip(&deinterleaved[..ncbps]) {
-                *slot = llr;
-            }
-        }
-        let scrambled = ViterbiDecoder::new()
-            .decode_soft_unterminated(&mother, total_bits)
-            .map_err(|_| RxError::TooShort)?;
-        // Descramble from the start of SERVICE, keeping only the payload.
-        let mut scrambler = Scrambler::new(self.scrambler_seed);
-        for _ in 0..16 {
-            scrambler.next_bit();
-        }
-        let mut payload = vec![0u8; length];
-        for (i, &b) in scrambled[16..16 + 8 * length].iter().enumerate() {
-            payload[i / 8] |= (b ^ scrambler.next_bit()) << (i % 8);
-        }
-        Ok(payload)
+        self.codec()
+            .decode(length, self.num_data_symbols(length), |s, out| {
+                let symbol = &samples[s * N_SYM_SAMPLES..(s + 1) * N_SYM_SAMPLES];
+                eq.symbol_into(symbol, s + 1, &mut data);
+                for ((y, &w), slot) in data.iter().zip(eq.csi()).zip(llrs.chunks_exact_mut(bpsc)) {
+                    qam::demap_soft_into(modulation, *y, w, slot);
+                }
+                il.deinterleave_soft_into(&llrs[..ncbps], out);
+            })
+            .map_err(|_| RxError::TooShort)
     }
 }
 

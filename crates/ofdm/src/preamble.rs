@@ -6,6 +6,7 @@
 //! estimation — the step that makes per-subcarrier equalization possible.
 
 use crate::params::{N_FFT, N_OCCUPIED};
+use crate::symbol::carrier_to_bin;
 use wlan_math::{fft, Complex};
 
 /// Long-training frequency-domain sequence over subcarriers −26…+26
@@ -34,16 +35,22 @@ const STF_CARRIERS: [(i32, Complex); 12] = [
     (24, Complex::new(1.0, 1.0)),
 ];
 
-fn carrier_to_bin(k: i32) -> usize {
-    ((k + N_FFT as i32) % N_FFT as i32) as usize
-}
-
 /// The LTF value at signed subcarrier `k` (0 outside ±26).
 pub fn ltf_value(k: i32) -> f64 {
     if !(-26..=26).contains(&k) {
         0.0
     } else {
         LTF_SEQUENCE[(k + 26) as usize]
+    }
+}
+
+/// The HT-LTF value at subcarrier `k`: the legacy sequence extended with
+/// `+1, +1` at −28, −27 and `−1, −1` at +27, +28 (802.11n equation 20-24).
+pub fn ht_ltf_value(k: i32) -> f64 {
+    match k {
+        -28 | -27 => 1.0,
+        27 | 28 => -1.0,
+        _ => ltf_value(k),
     }
 }
 

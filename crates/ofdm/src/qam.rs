@@ -10,29 +10,15 @@ use wlan_math::Complex;
 
 /// Per-axis Gray map for 2 bits (16-QAM I or Q): 00→−3, 01→−1, 11→+1, 10→+3.
 fn gray2_to_level(b0: u8, b1: u8) -> f64 {
-    match (b0, b1) {
-        (0, 0) => -3.0,
-        (0, 1) => -1.0,
-        (1, 1) => 1.0,
-        (1, 0) => 3.0,
-        _ => panic!("bits must be 0 or 1"),
-    }
+    const LEVELS: [f64; 4] = [-3.0, -1.0, 3.0, 1.0];
+    LEVELS[usize::from(b0 & 1) << 1 | usize::from(b1 & 1)]
 }
 
 /// Per-axis Gray map for 3 bits (64-QAM I or Q):
 /// 000→−7, 001→−5, 011→−3, 010→−1, 110→+1, 111→+3, 101→+5, 100→+7.
 fn gray3_to_level(b0: u8, b1: u8, b2: u8) -> f64 {
-    match (b0, b1, b2) {
-        (0, 0, 0) => -7.0,
-        (0, 0, 1) => -5.0,
-        (0, 1, 1) => -3.0,
-        (0, 1, 0) => -1.0,
-        (1, 1, 0) => 1.0,
-        (1, 1, 1) => 3.0,
-        (1, 0, 1) => 5.0,
-        (1, 0, 0) => 7.0,
-        _ => panic!("bits must be 0 or 1"),
-    }
+    const LEVELS: [f64; 8] = [-7.0, -5.0, -1.0, -3.0, 7.0, 5.0, 1.0, 3.0];
+    LEVELS[usize::from(b0 & 1) << 2 | usize::from(b1 & 1) << 1 | usize::from(b2 & 1)]
 }
 
 /// Normalization factor `K_MOD` (table 81): scales the integer lattice to
@@ -68,6 +54,7 @@ pub fn map_bits(modulation: Modulation, bits: &[u8]) -> Complex {
         modulation.bits_per_subcarrier(),
         "wrong number of bits for {modulation}"
     );
+    assert!(bits.iter().all(|&b| b <= 1), "bits must be 0 or 1");
     let k = k_mod(modulation);
     match modulation {
         Modulation::Bpsk => Complex::new(if bits[0] == 1 { 1.0 } else { -1.0 }, 0.0),
@@ -89,21 +76,41 @@ pub fn map_bits(modulation: Modulation, bits: &[u8]) -> Complex {
     }
 }
 
-/// Every constellation point of `modulation`, indexed by its `N_BPSC` bits
-/// read most-significant first (the first bit of a subcarrier is the top
-/// bit of the index); entries from `2^N_BPSC` on are unused. Built with
-/// [`map_bits`], so a lookup is bit-identical to mapping.
-pub(crate) fn constellation(modulation: Modulation) -> [Complex; 64] {
-    let bpsc = modulation.bits_per_subcarrier();
-    let mut table = [Complex::ZERO; 64];
-    let mut bits = [0u8; 6];
-    for (index, point) in table.iter_mut().enumerate().take(1 << bpsc) {
-        for (i, b) in bits[..bpsc].iter_mut().enumerate() {
-            *b = ((index >> (bpsc - 1 - i)) & 1) as u8;
+/// A modulation's constellation as a lookup table: every point indexed by
+/// its `N_BPSC` bits read most-significant first (the first bit of a
+/// subcarrier is the top bit of the index). Built with [`map_bits`], so a
+/// lookup is bit-identical to mapping; the per-symbol transmit chains map
+/// through it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Constellation {
+    /// Entries from `2^N_BPSC` on are unused.
+    points: [Complex; 64],
+    bpsc: usize,
+}
+
+impl Constellation {
+    /// The table of `modulation`.
+    pub fn new(modulation: Modulation) -> Self {
+        let bpsc = modulation.bits_per_subcarrier();
+        let mut points = [Complex::ZERO; 64];
+        let mut bits = [0u8; 6];
+        for (index, point) in points.iter_mut().enumerate().take(1 << bpsc) {
+            for (i, b) in bits[..bpsc].iter_mut().enumerate() {
+                *b = ((index >> (bpsc - 1 - i)) & 1) as u8;
+            }
+            *point = map_bits(modulation, &bits[..bpsc]);
         }
-        *point = map_bits(modulation, &bits[..bpsc]);
+        Constellation { points, bpsc }
     }
-    table
+
+    /// Maps `bits`, `N_BPSC` per subcarrier, onto one point per slot of
+    /// `out`; mapping stops at whichever runs out first.
+    pub fn map_into(&self, bits: &[u8], out: &mut [Complex]) {
+        for (point, bits) in out.iter_mut().zip(bits.chunks_exact(self.bpsc)) {
+            let index = bits.iter().fold(0, |acc, &b| acc << 1 | usize::from(b));
+            *point = self.points[index & 63];
+        }
+    }
 }
 
 /// Maps a bit stream onto symbols (must be a whole number of subcarriers).
@@ -342,10 +349,11 @@ mod tests {
     fn constellation_table_matches_map_bits() {
         for m in ALL {
             let n = m.bits_per_subcarrier();
-            let table = constellation(m);
+            let table = Constellation::new(m);
             for bits in all_bit_patterns(n) {
-                let index = bits.iter().fold(0usize, |acc, &b| acc << 1 | b as usize);
-                assert_eq!(table[index], map_bits(m, &bits), "{m} {bits:?}");
+                let mut point = [Complex::ZERO];
+                table.map_into(&bits, &mut point);
+                assert_eq!(point[0], map_bits(m, &bits), "{m} {bits:?}");
             }
         }
     }

@@ -31,8 +31,7 @@ impl Psd {
             .iter()
             .enumerate()
             .min_by(|a, b| (a.1 - freq_hz).abs().total_cmp(&(b.1 - freq_hz).abs()))
-            .map(|(i, _)| i)
-            .expect("nonempty");
+            .map_or(0, |(i, _)| i);
         self.power_dbr[idx]
     }
 }

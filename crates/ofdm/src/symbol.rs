@@ -1,9 +1,13 @@
-//! OFDM symbol assembly: subcarrier mapping, pilots, IFFT, cyclic prefix.
+//! OFDM symbol I/O shared by every OFDM chain: subcarrier mapping, pilots,
+//! IFFT and cyclic prefix, CP removal and FFT, and the per-numerology LTF
+//! training symbols.
+
+use std::sync::OnceLock;
 
 use crate::params::{
-    data_carriers, N_CP, N_DATA, N_FFT, N_OCCUPIED, PILOT_CARRIERS, PILOT_VALUES,
+    data_carriers, N_CP, N_DATA, N_FFT, N_OCCUPIED, N_SYM_SAMPLES, PILOT_CARRIERS, PILOT_VALUES,
 };
-use std::rc::Rc;
+use crate::preamble::{ht_ltf_value, ltf_value};
 use wlan_coding::scrambler::Scrambler;
 use wlan_math::{fft, Complex};
 
@@ -14,13 +18,19 @@ pub fn tx_scale() -> f64 {
     N_FFT as f64 / (N_OCCUPIED as f64).sqrt()
 }
 
+/// The same scale for the 56 occupied subcarriers of the 802.11n HT-20
+/// numerology (52 data + 4 pilots).
+pub fn ht_tx_scale() -> f64 {
+    N_FFT as f64 / 56f64.sqrt()
+}
+
 /// The pilot polarity sequence `p_n` (802.11a §17.3.5.9): the 127-periodic
 /// scrambler sequence mapped 0 → +1, 1 → −1.
 ///
 /// The 127-long period is generated once per process; this is called once
 /// per symbol on both the transmit and receive paths.
 pub fn pilot_polarity(n: usize) -> f64 {
-    static SEQ: std::sync::OnceLock<[f64; 127]> = std::sync::OnceLock::new();
+    static SEQ: OnceLock<[f64; 127]> = OnceLock::new();
     let seq = SEQ.get_or_init(|| {
         let bits = Scrambler::new(0x7F).sequence(127);
         let mut out = [0.0; 127];
@@ -33,32 +43,87 @@ pub fn pilot_polarity(n: usize) -> f64 {
 }
 
 /// Maps signed subcarrier index (−32..32) to FFT bin (0..64).
-fn carrier_to_bin(k: i32) -> usize {
+pub fn carrier_to_bin(k: i32) -> usize {
     ((k + N_FFT as i32) % N_FFT as i32) as usize
 }
 
-/// Assembles one time-domain OFDM symbol (CP + 64 samples) from 48 data
-/// subcarrier values, inserting pilots for symbol index `sym_idx`.
+/// Inverse-FFTs one symbol's 64 frequency bins in place and writes
+/// `CP ‖ body` into its 80-sample frame slot, every sample scaled by
+/// `scale` (the numerology's [`tx_scale`]).
 ///
 /// # Panics
 ///
-/// Panics if `data.len() != 48`.
-pub fn assemble_symbol(data: &[Complex], sym_idx: usize) -> Vec<Complex> {
-    let mut out = vec![Complex::ZERO; N_CP + N_FFT];
-    assemble_symbol_into(data, sym_idx, &mut out);
-    out
+/// Panics if `slot.len() != 80`.
+pub fn ifft_into_slot(bins: &mut [Complex; N_FFT], scale: f64, slot: &mut [Complex]) {
+    assert_eq!(slot.len(), N_SYM_SAMPLES, "need one 80-sample output slot");
+    fft::ifft_in_place(bins);
+    // Cyclic prefix = last 16 samples.
+    let (cp, body) = slot.split_at_mut(N_CP);
+    for (o, s) in cp.iter_mut().zip(&bins[N_FFT - N_CP..]) {
+        *o = s.scale(scale);
+    }
+    for (o, s) in body.iter_mut().zip(bins.iter()) {
+        *o = s.scale(scale);
+    }
 }
 
-/// Like [`assemble_symbol`], but writes the 80 samples into a caller-owned
-/// slot (typically the symbol's place in the frame buffer); the IFFT runs
-/// on stack bins, so nothing is allocated.
+/// The inverse of [`ifft_into_slot`]: strips the CP of one 80-sample
+/// symbol, undoes the transmit `scale` and FFTs the body.
+///
+/// # Panics
+///
+/// Panics if `slot.len() != 80`.
+pub fn fft_of_slot(slot: &[Complex], scale: f64) -> [Complex; N_FFT] {
+    assert_eq!(slot.len(), N_SYM_SAMPLES, "need one 80-sample symbol");
+    let inv_scale = 1.0 / scale;
+    let mut bins = [Complex::ZERO; N_FFT];
+    for (b, s) in bins.iter_mut().zip(&slot[N_CP..]) {
+        *b = s.scale(inv_scale);
+    }
+    fft::fft_in_place(&mut bins);
+    bins
+}
+
+/// One 80-sample training symbol: `ltf(k)` on subcarriers `−edge..=edge`,
+/// at the data symbols' scale.
+fn training_symbol(ltf: fn(i32) -> f64, edge: i32, scale: f64) -> [Complex; N_SYM_SAMPLES] {
+    let mut bins = [Complex::ZERO; N_FFT];
+    for k in -edge..=edge {
+        let v = ltf(k);
+        if v != 0.0 {
+            bins[carrier_to_bin(k)] = Complex::from_re(v);
+        }
+    }
+    let mut slot = [Complex::ZERO; N_SYM_SAMPLES];
+    ifft_into_slot(&mut bins, scale, &mut slot);
+    slot
+}
+
+/// The legacy LTF on the 52 subcarriers of ±26 as one 80-sample symbol at
+/// [`tx_scale`]: the per-stream channel-training symbol of the
+/// 48-data-carrier MIMO and STBC chains. Built once per process.
+pub fn legacy_training_symbol() -> &'static [Complex; N_SYM_SAMPLES] {
+    static SYMBOL: OnceLock<[Complex; N_SYM_SAMPLES]> = OnceLock::new();
+    SYMBOL.get_or_init(|| training_symbol(ltf_value, 26, tx_scale()))
+}
+
+/// The HT-LTF on the 56 subcarriers of ±28 as one 80-sample symbol at
+/// [`ht_tx_scale`]. Built once per process.
+pub fn ht_training_symbol() -> &'static [Complex; N_SYM_SAMPLES] {
+    static SYMBOL: OnceLock<[Complex; N_SYM_SAMPLES]> = OnceLock::new();
+    SYMBOL.get_or_init(|| training_symbol(ht_ltf_value, 28, ht_tx_scale()))
+}
+
+/// Assembles one time-domain OFDM symbol (CP + 64 samples) from 48 data
+/// subcarrier values, inserting pilots for symbol index `sym_idx`, into a
+/// caller-owned slot (typically the symbol's place in the frame buffer);
+/// the IFFT runs on stack bins, so nothing is allocated.
 ///
 /// # Panics
 ///
 /// Panics if `data.len() != 48` or `out.len() != 80`.
-pub(crate) fn assemble_symbol_into(data: &[Complex], sym_idx: usize, out: &mut [Complex]) {
+pub fn assemble_symbol_into(data: &[Complex], sym_idx: usize, out: &mut [Complex]) {
     assert_eq!(data.len(), N_DATA, "need exactly 48 data subcarriers");
-    assert_eq!(out.len(), N_CP + N_FFT, "need one 80-sample output slot");
     let mut bins = [Complex::ZERO; N_FFT];
     for (&k, &v) in data_carriers().iter().zip(data) {
         bins[carrier_to_bin(k)] = v;
@@ -67,42 +132,7 @@ pub(crate) fn assemble_symbol_into(data: &[Complex], sym_idx: usize, out: &mut [
     for (i, &k) in PILOT_CARRIERS.iter().enumerate() {
         bins[carrier_to_bin(k)] = Complex::from_re(PILOT_VALUES[i] * polarity);
     }
-    fft::ifft_in_place(&mut bins);
-    let scale = tx_scale();
-    // Cyclic prefix = last 16 samples.
-    let (cp, body) = out.split_at_mut(N_CP);
-    for (o, s) in cp.iter_mut().zip(&bins[N_FFT - N_CP..]) {
-        *o = s.scale(scale);
-    }
-    for (o, s) in body.iter_mut().zip(&bins) {
-        *o = s.scale(scale);
-    }
-}
-
-/// Result of disassembling one received symbol.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RxSymbol {
-    /// Equalized data subcarrier values (48), in mapping order.
-    pub data: Vec<Complex>,
-    /// Per-subcarrier CSI weights `|H_k|²` for soft demapping.
-    pub csi: Vec<f64>,
-}
-
-/// Strips the CP, FFTs, equalizes against `channel` (the per-bin frequency
-/// response), corrects the common pilot phase error, and extracts the data
-/// subcarriers of symbol `sym_idx`.
-///
-/// # Panics
-///
-/// Panics if `samples.len() != 80` or `channel.len() != 64`.
-pub fn disassemble_symbol(samples: &[Complex], channel: &[Complex], sym_idx: usize) -> RxSymbol {
-    let eq = Equalizer::new(channel);
-    let mut data = vec![Complex::ZERO; N_DATA];
-    eq.symbol_into(samples, sym_idx, &mut data);
-    RxSymbol {
-        data,
-        csi: eq.csi().to_vec(),
-    }
+    ifft_into_slot(&mut bins, tx_scale(), out);
 }
 
 /// A frame's channel estimate prepared for equalizing its symbols one at
@@ -120,7 +150,6 @@ pub(crate) struct Equalizer {
     h2: [f64; N_FFT],
     /// `|H_k|²` per data carrier, in mapping order: the demapper's CSI.
     csi: [f64; N_DATA],
-    plan: Rc<fft::FftPlan>,
 }
 
 impl Equalizer {
@@ -141,12 +170,7 @@ impl Equalizer {
         for (c, &k) in csi.iter_mut().zip(data_carriers()) {
             *c = h2[carrier_to_bin(k)];
         }
-        Equalizer {
-            recip,
-            h2,
-            csi,
-            plan: fft::cached_plan(N_FFT),
-        }
+        Equalizer { recip, h2, csi }
     }
 
     /// Per-data-carrier CSI weights `|H_k|²`, in mapping order.
@@ -162,14 +186,8 @@ impl Equalizer {
     ///
     /// Panics if `samples.len() != 80` or `data.len() != 48`.
     pub fn symbol_into(&self, samples: &[Complex], sym_idx: usize, data: &mut [Complex]) {
-        assert_eq!(samples.len(), N_CP + N_FFT, "need one 80-sample symbol");
         assert_eq!(data.len(), N_DATA, "need a 48-point output slot");
-        let inv_scale = 1.0 / tx_scale();
-        let mut bins = [Complex::ZERO; N_FFT];
-        for (b, s) in bins.iter_mut().zip(&samples[N_CP..]) {
-            *b = s.scale(inv_scale);
-        }
-        self.plan.fft_in_place(&mut bins);
+        let bins = fft_of_slot(samples, tx_scale());
 
         // Common phase error from the four pilots.
         let polarity = pilot_polarity(sym_idx);
@@ -202,6 +220,28 @@ impl Equalizer {
 mod tests {
     use super::*;
     use wlan_math::complex::mean_power;
+
+    fn assemble_symbol(data: &[Complex], sym_idx: usize) -> Vec<Complex> {
+        let mut out = vec![Complex::ZERO; N_CP + N_FFT];
+        assemble_symbol_into(data, sym_idx, &mut out);
+        out
+    }
+
+    /// One received symbol: equalized data points and CSI weights.
+    struct RxSymbol {
+        data: Vec<Complex>,
+        csi: Vec<f64>,
+    }
+
+    fn disassemble_symbol(samples: &[Complex], channel: &[Complex], sym_idx: usize) -> RxSymbol {
+        let eq = Equalizer::new(channel);
+        let mut data = vec![Complex::ZERO; N_DATA];
+        eq.symbol_into(samples, sym_idx, &mut data);
+        RxSymbol {
+            data,
+            csi: eq.csi().to_vec(),
+        }
+    }
 
     fn test_data() -> Vec<Complex> {
         (0..N_DATA)

@@ -47,7 +47,7 @@ fn main() {
     // 2005 draft: 2×2 MIMO spatial multiplexing.
     use wlan_core::coding::CodeRate;
     use wlan_core::mimo::detect::Detector;
-    use wlan_core::mimo::phy::{propagate, MimoOfdmConfig, MimoOfdmPhy};
+    use wlan_core::mimo::phy::{MimoOfdmConfig, MimoOfdmPhy};
     use wlan_core::ofdm::params::Modulation;
 
     let phy = MimoOfdmPhy::new(MimoOfdmConfig {
@@ -56,12 +56,13 @@ fn main() {
         modulation: Modulation::Qam16,
         code_rate: CodeRate::R1_2,
         detector: Detector::Mmse,
-    });
+    })
+    .expect("2x2 is a supported antenna configuration");
     let pdp = wlan_core::channel::PowerDelayProfile::tgn_model('B');
     let ch = wlan_core::channel::mimo::MimoMultipathChannel::realize(2, 2, &pdp, &mut rng);
     let n0 = wlan_core::math::special::db_to_lin(-28.0);
     let tx = phy.transmit(message);
-    let rx = propagate(&ch, &tx, n0, &mut rng);
+    let rx = ch.propagate(&tx, n0, &mut rng).expect("two transmit streams");
     let decoded = phy
         .try_receive(&rx, n0, message.len())
         .expect("full-length frame");

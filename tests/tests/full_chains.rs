@@ -9,7 +9,7 @@ use wlan_core::coding::CodeRate;
 use wlan_core::dsss::{DsssPhy, DsssRate};
 use wlan_core::math::special::db_to_lin;
 use wlan_core::mimo::detect::Detector;
-use wlan_core::mimo::phy::{propagate, MimoOfdmConfig, MimoOfdmPhy};
+use wlan_core::mimo::phy::{MimoOfdmConfig, MimoOfdmPhy};
 use wlan_core::ofdm::params::Modulation;
 use wlan_core::ofdm::{OfdmPhy, OfdmRate};
 
@@ -71,7 +71,8 @@ fn mimo_4x4_64qam_full_chain() {
         modulation: Modulation::Qam64,
         code_rate: CodeRate::R3_4,
         detector: Detector::Mmse,
-    });
+    })
+    .unwrap();
     // 4 streams of 64-QAM r=3/4 at 20 MHz: 216 Mbps class.
     assert!(phy.rate_mbps() > 200.0);
     let pdp = PowerDelayProfile::tgn_model('B');
@@ -80,7 +81,7 @@ fn mimo_4x4_64qam_full_chain() {
     for _ in 0..5 {
         let ch = MimoMultipathChannel::realize(4, 4, &pdp, &mut rng);
         let tx = phy.transmit(&payload);
-        let rx = propagate(&ch, &tx, n0, &mut rng);
+        let rx = ch.propagate(&tx, n0, &mut rng).unwrap();
         if phy.try_receive(&rx, n0, payload.len()).unwrap() == payload {
             ok += 1;
         }

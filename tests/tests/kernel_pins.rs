@@ -22,7 +22,7 @@ use wlan_core::math::{Complex, WlanError};
 use wlan_core::mimo::detect::Detector;
 use wlan_core::mimo::ht::HtPhy;
 use wlan_core::mimo::ht_ldpc::HtLdpcPhy;
-use wlan_core::mimo::phy::{propagate, MimoOfdmConfig, MimoOfdmPhy};
+use wlan_core::mimo::phy::{MimoOfdmConfig, MimoOfdmPhy};
 use wlan_core::mimo::stbc_phy::StbcOfdmPhy;
 use wlan_core::ofdm::params::Modulation;
 use wlan_core::ofdm::{OfdmPhy, OfdmRate};
@@ -250,6 +250,7 @@ fn mimo_phy(cfg: (usize, Detector, Modulation, CodeRate)) -> MimoOfdmPhy {
         code_rate,
         detector,
     })
+    .unwrap()
 }
 
 fn digest_antennas(antennas: &[Vec<Complex>]) -> u64 {
@@ -342,7 +343,7 @@ fn mimo_and_stbc_transmit_samples_are_pinned() {
         )
     });
     let stbc = STBC.iter().map(|&(n_rx, m, r)| {
-        let phy = StbcOfdmPhy::new(m, r, n_rx);
+        let phy = StbcOfdmPhy::new(m, r, n_rx).unwrap();
         (
             digest_antennas(&phy.transmit(&short)),
             digest_antennas(&phy.transmit(&long)),
@@ -424,15 +425,15 @@ fn knee_outcomes(family: u64, idx: usize, snr_db: f64) -> Outcomes {
                 let cfg = MIMO[idx];
                 let phy = mimo_phy(cfg);
                 let ch = MimoMultipathChannel::realize(cfg.0, cfg.0, &flat, &mut rng);
-                let rx = propagate(&ch, &phy.transmit(&payload), n0, &mut rng);
+                let rx = ch.propagate(&phy.transmit(&payload), n0, &mut rng).unwrap();
                 phy.try_receive(&rx, n0, payload.len())
             }
             _ => {
                 let (n_rx, m, r) = STBC[idx];
-                let phy = StbcOfdmPhy::new(m, r, n_rx);
+                let phy = StbcOfdmPhy::new(m, r, n_rx).unwrap();
                 let ch = MimoMultipathChannel::realize(n_rx, 2, &flat, &mut rng);
-                let rx = propagate(&ch, &phy.transmit(&payload), n0, &mut rng);
-                phy.try_receive(&rx, n0, payload.len())
+                let rx = ch.propagate(&phy.transmit(&payload), n0, &mut rng).unwrap();
+                phy.try_receive(&rx, payload.len())
             }
         };
         outcomes.push(&payload, decoded);

@@ -265,10 +265,10 @@ fn stbc_phy_roundtrips_any_payload() {
     use wlan_core::ofdm::params::Modulation;
     sweep(0x11, |rng| {
         let payload = byte_vec(rng, 48);
-        let phy = StbcOfdmPhy::new(Modulation::Qpsk, CodeRate::R1_2, 1);
+        let phy = StbcOfdmPhy::new(Modulation::Qpsk, CodeRate::R1_2, 1).unwrap();
         let tx = phy.transmit(&payload);
         let rx: Vec<Complex> = tx[0].iter().zip(&tx[1]).map(|(&a, &b)| a + b).collect();
-        assert_eq!(phy.try_receive(&[rx], 1e-9, payload.len()).unwrap(), payload);
+        assert_eq!(phy.try_receive(&[rx], payload.len()).unwrap(), payload);
     });
 }
 
@@ -286,7 +286,8 @@ fn mimo_phy_roundtrips_any_payload() {
             modulation: Modulation::Qam16,
             code_rate: CodeRate::R3_4,
             detector: Detector::Mmse,
-        });
+        })
+        .unwrap();
         let tx = phy.transmit(&payload);
         assert_eq!(
             phy.try_receive(&tx, 1e-9, payload.len()).unwrap(),
