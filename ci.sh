@@ -231,3 +231,26 @@ for f in $(find crates -name '*.rs' ! -path crates/runner/src/campaign.rs | sort
             END { exit found }
         ' "$f"
 done
+
+# Public API regrowth guard: a `pub fn` declared in a crate's non-test
+# code must be named by some other .rs file under crates/, tests/,
+# examples/ or perfbench/src. A name only its own file uses is either
+# private to that file or dead code kept alive by its own unit tests:
+# make it private, or delete it with its tests. Same test-module and
+# comment rules as the scans above.
+API_FILES=$(find crates tests examples perfbench/src -name '*.rs' | sort)
+API_FAIL=0
+for f in crates/*/src/*.rs; do
+    API_OTHERS=$(printf '%s\n' $API_FILES | grep -vxF "$f")
+    for name in $(awk '
+            /#\[cfg\(test\)\]/ { exit }
+            /^[[:space:]]*\/\// { next }
+            match($0, /pub fn [a-z_0-9]+/) { print substr($0, RSTART + 7, RLENGTH - 7) }
+        ' "$f" | sort -u); do
+        if ! grep -qw -- "$name" $API_OTHERS; then
+            printf '%s: pub fn %s is named in no other .rs file\n' "$f" "$name"
+            API_FAIL=1
+        fi
+    done
+done
+[ "$API_FAIL" -eq 0 ]

@@ -6,11 +6,11 @@
 //! module provides the SINR arithmetic for overlapping-BSS scenarios and a
 //! Monte-Carlo hidden-node probability estimator.
 //!
-//! The entry points are `try_*` functions returning a typed [`WlanError`]
-//! on degenerate inputs, like every other public path: the city-scale
-//! simulator evaluates [`try_noise_plus_interference_dbm`] once per cell
-//! per epoch inside a long campaign, and a malformed layout must surface
-//! as a typed configuration error, never a panic mid-run.
+//! Every entry point returns a typed [`WlanError`] on degenerate inputs,
+//! like every other public path: the city-scale simulator evaluates
+//! [`try_noise_plus_interference_dbm`] once per cell per epoch inside a
+//! long campaign, and a malformed layout must surface as a typed
+//! configuration error, never a panic mid-run.
 
 use crate::pathloss::{LinkBudget, PathLossModel};
 use wlan_math::rng::Rng;
@@ -36,7 +36,7 @@ pub struct Interferer {
 ///
 /// [`WlanError::InvalidConfig`] if a distance is nonpositive, infinite, or
 /// NaN, or a duty cycle is outside `[0, 1]` (NaN included).
-pub fn try_co_channel_sinr_db(
+pub fn co_channel_sinr_db(
     budget: &LinkBudget,
     model: &PathLossModel,
     signal_distance_m: f64,
@@ -53,7 +53,7 @@ pub fn try_co_channel_sinr_db(
 
 /// Receiver noise floor plus the duty-weighted received power of
 /// `interferers`, in dBm: the denominator of
-/// [`try_co_channel_sinr_db`]. It depends only on the receiver, so a cell
+/// [`co_channel_sinr_db`]. It depends only on the receiver, so a cell
 /// computes it once and every member's SINR is its own received power
 /// minus this value.
 ///
@@ -94,7 +94,7 @@ pub fn try_noise_plus_interference_dbm(
 ///
 /// [`WlanError::InvalidConfig`] if either radius is nonpositive, infinite,
 /// or NaN, or `trials` is zero.
-pub fn try_hidden_node_probability(
+pub fn hidden_node_probability(
     cell_radius_m: f64,
     cs_range_m: f64,
     trials: usize,
@@ -147,7 +147,7 @@ mod tests {
         d: f64,
         interferers: &[Interferer],
     ) -> f64 {
-        try_co_channel_sinr_db(budget, model, d, interferers).expect("valid geometry")
+        co_channel_sinr_db(budget, model, d, interferers).expect("valid geometry")
     }
 
     #[test]
@@ -226,7 +226,7 @@ mod tests {
     fn degenerate_inputs_are_typed_errors_not_panics() {
         let (budget, model) = env();
         let bad = |d: f64, interferers: &[Interferer]| {
-            try_co_channel_sinr_db(&budget, &model, d, interferers).unwrap_err()
+            co_channel_sinr_db(&budget, &model, d, interferers).unwrap_err()
         };
         assert!(matches!(bad(0.0, &[]), WlanError::InvalidConfig(_)));
         assert!(matches!(bad(-5.0, &[]), WlanError::InvalidConfig(_)));
@@ -295,7 +295,7 @@ mod tests {
                     interferers[k].duty_cycle = v - 0.5;
                 }
             }
-            let whole = try_co_channel_sinr_db(&budget, &model, d, &interferers);
+            let whole = co_channel_sinr_db(&budget, &model, d, &interferers);
             let ni = try_noise_plus_interference_dbm(&budget, &model, &interferers);
             match (whole, ni) {
                 (Ok(s), Ok(ni)) => {
@@ -312,18 +312,16 @@ mod tests {
     #[test]
     fn hidden_node_rejects_degenerate_geometry() {
         let mut rng = WlanRng::seed_from_u64(599);
-        assert!(try_hidden_node_probability(0.0, 1.0, 10, &mut rng).is_err());
-        assert!(try_hidden_node_probability(1.0, f64::NAN, 10, &mut rng).is_err());
-        assert!(try_hidden_node_probability(1.0, 1.0, 0, &mut rng).is_err());
+        assert!(hidden_node_probability(0.0, 1.0, 10, &mut rng).is_err());
+        assert!(hidden_node_probability(1.0, f64::NAN, 10, &mut rng).is_err());
+        assert!(hidden_node_probability(1.0, 1.0, 0, &mut rng).is_err());
     }
 
     #[test]
     fn hidden_node_probability_shrinks_with_cs_range() {
         let mut rng = WlanRng::seed_from_u64(600);
-        let p_short =
-            try_hidden_node_probability(100.0, 100.0, 50_000, &mut rng).expect("valid");
-        let p_long =
-            try_hidden_node_probability(100.0, 200.0, 50_000, &mut rng).expect("valid");
+        let p_short = hidden_node_probability(100.0, 100.0, 50_000, &mut rng).expect("valid");
+        let p_long = hidden_node_probability(100.0, 200.0, 50_000, &mut rng).expect("valid");
         assert!(p_short > 0.2, "short CS range: {p_short}");
         assert!(p_long == 0.0, "CS covering the cell leaves none: {p_long}");
     }
@@ -334,7 +332,7 @@ mod tests {
         // R are farther than R apart) ≈ 0.4135 (known disc-line-picking
         // result).
         let mut rng = WlanRng::seed_from_u64(601);
-        let p = try_hidden_node_probability(1.0, 1.0, 200_000, &mut rng).expect("valid");
+        let p = hidden_node_probability(1.0, 1.0, 200_000, &mut rng).expect("valid");
         assert!((p - 0.4135).abs() < 0.01, "measured {p}");
     }
 }

@@ -4,14 +4,12 @@
 //! real systems operated in (see DESIGN.md, substitution table):
 //!
 //! - [`noise`] — complex AWGN at a specified SNR,
-//! - [`fading`] — flat Rayleigh/Ricean block fading with optional Jakes
-//!   Doppler time evolution,
 //! - [`multipath`] — tapped-delay-line frequency-selective channels with
 //!   exponential power-delay profiles (TGn-model-like presets),
 //! - [`pathloss`] — IEEE breakpoint log-distance path loss, noise floor and
 //!   link-budget arithmetic,
-//! - [`mimo`] — i.i.d. and Kronecker-correlated MIMO channel matrices,
-//!   flat or per-subcarrier.
+//! - [`mimo`] — i.i.d. Rayleigh MIMO channel matrices, flat or
+//!   per-subcarrier.
 //!
 //! Everything takes an explicit `&mut impl Rng` so Monte-Carlo experiments
 //! are reproducible from a seed.
@@ -31,14 +29,12 @@
 //! assert!((p - 1.1).abs() < 0.05);
 //! ```
 
-pub mod fading;
 pub mod interference;
 pub mod mimo;
 pub mod multipath;
 pub mod noise;
 pub mod pathloss;
 
-pub use fading::RayleighFading;
 pub use mimo::MimoChannel;
 pub use multipath::{MultipathChannel, PowerDelayProfile};
 pub use noise::Awgn;

@@ -2,9 +2,9 @@
 //!
 //! The "several-fold" range and rate gains the paper attributes to MIMO all
 //! flow from the statistics of the channel matrix `H` (N_rx × N_tx). This
-//! module draws i.i.d. Rayleigh and Kronecker-correlated realizations, both
-//! flat and per-subcarrier (by pairing a [`crate::multipath`] delay profile
-//! with every antenna pair).
+//! module draws i.i.d. Rayleigh realizations, both flat and per-subcarrier
+//! (by pairing a [`crate::multipath`] delay profile with every antenna
+//! pair).
 
 use crate::multipath::{MultipathChannel, PowerDelayProfile};
 use crate::noise::complex_gaussian;
@@ -46,58 +46,6 @@ impl MimoChannel {
         MimoChannel { h }
     }
 
-    /// Draws a Kronecker-correlated channel `H = R_rx^{1/2}·H_w·R_tx^{1/2}`
-    /// with exponential correlation `ρ^{|i−j|}` at both ends.
-    ///
-    /// Correlation is what separates the optimistic i.i.d. capacity numbers
-    /// from what closely-spaced laptop antennas actually achieve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho` is not in `[0, 1)` or an antenna count is zero.
-    pub fn kronecker(n_rx: usize, n_tx: usize, rho: f64, rng: &mut impl Rng) -> Self {
-        assert!((0.0..1.0).contains(&rho), "correlation must be in [0, 1)");
-        let w = MimoChannel::iid_rayleigh(n_rx, n_tx, rng);
-        let r_rx_sqrt = exp_correlation_sqrt(n_rx, rho);
-        let r_tx_sqrt = exp_correlation_sqrt(n_tx, rho);
-        let h = &(&r_rx_sqrt * w.matrix()) * &r_tx_sqrt;
-        MimoChannel { h }
-    }
-
-    /// Draws a Ricean MIMO channel with linear K-factor `k`:
-    /// `H = √(K/(K+1))·H_LOS + √(1/(K+1))·H_w`, where the line-of-sight
-    /// component is the rank-one all-ones matrix (boresight arrays).
-    ///
-    /// A strong LOS is *good* for SISO links but *bad* for spatial
-    /// multiplexing: as K → ∞ the channel collapses to rank one and the
-    /// extra streams have nowhere to go.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 0` or an antenna count is zero.
-    pub fn ricean(n_rx: usize, n_tx: usize, k: f64, rng: &mut impl Rng) -> Self {
-        assert!(k >= 0.0, "K-factor must be nonnegative");
-        let w = MimoChannel::iid_rayleigh(n_rx, n_tx, rng);
-        let los_amp = (k / (k + 1.0)).sqrt();
-        let nlos_amp = (1.0 / (k + 1.0)).sqrt();
-        let mut h = CMatrix::zeros(n_rx, n_tx);
-        for r in 0..n_rx {
-            for c in 0..n_tx {
-                h.set(
-                    r,
-                    c,
-                    Complex::from_re(los_amp) + w.matrix().get(r, c).scale(nlos_amp),
-                );
-            }
-        }
-        MimoChannel { h }
-    }
-
-    /// Wraps an explicit channel matrix.
-    pub fn from_matrix(h: CMatrix) -> Self {
-        MimoChannel { h }
-    }
-
     /// The channel matrix `H` (N_rx × N_tx).
     pub fn matrix(&self) -> &CMatrix {
         &self.h
@@ -131,11 +79,6 @@ impl MimoChannel {
         let hh = &self.h * &self.h.hermitian();
         let m = hh.scale(scale).add_diagonal(1.0);
         log2_det_hermitian(&m)
-    }
-
-    /// SISO Shannon capacity at the same SNR, for comparison.
-    pub fn siso_capacity_bps_hz(snr_db: f64) -> f64 {
-        (1.0 + wlan_math::special::db_to_lin(snr_db)).log2()
     }
 }
 
@@ -252,35 +195,6 @@ impl MimoMultipathChannel {
     }
 }
 
-/// Square root of the exponential correlation matrix `R_{ij} = ρ^{|i−j|}` via
-/// eigen-free symmetric factorization (Cholesky, valid since R ≻ 0 for ρ<1).
-fn exp_correlation_sqrt(n: usize, rho: f64) -> CMatrix {
-    // Build R.
-    let mut r = CMatrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            r.set(i, j, Complex::from_re(rho.powi((i as i32 - j as i32).abs())));
-        }
-    }
-    // Real Cholesky: R = L·Lᵀ.
-    let mut l = CMatrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            let mut sum = r.get(i, j).re;
-            for k in 0..j {
-                sum -= l.get(i, k).re * l.get(j, k).re;
-            }
-            if i == j {
-                l.set(i, j, Complex::from_re(sum.max(0.0).sqrt()));
-            } else {
-                let d = l.get(j, j).re;
-                l.set(i, j, Complex::from_re(if d > 0.0 { sum / d } else { 0.0 }));
-            }
-        }
-    }
-    l
-}
-
 /// `log2 det(M)` for a Hermitian positive-definite `M`, via LU-free
 /// Cholesky-style elimination on the real diagonal.
 fn log2_det_hermitian(m: &CMatrix) -> f64 {
@@ -354,79 +268,12 @@ mod tests {
 
     #[test]
     fn identity_channel_capacity_matches_shannon() {
-        let h = CMatrix::identity(1);
-        let ch = MimoChannel::from_matrix(h);
+        let ch = MimoChannel {
+            h: CMatrix::identity(1),
+        };
         let c = ch.capacity_bps_hz(10.0);
         let want = (1.0 + 10.0f64).log2();
         assert!((c - want).abs() < 1e-9);
-        assert!((MimoChannel::siso_capacity_bps_hz(10.0) - want).abs() < 1e-12);
-    }
-
-    #[test]
-    fn correlation_reduces_capacity() {
-        let mut rng = WlanRng::seed_from_u64(52);
-        let trials = 2_000;
-        let mut c_iid = 0.0;
-        let mut c_corr = 0.0;
-        for _ in 0..trials {
-            c_iid += MimoChannel::iid_rayleigh(4, 4, &mut rng).capacity_bps_hz(20.0);
-            c_corr += MimoChannel::kronecker(4, 4, 0.9, &mut rng).capacity_bps_hz(20.0);
-        }
-        assert!(
-            c_corr < 0.85 * c_iid,
-            "high correlation should cost capacity: {c_corr} vs {c_iid}"
-        );
-    }
-
-    #[test]
-    fn kronecker_preserves_mean_power() {
-        let mut rng = WlanRng::seed_from_u64(53);
-        let trials = 5_000;
-        let mut acc = 0.0;
-        for _ in 0..trials {
-            acc += MimoChannel::kronecker(3, 3, 0.7, &mut rng)
-                .matrix()
-                .frobenius_norm()
-                .powi(2);
-        }
-        let per_entry = acc / (trials as f64 * 9.0);
-        assert!((per_entry - 1.0).abs() < 0.06, "per-entry power {per_entry}");
-    }
-
-    #[test]
-    fn strong_los_collapses_multiplexing_capacity() {
-        // The counter-intuitive MIMO fact: a clean line of sight (rank-1)
-        // is the worst case for spatial multiplexing.
-        let mut rng = WlanRng::seed_from_u64(56);
-        let snr_db = 20.0;
-        let trials = 2_000;
-        let mut caps = Vec::new();
-        for k in [0.0f64, 3.0, 30.0] {
-            let mut acc = 0.0;
-            for _ in 0..trials {
-                acc += MimoChannel::ricean(4, 4, k, &mut rng).capacity_bps_hz(snr_db);
-            }
-            caps.push(acc / trials as f64);
-        }
-        assert!(caps[0] > caps[1] && caps[1] > caps[2], "caps {caps:?}");
-        // K = 30 is nearly rank-1: capacity approaches the SISO+array-gain
-        // value, far below the rich-scattering 4×4 number.
-        assert!(caps[2] < 0.6 * caps[0], "caps {caps:?}");
-    }
-
-    #[test]
-    fn ricean_preserves_mean_power() {
-        let mut rng = WlanRng::seed_from_u64(57);
-        let trials = 5_000;
-        let mut acc = 0.0;
-        for _ in 0..trials {
-            acc += MimoChannel::ricean(2, 2, 5.0, &mut rng)
-                .matrix()
-                .frobenius_norm()
-                .powi(2);
-        }
-        let per_entry = acc / (trials as f64 * 4.0);
-        assert!((per_entry - 1.0).abs() < 0.05, "per-entry power {per_entry}");
     }
 
     #[test]
@@ -453,17 +300,5 @@ mod tests {
         // Subcarrier 0 response equals the tap sum of each pair.
         let sum0: Complex = ch.pair(1, 2).taps().iter().copied().sum();
         assert!((fr[0].get(1, 2) - sum0).norm() < 1e-9);
-    }
-
-    #[test]
-    fn exp_correlation_sqrt_squares_to_r() {
-        let l = exp_correlation_sqrt(3, 0.6);
-        let r = &l * &l.transpose();
-        for i in 0..3 {
-            for j in 0..3 {
-                let want = 0.6f64.powi((i as i32 - j as i32).abs());
-                assert!((r.get(i, j).re - want).abs() < 1e-10, "({i},{j})");
-            }
-        }
     }
 }

@@ -68,9 +68,7 @@ impl PowerDelayProfile {
     ///
     /// # Panics
     ///
-    /// Panics (via `assert!`) on a letter outside A-E; use
-    /// [`PowerDelayProfile::try_tgn_model`] when the letter is not a
-    /// compile-time constant.
+    /// Panics (via `assert!`) on a letter outside A-E.
     pub fn tgn_model(model: char) -> Self {
         let profile = Self::try_tgn_model(model);
         assert!(profile.is_some(), "unknown TGn model '{model}' (expected A-E)");
@@ -79,7 +77,7 @@ impl PowerDelayProfile {
 
     /// Fallible form of [`PowerDelayProfile::tgn_model`]: `None` on a
     /// letter outside A-E (case-insensitive).
-    pub fn try_tgn_model(model: char) -> Option<Self> {
+    fn try_tgn_model(model: char) -> Option<Self> {
         const FS: f64 = 20e6;
         match model.to_ascii_uppercase() {
             'A' => Some(Self::flat()),
@@ -89,16 +87,6 @@ impl PowerDelayProfile {
             'E' => Some(Self::exponential(100e-9, FS)),
             _ => None,
         }
-    }
-
-    /// Number of taps.
-    pub fn num_taps(&self) -> usize {
-        self.tap_powers.len()
-    }
-
-    /// Mean power of each tap.
-    pub fn tap_powers(&self) -> &[f64] {
-        &self.tap_powers
     }
 }
 
@@ -115,7 +103,7 @@ impl PowerDelayProfile {
 /// let pdp = PowerDelayProfile::tgn_model('D');
 /// let ch = MultipathChannel::realize(&pdp, &mut rng);
 /// let rx = ch.filter(&[Complex::ONE; 80]);
-/// assert_eq!(rx.len(), 80 + ch.num_taps() - 1);
+/// assert_eq!(rx.len(), 80 + ch.taps().len() - 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultipathChannel {
@@ -155,14 +143,9 @@ impl MultipathChannel {
         &self.taps
     }
 
-    /// Number of taps.
-    pub fn num_taps(&self) -> usize {
-        self.taps.len()
-    }
-
     /// Linear convolution of the signal with the channel impulse response.
     ///
-    /// Output length is `signal.len() + num_taps − 1`.
+    /// Output length is `signal.len() + taps − 1`.
     pub fn filter(&self, signal: &[Complex]) -> Vec<Complex> {
         let n = signal.len();
         let l = self.taps.len();
@@ -212,18 +195,18 @@ mod tests {
     fn pdp_is_normalized() {
         for model in ['A', 'B', 'C', 'D', 'E'] {
             let pdp = PowerDelayProfile::tgn_model(model);
-            let total: f64 = pdp.tap_powers().iter().sum();
+            let total: f64 = pdp.tap_powers.iter().sum();
             assert!((total - 1.0).abs() < 1e-12, "model {model}");
         }
     }
 
     #[test]
     fn longer_delay_spread_means_more_taps() {
-        let b = PowerDelayProfile::tgn_model('B').num_taps();
-        let d = PowerDelayProfile::tgn_model('D').num_taps();
-        let e = PowerDelayProfile::tgn_model('E').num_taps();
+        let b = PowerDelayProfile::tgn_model('B').tap_powers.len();
+        let d = PowerDelayProfile::tgn_model('D').tap_powers.len();
+        let e = PowerDelayProfile::tgn_model('E').tap_powers.len();
         assert!(b <= d && d < e, "taps: B={b} D={d} E={e}");
-        assert_eq!(PowerDelayProfile::flat().num_taps(), 1);
+        assert_eq!(PowerDelayProfile::flat().tap_powers.len(), 1);
     }
 
     #[test]

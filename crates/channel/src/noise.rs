@@ -45,7 +45,7 @@ impl Awgn {
     /// # Panics
     ///
     /// Panics if `snr_linear <= 0`.
-    pub fn from_snr_linear(snr_linear: f64) -> Self {
+    fn from_snr_linear(snr_linear: f64) -> Self {
         assert!(snr_linear > 0.0, "SNR must be positive");
         Awgn {
             noise_power: 1.0 / snr_linear,
@@ -55,21 +55,6 @@ impl Awgn {
     /// Channel at the given SNR in dB (unit signal power).
     pub fn from_snr_db(snr_db: f64) -> Self {
         Self::from_snr_linear(wlan_math::special::db_to_lin(snr_db))
-    }
-
-    /// Channel with an explicit noise power `N0` per complex sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `noise_power < 0`.
-    pub fn from_noise_power(noise_power: f64) -> Self {
-        assert!(noise_power >= 0.0, "noise power must be nonnegative");
-        Awgn { noise_power }
-    }
-
-    /// The injected noise power per complex sample.
-    pub fn noise_power(&self) -> f64 {
-        self.noise_power
     }
 
     /// Adds noise to a block of samples, returning the noisy copy.
@@ -139,7 +124,7 @@ mod tests {
     fn zero_noise_power_is_transparent() {
         let mut rng = WlanRng::seed_from_u64(45);
         let signal = vec![Complex::new(0.3, -0.7); 16];
-        let out = Awgn::from_noise_power(0.0).apply(&signal, &mut rng);
+        let out = Awgn { noise_power: 0.0 }.apply(&signal, &mut rng);
         assert_eq!(out, signal);
     }
 

@@ -2,10 +2,7 @@
 //!
 //! The range experiments (E5, E8) convert distance to SNR with the IEEE
 //! breakpoint model used by the 802.11 task groups: free-space (exponent 2)
-//! out to a breakpoint distance, then a steeper indoor exponent beyond it,
-//! plus optional log-normal shadowing.
-
-use wlan_math::rng::Rng;
+//! out to a breakpoint distance, then a steeper indoor exponent beyond it.
 
 /// Boltzmann's constant times 290 K in dBm/Hz: the thermal noise density.
 pub const THERMAL_NOISE_DBM_PER_HZ: f64 = -174.0;
@@ -29,8 +26,6 @@ pub struct PathLossModel {
     exp_before: f64,
     /// Exponent after the breakpoint.
     exp_after: f64,
-    /// Log-normal shadowing standard deviation in dB (0 = none).
-    shadowing_db: f64,
     /// Free-space loss at 1 m for the carrier (set once in [`Self::new`]).
     ref_loss_db: f64,
     /// Median loss at the breakpoint (set once in [`Self::new`]), where the
@@ -43,19 +38,11 @@ impl PathLossModel {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is nonpositive (except `shadowing_db`, which
-    /// may be zero) .
-    pub fn new(
-        carrier_hz: f64,
-        breakpoint_m: f64,
-        exp_before: f64,
-        exp_after: f64,
-        shadowing_db: f64,
-    ) -> Self {
+    /// Panics if any parameter is nonpositive.
+    pub fn new(carrier_hz: f64, breakpoint_m: f64, exp_before: f64, exp_after: f64) -> Self {
         assert!(carrier_hz > 0.0, "carrier must be positive");
         assert!(breakpoint_m > 0.0, "breakpoint must be positive");
         assert!(exp_before > 0.0 && exp_after > 0.0, "exponents must be positive");
-        assert!(shadowing_db >= 0.0, "shadowing must be nonnegative");
         // FSPL(d, f) = 20 log10(4π d f / c), at d = 1 m.
         let c = 299_792_458.0;
         let ref_loss_db = 20.0 * (4.0 * std::f64::consts::PI * carrier_hz / c).log10();
@@ -63,34 +50,18 @@ impl PathLossModel {
             breakpoint_m,
             exp_before,
             exp_after,
-            shadowing_db,
             ref_loss_db,
             breakpoint_loss_db: ref_loss_db + 10.0 * exp_before * breakpoint_m.log10(),
         }
     }
 
     /// TGn model D (typical office): 2.4 GHz, 10 m breakpoint, exponents
-    /// 2.0 / 3.5, 5 dB shadowing after the breakpoint (ignored before).
+    /// 2.0 / 3.5.
     pub fn tgn_model_d() -> Self {
-        PathLossModel::new(2.4e9, 10.0, 2.0, 3.5, 5.0)
+        PathLossModel::new(2.4e9, 10.0, 2.0, 3.5)
     }
 
-    /// TGn model B (residential): 5 m breakpoint.
-    pub fn tgn_model_b() -> Self {
-        PathLossModel::new(2.4e9, 5.0, 2.0, 3.5, 4.0)
-    }
-
-    /// Free-space at 5 GHz (for 802.11a outdoor comparisons).
-    pub fn free_space_5ghz() -> Self {
-        PathLossModel::new(5.2e9, 1e6, 2.0, 2.0, 0.0)
-    }
-
-    /// Free-space path loss at 1 m for this carrier (Friis).
-    pub fn reference_loss_db(&self) -> f64 {
-        self.ref_loss_db
-    }
-
-    /// Median path loss in dB at `distance_m` metres (no shadowing).
+    /// Median path loss in dB at `distance_m` metres.
     ///
     /// # Panics
     ///
@@ -102,17 +73,6 @@ impl PathLossModel {
         } else {
             self.breakpoint_loss_db
                 + 10.0 * self.exp_after * (distance_m / self.breakpoint_m).log10()
-        }
-    }
-
-    /// Path loss with a log-normal shadowing draw (applied only beyond the
-    /// breakpoint, per the TGn convention).
-    pub fn path_loss_shadowed_db(&self, distance_m: f64, rng: &mut impl Rng) -> f64 {
-        let median = self.path_loss_db(distance_m);
-        if distance_m <= self.breakpoint_m || self.shadowing_db == 0.0 {
-            median
-        } else {
-            median + crate::noise::gaussian(rng) * self.shadowing_db
         }
     }
 }
@@ -155,46 +115,17 @@ impl LinkBudget {
     pub fn snr_at_distance_db(&self, model: &PathLossModel, distance_m: f64) -> f64 {
         self.rx_power_dbm(model.path_loss_db(distance_m)) - self.noise_floor_dbm()
     }
-
-    /// Largest distance (by bisection) at which the median SNR still meets
-    /// `required_snr_db`, searched in `[0.1, max_m]` metres. Returns `None`
-    /// when even 0.1 m fails.
-    pub fn range_for_snr_m(
-        &self,
-        model: &PathLossModel,
-        required_snr_db: f64,
-        max_m: f64,
-    ) -> Option<f64> {
-        let mut lo = 0.1;
-        if self.snr_at_distance_db(model, lo) < required_snr_db {
-            return None;
-        }
-        if self.snr_at_distance_db(model, max_m) >= required_snr_db {
-            return Some(max_m);
-        }
-        let mut hi = max_m;
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if self.snr_at_distance_db(model, mid) >= required_snr_db {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(lo)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlan_math::rng::WlanRng;
 
     #[test]
     fn reference_loss_matches_friis_at_2_4ghz() {
         // FSPL(1 m, 2.4 GHz) ≈ 40.05 dB.
         let pl = PathLossModel::tgn_model_d();
-        assert!((pl.reference_loss_db() - 40.05).abs() < 0.1);
+        assert!((pl.ref_loss_db - 40.05).abs() < 0.1);
     }
 
     #[test]
@@ -245,7 +176,7 @@ mod tests {
                 [0x404e_06a8_3332_1282; 3],
             ),
             (
-                PathLossModel::tgn_model_b(),
+                PathLossModel::new(2.4e9, 5.0, 2.0, 3.5),
                 5.0,
                 [
                     0x3faa_a0cc_c84a_0800,
@@ -263,7 +194,7 @@ mod tests {
                 [0x404b_0405_2e99_2772; 3],
             ),
             (
-                PathLossModel::free_space_5ghz(),
+                PathLossModel::new(5.2e9, 1e6, 2.0, 2.0),
                 1e6,
                 [
                     0x401b_1247_4b91_cba0,
@@ -308,44 +239,5 @@ mod tests {
             assert!(snr < prev);
             prev = snr;
         }
-    }
-
-    #[test]
-    fn range_search_is_consistent() {
-        let lb = LinkBudget::typical_wlan();
-        let pl = PathLossModel::tgn_model_d();
-        let required = 20.0;
-        let range = lb.range_for_snr_m(&pl, required, 1000.0).unwrap();
-        let at_range = lb.snr_at_distance_db(&pl, range);
-        assert!((at_range - required).abs() < 0.01, "snr at range {at_range}");
-        // Lower requirement → longer range.
-        let longer = lb.range_for_snr_m(&pl, 5.0, 1000.0).unwrap();
-        assert!(longer > range);
-    }
-
-    #[test]
-    fn impossible_requirement_returns_none() {
-        let lb = LinkBudget::typical_wlan();
-        let pl = PathLossModel::tgn_model_d();
-        assert_eq!(lb.range_for_snr_m(&pl, 200.0, 1000.0), None);
-    }
-
-    #[test]
-    fn shadowing_only_after_breakpoint() {
-        let mut rng = WlanRng::seed_from_u64(31);
-        let pl = PathLossModel::tgn_model_d();
-        // Before breakpoint: deterministic.
-        let a = pl.path_loss_shadowed_db(5.0, &mut rng);
-        let b = pl.path_loss_shadowed_db(5.0, &mut rng);
-        assert_eq!(a, b);
-        // After: varies with σ = 5 dB.
-        let draws: Vec<f64> = (0..2000)
-            .map(|_| pl.path_loss_shadowed_db(50.0, &mut rng))
-            .collect();
-        let mean = draws.iter().sum::<f64>() / draws.len() as f64;
-        let sd = (draws.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / draws.len() as f64)
-            .sqrt();
-        assert!((sd - 5.0).abs() < 0.5, "shadowing σ {sd}");
-        assert!((mean - pl.path_loss_db(50.0)).abs() < 0.5);
     }
 }

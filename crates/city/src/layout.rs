@@ -9,7 +9,7 @@
 //! deployment.
 
 use crate::sim::{S_HIDDEN, S_LAYOUT, S_STATIONS};
-use wlan_channel::interference::try_hidden_node_probability;
+use wlan_channel::interference::hidden_node_probability;
 use wlan_channel::pathloss::{LinkBudget, PathLossModel};
 use wlan_core::ofdm::phy::MAX_PAYLOAD;
 use wlan_math::rng::{Rng, WlanRng};
@@ -326,7 +326,7 @@ impl CityLayout {
         // pairs would be geometrically impossible.
         let cell_radius = cfg.ap_spacing_m;
         let mut hidden_rng = master.fork(S_HIDDEN);
-        let p_hidden = try_hidden_node_probability(
+        let p_hidden = hidden_node_probability(
             cell_radius,
             cfg.cs_range_m,
             cfg.hidden_node_trials,

@@ -55,7 +55,7 @@ impl PerTable {
     /// [`WlanError::InvalidConfig`] if the table is empty, SNRs are not
     /// finite and strictly increasing, or a PER is outside `[0, 1]`
     /// (NaN included).
-    pub fn try_from_points(points: &[(f64, f64)]) -> Result<Self, WlanError> {
+    fn from_points(points: &[(f64, f64)]) -> Result<Self, WlanError> {
         if points.is_empty() {
             return Err(WlanError::InvalidConfig(
                 "PER table needs at least one point",
@@ -118,11 +118,11 @@ impl PerTable {
         }
         let curve = sweep_per(link, snrs_db, payload_len, frames, seed);
         let points: Vec<(f64, f64)> = curve.points.iter().map(|p| (p.snr_db, p.per)).collect();
-        Self::try_from_points(&points)
+        Self::from_points(&points)
     }
 
     /// PER at a SINR, clamped to the calibrated grid ends; NaN → 1.0.
-    pub fn per_at(&self, sinr_db: f64) -> f64 {
+    fn per_at(&self, sinr_db: f64) -> f64 {
         if sinr_db.is_nan() {
             return 1.0;
         }
@@ -174,7 +174,7 @@ impl PerTableSet {
     ///
     /// [`WlanError::InvalidConfig`] if rates are not positive, finite and
     /// strictly increasing, or the OFDM list is empty.
-    pub fn try_new(
+    pub fn new(
         dsss_rate_mbps: f64,
         dsss: PerTable,
         ofdm: Vec<(f64, PerTable)>,
@@ -251,7 +251,7 @@ impl PerTableSet {
             let table = PerTable::calibrate(&link, &snrs, payload_len, frames, seed)?;
             ofdm.push((link.rate_mbps(), table));
         }
-        Self::try_new(DsssRate::Cck11M.rate_mbps(), dsss, ofdm)
+        Self::new(DsssRate::Cck11M.rate_mbps(), dsss, ofdm)
     }
 
     /// A cheap analytic stand-in for tests and benches: logistic PER
@@ -266,13 +266,12 @@ impl PerTableSet {
                     (snr, 1.0 / (1.0 + ((snr - mid) / 1.2).exp()))
                 })
                 .collect();
-            PerTable::try_from_points(&points)
-                .unwrap_or(PerTable {
-                    // Unreachable: the grid above is strictly increasing
-                    // and logistic values sit in (0, 1).
-                    snr_db: vec![0.0],
-                    per: vec![1.0],
-                })
+            PerTable::from_points(&points).unwrap_or(PerTable {
+                // Unreachable: the grid above is strictly increasing
+                // and logistic values sit in (0, 1).
+                snr_db: vec![0.0],
+                per: vec![1.0],
+            })
         };
         let ofdm = wlan_core::mesh::topology::RATE_SNR_TABLE
             .iter()
@@ -329,18 +328,18 @@ mod tests {
 
     #[test]
     fn table_validation_rejects_bad_points() {
-        assert!(PerTable::try_from_points(&[]).is_err());
-        assert!(PerTable::try_from_points(&[(0.0, 0.5), (0.0, 0.4)]).is_err());
-        assert!(PerTable::try_from_points(&[(1.0, 0.5), (0.0, 0.4)]).is_err());
-        assert!(PerTable::try_from_points(&[(f64::NAN, 0.5)]).is_err());
-        assert!(PerTable::try_from_points(&[(0.0, 1.5)]).is_err());
-        assert!(PerTable::try_from_points(&[(0.0, f64::NAN)]).is_err());
-        assert!(PerTable::try_from_points(&[(0.0, 0.5)]).is_ok());
+        assert!(PerTable::from_points(&[]).is_err());
+        assert!(PerTable::from_points(&[(0.0, 0.5), (0.0, 0.4)]).is_err());
+        assert!(PerTable::from_points(&[(1.0, 0.5), (0.0, 0.4)]).is_err());
+        assert!(PerTable::from_points(&[(f64::NAN, 0.5)]).is_err());
+        assert!(PerTable::from_points(&[(0.0, 1.5)]).is_err());
+        assert!(PerTable::from_points(&[(0.0, f64::NAN)]).is_err());
+        assert!(PerTable::from_points(&[(0.0, 0.5)]).is_ok());
     }
 
     #[test]
     fn interpolation_clamps_and_interpolates() {
-        let t = PerTable::try_from_points(&[(0.0, 1.0), (10.0, 0.0)]).expect("valid");
+        let t = PerTable::from_points(&[(0.0, 1.0), (10.0, 0.0)]).expect("valid");
         assert_eq!(t.per_at(-5.0), 1.0);
         assert_eq!(t.per_at(20.0), 0.0);
         assert!((t.per_at(5.0) - 0.5).abs() < 1e-12);
@@ -350,9 +349,9 @@ mod tests {
 
     #[test]
     fn digest_tracks_content() {
-        let a = PerTable::try_from_points(&[(0.0, 1.0), (10.0, 0.0)]).expect("valid");
-        let b = PerTable::try_from_points(&[(0.0, 1.0), (10.0, 0.0)]).expect("valid");
-        let c = PerTable::try_from_points(&[(0.0, 1.0), (10.0, 0.1)]).expect("valid");
+        let a = PerTable::from_points(&[(0.0, 1.0), (10.0, 0.0)]).expect("valid");
+        let b = PerTable::from_points(&[(0.0, 1.0), (10.0, 0.0)]).expect("valid");
+        let c = PerTable::from_points(&[(0.0, 1.0), (10.0, 0.1)]).expect("valid");
         assert_eq!(a.digest(), b.digest());
         assert_ne!(a.digest(), c.digest());
     }

@@ -30,7 +30,7 @@ use crate::pertable::PerTableSet;
 use wlan_channel::interference::{try_noise_plus_interference_dbm, Interferer};
 use wlan_channel::pathloss::{LinkBudget, PathLossModel};
 use wlan_mac::params::MacProfile;
-use wlan_mac::protection::try_cts_to_self_overhead_us;
+use wlan_mac::protection::cts_to_self_overhead_us;
 use wlan_math::par::parallel_map_with_threads;
 use wlan_math::rng::{Rng, WlanRng};
 use wlan_math::WlanError;
@@ -334,7 +334,7 @@ impl City {
         };
         // The DSSS rate is validated positive at PerTableSet
         // construction, so the overhead call cannot fail.
-        let cts_us = try_cts_to_self_overhead_us(self.tables.dsss_rate_mbps()).unwrap_or(0.0);
+        let cts_us = cts_to_self_overhead_us(self.tables.dsss_rate_mbps()).unwrap_or(0.0);
 
         let params: Vec<MemberParams> = mem
             .iter()
@@ -627,7 +627,7 @@ fn ap_distance_m(lay: &CityLayout, a: usize, b: usize) -> f64 {
 
 /// Jain fairness index `(Σx)² / (n·Σx²)`; 1.0 for an empty or all-zero
 /// population (nobody is being favoured).
-pub fn jain(values: &[u64]) -> f64 {
+fn jain(values: &[u64]) -> f64 {
     if values.is_empty() {
         return 1.0;
     }
@@ -684,7 +684,7 @@ mod tests {
         // plus interference, computed once per BSS-epoch; it must equal
         // the direct per-member co-channel SINR bit for bit, on the
         // (assoc, busy_prev) inputs every later epoch actually sees.
-        use wlan_channel::interference::try_co_channel_sinr_db;
+        use wlan_channel::interference::co_channel_sinr_db;
         let city = small_city();
         let lay = &city.layout;
         let mut state = city.fresh_state();
@@ -703,7 +703,7 @@ mod tests {
                     .collect();
                 loaded += usize::from(interferers.iter().any(|i| i.duty_cycle > 0.0));
                 let d = lay.sta_ap_distance_m(s, bss);
-                let direct = try_co_channel_sinr_db(&city.budget, &city.model, d, &interferers)
+                let direct = co_channel_sinr_db(&city.budget, &city.model, d, &interferers)
                     .expect("valid geometry");
                 let ni = city.noise_plus_interference_dbm(bss, busy);
                 assert_eq!(

@@ -36,26 +36,6 @@ pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// Number of positions where two bit slices differ.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn hamming_distance(a: &[u8], b: &[u8]) -> usize {
-    assert_eq!(a.len(), b.len(), "hamming distance needs equal lengths");
-    a.iter().zip(b).filter(|(x, y)| x != y).count()
-}
-
-/// XOR of two equal-length bit slices.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn xor_bits(a: &[u8], b: &[u8]) -> Vec<u8> {
-    assert_eq!(a.len(), b.len(), "xor needs equal lengths");
-    a.iter().zip(b).map(|(x, y)| x ^ y).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,20 +56,6 @@ mod tests {
     #[test]
     fn partial_byte_zero_padded() {
         assert_eq!(bits_to_bytes(&[1, 1, 1]), vec![0b0000_0111]);
-    }
-
-    #[test]
-    fn hamming_distance_counts_flips() {
-        assert_eq!(hamming_distance(&[0, 1, 0, 1], &[0, 1, 0, 1]), 0);
-        assert_eq!(hamming_distance(&[0, 1, 0, 1], &[1, 0, 1, 0]), 4);
-        assert_eq!(hamming_distance(&[0, 0, 1], &[0, 1, 1]), 1);
-    }
-
-    #[test]
-    fn xor_is_self_inverse() {
-        let a = [1u8, 0, 1, 1, 0];
-        let b = [0u8, 1, 1, 0, 0];
-        assert_eq!(xor_bits(&xor_bits(&a, &b), &b), a);
     }
 
     #[test]

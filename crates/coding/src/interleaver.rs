@@ -8,8 +8,6 @@
 //! and only changes the column count of the first (13 for its 52 HT-20
 //! data carriers, where 802.11a's 48 use 16).
 
-use wlan_math::WlanError;
-
 /// Block interleaver parameterized by coded bits per symbol (`n_cbps`),
 /// coded bits per subcarrier (`n_bpsc`) and column count.
 ///
@@ -117,22 +115,7 @@ impl Interleaver {
         self.inverse.iter().map(|&k| bits[k]).collect()
     }
 
-    /// Deinterleaves soft values (LLRs) instead of bits.
-    ///
-    /// # Errors
-    ///
-    /// [`WlanError::LengthMismatch`] if `llrs.len()` is not the block size.
-    pub fn deinterleave_soft(&self, llrs: &[f64]) -> Result<Vec<f64>, WlanError> {
-        if llrs.len() != self.n_cbps {
-            return Err(WlanError::LengthMismatch {
-                expected: self.n_cbps,
-                got: llrs.len(),
-            });
-        }
-        Ok(self.inverse.iter().map(|&k| llrs[k]).collect())
-    }
-
-    /// Like [`Interleaver::deinterleave_soft`], but gathers into a
+    /// Deinterleaves soft values (LLRs) instead of bits, gathering into a
     /// caller-owned block (the per-symbol receive chain's stack buffer).
     ///
     /// # Panics
@@ -228,7 +211,8 @@ mod tests {
         let bits: Vec<u8> = (0..96).map(|i| ((i / 5) % 2) as u8).collect();
         let tx = il.interleave(&bits);
         let llrs: Vec<f64> = tx.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
-        let soft = il.deinterleave_soft(&llrs).unwrap();
+        let mut soft = [0.0; 96];
+        il.deinterleave_soft_into(&llrs, &mut soft);
         let hard: Vec<u8> = soft.iter().map(|&l| (l < 0.0) as u8).collect();
         assert_eq!(hard, bits);
     }
@@ -247,22 +231,6 @@ mod tests {
     #[should_panic(expected = "multiple of 16")]
     fn rejects_bad_block_size() {
         let _ = Interleaver::new(50, 1);
-    }
-
-    #[test]
-    fn try_deinterleave_reports_ragged_blocks() {
-        let il = Interleaver::new(48, 1);
-        assert!(il.deinterleave_soft(&[0.0; 47]).is_err());
-        assert!(il.deinterleave_soft(&[0.0; 49]).is_err());
-        let ok = il.deinterleave_soft(&[0.5; 48]).unwrap();
-        let mut into = [0.0; 48];
-        il.deinterleave_soft_into(&[0.5; 48], &mut into);
-        assert_eq!(ok, into);
-
-        let ht = Interleaver::with_columns(104, 2, 13);
-        assert!(ht.deinterleave_soft(&[0.0; 100]).is_err());
-        let n = ht.block_size();
-        assert_eq!(ht.deinterleave_soft(&vec![1.0; n]).unwrap().len(), n);
     }
 
     /// The 20 MHz (13 columns) and 40 MHz (18 columns) HT interleavers.

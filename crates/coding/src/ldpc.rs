@@ -50,8 +50,6 @@ pub struct LdpcCode {
     m: usize,
     /// Column indices participating in each check row (including parity cols).
     rows: Vec<Vec<usize>>,
-    /// Check rows adjacent to each variable column.
-    cols: Vec<Vec<usize>>,
     /// CSR view of `rows` for the decoder hot loop: the variables of check
     /// `i` are `row_vars[row_offsets[i]..row_offsets[i+1]]`. Built once at
     /// construction; min-sum iterations walk one contiguous array instead
@@ -81,15 +79,13 @@ impl LdpcCode {
     pub fn new(k: usize, m: usize, seed: u64) -> Self {
         assert!(k >= 8, "need at least 8 information bits");
         assert!(m >= 4, "need at least 4 parity checks");
-        let n = k + m;
         let mut rows: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut cols: Vec<Vec<usize>> = vec![Vec::new(); n];
 
         // Sparse information part A: column weight 3, 4-cycle avoidance by
         // bounded retry.
         let mut rng = SplitMix64::new(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
         let mut pair_used = std::collections::HashSet::new();
-        for (col, col_rows) in cols.iter_mut().enumerate().take(k) {
+        for col in 0..k {
             let mut picked: Vec<usize> = Vec::with_capacity(3);
             let mut attempts = 0;
             while picked.len() < 3 {
@@ -115,19 +111,14 @@ impl LdpcCode {
             }
             for &r in &picked {
                 rows[r].push(col);
-                col_rows.push(r);
             }
         }
 
         // Dual-diagonal accumulator P: check i touches parity cols i and i−1.
         for (i, row) in rows.iter_mut().enumerate() {
-            let pc = k + i;
-            row.push(pc);
-            cols[pc].push(i);
+            row.push(k + i);
             if i > 0 {
-                let prev = k + i - 1;
-                row.push(prev);
-                cols[prev].push(i);
+                row.push(k + i - 1);
             }
         }
 
@@ -149,7 +140,6 @@ impl LdpcCode {
             k,
             m,
             rows,
-            cols,
             row_offsets,
             row_vars,
         }
@@ -168,18 +158,6 @@ impl LdpcCode {
     /// Code rate `k/n`.
     pub fn rate(&self) -> f64 {
         self.k as f64 / self.codeword_len() as f64
-    }
-
-    /// Degree (number of parity checks touching) variable `col`.
-    ///
-    /// Information columns have degree 3; parity columns 2 (1 for the last).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col >= self.codeword_len()`.
-    pub fn variable_degree(&self, col: usize) -> usize {
-        assert!(col < self.codeword_len(), "column out of range");
-        self.cols[col].len()
     }
 
     /// Encodes information bits into a systematic codeword
@@ -469,13 +447,15 @@ mod tests {
     #[test]
     fn variable_degrees_follow_structure() {
         let code = LdpcCode::new(64, 16, 1);
+        // Degree of variable `col`: the parity checks that touch it.
+        let degree = |col: usize| code.rows.iter().filter(|row| row.contains(&col)).count();
         for col in 0..64 {
-            assert_eq!(code.variable_degree(col), 3, "info column {col}");
+            assert_eq!(degree(col), 3, "info column {col}");
         }
         for col in 64..79 {
-            assert_eq!(code.variable_degree(col), 2, "parity column {col}");
+            assert_eq!(degree(col), 2, "parity column {col}");
         }
-        assert_eq!(code.variable_degree(79), 1, "last parity column");
+        assert_eq!(degree(79), 1, "last parity column");
     }
 
     #[test]

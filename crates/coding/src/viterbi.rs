@@ -181,11 +181,7 @@ impl ViterbiKernel {
     /// Decodes one frame into a caller-owned buffer (cleared first) — the
     /// fully allocation-free entry point for hot paths that recycle their
     /// output storage.
-    pub fn decode_into(
-        &mut self,
-        frame: FrameLlrs<'_>,
-        bits: &mut Vec<u8>,
-    ) -> Result<(), WlanError> {
+    fn decode_into(&mut self, frame: FrameLlrs<'_>, bits: &mut Vec<u8>) -> Result<(), WlanError> {
         let total_steps = frame.check()?;
         self.run_trellis(frame.llrs, total_steps, frame.terminated);
         bits.clear();

@@ -5,12 +5,10 @@
 //! > transmission in order to improve the effective link quality between
 //! > the intended parties."
 //!
-//! That is decode-and-forward relaying. This crate implements the classic
-//! two-phase cooperative protocols and the outage analysis that quantifies
+//! That is decode-and-forward relaying. This crate implements the outage
+//! analysis of the classic two-phase cooperative protocols that quantifies
 //! their benefit (experiment E9):
 //!
-//! - [`relay`] — symbol-level decode-and-forward and amplify-and-forward
-//!   with MRC combining at the destination,
 //! - [`outage`] — Monte-Carlo and analytic outage probability, plus the
 //!   diversity-order estimator (the slope that jumps from 1 to 2),
 //! - [`selection`] — opportunistic relay selection among candidates.
@@ -32,7 +30,6 @@
 //! ```
 
 pub mod outage;
-pub mod relay;
 pub mod selection;
 
 pub use outage::Protocol;

@@ -76,46 +76,6 @@ pub fn simulate_outage(
     outages as f64 / trials as f64
 }
 
-/// Monte-Carlo outage of *multi-relay* decode-and-forward: all of
-/// `n_relays` candidates that decode phase 1 retransmit on orthogonal
-/// slots and the destination MRC-combines everything. Diversity order
-/// approaches `n_relays + 1` at the cost of a `1/(1 + n_relays)` rate
-/// factor (each participant needs a slot).
-///
-/// # Panics
-///
-/// Panics if `trials` is zero or `rate <= 0`.
-pub fn simulate_multi_relay_outage(
-    n_relays: usize,
-    snr_db: f64,
-    rate: f64,
-    trials: usize,
-    rng: &mut impl Rng,
-) -> f64 {
-    assert!(trials > 0, "need at least one trial");
-    assert!(rate > 0.0, "rate must be positive");
-    let snr = wlan_math::special::db_to_lin(snr_db);
-    let slots = (1 + n_relays) as f64;
-    let mut outages = 0usize;
-    for _ in 0..trials {
-        let g_sd = complex_gaussian(rng).norm_sqr();
-        let mut combined = g_sd;
-        for _ in 0..n_relays {
-            let g_sr = complex_gaussian(rng).norm_sqr();
-            let g_rd = complex_gaussian(rng).norm_sqr();
-            // A relay participates if it decoded the phase-1 broadcast.
-            if (1.0 + snr * g_sr).log2() / slots >= rate {
-                combined += g_rd;
-            }
-        }
-        let capacity = (1.0 + snr * combined).log2() / slots;
-        if capacity < rate {
-            outages += 1;
-        }
-    }
-    outages as f64 / trials as f64
-}
-
 /// Estimates the diversity order of a protocol as the negative slope of
 /// `log10(outage)` versus `snr/10` between two SNR points.
 pub fn diversity_order(
@@ -198,39 +158,5 @@ mod tests {
     fn analytic_limits() {
         assert!(direct_outage_analytic(60.0, 1.0) < 1e-5);
         assert!(direct_outage_analytic(-20.0, 1.0) > 0.99);
-    }
-
-    #[test]
-    fn multi_relay_zero_matches_direct() {
-        let mut rng = WlanRng::seed_from_u64(235);
-        let p = simulate_multi_relay_outage(0, 10.0, 1.0, 100_000, &mut rng);
-        let ana = direct_outage_analytic(10.0, 1.0);
-        assert!((p - ana).abs() < 0.01, "sim {p} vs analytic {ana}");
-    }
-
-    #[test]
-    fn relay_returns_diminish() {
-        // The second relay still pays at 20 dB; the *third* relay's extra
-        // slot (threshold 2^{4R} instead of 2^{3R}) costs about as much as
-        // its diversity buys — cooperation has diminishing returns, which
-        // is why practical schemes select one or two relays.
-        let mut rng = WlanRng::seed_from_u64(236);
-        let snr_db = 20.0;
-        let p1 = simulate_multi_relay_outage(1, snr_db, 1.0, 300_000, &mut rng);
-        let p2 = simulate_multi_relay_outage(2, snr_db, 1.0, 300_000, &mut rng);
-        let p3 = simulate_multi_relay_outage(3, snr_db, 1.0, 300_000, &mut rng);
-        assert!(p2 < 0.8 * p1, "2 relays {p2} vs 1 relay {p1}");
-        assert!(p3 < 2.0 * p2, "3rd relay should not hurt badly: {p3} vs {p2}");
-        assert!(p3 > 0.3 * p2, "3rd relay's slot cost should show: {p3} vs {p2}");
-    }
-
-    #[test]
-    fn multi_relay_diversity_order_grows() {
-        let mut rng = WlanRng::seed_from_u64(237);
-        // Slope between 16 and 24 dB for 2 relays ≈ order 3.
-        let lo = simulate_multi_relay_outage(2, 16.0, 1.0, 400_000, &mut rng).max(1e-9);
-        let hi = simulate_multi_relay_outage(2, 24.0, 1.0, 400_000, &mut rng).max(1e-9);
-        let order = -(hi.log10() - lo.log10()) / 0.8;
-        assert!(order > 2.2, "estimated order {order} should approach 3");
     }
 }

@@ -22,22 +22,17 @@ pub struct RelayCandidate {
 impl RelayCandidate {
     /// The bottleneck-aware selection metric: harmonic mean of the two hop
     /// gains (a chain is only as good as its weaker hop).
-    pub fn harmonic_metric(&self) -> f64 {
+    fn harmonic_metric(&self) -> f64 {
         if self.gain_sr + self.gain_rd == 0.0 {
             return 0.0;
         }
         2.0 * self.gain_sr * self.gain_rd / (self.gain_sr + self.gain_rd)
     }
-
-    /// The naive metric: only the first hop.
-    pub fn first_hop_metric(&self) -> f64 {
-        self.gain_sr
-    }
 }
 
 /// Picks the best relay index under the harmonic metric, or `None` when the
 /// candidate list is empty.
-pub fn select_relay(candidates: &[RelayCandidate]) -> Option<usize> {
+fn select_relay(candidates: &[RelayCandidate]) -> Option<usize> {
     (0..candidates.len())
         .max_by(|&a, &b| {
             candidates[a]
@@ -109,8 +104,6 @@ mod tests {
             gain_rd: 0.1,
         };
         assert!(balanced.harmonic_metric() > lopsided.harmonic_metric());
-        // The naive metric would pick the lopsided one.
-        assert!(lopsided.first_hop_metric() > balanced.first_hop_metric());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! resulting throughput-versus-distance staircase.
 
 use wlan_channel::pathloss::{LinkBudget, PathLossModel};
-use wlan_mesh::topology::{best_rate_for_snr, RATE_SNR_TABLE};
+use wlan_mesh::topology::best_rate_for_snr;
 use wlan_ofdm::OfdmRate;
 
 /// The throughput-optimal 802.11a rate at a given SNR, or `None` below the
@@ -15,19 +15,6 @@ use wlan_ofdm::OfdmRate;
 pub fn select_rate(snr_db: f64) -> Option<OfdmRate> {
     let mbps = best_rate_for_snr(snr_db)?;
     OfdmRate::all().into_iter().find(|r| r.rate_mbps() == mbps)
-}
-
-/// The SNR margin (dB) of a selected rate: how far above its sensitivity
-/// the link sits. Zero margin means the next fade drops the rate.
-pub fn margin_db(snr_db: f64, rate: OfdmRate) -> f64 {
-    // Every OFDM rate appears in the table; a hypothetical miss reports an
-    // infinite requirement (no margin) rather than panicking.
-    let required = RATE_SNR_TABLE
-        .iter()
-        .find(|(mbps, _)| *mbps == rate.rate_mbps())
-        .map(|(_, snr)| *snr)
-        .unwrap_or(f64::INFINITY);
-    snr_db - required
 }
 
 /// One step of the rate-versus-distance staircase.
@@ -83,12 +70,6 @@ mod tests {
             assert!(rate >= prev, "snr {snr}: {rate} < {prev}");
             prev = rate;
         }
-    }
-
-    #[test]
-    fn margin_is_zero_at_sensitivity() {
-        assert!((margin_db(24.5, OfdmRate::R54) - 0.0).abs() < 1e-12);
-        assert!((margin_db(30.0, OfdmRate::R54) - 5.5).abs() < 1e-12);
     }
 
     #[test]

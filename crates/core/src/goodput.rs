@@ -20,7 +20,7 @@ pub const DSSS_RATE_SNR_TABLE: [(f64, f64); 4] =
     [(1.0, 0.5), (2.0, 4.0), (5.5, 7.0), (11.0, 9.0)];
 
 /// The fastest DSSS-family rate sustainable at the given SNR.
-pub fn dsss_rate_for_snr(snr_db: f64) -> Option<f64> {
+fn dsss_rate_for_snr(snr_db: f64) -> Option<f64> {
     DSSS_RATE_SNR_TABLE
         .iter()
         .rev()
@@ -31,7 +31,7 @@ pub fn dsss_rate_for_snr(snr_db: f64) -> Option<f64> {
 /// The fastest 2-stream HT MCS (20 MHz, long GI) sustainable at the given
 /// SNR, using a documented heuristic: the same-modulation OFDM sensitivity
 /// plus 3 dB per additional spatial stream for stream separation.
-pub fn ht_mcs_for_snr(snr_db: f64, n_streams: usize) -> Option<HtMcs> {
+fn ht_mcs_for_snr(snr_db: f64, n_streams: usize) -> Option<HtMcs> {
     let penalty = 3.0 * (n_streams.saturating_sub(1)) as f64;
     // Walk the 8 base MCS rows top-down with the OFDM-equivalent threshold.
     let thresholds = [5.0, 8.0, 11.0, 14.5, 18.5, 23.0, 24.5, 26.5];

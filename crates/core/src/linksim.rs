@@ -672,7 +672,7 @@ impl PhyLink for MimoLink {
         faults.inject_streams(&mut rx, rng);
         span.stop();
         let span = timers.rx.start();
-        let decoded = phy.try_receive(&rx, n0, payload.len());
+        let decoded = phy.receive(&rx, n0, payload.len());
         span.stop();
         Ok(decoded? == payload)
     }
@@ -741,7 +741,7 @@ impl PhyLink for HtLink {
             span.stop();
             let rx = apply(tx, rng);
             let span = timers.rx.start();
-            let decoded = phy.try_receive(&rx, payload.len());
+            let decoded = phy.receive(&rx, payload.len());
             span.stop();
             Ok(decoded? == payload)
         } else {
@@ -751,7 +751,7 @@ impl PhyLink for HtLink {
             span.stop();
             let rx = apply(tx, rng);
             let span = timers.rx.start();
-            let decoded = phy.try_receive(&rx, payload.len());
+            let decoded = phy.receive(&rx, payload.len());
             span.stop();
             Ok(decoded? == payload)
         }
@@ -867,7 +867,7 @@ impl PhyLink for StbcLink {
         faults.inject_streams(&mut rx, rng);
         span.stop();
         let span = timers.rx.start();
-        let decoded = phy.try_receive(&rx, payload.len());
+        let decoded = phy.receive(&rx, payload.len());
         span.stop();
         Ok(decoded? == payload)
     }

@@ -143,7 +143,7 @@ impl DistConfig {
     /// then killed the worker and re-dispatched work that was nearly
     /// done, and at the quarantine limit abandoned the point outright.
     /// `multi_round_leases_get_scaled_deadlines` pins the fix.)
-    pub fn lease_deadline(&self, start: u64, end: u64) -> Duration {
+    fn lease_deadline(&self, start: u64, end: u64) -> Duration {
         let rounds = end.saturating_sub(start).div_ceil(ROUND_TRIALS).max(1);
         Duration::from_millis(self.lease_timeout_ms.saturating_mul(rounds))
     }
@@ -552,7 +552,7 @@ impl Fleet {
     /// Attaches a connected worker as a new slot (slots are never
     /// reused: a reconnecting worker gets a fresh index, and its old
     /// slot stays dead). Returns the slot index.
-    pub fn attach(&mut self, io: WorkerIo, now: Instant) -> usize {
+    fn attach(&mut self, io: WorkerIo, now: Instant) -> usize {
         let w = self.slots.len();
         let tx = self.tx.clone();
         let reader = io.reader;

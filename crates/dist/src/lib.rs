@@ -58,6 +58,6 @@ pub use coord::{
 pub use proto::{Msg, ProtoError, RoundTally};
 pub use service::{run_campaign_service, Acceptor, ServeCampaign, ServeConfig, ServeReport};
 pub use transport::{
-    connect_role, connect_worker, run_tcp_worker, server_handshake, Role, Transport, WorkerOpts,
+    connect_role, connect_worker, run_tcp_worker, server_handshake, Role, WorkerOpts,
 };
 pub use worker::{run_lease, serve, LeaseJob, ServeEnd};

@@ -35,7 +35,6 @@ use std::time::Duration;
 use wlan_math::rng::{Rng, WlanRng};
 
 use crate::catalog::catalog_digest;
-use crate::coord::WorkerIo;
 use crate::proto::{encode_frame, read_frame, ProtoError};
 use crate::worker::{serve, ServeEnd};
 
@@ -235,7 +234,7 @@ impl WorkerOpts {
 /// retries never hammer, plus seeded jitter so a rebooted fleet's
 /// workers don't re-dial in lockstep (the thundering-herd analogue of
 /// synchronized slot counters).
-pub fn reconnect_backoff(opts: &WorkerOpts, attempt: u32) -> Duration {
+fn reconnect_backoff(opts: &WorkerOpts, attempt: u32) -> Duration {
     const BACKOFF_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
     let doublings = attempt.saturating_sub(1).min(16);
     let cw = opts
@@ -323,81 +322,8 @@ pub fn server_handshake(
     }
 }
 
-/// A connected, handshaken duplex stream carrying the frame protocol —
-/// what the coordinator plugs into its fleet. [`TcpTransport`] is the
-/// socket implementation; stdio pipes and the in-memory duplex satisfy
-/// the same contract directly through
-/// [`WorkerFactory`](crate::coord::WorkerFactory).
-pub trait Transport {
-    /// Human-readable peer identity for logs and `conn_*` events.
-    fn peer(&self) -> String;
-    /// Splits into the coordinator-facing halves plus a kill hook that
-    /// unblocks the peer's reader (socket shutdown, pipe close, …).
-    fn into_worker_io(self: Box<Self>) -> WorkerIo;
-}
-
-/// A handshaken TCP connection as a coordinator-side [`Transport`].
-pub struct TcpTransport {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    peer: String,
-}
-
-impl TcpTransport {
-    /// Wraps the halves [`server_handshake`] returned.
-    pub fn new(reader: BufReader<TcpStream>, writer: TcpStream) -> Self {
-        let peer = writer
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "unknown".to_owned());
-        Self {
-            reader,
-            writer,
-            peer,
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
-
-    fn into_worker_io(self: Box<Self>) -> WorkerIo {
-        let closer = self.writer.try_clone().ok();
-        WorkerIo {
-            writer: Box::new(self.writer),
-            reader: Box::new(self.reader),
-            kill: Box::new(move || {
-                if let Some(s) = &closer {
-                    let _ = s.shutdown(std::net::Shutdown::Both);
-                }
-            }),
-        }
-    }
-}
-
-/// Any paired reader/writer (stdio, duplex pipes) as a [`Transport`]
-/// with a caller-supplied kill hook.
-pub struct PipeTransport {
-    /// Peer label for logs.
-    pub label: String,
-    /// The already-connected I/O.
-    pub io: WorkerIo,
-}
-
-impl Transport for PipeTransport {
-    fn peer(&self) -> String {
-        self.label.clone()
-    }
-
-    fn into_worker_io(self: Box<Self>) -> WorkerIo {
-        self.io
-    }
-}
-
 /// Runs a TCP worker against `addr`: dial (with handshake), serve
-/// leases, and on disconnect re-dial under [`reconnect_backoff`] — for
+/// leases, and on disconnect re-dial under `reconnect_backoff` — for
 /// as long as consecutive failures stay within `opts.retries`.
 ///
 /// Returns the number of served sessions. An orderly [`Msg::Shutdown`]
@@ -438,7 +364,7 @@ pub fn run_tcp_worker(addr: &str, opts: &WorkerOpts) -> Result<u64, ProtoError> 
 /// Parses [`ADDR_ENV`]: unset means [`DEFAULT_ADDR`]; anything that is
 /// not `host:port` with a valid port is an error carrying the warning
 /// text.
-pub fn parse_dist_addr(raw: Option<&str>) -> Result<String, String> {
+fn parse_dist_addr(raw: Option<&str>) -> Result<String, String> {
     let Some(raw) = raw else {
         return Ok(DEFAULT_ADDR.to_owned());
     };
@@ -457,7 +383,7 @@ pub fn parse_dist_addr(raw: Option<&str>) -> Result<String, String> {
 
 /// Parses [`HEARTBEAT_MS_ENV`]: unset means [`DEFAULT_HEARTBEAT_MS`];
 /// zero or garbage is an error carrying the warning text.
-pub fn parse_heartbeat_ms(raw: Option<&str>) -> Result<u64, String> {
+fn parse_heartbeat_ms(raw: Option<&str>) -> Result<u64, String> {
     let Some(raw) = raw else {
         return Ok(DEFAULT_HEARTBEAT_MS);
     };
@@ -474,7 +400,7 @@ pub fn parse_heartbeat_ms(raw: Option<&str>) -> Result<u64, String> {
 /// [`DEFAULT_CONNECT_RETRIES`]; garbage is an error carrying the
 /// warning text. Zero is *valid* (a one-shot worker that never
 /// retries).
-pub fn parse_connect_retries(raw: Option<&str>) -> Result<u32, String> {
+fn parse_connect_retries(raw: Option<&str>) -> Result<u32, String> {
     let Some(raw) = raw else {
         return Ok(DEFAULT_CONNECT_RETRIES);
     };

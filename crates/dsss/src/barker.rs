@@ -21,17 +21,11 @@ pub fn processing_gain_db() -> f64 {
     10.0 * (SPREAD_FACTOR as f64).log10()
 }
 
-/// Spreads one complex symbol into 11 chips, normalized so the chip
-/// sequence has the same total energy as the symbol.
-pub fn spread_symbol(symbol: Complex) -> Vec<Complex> {
-    let scale = 1.0 / (SPREAD_FACTOR as f64).sqrt();
-    BARKER_11.iter().map(|&c| symbol.scale(c * scale)).collect()
-}
-
-/// Spreads a symbol stream.
+/// Spreads a symbol stream: each complex symbol becomes 11 chips,
+/// normalized so the chips carry the same total energy as the symbol.
 pub fn spread(symbols: &[Complex]) -> Vec<Complex> {
     // One output allocation for the whole frame; per-symbol chips are
-    // written straight into it (same values as [`spread_symbol`]).
+    // written straight into it.
     let scale = 1.0 / (SPREAD_FACTOR as f64).sqrt();
     let mut chips = Vec::with_capacity(symbols.len() * SPREAD_FACTOR);
     for &s in symbols {
@@ -45,7 +39,7 @@ pub fn spread(symbols: &[Complex]) -> Vec<Complex> {
 /// # Panics
 ///
 /// Panics if `chips.len() != 11`.
-pub fn despread_symbol(chips: &[Complex]) -> Complex {
+fn despread_symbol(chips: &[Complex]) -> Complex {
     assert_eq!(chips.len(), SPREAD_FACTOR, "expected 11 chips");
     let scale = 1.0 / (SPREAD_FACTOR as f64).sqrt();
     chips
@@ -63,42 +57,6 @@ pub fn despread_symbol(chips: &[Complex]) -> Complex {
 pub fn despread(chips: &[Complex]) -> Vec<Complex> {
     assert_eq!(chips.len() % SPREAD_FACTOR, 0, "chip stream must be whole symbols");
     chips.chunks(SPREAD_FACTOR).map(despread_symbol).collect()
-}
-
-/// Acquires chip timing by sliding a Barker matched filter over the first
-/// `search_chips` samples and picking the offset with the strongest mean
-/// correlation magnitude over several symbols.
-///
-/// This is what the real 802.11 SYNC preamble (128 scrambled ones) is for:
-/// the receiver does not know where symbols start. Returns the offset in
-/// chips (`0..11`).
-///
-/// # Panics
-///
-/// Panics if fewer than `search_chips + 4·11` samples are provided or
-/// `search_chips < 11`.
-pub fn acquire_timing(chips: &[Complex], search_chips: usize) -> usize {
-    assert!(search_chips >= SPREAD_FACTOR, "search window too small");
-    assert!(
-        chips.len() >= search_chips + 4 * SPREAD_FACTOR,
-        "need several symbols after the search window"
-    );
-    let symbols_to_average = 4;
-    let mut best_offset = 0;
-    let mut best_metric = -1.0f64;
-    for offset in 0..SPREAD_FACTOR {
-        let mut metric = 0.0;
-        for s in 0..symbols_to_average {
-            let start = offset + s * SPREAD_FACTOR;
-            let corr = despread_symbol(&chips[start..start + SPREAD_FACTOR]);
-            metric += corr.norm_sqr();
-        }
-        if metric > best_metric {
-            best_metric = metric;
-            best_offset = offset;
-        }
-    }
-    best_offset
 }
 
 /// Aperiodic autocorrelation of the Barker sequence at integer lag `k`
@@ -147,7 +105,7 @@ mod tests {
     #[test]
     fn spreading_preserves_energy() {
         let sym = Complex::new(0.6, 0.8);
-        let chips = spread_symbol(sym);
+        let chips = spread(&[sym]);
         let chip_energy: f64 = chips.iter().map(|c| c.norm_sqr()).sum();
         assert!((chip_energy - sym.norm_sqr()).abs() < 1e-12);
     }
@@ -176,43 +134,5 @@ mod tests {
     #[should_panic(expected = "11 chips")]
     fn despread_length_checked() {
         let _ = despread_symbol(&[Complex::ZERO; 10]);
-    }
-
-    #[test]
-    fn timing_acquisition_finds_the_offset() {
-        use wlan_math::rng::WlanRng;
-        let mut rng = WlanRng::seed_from_u64(700);
-        // A stream of alternating BPSK symbols, shifted by a known offset.
-        let symbols: Vec<Complex> = (0..12)
-            .map(|i| Complex::from_re(if i % 2 == 0 { 1.0 } else { -1.0 }))
-            .collect();
-        let spread_stream = spread(&symbols);
-        for true_offset in [0usize, 3, 7, 10] {
-            // Prepend `true_offset` junk chips to misalign.
-            let mut stream: Vec<Complex> = (0..true_offset)
-                .map(|_| wlan_channel::noise::complex_gaussian(&mut rng).scale(0.3))
-                .collect();
-            stream.extend_from_slice(&spread_stream);
-            // Mild noise.
-            for c in stream.iter_mut() {
-                *c += wlan_channel::noise::complex_gaussian(&mut rng).scale(0.2);
-            }
-            let found = acquire_timing(&stream, SPREAD_FACTOR);
-            assert_eq!(found, true_offset % SPREAD_FACTOR, "offset {true_offset}");
-        }
-    }
-
-    #[test]
-    fn acquisition_then_despreading_recovers_symbols() {
-        let symbols = vec![Complex::ONE, -Complex::ONE, Complex::ONE, Complex::ONE, -Complex::ONE];
-        let mut stream = vec![Complex::ZERO; 5];
-        stream.extend(spread(&symbols));
-        let offset = acquire_timing(&stream, SPREAD_FACTOR);
-        assert_eq!(offset, 5);
-        let aligned = &stream[offset..offset + symbols.len() * SPREAD_FACTOR];
-        let recovered = despread(aligned);
-        for (a, b) in recovered.iter().zip(&symbols) {
-            assert!((*a - *b).norm() < 1e-9);
-        }
     }
 }

@@ -2,68 +2,11 @@
 //!
 //! 802.11-1999 standardized FHSS alongside DSSS as the other way to satisfy
 //! the FCC spreading rules: hop over 79 one-MHz channels following a
-//! pseudorandom pattern, carrying 1 Mbps with 2-level GFSK (modelled here as
-//! orthogonal binary FSK with noncoherent detection). The interesting system
-//! property — interference on a few channels only corrupts the dwells that
-//! land on them — is exercised in the tests and in experiment E3's
-//! interference sweep.
+//! pseudorandom pattern, carrying 1 Mbps with 2-level GFSK. This module
+//! models one hop dwell, with the GFSK modelled as orthogonal binary FSK
+//! with noncoherent detection.
 
-use wlan_math::rng::Rng;
 use wlan_math::Complex;
-
-/// Number of hop channels in the FCC 2.4 GHz band plan.
-pub const NUM_CHANNELS: usize = 79;
-
-/// A pseudorandom hop pattern over the 79 channels.
-///
-/// The standard's patterns are permutations generated from a base sequence
-/// and a per-network index; we reproduce that structure: pattern `i` visits
-/// `(base[k] + i) mod 79`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HopPattern {
-    sequence: Vec<usize>,
-}
-
-impl HopPattern {
-    /// Creates hopping pattern `index` (0–77).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= 78`.
-    pub fn new(index: usize) -> Self {
-        assert!(index < NUM_CHANNELS - 1, "pattern index out of range");
-        // Base permutation from a fixed multiplicative stride; 32 is
-        // coprime with 79 so the walk visits every channel exactly once.
-        let sequence = (0..NUM_CHANNELS)
-            .map(|k| (k * 32 + index) % NUM_CHANNELS)
-            .collect();
-        HopPattern { sequence }
-    }
-
-    /// The channel used during dwell `t` (wraps around the pattern).
-    pub fn channel_at(&self, t: usize) -> usize {
-        self.sequence[t % NUM_CHANNELS]
-    }
-
-    /// The full one-period sequence.
-    pub fn sequence(&self) -> &[usize] {
-        &self.sequence
-    }
-
-    /// Minimum absolute channel separation between consecutive dwells.
-    ///
-    /// FCC rules required ≥ 6 channels of separation.
-    pub fn min_hop_distance(&self) -> usize {
-        (0..NUM_CHANNELS)
-            .map(|t| {
-                let a = self.channel_at(t) as isize;
-                let b = self.channel_at(t + 1) as isize;
-                (a - b).unsigned_abs()
-            })
-            .min()
-            .expect("nonempty pattern")
-    }
-}
 
 /// Binary orthogonal FSK over one hop dwell (the GFSK stand-in).
 ///
@@ -145,87 +88,10 @@ impl FskModem {
     }
 }
 
-/// Simulates one hop-pattern period of transmission with a set of jammed
-/// channels, returning `(bits_sent, bit_errors)`.
-///
-/// Each dwell carries `bits_per_dwell` FSK bits; dwells on jammed channels
-/// receive strong narrowband interference in addition to noise.
-pub fn simulate_hopping_link(
-    pattern: &HopPattern,
-    jammed_channels: &[usize],
-    bits_per_dwell: usize,
-    snr_db: f64,
-    jammer_power: f64,
-    rng: &mut impl Rng,
-) -> (usize, usize) {
-    let modem = FskModem::new(8);
-    let sigma = wlan_math::special::db_to_lin(-snr_db).sqrt();
-    let mut sent = 0usize;
-    let mut errors = 0usize;
-    for dwell in 0..NUM_CHANNELS {
-        let ch = pattern.channel_at(dwell);
-        let bits: Vec<u8> = (0..bits_per_dwell).map(|_| rng.gen_range(0..2u8)).collect();
-        let mut samples = modem.modulate(&bits);
-        for s in samples.iter_mut() {
-            *s += wlan_channel::noise::complex_gaussian(rng).scale(sigma);
-        }
-        if jammed_channels.contains(&ch) {
-            // Narrowband CW jammer at the +tone frequency.
-            for (n, s) in samples.iter_mut().enumerate() {
-                *s += Complex::from_polar(
-                    jammer_power.sqrt(),
-                    std::f64::consts::PI / 2.0 * n as f64,
-                );
-            }
-        }
-        let out = modem.demodulate(&samples);
-        errors += out.iter().zip(&bits).filter(|(a, b)| a != b).count();
-        sent += bits_per_dwell;
-    }
-    (sent, errors)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wlan_math::rng::WlanRng;
-
-    #[test]
-    fn pattern_visits_every_channel_once() {
-        for index in [0, 10, 77] {
-            let p = HopPattern::new(index);
-            let mut seen = [false; NUM_CHANNELS];
-            for &ch in p.sequence() {
-                assert!(ch < NUM_CHANNELS);
-                assert!(!seen[ch], "channel {ch} repeated in pattern {index}");
-                seen[ch] = true;
-            }
-        }
-    }
-
-    #[test]
-    fn patterns_meet_fcc_hop_distance() {
-        for index in 0..NUM_CHANNELS - 1 {
-            let p = HopPattern::new(index);
-            assert!(
-                p.min_hop_distance() >= 6,
-                "pattern {index} hops too close: {}",
-                p.min_hop_distance()
-            );
-        }
-    }
-
-    #[test]
-    fn different_patterns_rarely_collide() {
-        // Two networks on different patterns collide on at most a few dwells
-        // per period — the FH coexistence property.
-        let a = HopPattern::new(0);
-        let b = HopPattern::new(1);
-        let collisions = (0..NUM_CHANNELS)
-            .filter(|&t| a.channel_at(t) == b.channel_at(t))
-            .count();
-        assert!(collisions <= 2, "{collisions} collisions");
-    }
 
     #[test]
     fn fsk_roundtrip_clean() {
@@ -256,26 +122,5 @@ mod tests {
         let out = modem.demodulate(&samples);
         let errors = out.iter().zip(&bits).filter(|(a, b)| a != b).count();
         assert_eq!(errors, 0, "unexpected errors at high SNR");
-    }
-
-    #[test]
-    fn hopping_confines_jammer_damage() {
-        let mut rng = WlanRng::seed_from_u64(71);
-        let pattern = HopPattern::new(3);
-        // Jam 8 of 79 channels with overwhelming power.
-        let jammed: Vec<usize> = (0..8).map(|i| i * 9).collect();
-        let (sent, errors) =
-            simulate_hopping_link(&pattern, &jammed, 50, 15.0, 100.0, &mut rng);
-        let ber = errors as f64 / sent as f64;
-        // At most ~8/79 of dwells can be corrupted (and FSK on a jammed tone
-        // errs about half the time on average).
-        assert!(ber < 0.5 * 8.0 / 79.0 + 0.03, "BER {ber} too high");
-        assert!(errors > 0, "the jammer should corrupt the jammed dwells");
-    }
-
-    #[test]
-    #[should_panic(expected = "pattern index")]
-    fn pattern_index_checked() {
-        let _ = HopPattern::new(78);
     }
 }

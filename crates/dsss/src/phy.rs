@@ -114,7 +114,7 @@ impl DsssPhy {
 
     /// Pads `bits` to a whole number of symbols (with zeros) and returns the
     /// padded length the receiver will produce.
-    pub fn padded_len(&self, num_bits: usize) -> usize {
+    fn padded_len(&self, num_bits: usize) -> usize {
         let bps = self.rate.bits_per_symbol();
         num_bits.div_ceil(bps) * bps
     }
@@ -172,17 +172,6 @@ impl DsssPhy {
         };
         Scrambler::new(self.scrambler_seed).scramble(&scrambled)
     }
-
-    /// Chips transmitted for `num_bits` information bits.
-    pub fn chips_for_bits(&self, num_bits: usize) -> usize {
-        let symbols = self.padded_len(num_bits) / self.rate.bits_per_symbol();
-        match self.rate {
-            DsssRate::Dbpsk1M | DsssRate::Dqpsk2M => {
-                (symbols + 1) * barker::SPREAD_FACTOR // +1 reference symbol
-            }
-            DsssRate::Cck5_5M | DsssRate::Cck11M => symbols * crate::cck::CHIPS_PER_SYMBOL,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +197,6 @@ mod tests {
             let phy = DsssPhy::new(rate);
             let bits: Vec<u8> = (0..160).map(|_| rng.gen_range(0..2u8)).collect();
             let chips = phy.transmit(&bits);
-            assert_eq!(chips.len(), phy.chips_for_bits(bits.len()), "{rate}");
             let out = phy.receive(&chips);
             assert_eq!(&out[..bits.len()], bits.as_slice(), "{rate}");
         }

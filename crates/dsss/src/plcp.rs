@@ -1,38 +1,8 @@
-//! The DSSS PLCP preamble and header (802.11-1999 clause 15 / 802.11b
+//! The DSSS PLCP header checksum (802.11-1999 clause 15 / 802.11b
 //! clause 18).
 //!
-//! Every DSSS frame is announced at 1 Mbps DBPSK: 128 scrambled SYNC bits,
-//! a 16-bit start-frame delimiter, then a 48-bit header — SIGNAL (rate),
-//! SERVICE, LENGTH (µs of payload!) — protected by CRC-16/CCITT. Length
-//! being in *microseconds* is the quirk that let 5.5/11 Mbps CCK frames be
-//! announced to 1/2 Mbps legacy stations, and is faithfully reproduced.
-
-use crate::phy::DsssRate;
-
-/// SYNC bits in the long preamble.
-pub const SYNC_BITS: usize = 128;
-/// The start-frame delimiter, transmitted LSB first (0xF3A0).
-pub const SFD: u16 = 0xF3A0;
-
-/// The SIGNAL field encoding of each rate (units of 100 kbps).
-fn signal_byte(rate: DsssRate) -> u8 {
-    match rate {
-        DsssRate::Dbpsk1M => 0x0A,
-        DsssRate::Dqpsk2M => 0x14,
-        DsssRate::Cck5_5M => 0x37,
-        DsssRate::Cck11M => 0x6E,
-    }
-}
-
-fn rate_from_signal(byte: u8) -> Option<DsssRate> {
-    match byte {
-        0x0A => Some(DsssRate::Dbpsk1M),
-        0x14 => Some(DsssRate::Dqpsk2M),
-        0x37 => Some(DsssRate::Cck5_5M),
-        0x6E => Some(DsssRate::Cck11M),
-        _ => None,
-    }
-}
+//! The 48-bit PLCP header — SIGNAL (rate), SERVICE, LENGTH (µs of
+//! payload) — is protected by CRC-16/CCITT.
 
 /// CRC-16/CCITT (poly 0x1021, init 0xFFFF, output complemented), as used
 /// by the PLCP header FCS.
@@ -51,72 +21,6 @@ pub fn crc16_ccitt(data: &[u8]) -> u16 {
     !crc
 }
 
-/// A parsed PLCP header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlcpHeader {
-    /// The announced payload rate.
-    pub rate: DsssRate,
-    /// SERVICE byte (bit 2 = locked clocks, bit 7 = length-extension).
-    pub service: u8,
-    /// Payload duration in microseconds (the LENGTH field).
-    pub length_us: u16,
-}
-
-impl PlcpHeader {
-    /// Builds the header announcing `payload_bytes` at `rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the computed duration exceeds the 16-bit LENGTH field.
-    pub fn for_payload(rate: DsssRate, payload_bytes: usize) -> Self {
-        let us = (payload_bytes as f64 * 8.0 / rate.rate_mbps()).ceil();
-        assert!(us <= u16::MAX as f64, "payload too long for LENGTH");
-        PlcpHeader {
-            rate,
-            service: 0x04, // locked clocks, as all CCK implementations set
-            length_us: us as u16,
-        }
-    }
-
-    /// Largest payload consistent with the announced duration.
-    pub fn max_payload_bytes(&self) -> usize {
-        (self.length_us as f64 * self.rate.rate_mbps() / 8.0).floor() as usize
-    }
-
-    /// Serializes SIGNAL ‖ SERVICE ‖ LENGTH ‖ CRC-16 (6 bytes).
-    pub fn to_bytes(&self) -> [u8; 6] {
-        let mut out = [0u8; 6];
-        out[0] = signal_byte(self.rate);
-        out[1] = self.service;
-        out[2..4].copy_from_slice(&self.length_us.to_le_bytes());
-        let crc = crc16_ccitt(&out[..4]);
-        out[4..6].copy_from_slice(&crc.to_le_bytes());
-        out
-    }
-
-    /// Parses and validates a 6-byte header.
-    ///
-    /// Returns `None` on CRC failure or an unknown SIGNAL value.
-    pub fn from_bytes(bytes: &[u8; 6]) -> Option<PlcpHeader> {
-        let want = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if crc16_ccitt(&bytes[..4]) != want {
-            return None;
-        }
-        Some(PlcpHeader {
-            rate: rate_from_signal(bytes[0])?,
-            service: bytes[1],
-            length_us: u16::from_le_bytes([bytes[2], bytes[3]]),
-        })
-    }
-
-    /// Total PLCP overhead duration in µs at the long-preamble 1 Mbps rate:
-    /// 128 SYNC + 16 SFD + 48 header bits = 192 µs (the number the MAC
-    /// profile uses).
-    pub fn long_preamble_overhead_us() -> f64 {
-        (SYNC_BITS + 16 + 48) as f64 / 1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,65 +29,5 @@ mod tests {
     fn crc16_known_value() {
         // CRC-16/CCITT-FALSE of "123456789" is 0x29B1; ours complements.
         assert_eq!(crc16_ccitt(b"123456789"), !0x29B1);
-    }
-
-    #[test]
-    fn header_roundtrip_all_rates() {
-        for rate in DsssRate::all() {
-            let h = PlcpHeader::for_payload(rate, 1500);
-            let parsed = PlcpHeader::from_bytes(&h.to_bytes()).expect("valid header");
-            assert_eq!(parsed, h, "{rate}");
-        }
-    }
-
-    #[test]
-    fn corrupted_header_is_rejected() {
-        let h = PlcpHeader::for_payload(DsssRate::Cck11M, 1000);
-        let mut bytes = h.to_bytes();
-        for i in 0..6 {
-            bytes[i] ^= 0x10;
-            assert!(PlcpHeader::from_bytes(&bytes).is_none(), "byte {i}");
-            bytes[i] ^= 0x10;
-        }
-    }
-
-    #[test]
-    fn length_is_in_microseconds() {
-        // 1500 bytes at 11 Mbps: 12000 bits / 11 ≈ 1091 µs — not 1500.
-        let h = PlcpHeader::for_payload(DsssRate::Cck11M, 1500);
-        assert_eq!(h.length_us, 1091);
-        // And the same payload at 1 Mbps announces 12 ms.
-        let slow = PlcpHeader::for_payload(DsssRate::Dbpsk1M, 1500);
-        assert_eq!(slow.length_us, 12_000);
-    }
-
-    #[test]
-    fn payload_recoverable_from_duration() {
-        for rate in DsssRate::all() {
-            for bytes in [1usize, 64, 1500] {
-                let h = PlcpHeader::for_payload(rate, bytes);
-                assert!(
-                    h.max_payload_bytes() >= bytes,
-                    "{rate} {bytes}: {}",
-                    h.max_payload_bytes()
-                );
-                // Ceil quantization can admit at most a few extra bytes.
-                assert!(h.max_payload_bytes() <= bytes + 2, "{rate} {bytes}");
-            }
-        }
-    }
-
-    #[test]
-    fn preamble_overhead_matches_mac_model() {
-        assert_eq!(PlcpHeader::long_preamble_overhead_us(), 192.0);
-    }
-
-    #[test]
-    fn unknown_signal_rejected() {
-        let mut bytes = PlcpHeader::for_payload(DsssRate::Dqpsk2M, 10).to_bytes();
-        bytes[0] = 0x55;
-        let crc = crc16_ccitt(&bytes[..4]);
-        bytes[4..6].copy_from_slice(&crc.to_le_bytes());
-        assert!(PlcpHeader::from_bytes(&bytes).is_none());
     }
 }

@@ -27,8 +27,7 @@ impl GeParams {
     ///
     /// # Panics
     ///
-    /// Panics if either probability is outside `(0, 1]` or non-finite; use
-    /// [`GeParams::try_new`] for a fallible construction path.
+    /// Panics if either probability is outside `(0, 1]` or non-finite.
     pub fn new(p_good_to_bad: f64, p_bad_to_good: f64) -> Self {
         match Self::try_new(p_good_to_bad, p_bad_to_good) {
             Ok(p) => p,
@@ -37,7 +36,7 @@ impl GeParams {
     }
 
     /// Fallible constructor returning a typed error for bad probabilities.
-    pub fn try_new(p_good_to_bad: f64, p_bad_to_good: f64) -> Result<Self, WlanError> {
+    fn try_new(p_good_to_bad: f64, p_bad_to_good: f64) -> Result<Self, WlanError> {
         for p in [p_good_to_bad, p_bad_to_good] {
             if !p.is_finite() {
                 return Err(WlanError::NonFinite("Gilbert-Elliott transition probability"));
@@ -52,16 +51,6 @@ impl GeParams {
             p_good_to_bad,
             p_bad_to_good,
         })
-    }
-
-    /// Stationary probability of occupying the bad state.
-    pub fn stationary_bad(&self) -> f64 {
-        self.p_good_to_bad / (self.p_good_to_bad + self.p_bad_to_good)
-    }
-
-    /// Expected sojourn length of one bad burst, in samples.
-    pub fn mean_burst_len(&self) -> f64 {
-        1.0 / self.p_bad_to_good
     }
 }
 
@@ -185,14 +174,16 @@ mod tests {
         }
 
         let bad_frac = bad_samples as f64 / steps as f64;
-        let expect_frac = params.stationary_bad();
+        // Stationary probability of occupying the bad state.
+        let expect_frac = params.p_good_to_bad / (params.p_good_to_bad + params.p_bad_to_good);
         assert!(
             (bad_frac - expect_frac).abs() < 0.1 * expect_frac,
             "bad fraction {bad_frac} vs stationary {expect_frac}"
         );
 
         let mean_burst = bad_samples as f64 / bursts as f64;
-        let expect_burst = params.mean_burst_len();
+        // Expected sojourn length of one bad burst, in samples.
+        let expect_burst = 1.0 / params.p_bad_to_good;
         assert!(
             (mean_burst - expect_burst).abs() < 0.1 * expect_burst,
             "mean burst {mean_burst} vs configured {expect_burst}"

@@ -218,11 +218,6 @@ impl<W: std::io::Write> FaultedWriter<W> {
         self.half_close_after.is_some_and(|n| self.seq >= n)
     }
 
-    /// Frames that have crossed the wrapper so far (delivered or not).
-    pub fn frames_seen(&self) -> u64 {
-        self.seq
-    }
-
     fn deliver_line(&mut self, line: &[u8]) -> std::io::Result<()> {
         let seq = self.seq;
         self.seq += 1;
@@ -407,7 +402,7 @@ mod tests {
         w.write_all(b"ma 3\n").unwrap();
         w.flush().unwrap();
         assert_eq!(w.inner, b"alpha 1\nbeta 2\ngamma 3\n");
-        assert_eq!(w.frames_seen(), 3);
+        assert_eq!(w.seq, 3);
     }
 
     #[test]
@@ -446,13 +441,13 @@ mod tests {
         )
         .with_half_close_after(2);
         w.write_all(b"one\ntwo\n").unwrap();
-        assert!(!w.is_half_closed() || w.frames_seen() == 2);
+        assert!(!w.is_half_closed() || w.seq == 2);
         // Writes after the threshold succeed but deliver nothing.
         w.write_all(b"three\nfour\n").unwrap();
         w.flush().unwrap();
         assert!(w.is_half_closed());
         assert_eq!(w.inner, b"one\ntwo\n");
-        assert_eq!(w.frames_seen(), 4);
+        assert_eq!(w.seq, 4);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub const MAX_SUBFRAMES: usize = 64;
 /// # Panics
 ///
 /// Panics if `n_subframes` is 0 or exceeds [`MAX_SUBFRAMES`].
-pub fn ampdu_duration_us(profile: &MacProfile, n_subframes: usize, payload: usize) -> f64 {
+fn ampdu_duration_us(profile: &MacProfile, n_subframes: usize, payload: usize) -> f64 {
     assert!(
         (1..=MAX_SUBFRAMES).contains(&n_subframes),
         "subframe count must be 1-{MAX_SUBFRAMES}"
@@ -32,7 +32,7 @@ pub fn ampdu_duration_us(profile: &MacProfile, n_subframes: usize, payload: usiz
 }
 
 /// Airtime of the block ACK response.
-pub fn block_ack_us(profile: &MacProfile) -> f64 {
+fn block_ack_us(profile: &MacProfile) -> f64 {
     profile.phy_overhead_us + (BLOCK_ACK_BYTES * 8) as f64 / profile.control_rate_mbps
 }
 

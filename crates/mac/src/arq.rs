@@ -182,11 +182,6 @@ impl FrameLossProcess {
         }
     }
 
-    /// Whether the chain currently sits in the burst state.
-    pub fn in_burst(&self) -> bool {
-        self.ge.is_bad()
-    }
-
     /// Draws whether a frame transmitted now is lost (one RNG draw).
     pub fn frame_lost(&mut self, rng: &mut WlanRng) -> bool {
         let p = if self.ge.is_bad() {
@@ -221,7 +216,7 @@ mod tests {
         let mut bursts = 0u32;
         for _ in 0..20_000 {
             p.advance(100.0, &mut rng);
-            let burst = p.in_burst();
+            let burst = p.ge.is_bad();
             bursts += burst as u32;
             if p.frame_lost(&mut rng) {
                 if burst {
@@ -247,7 +242,7 @@ mod tests {
         let n = 200_000u64;
         for _ in 0..n {
             p.advance(cfg.step_us, &mut rng);
-            in_burst += p.in_burst() as u64;
+            in_burst += p.ge.is_bad() as u64;
         }
         let expect = cfg.mean_bad_us / (cfg.mean_good_us + cfg.mean_bad_us);
         let got = in_burst as f64 / n as f64;
@@ -283,7 +278,7 @@ mod tests {
             a.advance(50.0, &mut rng_a);
         }
         b.advance(200.0, &mut rng_b);
-        assert_eq!(a.in_burst(), b.in_burst());
+        assert_eq!(a.ge.is_bad(), b.ge.is_bad());
         assert_eq!(rng_a.next_f64(), rng_b.next_f64(), "same draw count");
     }
 

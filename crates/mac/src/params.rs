@@ -120,7 +120,7 @@ impl MacProfile {
     }
 
     /// Airtime of an RTS.
-    pub fn rts_us(&self) -> f64 {
+    fn rts_us(&self) -> f64 {
         self.phy_overhead_us + (RTS_BYTES * 8) as f64 / self.control_rate_mbps
     }
 

@@ -129,12 +129,6 @@ pub fn simulate_psm(cfg: &PsmConfig) -> PsmResult {
     }
 }
 
-/// The always-on duty cycle for comparison (trivially 1.0, but kept as a
-/// function so energy models treat both modes uniformly).
-pub fn constant_awake_fraction() -> f64 {
-    1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,11 +7,10 @@
 //! famous result: one 802.11b station in the cell roughly halves 802.11g
 //! throughput.
 //!
-//! Each quantity ships in two forms: a `try_*` function returning a typed
-//! [`WlanError`] on degenerate inputs (zero payload, nonpositive or
-//! non-finite rates) for programmatic callers like the city simulator, and
-//! a legacy panicking wrapper whose input contract is documented under
-//! `# Panics`. Neither form can silently return NaN/∞: every input that
+//! [`cts_to_self_overhead_us`] returns a typed [`WlanError`] on a
+//! degenerate rate for programmatic callers like the city simulator; the
+//! throughput functions panic instead, with the input contract documented
+//! under `# Panics`. Neither can silently return NaN/∞: every input that
 //! would is rejected up front. A DSSS CTS rate *faster* than the g data
 //! rate is unusual but physically meaningful (11 Mbps CCK CTS protecting a
 //! 6 Mbps OFDM frame) and is deliberately allowed — the overhead formula
@@ -29,23 +28,7 @@ fn validate_dsss_rate(dsss_rate_mbps: f64) -> Result<(), WlanError> {
     Ok(())
 }
 
-fn validate_erp(
-    g_rate_mbps: f64,
-    payload: usize,
-    dsss_cts_rate_mbps: f64,
-) -> Result<(), WlanError> {
-    if payload == 0 {
-        return Err(WlanError::InvalidConfig("payload must be nonempty"));
-    }
-    if !(g_rate_mbps > 0.0 && g_rate_mbps.is_finite()) {
-        return Err(WlanError::InvalidConfig(
-            "g rate must be positive and finite",
-        ));
-    }
-    validate_dsss_rate(dsss_cts_rate_mbps)
-}
-
-/// Post-validation CTS-to-self arithmetic shared by both entry points.
+/// Post-validation CTS-to-self arithmetic.
 fn cts_overhead_core(dsss_rate_mbps: f64) -> f64 {
     let b = MacProfile::dot11b(dsss_rate_mbps);
     // CTS at the DSSS rate with the long PLCP preamble, then SIFS before
@@ -53,7 +36,7 @@ fn cts_overhead_core(dsss_rate_mbps: f64) -> f64 {
     b.phy_overhead_us + (CTS_BYTES * 8) as f64 / dsss_rate_mbps + b.sifs_us
 }
 
-/// Post-validation throughput arithmetic shared by both entry points.
+/// Post-validation throughput arithmetic.
 fn erp_core(g_rate_mbps: f64, payload: usize, protection: bool, dsss_cts_rate_mbps: f64) -> f64 {
     let g = MacProfile::dot11g(g_rate_mbps);
     let mut cycle = g.difs_us() + g.data_frame_us(payload) + g.sifs_us + g.ack_us();
@@ -71,42 +54,13 @@ fn erp_core(g_rate_mbps: f64, payload: usize, protection: bool, dsss_cts_rate_mb
 ///
 /// [`WlanError::InvalidConfig`] if the rate is nonpositive, infinite, or
 /// NaN (which would otherwise yield an infinite or NaN airtime).
-pub fn try_cts_to_self_overhead_us(dsss_rate_mbps: f64) -> Result<f64, WlanError> {
+pub fn cts_to_self_overhead_us(dsss_rate_mbps: f64) -> Result<f64, WlanError> {
     validate_dsss_rate(dsss_rate_mbps)?;
     Ok(cts_overhead_core(dsss_rate_mbps))
 }
 
-/// Panicking form of [`try_cts_to_self_overhead_us`].
-///
-/// # Panics
-///
-/// Panics if the rate is nonpositive, infinite, or NaN.
-pub fn cts_to_self_overhead_us(dsss_rate_mbps: f64) -> f64 {
-    assert!(
-        dsss_rate_mbps > 0.0 && dsss_rate_mbps.is_finite(),
-        "DSSS CTS rate must be positive and finite"
-    );
-    cts_overhead_core(dsss_rate_mbps)
-}
-
 /// Single-station (no-contention) 802.11g throughput in Mbps with or
 /// without protection.
-///
-/// # Errors
-///
-/// [`WlanError::InvalidConfig`] if `payload` is zero or either rate is
-/// nonpositive, infinite, or NaN.
-pub fn try_erp_throughput_mbps(
-    g_rate_mbps: f64,
-    payload: usize,
-    protection: bool,
-    dsss_cts_rate_mbps: f64,
-) -> Result<f64, WlanError> {
-    validate_erp(g_rate_mbps, payload, dsss_cts_rate_mbps)?;
-    Ok(erp_core(g_rate_mbps, payload, protection, dsss_cts_rate_mbps))
-}
-
-/// Panicking form of [`try_erp_throughput_mbps`].
 ///
 /// # Panics
 ///
@@ -132,24 +86,6 @@ pub fn erp_throughput_mbps(
 
 /// The protection penalty: protected / unprotected throughput (≤ 1).
 ///
-/// # Errors
-///
-/// [`WlanError::InvalidConfig`] on the same inputs
-/// [`try_erp_throughput_mbps`] rejects. With valid inputs both cycle
-/// times are finite and positive, so the ratio is always a finite value
-/// in `(0, 1]`.
-pub fn try_protection_penalty(
-    g_rate_mbps: f64,
-    payload: usize,
-    dsss_cts_rate_mbps: f64,
-) -> Result<f64, WlanError> {
-    validate_erp(g_rate_mbps, payload, dsss_cts_rate_mbps)?;
-    Ok(erp_core(g_rate_mbps, payload, true, dsss_cts_rate_mbps)
-        / erp_core(g_rate_mbps, payload, false, dsss_cts_rate_mbps))
-}
-
-/// Panicking form of [`try_protection_penalty`].
-///
 /// # Panics
 ///
 /// Panics if `payload` is zero or either rate is nonpositive, infinite,
@@ -166,10 +102,10 @@ mod tests {
     #[test]
     fn cts_overhead_is_dominated_by_the_long_preamble() {
         // 192 µs preamble + 112 bits at 1 Mbps + 10 µs SIFS ≈ 314 µs.
-        let o = cts_to_self_overhead_us(1.0);
+        let o = cts_to_self_overhead_us(1.0).expect("valid");
         assert!((o - 314.0).abs() < 1.0, "overhead {o}");
         // At 11 Mbps the preamble still dominates.
-        assert!(cts_to_self_overhead_us(11.0) > 200.0);
+        assert!(cts_to_self_overhead_us(11.0).expect("valid") > 200.0);
     }
 
     #[test]
@@ -210,43 +146,19 @@ mod tests {
     }
 
     #[test]
-    fn try_forms_match_panicking_forms_on_valid_inputs() {
-        assert_eq!(
-            try_cts_to_self_overhead_us(1.0).expect("valid"),
-            cts_to_self_overhead_us(1.0)
-        );
-        assert_eq!(
-            try_erp_throughput_mbps(54.0, 1500, true, 1.0).expect("valid"),
-            erp_throughput_mbps(54.0, 1500, true, 1.0)
-        );
-        assert_eq!(
-            try_protection_penalty(54.0, 500, 1.0).expect("valid"),
-            protection_penalty(54.0, 500, 1.0)
-        );
-    }
-
-    #[test]
     fn degenerate_inputs_are_typed_errors_never_nan_or_inf() {
-        // Zero payload.
-        assert!(matches!(
-            try_erp_throughput_mbps(54.0, 0, false, 1.0),
-            Err(WlanError::InvalidConfig(_))
-        ));
-        // Zero / negative / non-finite g rate.
-        for g in [0.0, -6.0, f64::NAN, f64::INFINITY] {
-            assert!(try_erp_throughput_mbps(g, 1500, false, 1.0).is_err(), "g={g}");
-            assert!(try_protection_penalty(g, 1500, 1.0).is_err(), "g={g}");
-        }
         // Zero / negative / non-finite DSSS CTS rate.
         for r in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(try_cts_to_self_overhead_us(r).is_err(), "r={r}");
-            assert!(try_erp_throughput_mbps(54.0, 1500, true, r).is_err(), "r={r}");
+            assert!(
+                matches!(cts_to_self_overhead_us(r), Err(WlanError::InvalidConfig(_))),
+                "r={r}"
+            );
         }
         // Everything that passes validation is finite.
         for (g, p, cts) in [(54.0, 1, 1.0), (0.1, 4000, 11.0), (600.0, 1500, 1.0)] {
-            let t = try_erp_throughput_mbps(g, p, true, cts).expect("valid");
+            let t = erp_throughput_mbps(g, p, true, cts);
             assert!(t.is_finite() && t > 0.0, "throughput {t}");
-            let pen = try_protection_penalty(g, p, cts).expect("valid");
+            let pen = protection_penalty(g, p, cts);
             assert!(pen.is_finite() && pen > 0.0 && pen <= 1.0, "penalty {pen}");
         }
     }
@@ -256,8 +168,8 @@ mod tests {
         // 11 Mbps CCK CTS announcing a 6 Mbps OFDM frame: unusual but
         // well-defined. The penalty must stay in (0, 1] and beat the
         // 1 Mbps CTS case.
-        let fast = try_protection_penalty(6.0, 1500, 11.0).expect("valid");
-        let slow = try_protection_penalty(6.0, 1500, 1.0).expect("valid");
+        let fast = protection_penalty(6.0, 1500, 11.0);
+        let slow = protection_penalty(6.0, 1500, 1.0);
         assert!(fast > slow && fast <= 1.0, "fast {fast} slow {slow}");
     }
 }

@@ -9,20 +9,13 @@
 //! half-width, instead of burning a fixed worst-case trial count at every
 //! point.
 //!
-//! Two bounds, with different contracts:
+//! The bound is the Wilson score interval ([`wilson95`]). It is approximate
+//! (asymptotically nominal coverage) but tight, and well-behaved at the
+//! `k = 0` / `k = n` extremes where the naive Wald interval collapses to
+//! zero width.
 //!
-//! - [`wilson`] — the Wilson score interval. Approximate (asymptotically
-//!   nominal coverage) but tight, and well-behaved at the `k = 0` / `k = n`
-//!   extremes where the naive Wald interval collapses to zero width. This
-//!   is what campaign reports quote.
-//! - [`hoeffding`] — a distribution-free bound from Hoeffding's
-//!   inequality. Conservative (true coverage is at least the nominal level
-//!   at *every* `n`, not just asymptotically) and its half-width is a pure
-//!   function of `n`, which makes trial-count planning trivial:
-//!   [`hoeffding_trials`] inverts it.
-//!
-//! Both are pure functions of integer tallies, so any stopping rule built
-//! on them is deterministic: a resumed campaign that reaches the same
+//! It is a pure function of integer tallies, so any stopping rule built on
+//! it is deterministic: a resumed campaign that reaches the same
 //! `(k, n)` makes exactly the same stop/continue decision as an
 //! uninterrupted one (the bit-identical-resume guarantee of
 //! `wlan-runner` leans on this).
@@ -69,7 +62,7 @@ pub const Z_95: f64 = 1.959963984540054;
 /// # Panics
 ///
 /// Panics if `k > n` or `z` is not positive and finite.
-pub fn wilson(k: u64, n: u64, z: f64) -> Interval {
+fn wilson(k: u64, n: u64, z: f64) -> Interval {
     assert!(k <= n, "successes cannot exceed trials");
     assert!(z.is_finite() && z > 0.0, "z-score must be positive and finite");
     if n == 0 {
@@ -86,80 +79,10 @@ pub fn wilson(k: u64, n: u64, z: f64) -> Interval {
     }
 }
 
-/// [`wilson`] at 95 % confidence — the workspace's reporting default.
+/// The Wilson score interval at 95 % confidence — the workspace's reporting
+/// default.
 pub fn wilson95(k: u64, n: u64) -> Interval {
     wilson(k, n, Z_95)
-}
-
-/// Hoeffding two-sided half-width for the mean of `n` `[0, 1]`-bounded
-/// draws at confidence `1 − delta`: `sqrt(ln(2/δ) / 2n)`.
-///
-/// Distribution-free and non-asymptotic: `P(|p̂ − p| ≥ hw) ≤ δ` for every
-/// `n`, at the price of being wider than Wilson away from `p = 1/2`.
-///
-/// `n == 0` returns `f64::INFINITY` — the `n → 0` limit of the formula
-/// and the honest answer (no trials, no bound). Clamped consumers like
-/// [`hoeffding`] still produce the finite full-width interval.
-///
-/// # Panics
-///
-/// Panics if `delta` is outside `(0, 1)`.
-pub fn hoeffding_half_width(n: u64, delta: f64) -> f64 {
-    assert!(
-        delta > 0.0 && delta < 1.0,
-        "confidence parameter must be in (0, 1)"
-    );
-    if n == 0 {
-        return f64::INFINITY;
-    }
-    ((2.0 / delta).ln() / (2.0 * n as f64)).sqrt()
-}
-
-/// Hoeffding interval around the empirical proportion `k / n`, clamped to
-/// `[0, 1]`.
-///
-/// `n == 0` returns the full-width interval `[0, 1]` (see [`wilson`] for
-/// the rationale — zero trials admit only the vacuous bound).
-///
-/// # Panics
-///
-/// Panics if `k > n` or `delta` is outside `(0, 1)`.
-pub fn hoeffding(k: u64, n: u64, delta: f64) -> Interval {
-    assert!(k <= n, "successes cannot exceed trials");
-    let hw = hoeffding_half_width(n, delta);
-    if n == 0 {
-        return Interval { lo: 0.0, hi: 1.0 };
-    }
-    let p = k as f64 / n as f64;
-    Interval {
-        lo: (p - hw).max(0.0),
-        hi: (p + hw).min(1.0),
-    }
-}
-
-/// Trials needed for a Hoeffding half-width of at most `target` at
-/// confidence `1 − delta` — the planning inverse of
-/// [`hoeffding_half_width`].
-///
-/// Always returns at least 1: a target so loose that zero trials would
-/// satisfy the formula still needs one trial before
-/// [`hoeffding_half_width`] is finite, and a plan of "run zero trials"
-/// deadlocks any campaign that sizes its waves from this.
-///
-/// # Panics
-///
-/// Panics if `target` is not positive and finite or `delta` is outside
-/// `(0, 1)`.
-pub fn hoeffding_trials(target: f64, delta: f64) -> u64 {
-    assert!(
-        target.is_finite() && target > 0.0,
-        "target half-width must be positive and finite"
-    );
-    assert!(
-        delta > 0.0 && delta < 1.0,
-        "confidence parameter must be in (0, 1)"
-    );
-    (((2.0 / delta).ln() / (2.0 * target * target)).ceil() as u64).max(1)
 }
 
 #[cfg(test)]
@@ -171,8 +94,8 @@ mod tests {
 
     // ---- pinned references ----------------------------------------------
     //
-    // Computed independently from the closed-form Wilson/Hoeffding
-    // expressions at z = Φ⁻¹(0.975). These pin the exact arithmetic: a
+    // Computed independently from the closed-form Wilson
+    // expression at z = Φ⁻¹(0.975). These pin the exact arithmetic: a
     // change here silently shifts every early-stopping decision and every
     // reported CI in the campaign layer.
 
@@ -225,24 +148,9 @@ mod tests {
     }
 
     #[test]
-    fn hoeffding_pinned() {
-        assert!((hoeffding_half_width(100, 0.05) - 0.135810151574062).abs() < TOL);
-        assert!((hoeffding_half_width(1, 0.05) - 1.35810151574062).abs() < 1e-11);
-        let ci = hoeffding(0, 100, 0.05);
-        assert_eq!(ci.lo, 0.0);
-        assert!((ci.hi - 0.135810151574062).abs() < TOL);
-        // Planning inverse round-trips.
-        let n = hoeffding_trials(0.01, 0.05);
-        assert!(hoeffding_half_width(n, 0.05) <= 0.01);
-        assert!(hoeffding_half_width(n - 1, 0.05) > 0.01);
-    }
-
-    #[test]
     fn width_shrinks_with_n_and_grows_with_confidence() {
         assert!(wilson95(10, 100).half_width() > wilson95(100, 1000).half_width());
         assert!(wilson(10, 100, 2.575).half_width() > wilson95(10, 100).half_width());
-        assert!(hoeffding_half_width(400, 0.05) < hoeffding_half_width(100, 0.05));
-        assert!(hoeffding_half_width(100, 0.01) > hoeffding_half_width(100, 0.05));
     }
 
     #[test]
@@ -255,28 +163,20 @@ mod tests {
 
     // ---- coverage property sweep ----------------------------------------
 
-    /// Empirical coverage on seeded Bernoulli draws: Hoeffding must be at
-    /// least nominal (it is a finite-sample guarantee), Wilson must sit
-    /// near nominal (it is asymptotic; we allow 2 points of slack).
+    /// Empirical coverage on seeded Bernoulli draws: Wilson must sit near
+    /// nominal (it is asymptotic; we allow 2 points of slack).
     #[test]
     fn coverage_at_least_nominal_on_seeded_bernoulli_draws() {
         let master = WlanRng::seed_from_u64(0xC1C0FFEE);
         for (case, &p) in [0.05f64, 0.3, 0.5, 0.9].iter().enumerate() {
             let (n, reps) = (400u64, 400u64);
             let mut wilson_hits = 0u64;
-            let mut hoeffding_hits = 0u64;
             for rep in 0..reps {
                 let mut rng = master.fork(case as u64).fork(rep);
                 let k = (0..n).filter(|_| rng.gen_bool(p)).count() as u64;
                 wilson_hits += wilson95(k, n).contains(p) as u64;
-                hoeffding_hits += hoeffding(k, n, 0.05).contains(p) as u64;
             }
             let wilson_cov = wilson_hits as f64 / reps as f64;
-            let hoeffding_cov = hoeffding_hits as f64 / reps as f64;
-            assert!(
-                hoeffding_cov >= 0.95,
-                "Hoeffding coverage {hoeffding_cov} < nominal at p={p}"
-            );
             assert!(
                 wilson_cov >= 0.93,
                 "Wilson coverage {wilson_cov} far below nominal at p={p}"
@@ -286,30 +186,17 @@ mod tests {
 
     // ---- degenerate tallies ---------------------------------------------
 
-    /// Zero trials carry zero information: both interval families return
-    /// the documented full-width `[0, 1]` — finite bounds, no NaN, no
-    /// division by zero — and no half-width target can fire on them.
+    /// Zero trials carry zero information: the interval is the documented
+    /// full-width `[0, 1]` — finite bounds, no NaN, no division by zero —
+    /// and no half-width target can fire on it.
     #[test]
     fn zero_trials_give_full_width_intervals() {
-        for ci in [wilson95(0, 0), hoeffding(0, 0, 0.05)] {
-            assert_eq!(ci.lo, 0.0);
-            assert_eq!(ci.hi, 1.0);
-            assert!(ci.lo.is_finite() && ci.hi.is_finite());
-            assert_eq!(ci.half_width(), 0.5);
-            assert!(ci.contains(0.0) && ci.contains(0.5) && ci.contains(1.0));
-        }
-        // The raw half-width is the n → 0 limit of the formula, and the
-        // interval construction still clamps it to full width.
-        assert_eq!(hoeffding_half_width(0, 0.05), f64::INFINITY);
-    }
-
-    /// The planning inverse never prescribes zero trials, even for
-    /// targets loose enough that the raw formula rounds to zero.
-    #[test]
-    fn hoeffding_trials_is_at_least_one() {
-        assert_eq!(hoeffding_trials(1e6, 0.05), 1);
-        assert_eq!(hoeffding_trials(2.0, 0.5), 1);
-        assert!(hoeffding_trials(0.01, 0.05) > 1);
+        let ci = wilson95(0, 0);
+        assert_eq!(ci.lo, 0.0);
+        assert_eq!(ci.hi, 1.0);
+        assert!(ci.lo.is_finite() && ci.hi.is_finite());
+        assert_eq!(ci.half_width(), 0.5);
+        assert!(ci.contains(0.0) && ci.contains(0.5) && ci.contains(1.0));
     }
 
     // ---- precondition panics --------------------------------------------
@@ -318,17 +205,5 @@ mod tests {
     #[should_panic(expected = "cannot exceed trials")]
     fn wilson_k_above_n_rejected() {
         let _ = wilson95(5, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot exceed trials")]
-    fn hoeffding_k_above_n_rejected() {
-        let _ = hoeffding(1, 0, 0.05);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be in (0, 1)")]
-    fn hoeffding_bad_delta_rejected() {
-        let _ = hoeffding_half_width(10, 1.5);
     }
 }

@@ -23,7 +23,7 @@ use std::rc::Rc;
 
 /// Returns `true` when `n` is a power of two (and nonzero).
 #[inline]
-pub fn is_power_of_two(n: usize) -> bool {
+fn is_power_of_two(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
 }
 
@@ -64,8 +64,7 @@ impl FftPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not a power of two; see [`FftPlan::try_new`] for
-    /// the non-panicking variant.
+    /// Panics if `n` is not a power of two.
     pub fn new(n: usize) -> Self {
         assert!(is_power_of_two(n), "FFT length {n} must be a power of two");
         let mut swaps = Vec::new();
@@ -96,19 +95,6 @@ impl FftPlan {
             twiddles,
             inverse_twiddles,
         }
-    }
-
-    /// Like [`FftPlan::new`], but a non-power-of-two length returns a typed
-    /// [`WlanError`] instead of panicking — the form the fault-injected
-    /// receive paths rely on when a truncation injector hands them an
-    /// arbitrary-length sample buffer.
-    pub fn try_new(n: usize) -> Result<Self, WlanError> {
-        if !is_power_of_two(n) {
-            return Err(WlanError::InvalidConfig(
-                "FFT length must be a nonzero power of two",
-            ));
-        }
-        Ok(FftPlan::new(n))
     }
 
     /// The transform length this plan executes.
@@ -175,8 +161,7 @@ impl FftPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != self.len()`; see
-    /// [`FftPlan::try_fft_in_place`].
+    /// Panics if `data.len() != self.len()`.
     pub fn fft_in_place(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.n, "plan length mismatch");
         self.execute(data, false);
@@ -186,37 +171,10 @@ impl FftPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != self.len()`; see
-    /// [`FftPlan::try_ifft_in_place`].
+    /// Panics if `data.len() != self.len()`.
     pub fn ifft_in_place(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.n, "plan length mismatch");
         self.execute(data, true);
-    }
-
-    /// Like [`FftPlan::fft_in_place`], but a mis-sized block returns
-    /// [`WlanError::LengthMismatch`] instead of panicking.
-    pub fn try_fft_in_place(&self, data: &mut [Complex]) -> Result<(), WlanError> {
-        if data.len() != self.n {
-            return Err(WlanError::LengthMismatch {
-                expected: self.n,
-                got: data.len(),
-            });
-        }
-        self.execute(data, false);
-        Ok(())
-    }
-
-    /// Like [`FftPlan::ifft_in_place`], but a mis-sized block returns
-    /// [`WlanError::LengthMismatch`] instead of panicking.
-    pub fn try_ifft_in_place(&self, data: &mut [Complex]) -> Result<(), WlanError> {
-        if data.len() != self.n {
-            return Err(WlanError::LengthMismatch {
-                expected: self.n,
-                got: data.len(),
-            });
-        }
-        self.execute(data, true);
-        Ok(())
     }
 
     /// In-place forward FFT of a batch of contiguous `n`-sample blocks:
@@ -315,24 +273,13 @@ pub fn cached_plan(n: usize) -> Rc<FftPlan> {
     })
 }
 
-/// Like [`cached_plan`], but a non-power-of-two length returns a typed
-/// [`WlanError`] instead of panicking.
-pub fn try_cached_plan(n: usize) -> Result<Rc<FftPlan>, WlanError> {
-    if !is_power_of_two(n) {
-        return Err(WlanError::InvalidConfig(
-            "FFT length must be a nonzero power of two",
-        ));
-    }
-    Ok(cached_plan(n))
-}
-
 /// In-place forward FFT.
 ///
 /// Computes `X[k] = Σ_n x[n]·e^{-2πi·kn/N}` without normalization.
 ///
 /// # Panics
 ///
-/// Panics if `data.len()` is not a power of two; see [`try_fft_in_place`].
+/// Panics if `data.len()` is not a power of two.
 pub fn fft_in_place(data: &mut [Complex]) {
     cached_plan(data.len()).fft_in_place(data);
 }
@@ -341,22 +288,9 @@ pub fn fft_in_place(data: &mut [Complex]) {
 ///
 /// # Panics
 ///
-/// Panics if `data.len()` is not a power of two; see [`try_ifft_in_place`].
+/// Panics if `data.len()` is not a power of two.
 pub fn ifft_in_place(data: &mut [Complex]) {
     cached_plan(data.len()).ifft_in_place(data);
-}
-
-/// Like [`fft_in_place`], but a non-power-of-two buffer — e.g. a sample
-/// stream clipped by a `wlan-fault` truncation injector — returns a typed
-/// [`WlanError`] instead of panicking, leaving `data` untouched.
-pub fn try_fft_in_place(data: &mut [Complex]) -> Result<(), WlanError> {
-    try_cached_plan(data.len())?.try_fft_in_place(data)
-}
-
-/// Like [`ifft_in_place`], but a non-power-of-two buffer returns a typed
-/// [`WlanError`] instead of panicking, leaving `data` untouched.
-pub fn try_ifft_in_place(data: &mut [Complex]) -> Result<(), WlanError> {
-    try_cached_plan(data.len())?.try_ifft_in_place(data)
 }
 
 /// Forward FFT returning a new vector.
@@ -533,31 +467,14 @@ mod tests {
 
     #[test]
     fn try_variants_report_typed_errors() {
-        assert_eq!(
-            FftPlan::try_new(48).unwrap_err(),
-            WlanError::InvalidConfig("FFT length must be a nonzero power of two")
-        );
         let plan = FftPlan::new(8);
         let mut short = vec![Complex::ZERO; 6];
-        assert_eq!(
-            plan.try_fft_in_place(&mut short).unwrap_err(),
-            WlanError::LengthMismatch { expected: 8, got: 6 }
-        );
         assert_eq!(
             plan.try_ifft_batch(&mut short).unwrap_err(),
             WlanError::LengthMismatch { expected: 8, got: 6 }
         );
         let mut ragged = vec![Complex::ZERO; 12];
         assert!(plan.try_fft_batch(&mut ragged).is_err());
-        // Free-function forms: a truncated buffer is a typed error and the
-        // data is left untouched.
-        let mut odd = vec![Complex::ONE; 60];
-        let before = odd.clone();
-        assert!(try_fft_in_place(&mut odd).is_err());
-        assert!(try_ifft_in_place(&mut odd).is_err());
-        assert_eq!(odd, before);
-        let mut fine = vec![Complex::ONE; 64];
-        assert!(try_fft_in_place(&mut fine).is_ok());
     }
 
     #[test]

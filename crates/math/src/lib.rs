@@ -8,14 +8,13 @@
 //! - [`matrix::CMatrix`] — dense complex matrices with inverse/Gram products
 //!   for MIMO detection,
 //! - [`svd`] — singular value decomposition for SVD transmit beamforming,
-//! - [`special`] — Q-function, erfc and dB conversions for analytic BER/SNR
-//!   work,
+//! - [`special`] — erfc and dB conversions for SNR work,
 //! - [`stats`] — running statistics, percentiles and CCDF estimation used by
 //!   the experiment harness (e.g. PAPR CCDFs),
 //! - [`par`] — the deterministic scoped thread pool behind every parallel
 //!   Monte-Carlo sweep (`WLAN_THREADS` knob; bit-identical at any thread
 //!   count),
-//! - [`ci`] — Wilson score and Hoeffding confidence bounds on Bernoulli
+//! - [`ci`] — Wilson score confidence bounds on Bernoulli
 //!   tallies, the substrate for sequential early stopping and the CI
 //!   half-widths campaign reports quote.
 //!

@@ -3,7 +3,7 @@
 //! [`CMatrix`] is a small row-major dense matrix over [`Complex`], sized for
 //! the 1×1 … 4×4 systems that 802.11n uses. It provides exactly the
 //! operations MIMO detection and beamforming need: products, Hermitian
-//! transpose, Gram matrices, Gauss–Jordan inversion and solving.
+//! transpose, Gram matrices and Gauss–Jordan inversion.
 
 use crate::Complex;
 use std::fmt;
@@ -156,17 +156,6 @@ impl CMatrix {
         out
     }
 
-    /// Plain transpose `Aᵀ` (no conjugation).
-    pub fn transpose(&self) -> CMatrix {
-        let mut out = CMatrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
-    }
-
     /// Gram matrix `AᴴA` (used by MMSE/ZF detectors).
     pub fn gram(&self) -> CMatrix {
         &self.hermitian() * self
@@ -285,20 +274,6 @@ impl CMatrix {
         }
         Ok(inv)
     }
-
-    /// Solves `A·x = b` for a square `A`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] when `A` is singular.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes are inconsistent.
-    pub fn solve(&self, b: &[Complex]) -> Result<Vec<Complex>, SingularMatrixError> {
-        assert_eq!(self.rows, b.len(), "rhs length mismatch");
-        Ok(self.inverse()?.mul_vec(b))
-    }
 }
 
 impl fmt::Debug for CMatrix {
@@ -413,21 +388,6 @@ mod tests {
             for c in 0..3 {
                 assert!((g.get(r, c) - g.get(c, r).conj()).norm() < 1e-12);
             }
-        }
-    }
-
-    #[test]
-    fn solve_matches_direct_product() {
-        let a = test_matrix();
-        let x = vec![
-            Complex::new(1.0, -1.0),
-            Complex::new(0.0, 2.0),
-            Complex::new(-3.0, 0.5),
-        ];
-        let b = a.mul_vec(&x);
-        let x2 = a.solve(&b).unwrap();
-        for (u, v) in x.iter().zip(&x2) {
-            assert!((*u - *v).norm() < 1e-9);
         }
     }
 

@@ -95,7 +95,7 @@ pub fn num_threads() -> usize {
 }
 
 /// The machine's available parallelism (1 when it cannot be determined).
-pub fn available_parallelism() -> usize {
+fn available_parallelism() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 

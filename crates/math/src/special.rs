@@ -1,8 +1,7 @@
 //! Special functions and unit conversions used across the workspace.
 //!
-//! Provides the Gaussian Q-function / complementary error function for
-//! analytic BER expressions, and the dB ↔ linear conversions every link
-//! budget needs.
+//! Provides the complementary error function and the dB ↔ linear
+//! conversions every link budget needs.
 
 /// Complementary error function `erfc(x)`, accurate to ~1.2e-7.
 ///
@@ -36,24 +35,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Error function `erf(x) = 1 - erfc(x)`.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
-/// Gaussian Q-function: `Q(x) = P(N(0,1) > x) = erfc(x/√2)/2`.
-///
-/// The workhorse of analytic BER expressions, e.g. BPSK over AWGN has
-/// `BER = Q(√(2·Eb/N0))`.
-///
-/// ```
-/// use wlan_math::special::q_function;
-/// assert!((q_function(0.0) - 0.5).abs() < 1e-7);
-/// ```
-pub fn q_function(x: f64) -> f64 {
-    0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
 /// Converts a linear power ratio to decibels: `10·log10(x)`.
 ///
 /// Returns `-inf` for zero and NaN for negative input, mirroring `log10`.
@@ -70,78 +51,6 @@ pub fn lin_to_db(x: f64) -> f64 {
 /// ```
 pub fn db_to_lin(x: f64) -> f64 {
     10f64.powf(x / 10.0)
-}
-
-/// Converts milliwatts to dBm.
-pub fn mw_to_dbm(mw: f64) -> f64 {
-    lin_to_db(mw)
-}
-
-/// Converts dBm to milliwatts.
-pub fn dbm_to_mw(dbm: f64) -> f64 {
-    db_to_lin(dbm)
-}
-
-/// Bessel function of the first kind, order zero, `J₀(x)`.
-///
-/// Abramowitz & Stegun 9.4.1/9.4.3 polynomial approximations (|error| <
-/// 1.6e-8), sufficient for the Jakes Doppler autocorrelation
-/// `ρ = J₀(2π·f_d·τ)` used by the fading channel models.
-///
-/// ```
-/// use wlan_math::special::bessel_j0;
-/// assert!((bessel_j0(0.0) - 1.0).abs() < 1e-8);
-/// assert!(bessel_j0(2.404_825).abs() < 1e-5); // first zero of J0
-/// ```
-pub fn bessel_j0(x: f64) -> f64 {
-    let ax = x.abs();
-    if ax < 8.0 {
-        let y = x * x;
-        let p1 = 57_568_490_574.0
-            + y * (-13_362_590_354.0
-                + y * (651_619_640.7
-                    + y * (-11_214_424.18 + y * (77_392.330_17 + y * (-184.905_245_6)))));
-        let p2 = 57_568_490_411.0
-            + y * (1_029_532_985.0
-                + y * (9_494_680.718 + y * (59_272.648_53 + y * (267.853_271_2 + y))));
-        p1 / p2
-    } else {
-        let z = 8.0 / ax;
-        let y = z * z;
-        let xx = ax - 0.785_398_164;
-        let p1 = 1.0
-            + y * (-0.109_862_862_7e-2
-                + y * (0.273_451_040_7e-4 + y * (-0.207_337_063_9e-5 + y * 0.209_388_721_1e-6)));
-        let p2 = -0.156_249_999_5e-1
-            + y * (0.143_048_876_5e-3
-                + y * (-0.691_114_765_1e-5 + y * (0.762_109_516_1e-6 + y * (-0.934_935_152e-7))));
-        (std::f64::consts::FRAC_2_PI / ax).sqrt() * (xx.cos() * p1 - z * xx.sin() * p2)
-    }
-}
-
-/// Analytic BER of coherent BPSK over AWGN at a given `Eb/N0` (linear).
-pub fn ber_bpsk_awgn(ebn0: f64) -> f64 {
-    q_function((2.0 * ebn0).sqrt())
-}
-
-/// Analytic BER of Gray-coded M-QAM over AWGN at a given `Es/N0` (linear).
-///
-/// Uses the standard nearest-neighbour approximation; exact for 4-QAM.
-///
-/// # Panics
-///
-/// Panics if `m` is not a power of two ≥ 2.
-pub fn ber_mqam_awgn(m: u32, esn0: f64) -> f64 {
-    assert!(m >= 2 && m.is_power_of_two(), "M must be a power of two >= 2");
-    let k = (m as f64).log2();
-    if m == 2 {
-        return q_function((2.0 * esn0).sqrt());
-    }
-    let sqrt_m = (m as f64).sqrt();
-    // Square QAM symbol-error based approximation.
-    let arg = (3.0 * esn0 / (m as f64 - 1.0)).sqrt();
-    let pser = 4.0 * (1.0 - 1.0 / sqrt_m) * q_function(arg);
-    (pser / k).min(0.5)
 }
 
 #[cfg(test)]
@@ -165,69 +74,9 @@ mod tests {
     }
 
     #[test]
-    fn q_function_monotone_decreasing() {
-        let mut prev = 1.0;
-        for i in 0..60 {
-            let x = i as f64 * 0.2;
-            let q = q_function(x);
-            assert!(q <= prev + 1e-15);
-            assert!(q >= 0.0);
-            prev = q;
-        }
-    }
-
-    #[test]
     fn db_roundtrip() {
         for x in [0.001, 0.5, 1.0, 42.0, 1e6] {
             assert!((db_to_lin(lin_to_db(x)) - x).abs() / x < 1e-12);
         }
-    }
-
-    #[test]
-    fn dbm_conversions() {
-        assert!((dbm_to_mw(0.0) - 1.0).abs() < 1e-12);
-        assert!((dbm_to_mw(30.0) - 1000.0).abs() < 1e-9);
-        assert!((mw_to_dbm(100.0) - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bpsk_ber_reference_points() {
-        // Eb/N0 = 0 dB → BER ≈ 0.0786; 9.6 dB → ≈ 1e-5.
-        assert!((ber_bpsk_awgn(1.0) - 0.0786).abs() < 1e-3);
-        let ber = ber_bpsk_awgn(db_to_lin(9.6));
-        assert!(ber > 2e-6 && ber < 2e-5);
-    }
-
-    #[test]
-    fn qam_ber_ordering() {
-        // Higher-order QAM needs more SNR for the same BER.
-        let esn0 = db_to_lin(12.0);
-        let b4 = ber_mqam_awgn(4, esn0);
-        let b16 = ber_mqam_awgn(16, esn0);
-        let b64 = ber_mqam_awgn(64, esn0);
-        assert!(b4 < b16 && b16 < b64);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn qam_ber_rejects_bad_m() {
-        let _ = ber_mqam_awgn(12, 1.0);
-    }
-
-    #[test]
-    fn bessel_j0_reference_values() {
-        // Tabulated values of J0.
-        let cases = [
-            (0.0, 1.0),
-            (1.0, 0.765_197_7),
-            (2.0, 0.223_890_8),
-            (5.0, -0.177_596_8),
-            (10.0, -0.245_935_8),
-        ];
-        for (x, want) in cases {
-            assert!((bessel_j0(x) - want).abs() < 1e-6, "J0({x})");
-        }
-        // Even function.
-        assert!((bessel_j0(-3.3) - bessel_j0(3.3)).abs() < 1e-12);
     }
 }

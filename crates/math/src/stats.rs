@@ -212,7 +212,7 @@ impl Ccdf {
     }
 
     /// The `i`-th grid point.
-    pub fn grid_point(&self, i: usize) -> f64 {
+    fn grid_point(&self, i: usize) -> f64 {
         self.lo + (self.hi - self.lo) * i as f64 / (self.counts.len() - 1) as f64
     }
 

@@ -21,46 +21,6 @@ pub struct Coverage {
     pub samples: usize,
 }
 
-/// Estimates coverage of a square region of side `side_m` served by
-/// `infrastructure` nodes (node 0 is the gateway; the rest are mesh relays).
-///
-/// Each sampled client joins the mesh as a temporary node and routes to the
-/// gateway with the airtime metric.
-///
-/// # Panics
-///
-/// Panics if `infrastructure` is empty or `samples` is zero.
-pub fn estimate_coverage(
-    infrastructure: &[(f64, f64)],
-    side_m: f64,
-    samples: usize,
-    rng: &mut impl Rng,
-) -> Coverage {
-    assert!(!infrastructure.is_empty(), "need at least a gateway node");
-    assert!(samples > 0, "need at least one sample");
-    let pathloss = PathLossModel::tgn_model_d();
-    let budget = LinkBudget::typical_wlan();
-
-    let mut covered = 0usize;
-    let mut throughput_sum = 0.0;
-    for _ in 0..samples {
-        let client = (rng.gen::<f64>() * side_m, rng.gen::<f64>() * side_m);
-        let (hit, t) = mesh_sample(infrastructure, client, &pathloss, &budget);
-        covered += hit as usize;
-        throughput_sum += t;
-    }
-
-    Coverage {
-        covered_fraction: covered as f64 / samples as f64,
-        mean_throughput_mbps: if covered > 0 {
-            throughput_sum / covered as f64
-        } else {
-            0.0
-        },
-        samples,
-    }
-}
-
 /// One sampled client's contribution: covered flag plus its end-to-end
 /// throughput (0 when uncovered).
 fn mesh_sample(
@@ -104,14 +64,15 @@ pub fn coverage_sample(
     mesh_sample(infrastructure, client, &pathloss, &budget)
 }
 
-/// Parallel, seed-addressed variant of [`estimate_coverage`].
+/// Estimates coverage of a square region of side `side_m` served by
+/// `infrastructure` nodes (node 0 is the gateway; the rest are mesh relays).
 ///
-/// Sample `i` draws its client position from `master.fork(i)`, and the
-/// covered-count/throughput reduction folds per-sample results in sample
-/// order, so the estimate is a pure function of `(infrastructure, side_m,
-/// samples, seed)` — bit-identical at any `WLAN_THREADS` setting. (The
-/// `&mut impl Rng` variant threads one stream through the samples and so
-/// cannot fan out; both derivations are deterministic, they just differ.)
+/// Each sampled client joins the mesh as a temporary node and routes to the
+/// gateway with the airtime metric. Sample `i` draws its client position
+/// from `master.fork(i)`, and the covered-count/throughput reduction folds
+/// per-sample results in sample order, so the estimate is a pure function
+/// of `(infrastructure, side_m, samples, seed)` — bit-identical at any
+/// `WLAN_THREADS` setting.
 ///
 /// # Panics
 ///
@@ -199,7 +160,7 @@ mod tests {
     fn mesh_covers_more_area_than_single_ap() {
         let mut rng = WlanRng::seed_from_u64(210);
         let side = 450.0;
-        let mesh = estimate_coverage(&mesh_layout(), side, 400, &mut rng);
+        let mesh = estimate_coverage_seeded(&mesh_layout(), side, 400, 210);
         let single = estimate_single_ap_coverage((50.0, 50.0), side, 400, &mut rng);
         assert!(
             mesh.covered_fraction > single.covered_fraction + 0.1,
@@ -227,34 +188,17 @@ mod tests {
     }
 
     #[test]
-    fn coverage_is_deterministic_per_seed() {
-        let a = estimate_coverage(&mesh_layout(), 300.0, 100, &mut WlanRng::seed_from_u64(5));
-        let b = estimate_coverage(&mesh_layout(), 300.0, 100, &mut WlanRng::seed_from_u64(5));
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn seeded_coverage_is_deterministic_and_agrees_statistically() {
         let a = estimate_coverage_seeded(&mesh_layout(), 300.0, 400, 5);
         let b = estimate_coverage_seeded(&mesh_layout(), 300.0, 400, 5);
         assert_eq!(a, b);
-        // Different derivation than the &mut Rng variant, same estimand.
-        let serial =
-            estimate_coverage(&mesh_layout(), 300.0, 400, &mut WlanRng::seed_from_u64(5));
-        assert!(
-            (a.covered_fraction - serial.covered_fraction).abs() < 0.1,
-            "seeded {} vs serial {}",
-            a.covered_fraction,
-            serial.covered_fraction
-        );
     }
 
     #[test]
     fn more_relays_increase_throughput_at_range() {
-        let mut rng = WlanRng::seed_from_u64(213);
         let side = 400.0;
-        let sparse = estimate_coverage(&[(50.0, 50.0)], side, 300, &mut rng);
-        let dense = estimate_coverage(
+        let sparse = estimate_coverage_seeded(&[(50.0, 50.0)], side, 300, 213);
+        let dense = estimate_coverage_seeded(
             &[
                 (50.0, 50.0),
                 (200.0, 50.0),
@@ -268,7 +212,7 @@ mod tests {
             ],
             side,
             300,
-            &mut rng,
+            214,
         );
         assert!(dense.covered_fraction >= sparse.covered_fraction);
         assert!(

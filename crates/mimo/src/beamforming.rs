@@ -23,7 +23,7 @@ use wlan_math::{CMatrix, Complex};
 /// let mut rng = WlanRng::seed_from_u64(7);
 /// let ch = MimoChannel::iid_rayleigh(4, 4, &mut rng);
 /// let bf = SvdBeamformer::from_channel(ch.matrix(), 2);
-/// assert_eq!(bf.num_streams(), 2);
+/// assert_eq!(bf.stream_gains().len(), 2);
 /// // Stream gains come out strongest-first.
 /// assert!(bf.stream_gains()[0] >= bf.stream_gains()[1]);
 /// ```
@@ -52,50 +52,9 @@ impl SvdBeamformer {
         }
     }
 
-    /// Number of active streams.
-    pub fn num_streams(&self) -> usize {
-        self.n_streams
-    }
-
-    /// Per-stream amplitude gains σ₁ ≥ σ₂ ≥ … (length `num_streams`).
+    /// Per-stream amplitude gains σ₁ ≥ σ₂ ≥ … (one per active stream).
     pub fn stream_gains(&self) -> &[f64] {
         &self.decomposition.sigma[..self.n_streams]
-    }
-
-    /// Precodes one vector of stream symbols into transmit-antenna symbols
-    /// (`x = V·s`, using the first `n_streams` columns of `V`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams.len() != self.num_streams()`.
-    pub fn precode(&self, streams: &[Complex]) -> Vec<Complex> {
-        assert_eq!(streams.len(), self.n_streams, "stream count mismatch");
-        let v = self.decomposition.v();
-        (0..v.rows())
-            .map(|t| {
-                (0..self.n_streams)
-                    .map(|s| v.get(t, s) * streams[s])
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// Combines receive-antenna observations back into per-stream symbols
-    /// (`ŝᵢ = (Uᴴy)ᵢ / σᵢ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len()` does not match the channel's receive dimension.
-    pub fn combine(&self, y: &[Complex]) -> Vec<Complex> {
-        let u = &self.decomposition.u;
-        assert_eq!(y.len(), u.rows(), "observation length mismatch");
-        (0..self.n_streams)
-            .map(|s| {
-                let proj: Complex = (0..u.rows()).map(|r| u.get(r, s).conj() * y[r]).sum();
-                let sigma = self.decomposition.sigma[s].max(1e-300);
-                proj / sigma
-            })
-            .collect()
     }
 
     /// Per-stream effective SNRs (linear) given total transmit SNR
@@ -104,8 +63,8 @@ impl SvdBeamformer {
     ///
     /// # Panics
     ///
-    /// Panics if `powers.len() != num_streams`.
-    pub fn stream_snrs(&self, snr_total: f64, powers: &[f64]) -> Vec<f64> {
+    /// Panics if `powers.len()` is not the number of active streams.
+    fn stream_snrs(&self, snr_total: f64, powers: &[f64]) -> Vec<f64> {
         assert_eq!(powers.len(), self.n_streams, "power allocation mismatch");
         self.stream_gains()
             .iter()
@@ -232,35 +191,6 @@ mod tests {
     use wlan_channel::MimoChannel;
 
     #[test]
-    fn beamformed_channel_is_diagonal() {
-        // Precoding then combining through the raw channel must recover the
-        // stream symbols exactly (no inter-stream interference).
-        let mut rng = WlanRng::seed_from_u64(150);
-        let ch = MimoChannel::iid_rayleigh(3, 3, &mut rng);
-        let bf = SvdBeamformer::from_channel(ch.matrix(), 3);
-        let s = [Complex::ONE, Complex::I, Complex::new(-0.5, 0.5)];
-        let x = bf.precode(&s);
-        let y = ch.apply(&x);
-        let hat = bf.combine(&y);
-        for (a, b) in hat.iter().zip(&s) {
-            assert!((*a - *b).norm() < 1e-8, "{a:?} vs {b:?}");
-        }
-    }
-
-    #[test]
-    fn precoding_preserves_power() {
-        // V has orthonormal columns, so E‖x‖² = E‖s‖².
-        let mut rng = WlanRng::seed_from_u64(151);
-        let ch = MimoChannel::iid_rayleigh(4, 4, &mut rng);
-        let bf = SvdBeamformer::from_channel(ch.matrix(), 2);
-        let s = [Complex::new(0.7, 0.1), Complex::new(-0.2, 0.9)];
-        let x = bf.precode(&s);
-        let ps: f64 = s.iter().map(|v| v.norm_sqr()).sum();
-        let px: f64 = x.iter().map(|v| v.norm_sqr()).sum();
-        assert!((ps - px).abs() < 1e-9);
-    }
-
-    #[test]
     fn water_filling_sums_to_one() {
         let sigma = [2.0, 1.0, 0.5, 0.1];
         for snr_db in [-5.0, 5.0, 20.0] {
@@ -315,21 +245,6 @@ mod tests {
         }
         let mean = acc / trials as f64;
         assert!(mean > 3.0, "σ₁² mean {mean} should far exceed 1");
-    }
-
-    #[test]
-    fn combine_divides_out_sigma() {
-        let h = CMatrix::from_rows(&[
-            &[Complex::from_re(3.0), Complex::ZERO],
-            &[Complex::ZERO, Complex::from_re(1.0)],
-        ]);
-        let bf = SvdBeamformer::from_channel(&h, 2);
-        let s = [Complex::ONE, Complex::I];
-        let y_clean = h.mul_vec(&bf.precode(&s));
-        let hat = bf.combine(&y_clean);
-        for (a, b) in hat.iter().zip(&s) {
-            assert!((*a - *b).norm() < 1e-9);
-        }
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Given `y = H·x + n` with `N_ss` unit-power streams and noise variance
 //! `n0` per receive antenna, recover `x`. Zero-forcing inverts the channel
-//! (noise-enhancing on ill-conditioned channels), MMSE regularizes by the
-//! noise level, and exhaustive ML is provided for 2×2 as the optimal
-//! reference. The ZF/MMSE gap at low SNR is one of the E7 ablations.
+//! (noise-enhancing on ill-conditioned channels) and MMSE regularizes by
+//! the noise level. The ZF/MMSE gap at low SNR is one of the E7 ablations.
 
 use wlan_math::{CMatrix, Complex, WlanError};
 
@@ -65,7 +64,7 @@ fn check_inputs(h: &CMatrix, y: &[Complex], n0: f64) -> Result<(), WlanError> {
 /// (rank-deficient channel), [`WlanError::LengthMismatch`] on inconsistent
 /// dimensions, and [`WlanError::NonFinite`] / [`WlanError::InvalidConfig`]
 /// on degenerate inputs. Never panics.
-pub fn zero_forcing(h: &CMatrix, y: &[Complex], n0: f64) -> Result<Detected, WlanError> {
+fn zero_forcing(h: &CMatrix, y: &[Complex], n0: f64) -> Result<Detected, WlanError> {
     check_inputs(h, y, n0)?;
     let gram = h.gram();
     let gram_inv = gram.inverse()?;
@@ -89,7 +88,7 @@ pub fn zero_forcing(h: &CMatrix, y: &[Complex], n0: f64) -> Result<Detected, Wla
 ///
 /// Returns [`WlanError::SingularChannel`] only in pathological cases (the
 /// regularized matrix is almost always invertible); input validation
-/// matches [`zero_forcing`]. Never panics.
+/// matches zero-forcing detection. Never panics.
 pub fn mmse(h: &CMatrix, y: &[Complex], n0: f64) -> Result<Detected, WlanError> {
     check_inputs(h, y, n0)?;
     let gram = h.gram();
@@ -135,7 +134,7 @@ pub fn detect(
 /// frame's symbols, so the expensive factorization (Gram matrix, regularized
 /// inverse, per-stream SINR and unbiasing gains) is hoisted out of the
 /// per-symbol loop. Application preserves the exact floating-point operation
-/// sequence of [`mmse`] / [`zero_forcing`] — matched filter, then inverse,
+/// sequence of [`mmse`] and of zero-forcing — matched filter, then inverse,
 /// then per-stream unbiasing — so batched and per-symbol detection are
 /// bit-identical; the batch equivalence suite pins this.
 #[derive(Debug, Clone, PartialEq)]
@@ -232,7 +231,7 @@ impl LinearDetector {
     ///
     /// [`WlanError::LengthMismatch`] on a wrong observation length,
     /// [`WlanError::NonFinite`] on a non-finite observation.
-    pub fn detect_append(
+    fn detect_append(
         &mut self,
         y: &[Complex],
         symbols: &mut Vec<Complex>,
@@ -303,49 +302,6 @@ impl LinearDetector {
         let mut symbols = Vec::with_capacity(self.n_ss);
         self.detect_append(y, &mut symbols)?;
         Ok(Detected { symbols, sinr: self.sinr.clone() })
-    }
-}
-
-/// Exhaustive maximum-likelihood detection over a finite alphabet, for up to
-/// a few streams (cost `M^N_ss`). Returns the jointly most likely symbol
-/// vector.
-///
-/// # Panics
-///
-/// Panics if `alphabet` is empty or dimensions are inconsistent.
-pub fn maximum_likelihood(h: &CMatrix, y: &[Complex], alphabet: &[Complex]) -> Vec<Complex> {
-    assert!(!alphabet.is_empty(), "alphabet must be nonempty");
-    assert_eq!(y.len(), h.rows(), "observation length mismatch");
-    let n_ss = h.cols();
-    let m = alphabet.len();
-    let mut best = vec![alphabet[0]; n_ss];
-    let mut best_metric = f64::INFINITY;
-    let mut idx = vec![0usize; n_ss];
-    loop {
-        let candidate: Vec<Complex> = idx.iter().map(|&i| alphabet[i]).collect();
-        let predicted = h.mul_vec(&candidate);
-        let metric: f64 = y
-            .iter()
-            .zip(&predicted)
-            .map(|(a, b)| (*a - *b).norm_sqr())
-            .sum();
-        if metric < best_metric {
-            best_metric = metric;
-            best = candidate;
-        }
-        // Odometer increment.
-        let mut pos = 0;
-        loop {
-            if pos == n_ss {
-                return best;
-            }
-            idx[pos] += 1;
-            if idx[pos] < m {
-                break;
-            }
-            idx[pos] = 0;
-            pos += 1;
-        }
     }
 }
 
@@ -451,61 +407,6 @@ mod tests {
         let two = mean_sinr(2, &mut rng);
         let four = mean_sinr(4, &mut rng);
         assert!(four > 2.0 * two, "4 RX {four} vs 2 RX {two}");
-    }
-
-    #[test]
-    fn ml_matches_truth_on_clean_2x2() {
-        let mut rng = WlanRng::seed_from_u64(124);
-        let alphabet = qpsk_alphabet();
-        for t in 0..64 {
-            let ch = MimoChannel::iid_rayleigh(2, 2, &mut rng);
-            let x = vec![alphabet[t % 4], alphabet[(t / 4) % 4]];
-            let y = ch.apply(&x);
-            let hat = maximum_likelihood(ch.matrix(), &y, &alphabet);
-            assert_eq!(hat, x);
-        }
-    }
-
-    #[test]
-    fn ml_beats_zf_on_ill_conditioned_channel() {
-        // A nearly rank-1 channel: ZF explodes the noise, ML does not.
-        let mut rng = WlanRng::seed_from_u64(125);
-        let alphabet = qpsk_alphabet();
-        let h = CMatrix::from_rows(&[
-            &[Complex::ONE, Complex::new(0.95, 0.0)],
-            &[Complex::new(0.95, 0.0), Complex::new(0.91, 0.0)],
-        ]);
-        let n0: f64 = 0.05;
-        let mut zf_errs = 0usize;
-        let mut ml_errs = 0usize;
-        let trials = 800;
-        for t in 0..trials {
-            let x = vec![alphabet[t % 4], alphabet[(t / 4) % 4]];
-            let mut y = h.mul_vec(&x);
-            for v in y.iter_mut() {
-                *v += complex_gaussian(&mut rng).scale(n0.sqrt());
-            }
-            let zf = zero_forcing(&h, &y, n0).unwrap();
-            for (i, s) in zf.symbols.iter().enumerate() {
-                let hard = alphabet
-                    .iter()
-                    .min_by(|a, b| (**a - *s).norm().total_cmp(&(**b - *s).norm()))
-                    .unwrap();
-                if (*hard - x[i]).norm() > 1e-9 {
-                    zf_errs += 1;
-                }
-            }
-            let ml = maximum_likelihood(&h, &y, &alphabet);
-            for (a, b) in ml.iter().zip(&x) {
-                if (*a - *b).norm() > 1e-9 {
-                    ml_errs += 1;
-                }
-            }
-        }
-        assert!(
-            (ml_errs as f64) < 0.7 * zf_errs as f64,
-            "ML ({ml_errs}) should be clearly better than ZF ({zf_errs})"
-        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub const PILOT_CARRIERS_HT20: [i32; 4] = [-21, -7, 7, 21];
 /// The 52 HT-20 data subcarrier indices in mapping order (−28…28, skipping
 /// DC and pilots). Computed once per process; indexed once per symbol on
 /// the hot paths.
-pub fn ht20_data_carriers() -> &'static [i32; N_DATA_HT20] {
+fn ht20_data_carriers() -> &'static [i32; N_DATA_HT20] {
     static CACHE: std::sync::OnceLock<[i32; N_DATA_HT20]> = std::sync::OnceLock::new();
     CACHE.get_or_init(|| {
         let mut table = [0i32; N_DATA_HT20];
@@ -104,7 +104,7 @@ impl HtChannel {
 /// let phy = HtPhy::new(Modulation::Qam64, CodeRate::R5_6);
 /// assert!((phy.rate_mbps() - 65.0).abs() < 1e-9);
 /// let frame = phy.transmit(b"ht numerology");
-/// assert_eq!(phy.try_receive(&frame, 13).unwrap(), b"ht numerology");
+/// assert_eq!(phy.receive(&frame, 13).unwrap(), b"ht numerology");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HtPhy {
@@ -181,11 +181,7 @@ impl HtPhy {
     /// Decodes a received frame (channel estimated from the HT-LTF). A
     /// truncated stream returns [`WlanError::FrameTruncated`] instead of
     /// panicking.
-    pub fn try_receive(
-        &self,
-        samples: &[Complex],
-        payload_len: usize,
-    ) -> Result<Vec<u8>, WlanError> {
+    pub fn receive(&self, samples: &[Complex], payload_len: usize) -> Result<Vec<u8>, WlanError> {
         let needed = self.frame_samples(payload_len);
         if samples.len() < needed {
             return Err(WlanError::FrameTruncated {
@@ -263,7 +259,7 @@ mod tests {
             let phy = HtPhy::new(m, r);
             let frame = phy.transmit(&payload);
             assert_eq!(frame.len(), phy.frame_samples(payload.len()));
-            assert_eq!(phy.try_receive(&frame, payload.len()).unwrap(), payload, "{m} r={r}");
+            assert_eq!(phy.receive(&frame, payload.len()).unwrap(), payload, "{m} r={r}");
         }
     }
 
@@ -280,7 +276,7 @@ mod tests {
             let mut rx = ch.filter(&frame);
             rx.truncate(frame.len());
             let noisy = Awgn::from_snr_db(25.0).apply(&rx, &mut rng);
-            if phy.try_receive(&noisy, payload.len()).unwrap() == payload {
+            if phy.receive(&noisy, payload.len()).unwrap() == payload {
                 ok += 1;
             }
         }
@@ -309,7 +305,7 @@ mod tests {
     #[test]
     fn short_stream_rejected() {
         let phy = HtPhy::new(Modulation::Bpsk, CodeRate::R1_2);
-        let err = phy.try_receive(&[Complex::ZERO; 100], 50).unwrap_err();
+        let err = phy.receive(&[Complex::ZERO; 100], 50).unwrap_err();
         assert!(matches!(err, WlanError::FrameTruncated { .. }), "{err:?}");
     }
 
@@ -319,11 +315,11 @@ mod tests {
         let payload = b"typed erasure";
         let frame = phy.transmit(payload);
         assert_eq!(
-            phy.try_receive(&frame, payload.len()).unwrap(),
+            phy.receive(&frame, payload.len()).unwrap(),
             payload.to_vec()
         );
         let err = phy
-            .try_receive(&frame[..frame.len() / 3], payload.len())
+            .receive(&frame[..frame.len() / 3], payload.len())
             .unwrap_err();
         assert!(matches!(err, WlanError::FrameTruncated { .. }), "{err:?}");
     }

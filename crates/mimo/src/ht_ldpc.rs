@@ -37,7 +37,7 @@ const MIN_SUM: MinSum = MinSum::Normalized(0.8);
 ///
 /// let phy = HtLdpcPhy::new(Modulation::Qam16, CodeRate::R1_2);
 /// let frame = phy.transmit(b"ldpc coded");
-/// assert_eq!(phy.try_receive(&frame, 10).unwrap(), b"ldpc coded");
+/// assert_eq!(phy.receive(&frame, 10).unwrap(), b"ldpc coded");
 /// ```
 #[derive(Debug, Clone)]
 pub struct HtLdpcPhy {
@@ -86,11 +86,6 @@ impl HtLdpcPhy {
         let phy: &'static HtLdpcPhy = Box::leak(Box::new(HtLdpcPhy::new(modulation, rate)));
         guard.push(((modulation, rate), phy));
         phy
-    }
-
-    /// OFDM symbols spanned by one codeword.
-    pub fn symbols_per_codeword(&self) -> usize {
-        self.span
     }
 
     /// Information bits per OFDM symbol, rounded down where a codeword's
@@ -146,11 +141,7 @@ impl HtLdpcPhy {
     /// Decodes a frame; per-codeword min-sum BP with early termination. A
     /// truncated stream returns [`WlanError::FrameTruncated`] instead of
     /// panicking.
-    pub fn try_receive(
-        &self,
-        samples: &[Complex],
-        payload_len: usize,
-    ) -> Result<Vec<u8>, WlanError> {
+    pub fn receive(&self, samples: &[Complex], payload_len: usize) -> Result<Vec<u8>, WlanError> {
         let needed = self.frame_samples(payload_len);
         if samples.len() < needed {
             return Err(WlanError::FrameTruncated {
@@ -213,7 +204,7 @@ mod tests {
         ] {
             let phy = HtLdpcPhy::new(m, r);
             let frame = phy.transmit(&payload);
-            assert_eq!(phy.try_receive(&frame, payload.len()).unwrap(), payload, "{m} r={r}");
+            assert_eq!(phy.receive(&frame, payload.len()).unwrap(), payload, "{m} r={r}");
         }
     }
 
@@ -226,7 +217,7 @@ mod tests {
         for _ in 0..10 {
             let frame = phy.transmit(&payload);
             let noisy = Awgn::from_snr_db(8.0).apply(&frame, &mut rng);
-            if phy.try_receive(&noisy, payload.len()).unwrap() == payload {
+            if phy.receive(&noisy, payload.len()).unwrap() == payload {
                 ok += 1;
             }
         }
@@ -251,12 +242,12 @@ mod tests {
         for _ in 0..trials {
             let f = ldpc.transmit(&payload);
             let noisy = Awgn::from_snr_db(snr_db).apply(&f, &mut rng);
-            if ldpc.try_receive(&noisy, payload.len()).unwrap() == payload {
+            if ldpc.receive(&noisy, payload.len()).unwrap() == payload {
                 ldpc_ok += 1;
             }
             let f = bcc.transmit(&payload);
             let noisy = Awgn::from_snr_db(snr_db).apply(&f, &mut rng);
-            if bcc.try_receive(&noisy, payload.len()).unwrap() == payload {
+            if bcc.receive(&noisy, payload.len()).unwrap() == payload {
                 bcc_ok += 1;
             }
         }
@@ -271,7 +262,7 @@ mod tests {
         // LDPC frames spend every data bit on payload: a payload that just
         // fills one codeword needs exactly one codeword's worth of symbols.
         let phy = HtLdpcPhy::new(Modulation::Qam16, CodeRate::R1_2);
-        let span = phy.symbols_per_codeword();
+        let span = phy.span;
         let k_cw = phy.data_bits_per_symbol() * span;
         let fit = (k_cw - 16) / 8;
         assert_eq!(phy.num_data_symbols(fit), span);
@@ -284,10 +275,10 @@ mod tests {
         let payload = b"ldpc erasure path";
         let frame = phy.transmit(payload);
         assert_eq!(
-            phy.try_receive(&frame, payload.len()).unwrap(),
+            phy.receive(&frame, payload.len()).unwrap(),
             payload.to_vec()
         );
-        let err = phy.try_receive(&frame[..50], payload.len()).unwrap_err();
+        let err = phy.receive(&frame[..50], payload.len()).unwrap_err();
         assert!(matches!(err, WlanError::FrameTruncated { .. }), "{err:?}");
     }
 
@@ -295,7 +286,7 @@ mod tests {
     fn codewords_are_near_1296_bits() {
         for m in [Modulation::Bpsk, Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
             let phy = HtLdpcPhy::new(m, CodeRate::R1_2);
-            let n = phy.symbols_per_codeword() * 52 * m.bits_per_subcarrier();
+            let n = phy.span * 52 * m.bits_per_subcarrier();
             assert!((1296..1296 + 52 * 6).contains(&n), "{m}: n = {n}");
         }
     }
@@ -319,13 +310,13 @@ mod tests {
                 let first = 1296usize.div_ceil(n_cbps);
                 let (num, den) = r.as_fraction();
                 if (first * n_cbps * num).is_multiple_of(den) {
-                    assert_eq!(phy.symbols_per_codeword(), first, "{m} r={r}");
+                    assert_eq!(phy.span, first, "{m} r={r}");
                 }
-                let n = phy.symbols_per_codeword() * n_cbps;
+                let n = phy.span * n_cbps;
                 assert_eq!(phy.code.info_len() * den, n * num, "{m} r={r}");
                 let frame = phy.transmit(&payload);
                 assert_eq!(frame.len(), phy.frame_samples(payload.len()));
-                let decoded = phy.try_receive(&frame, payload.len()).unwrap();
+                let decoded = phy.receive(&frame, payload.len()).unwrap();
                 assert_eq!(decoded, payload, "{m} r={r}");
             }
         }

@@ -7,9 +7,10 @@
 //!
 //! - [`mcs`] — the HT MCS table 0–31 (1–4 streams, 20/40 MHz, long/short
 //!   guard interval), reproducing the 600 Mbps headline rate,
-//! - [`detect`] — zero-forcing, MMSE and 2×2 ML detection for spatial
+//! - [`detect`] — zero-forcing and MMSE detection for spatial
 //!   multiplexing,
-//! - [`stbc`] — Alamouti space-time block coding (transmit diversity),
+//! - [`stbc_phy`] — an Alamouti space-time block coded OFDM frame chain
+//!   (transmit diversity),
 //! - [`mrc`] — maximal-ratio receive combining,
 //! - [`beamforming`] — closed-loop SVD transmit beamforming with
 //!   water-filling power allocation (the paper's "closed loop, transmit
@@ -35,7 +36,6 @@ pub mod ht_ldpc;
 pub mod mcs;
 pub mod mrc;
 pub mod phy;
-pub mod stbc;
 pub mod stbc_phy;
 
 pub use mcs::HtMcs;

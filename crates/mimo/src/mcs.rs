@@ -19,7 +19,7 @@ pub enum Bandwidth {
 
 impl Bandwidth {
     /// Data subcarriers carried (802.11n HT: 52 / 108).
-    pub fn data_subcarriers(self) -> usize {
+    fn data_subcarriers(self) -> usize {
         match self {
             Bandwidth::Mhz20 => 52,
             Bandwidth::Mhz40 => 108,
@@ -46,7 +46,7 @@ pub enum GuardInterval {
 
 impl GuardInterval {
     /// Total symbol duration in microseconds (3.2 µs FFT + GI).
-    pub fn symbol_duration_us(self) -> f64 {
+    fn symbol_duration_us(self) -> f64 {
         match self {
             GuardInterval::Long => 4.0,
             GuardInterval::Short => 3.6,
@@ -62,7 +62,6 @@ impl GuardInterval {
 /// use wlan_mimo::mcs::{Bandwidth, GuardInterval, HtMcs};
 ///
 /// let mcs15 = HtMcs::new(15).unwrap();
-/// assert_eq!(mcs15.spatial_streams(), 2);
 /// let r = mcs15.data_rate_mbps(Bandwidth::Mhz20, GuardInterval::Long);
 /// assert!((r - 130.0).abs() < 1e-9);
 /// ```
@@ -88,7 +87,7 @@ impl HtMcs {
     }
 
     /// Number of spatial streams (1–4).
-    pub fn spatial_streams(&self) -> usize {
+    fn spatial_streams(&self) -> usize {
         self.index as usize / 8 + 1
     }
 
@@ -217,6 +216,7 @@ mod tests {
         let m8 = HtMcs::new(8).unwrap();
         assert_eq!(m8.modulation(), Modulation::Bpsk);
         assert_eq!(m8.spatial_streams(), 2);
+        assert_eq!(HtMcs::new(15).unwrap().spatial_streams(), 2);
     }
 
     #[test]

@@ -23,49 +23,6 @@ pub fn combine(y: &[Complex], h: &[Complex]) -> (Complex, f64) {
     (num / gain.max(1e-300), gain)
 }
 
-/// Combines a block of symbols observed on `N` branches (`rx[r][k]` is
-/// symbol `k` on branch `r`, with flat per-branch channels).
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent.
-pub fn combine_block(rx: &[Vec<Complex>], h: &[Complex]) -> Vec<Complex> {
-    assert_eq!(rx.len(), h.len(), "branch count mismatch");
-    assert!(!rx.is_empty(), "need at least one branch");
-    let len = rx[0].len();
-    for r in rx {
-        assert_eq!(r.len(), len, "branches must align");
-    }
-    (0..len)
-        .map(|k| {
-            let obs: Vec<Complex> = rx.iter().map(|r| r[k]).collect();
-            combine(&obs, h).0
-        })
-        .collect()
-}
-
-/// Selection combining: picks the strongest branch instead of weighting all
-/// (what a receiver with a single active RF chain plus antenna switch can
-/// do — the low-power alternative to full MRC).
-///
-/// # Panics
-///
-/// Panics if inputs are empty or lengths differ.
-pub fn select_best(y: &[Complex], h: &[Complex]) -> (Complex, f64) {
-    assert!(!y.is_empty(), "need at least one branch");
-    assert_eq!(y.len(), h.len(), "branch count mismatch");
-    // Infallible fold over the (asserted nonempty) branch set, keeping
-    // `max_by`'s last-max-wins tie behaviour.
-    let mut best = 0usize;
-    for i in 1..h.len() {
-        if h[i].norm_sqr().total_cmp(&h[best].norm_sqr()) != std::cmp::Ordering::Less {
-            best = i;
-        }
-    }
-    let gain = h[best].norm_sqr();
-    ((y[best] * h[best].conj()) / gain.max(1e-300), gain)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,35 +92,19 @@ mod tests {
     #[test]
     fn selection_sits_between_single_and_mrc() {
         let mut rng = WlanRng::seed_from_u64(142);
-        let mut gains = [0.0f64; 3]; // single, selection-2, mrc-2
+        let mut gains = [0.0f64; 2]; // single, mrc-2
         let trials = 30_000;
         for _ in 0..trials {
             let h: Vec<Complex> = (0..2).map(|_| complex_gaussian(&mut rng)).collect();
             let y = vec![Complex::ZERO; 2];
             gains[0] += h[0].norm_sqr();
-            gains[1] += select_best(&y, &h).1;
-            gains[2] += combine(&y, &h).1;
+            gains[1] += combine(&y, &h).1;
         }
-        assert!(gains[0] < gains[1] && gains[1] < gains[2]);
-        // Known averages: 1, 1.5, 2 for Rayleigh.
+        assert!(gains[0] < gains[1]);
+        // Known averages: 1 and 2 for Rayleigh.
         let n = trials as f64;
         assert!((gains[0] / n - 1.0).abs() < 0.05);
-        assert!((gains[1] / n - 1.5).abs() < 0.05);
-        assert!((gains[2] / n - 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn block_combining_matches_scalar() {
-        let h = [Complex::new(0.8, 0.1), Complex::new(0.2, -0.9)];
-        let sym = [Complex::ONE, Complex::I, -Complex::ONE];
-        let rx: Vec<Vec<Complex>> = h
-            .iter()
-            .map(|&hr| sym.iter().map(|&s| hr * s).collect())
-            .collect();
-        let combined = combine_block(&rx, &h);
-        for (a, b) in combined.iter().zip(&sym) {
-            assert!((*a - *b).norm() < 1e-12);
-        }
+        assert!((gains[1] / n - 2.0).abs() < 0.05);
     }
 
     #[test]

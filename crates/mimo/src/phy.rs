@@ -119,7 +119,7 @@ impl MimoOfdmPhy {
     }
 
     /// Number of HT-LTF training symbols (equals streams, except 3 → 4).
-    pub fn num_training_symbols(&self) -> usize {
+    fn num_training_symbols(&self) -> usize {
         match self.cfg.n_streams {
             3 => 4,
             n => n,
@@ -127,7 +127,7 @@ impl MimoOfdmPhy {
     }
 
     /// Coded bits per OFDM symbol per stream.
-    pub fn coded_bits_per_symbol_per_stream(&self) -> usize {
+    fn coded_bits_per_symbol_per_stream(&self) -> usize {
         N_DATA * self.cfg.modulation.bits_per_subcarrier()
     }
 
@@ -216,7 +216,7 @@ impl MimoOfdmPhy {
     /// of the hot loop. The bit path after demapping then runs one symbol
     /// at a time: each stream's LLRs are deinterleaved, merged back in
     /// stream-parser order and handed to the shared codec.
-    pub fn try_receive(
+    pub fn receive(
         &self,
         rx: &[Vec<Complex>],
         n0: f64,
@@ -399,7 +399,7 @@ mod tests {
             let tx = p.transmit(&payload);
             assert_eq!(tx.len(), n_ss);
             // Identity channel: rx = tx (pad antennas into rx shape).
-            let out = p.try_receive(&tx, 1e-9, payload.len()).unwrap();
+            let out = p.receive(&tx, 1e-9, payload.len()).unwrap();
             assert_eq!(out, payload, "{n_ss} streams");
         }
     }
@@ -439,7 +439,7 @@ mod tests {
             let ch = MimoMultipathChannel::realize(2, 2, &pdp, &mut rng);
             let tx = p.transmit(&payload);
             let rx = ch.propagate(&tx, n0, &mut rng).unwrap();
-            if p.try_receive(&rx, n0, payload.len()).unwrap() == payload {
+            if p.receive(&rx, n0, payload.len()).unwrap() == payload {
                 ok += 1;
             }
         }
@@ -460,7 +460,7 @@ mod tests {
                 let ch = MimoMultipathChannel::realize(n_rx, 2, &pdp, &mut rng);
                 let tx = p.transmit(&payload);
                 let rx = ch.propagate(&tx, n0, &mut rng).unwrap();
-                if p.try_receive(&rx, n0, payload.len()).unwrap() == payload {
+                if p.receive(&rx, n0, payload.len()).unwrap() == payload {
                     ok[idx] += 1;
                 }
             }
@@ -504,11 +504,11 @@ mod tests {
         let payload = vec![0x3Cu8; 50];
         let mut tx = p.transmit(&payload);
         // Healthy frame decodes cleanly.
-        assert_eq!(p.try_receive(&tx, 1e-9, payload.len()).unwrap(), payload);
+        assert_eq!(p.receive(&tx, 1e-9, payload.len()).unwrap(), payload);
         // Truncate one antenna mid-frame: typed error, no panic.
         let cut = tx[1].len() / 2;
         tx[1].truncate(cut);
-        let err = p.try_receive(&tx, 1e-9, payload.len()).unwrap_err();
+        let err = p.receive(&tx, 1e-9, payload.len()).unwrap_err();
         assert_eq!(
             err,
             WlanError::FrameTruncated {
@@ -517,7 +517,7 @@ mod tests {
             }
         );
         // Wrong antenna count is a length mismatch.
-        let err = p.try_receive(&tx[..1], 1e-9, payload.len()).unwrap_err();
+        let err = p.receive(&tx[..1], 1e-9, payload.len()).unwrap_err();
         assert_eq!(err, WlanError::LengthMismatch { expected: 2, got: 1 });
     }
 }

@@ -35,7 +35,7 @@ use wlan_ofdm::symbol::{carrier_to_bin, ifft_into_slot, tx_scale};
 /// assert_eq!(tx.len(), 2); // always two transmit antennas
 /// // Identity channel: feed antenna sums as the single RX observation.
 /// let rx: Vec<wlan_math::Complex> = tx[0].iter().zip(&tx[1]).map(|(&a, &b)| a + b).collect();
-/// let out = phy.try_receive(&[rx], 10)?;
+/// let out = phy.receive(&[rx], 10)?;
 /// assert_eq!(out, b"diversity!");
 /// # Ok::<(), wlan_math::WlanError>(())
 /// ```
@@ -152,11 +152,7 @@ impl StbcOfdmPhy {
     /// frame, estimated from the training symbols; the combiner needs no
     /// noise variance). Malformed input — wrong antenna count or truncated
     /// streams — returns a typed [`WlanError`] instead of panicking.
-    pub fn try_receive(
-        &self,
-        rx: &[Vec<Complex>],
-        payload_len: usize,
-    ) -> Result<Vec<u8>, WlanError> {
+    pub fn receive(&self, rx: &[Vec<Complex>], payload_len: usize) -> Result<Vec<u8>, WlanError> {
         let n_sym = self.num_data_symbols(payload_len);
         let spectra = Spectra::new(rx, self.n_rx, 2 + n_sym)?;
         let h = spectra.channel(2, 2);
@@ -218,7 +214,7 @@ mod tests {
         let payload: Vec<u8> = (0..60).map(|i| (i * 13) as u8).collect();
         let tx = phy.transmit(&payload);
         let rx = identity_rx(&tx);
-        assert_eq!(phy.try_receive(&[rx], payload.len()).unwrap(), payload);
+        assert_eq!(phy.receive(&[rx], payload.len()).unwrap(), payload);
     }
 
     #[test]
@@ -258,7 +254,7 @@ mod tests {
             let ch = MimoMultipathChannel::realize(2, 2, &pdp, &mut rng);
             let tx = phy.transmit(&payload);
             let rx = ch.propagate(&tx, n0, &mut rng).unwrap();
-            if phy.try_receive(&rx, payload.len()).unwrap() == payload {
+            if phy.receive(&rx, payload.len()).unwrap() == payload {
                 ok += 1;
             }
         }
@@ -295,13 +291,13 @@ mod tests {
             let ch1 = MimoMultipathChannel::realize(1, 1, &pdp, &mut rng);
             let tx = siso.transmit(&payload);
             let rx = ch1.propagate(&tx, n0, &mut rng).unwrap();
-            if siso.try_receive(&rx, n0, payload.len()).unwrap() == payload {
+            if siso.receive(&rx, n0, payload.len()).unwrap() == payload {
                 siso_ok += 1;
             }
             let ch2 = MimoMultipathChannel::realize(1, 2, &pdp, &mut rng);
             let tx = stbc.transmit(&payload);
             let rx = ch2.propagate(&tx, n0, &mut rng).unwrap();
-            if stbc.try_receive(&rx, payload.len()).unwrap() == payload {
+            if stbc.receive(&rx, payload.len()).unwrap() == payload {
                 stbc_ok += 1;
             }
         }
@@ -318,15 +314,15 @@ mod tests {
         let tx = phy.transmit(payload);
         let rx = identity_rx(&tx);
         assert_eq!(
-            phy.try_receive(std::slice::from_ref(&rx), payload.len())
+            phy.receive(std::slice::from_ref(&rx), payload.len())
                 .unwrap(),
             payload.to_vec()
         );
         let err = phy
-            .try_receive(&[rx[..100].to_vec()], payload.len())
+            .receive(&[rx[..100].to_vec()], payload.len())
             .unwrap_err();
         assert!(matches!(err, WlanError::FrameTruncated { .. }), "{err:?}");
-        let err = phy.try_receive(&[], payload.len()).unwrap_err();
+        let err = phy.receive(&[], payload.len()).unwrap_err();
         assert_eq!(err, WlanError::LengthMismatch { expected: 1, got: 0 });
     }
 
@@ -335,7 +331,7 @@ mod tests {
         let phy = StbcOfdmPhy::new(Modulation::Bpsk, CodeRate::R1_2, 2).unwrap();
         let tx = phy.transmit(&[1, 2, 3]);
         let rx = identity_rx(&tx);
-        let err = phy.try_receive(&[rx], 3).unwrap_err();
+        let err = phy.receive(&[rx], 3).unwrap_err();
         assert_eq!(err, WlanError::LengthMismatch { expected: 2, got: 1 });
         let err = StbcOfdmPhy::new(Modulation::Bpsk, CodeRate::R1_2, 0).unwrap_err();
         assert!(matches!(err, WlanError::InvalidConfig(_)), "{err:?}");

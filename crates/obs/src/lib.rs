@@ -9,8 +9,7 @@
 //!
 //! * [`Counter`] — a monotonic `u64`;
 //! * [`Histogram`] — fixed power-of-two buckets with count/sum/min/max,
-//!   fed either directly ([`Histogram::record_ns`]) or by a [`Span`]
-//!   timer ([`Histogram::start`]);
+//!   fed by a [`Span`] timer ([`Histogram::start`]);
 //! * [`Recorder`] — the registry handing out those handles, with an
 //!   optional JSONL event sink and a [`Recorder::snapshot`] export.
 //!
@@ -80,7 +79,7 @@ fn bucket_index(ns: u64) -> usize {
 }
 
 /// Inclusive upper bound of histogram bucket `i`, in nanoseconds.
-pub fn bucket_upper_ns(i: usize) -> u64 {
+fn bucket_upper_ns(i: usize) -> u64 {
     if i == 0 {
         0
     } else if i >= HIST_BUCKETS - 1 {
@@ -185,13 +184,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Record one value (no-op while the recorder is disabled).
-    pub fn record_ns(&self, ns: u64) {
-        if self.gate.load(Ordering::Relaxed) {
-            self.cells.record(ns);
-        }
-    }
-
     /// Start a span; its wall-clock duration is recorded when the
     /// returned [`Span`] is dropped or [`Span::stop`]ped. While the
     /// recorder is disabled the span is inert and no clock is read.
@@ -388,7 +380,7 @@ impl Recorder {
     }
 
     /// Whether recording is currently enabled.
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.inner.gate.load(Ordering::Relaxed)
     }
 
@@ -434,7 +426,7 @@ impl Recorder {
     }
 
     /// Install a JSONL event sink (one JSON object per line).
-    pub fn set_sink(&self, sink: Box<dyn Write + Send>) {
+    fn set_sink(&self, sink: Box<dyn Write + Send>) {
         *locked(&self.inner.sink) = Some(sink);
     }
 
@@ -481,7 +473,7 @@ impl Recorder {
 /// off/on spellings map accordingly; anything else is `Err(raw)` and
 /// callers must treat it as *disabled* after warning (the conservative
 /// fallback: a typo never silently pays observability costs).
-pub fn parse_obs_env(raw: Option<&str>) -> Result<bool, &str> {
+fn parse_obs_env(raw: Option<&str>) -> Result<bool, &str> {
     let Some(raw) = raw else {
         return Ok(true);
     };
@@ -526,7 +518,7 @@ mod tests {
         let rec = Recorder::new(true);
         let h = rec.histogram("t");
         for ns in [0u64, 1, 1, 7, 1024] {
-            h.record_ns(ns);
+            h.cells.record(ns);
         }
         let s = h.snapshot();
         assert_eq!(s.count, 5);
@@ -578,7 +570,7 @@ mod tests {
         let h = serial.histogram("t");
         let c = serial.counter("n");
         for &v in &values {
-            h.record_ns(v);
+            h.cells.record(v);
             c.add(v);
         }
         let expect = serial.snapshot();
@@ -604,7 +596,7 @@ mod tests {
                     let c = rec.counter("n");
                     scope.spawn(move || {
                         for &v in chunk {
-                            h.record_ns(v);
+                            h.cells.record(v);
                             c.add(v);
                         }
                     });
@@ -679,7 +671,6 @@ mod tests {
         let c = rec.counter("c");
         let h = rec.histogram("h");
         c.add(5);
-        h.record_ns(5);
         h.start().stop();
         assert_eq!(c.value(), 0);
         assert_eq!(h.snapshot().count, 0);
@@ -723,7 +714,7 @@ mod tests {
     fn snapshot_to_value_has_counters_and_stages() {
         let rec = Recorder::new(true);
         rec.counter("a.b").add(7);
-        rec.histogram("c.d").record_ns(9);
+        rec.histogram("c.d").cells.record(9);
         let v = rec.snapshot().to_value();
         assert_eq!(
             v.get("counters").and_then(|c| c.get("a.b")).and_then(Value::as_u64),

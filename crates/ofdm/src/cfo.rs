@@ -35,7 +35,7 @@ pub fn apply_cfo(samples: &[Complex], cfo_hz: f64) -> Vec<Complex> {
 /// # Panics
 ///
 /// Panics if the region is too short or `period` is zero.
-pub fn estimate_cfo(region: &[Complex], period: usize) -> f64 {
+fn estimate_cfo(region: &[Complex], period: usize) -> f64 {
     assert!(period > 0, "period must be positive");
     assert!(
         region.len() >= 2 * period,
@@ -53,7 +53,7 @@ pub fn estimate_cfo(region: &[Complex], period: usize) -> f64 {
 /// # Panics
 ///
 /// Panics if `stf.len() < 32`.
-pub fn coarse_cfo_from_stf(stf: &[Complex]) -> f64 {
+fn coarse_cfo_from_stf(stf: &[Complex]) -> f64 {
     estimate_cfo(stf, 16)
 }
 
@@ -64,7 +64,7 @@ pub fn coarse_cfo_from_stf(stf: &[Complex]) -> f64 {
 /// # Panics
 ///
 /// Panics if `ltf.len() < 160`.
-pub fn fine_cfo_from_ltf(ltf: &[Complex]) -> f64 {
+fn fine_cfo_from_ltf(ltf: &[Complex]) -> f64 {
     assert!(ltf.len() >= 160, "LTF is 160 samples");
     estimate_cfo(&ltf[32..160], 64)
 }

@@ -24,7 +24,7 @@
 //! let phy = OfdmPhy::new(OfdmRate::R54);
 //! let payload = b"hello 802.11a".to_vec();
 //! let frame = phy.transmit(&payload);
-//! let decoded = phy.receive_ideal(&frame).expect("clean channel decodes");
+//! let decoded = phy.receive(&frame).expect("clean channel decodes");
 //! assert_eq!(decoded, payload);
 //! ```
 

@@ -16,8 +16,6 @@ pub const N_PILOTS: usize = 4;
 pub const N_OCCUPIED: usize = N_DATA + N_PILOTS;
 /// Sample rate in Hz.
 pub const SAMPLE_RATE_HZ: f64 = 20e6;
-/// Symbol duration in seconds.
-pub const SYMBOL_DURATION_S: f64 = N_SYM_SAMPLES as f64 / SAMPLE_RATE_HZ;
 /// Pilot subcarrier indices (signed, DC = 0).
 pub const PILOT_CARRIERS: [i32; 4] = [-21, -7, 7, 21];
 /// Base pilot values before the polarity sequence (at −21, −7, +7, +21).
@@ -189,7 +187,7 @@ impl std::fmt::Display for OfdmRate {
 /// The signed occupied-subcarrier indices in mapping order
 /// (−26 … −1, 1 … 26, skipping DC), data and pilots interleaved per the
 /// standard layout.
-pub fn occupied_carriers() -> Vec<i32> {
+fn occupied_carriers() -> Vec<i32> {
     (-26..=26).filter(|&k| k != 0).collect()
 }
 
@@ -219,7 +217,8 @@ mod tests {
     fn rate_table_is_self_consistent() {
         // N_DBPS · (1 symbol / 4 µs) must equal the advertised rate.
         for rate in OfdmRate::all() {
-            let mbps = rate.data_bits_per_symbol() as f64 / (SYMBOL_DURATION_S * 1e6);
+            let symbol_s = N_SYM_SAMPLES as f64 / SAMPLE_RATE_HZ;
+            let mbps = rate.data_bits_per_symbol() as f64 / (symbol_s * 1e6);
             assert!(
                 (mbps - rate.rate_mbps()).abs() < 1e-9,
                 "{rate}: {mbps} Mbps from table"

@@ -14,7 +14,7 @@
 
 use std::sync::OnceLock;
 
-use crate::params::{OfdmRate, N_DATA, N_SYM_SAMPLES};
+use crate::params::{Modulation, OfdmRate, N_DATA, N_SYM_SAMPLES};
 use crate::preamble;
 use crate::qam::{self, Constellation};
 use crate::symbol::{assemble_symbol_into, Equalizer};
@@ -148,31 +148,21 @@ impl OfdmPhy {
         self.decode_data(&samples[DATA_OFFSET..], length, &eq)
     }
 
-    /// Convenience wrapper returning `None` on any receive error.
-    pub fn receive_ideal(&self, samples: &[Complex]) -> Option<Vec<u8>> {
-        self.receive(samples).ok()
-    }
-
     /// Writes the SIGNAL symbol into its 80-sample slot.
     fn encode_signal(&self, length: usize, out: &mut [Complex]) {
         // RATE(4) ‖ R(1)=0 ‖ LENGTH(12, LSB first) ‖ PARITY(1).
-        let mut info = Vec::with_capacity(18);
-        info.extend_from_slice(&self.rate.signal_bits());
-        info.push(0);
+        let mut info = [0u8; 18];
+        info[..4].copy_from_slice(&self.rate.signal_bits());
         for i in 0..12 {
-            info.push(((length >> i) & 1) as u8);
+            info[5 + i] = ((length >> i) & 1) as u8;
         }
-        let parity = info.iter().fold(0u8, |a, &b| a ^ b);
-        info.push(parity);
+        info[17] = info[..17].iter().fold(0u8, |a, &b| a ^ b);
         // Tail bits come from encode_terminated; BPSK rate 1/2, one symbol.
         let coded = ConvEncoder::new().encode_terminated(&info);
-        debug_assert_eq!(coded.len(), 48);
-        let il = Interleaver::new(48, 1);
-        let interleaved = il.interleave(&coded);
-        let data: Vec<Complex> = interleaved
-            .iter()
-            .map(|&b| qam::map_bits(crate::params::Modulation::Bpsk, &[b]))
-            .collect();
+        let mut interleaved = [0u8; N_DATA];
+        signal_interleaver().interleave_into(&coded, &mut interleaved);
+        let mut data = [Complex::ZERO; N_DATA];
+        Constellation::new(Modulation::Bpsk).map_into(&interleaved, &mut data);
         assemble_symbol_into(&data, 0, out);
     }
 
@@ -183,14 +173,12 @@ impl OfdmPhy {
     ) -> Result<(OfdmRate, usize), RxError> {
         let mut data = [Complex::ZERO; N_DATA];
         eq.symbol_into(samples, 0, &mut data);
-        let mut llrs = Vec::with_capacity(48);
-        for (y, &csi) in data.iter().zip(eq.csi()) {
-            llrs.extend(qam::demap_soft(crate::params::Modulation::Bpsk, *y, csi));
+        let mut llrs = [0.0; N_DATA];
+        for ((y, &csi), slot) in data.iter().zip(eq.csi()).zip(llrs.chunks_exact_mut(1)) {
+            qam::demap_soft_into(Modulation::Bpsk, *y, csi, slot);
         }
-        // A mis-sized LLR block means the symbol was cut short.
-        let deinterleaved = Interleaver::new(48, 1)
-            .deinterleave_soft(&llrs)
-            .map_err(|_| RxError::TooShort)?;
+        let mut deinterleaved = [0.0; N_DATA];
+        signal_interleaver().deinterleave_soft_into(&llrs, &mut deinterleaved);
         let info = ViterbiDecoder::new()
             .decode_soft(&deinterleaved, 18)
             .map_err(|_| RxError::TooShort)?;
@@ -262,6 +250,13 @@ impl OfdmPhy {
             })
             .map_err(|_| RxError::TooShort)
     }
+}
+
+/// The SIGNAL symbol's interleaver (48 coded bits, BPSK), identical in
+/// every frame: built once per process.
+fn signal_interleaver() -> &'static Interleaver {
+    static INTERLEAVER: OnceLock<Interleaver> = OnceLock::new();
+    INTERLEAVER.get_or_init(|| Interleaver::new(N_DATA, 1))
 }
 
 /// The STF ‖ LTF preamble, identical in every frame: built once per

@@ -56,7 +56,7 @@ pub fn ht_ltf_value(k: i32) -> f64 {
 
 /// One 64-sample long-training symbol in the time domain (unit average
 /// power over occupied samples, same scale as data symbols).
-pub fn ltf_symbol() -> Vec<Complex> {
+fn ltf_symbol() -> Vec<Complex> {
     let mut bins = vec![Complex::ZERO; N_FFT];
     for k in -26..=26 {
         bins[carrier_to_bin(k)] = Complex::from_re(ltf_value(k));

@@ -23,7 +23,7 @@ fn gray3_to_level(b0: u8, b1: u8, b2: u8) -> f64 {
 
 /// Normalization factor `K_MOD` (table 81): scales the integer lattice to
 /// unit average energy.
-pub fn k_mod(modulation: Modulation) -> f64 {
+fn k_mod(modulation: Modulation) -> f64 {
     match modulation {
         Modulation::Bpsk => 1.0,
         Modulation::Qpsk => 1.0 / 2f64.sqrt(),
@@ -171,20 +171,20 @@ fn axis_llrs_into(y: f64, points: &[(f64, [u8; 3])], out: &mut [f64]) {
     }
 }
 
-/// Soft-demaps one equalized subcarrier into per-bit LLRs.
-///
-/// `csi` is the channel reliability weight (typically `|H|²/σ²`): fading
-/// subcarriers yield proportionally weaker LLRs, which is what lets the
-/// Viterbi decoder discount them.
-pub fn demap_soft(modulation: Modulation, y: Complex, csi: f64) -> Vec<f64> {
+/// [`demap_soft_into`] into a fresh vector.
+fn demap_soft(modulation: Modulation, y: Complex, csi: f64) -> Vec<f64> {
     let mut out = vec![0.0; modulation.bits_per_subcarrier()];
     demap_soft_into(modulation, y, csi, &mut out);
     out
 }
 
-/// Like [`demap_soft`], but writes the `N_BPSC` LLRs into a caller-owned
-/// slot (bit-identical to [`demap_soft`], no allocation) — the form the
-/// batched receive kernels use when filling a preallocated LLR plane.
+/// Soft-demaps one equalized subcarrier into its `N_BPSC` per-bit LLRs,
+/// written into a caller-owned slot (no allocation) — the form the
+/// per-symbol receive kernels use.
+///
+/// `csi` is the channel reliability weight (typically `|H|²/σ²`): fading
+/// subcarriers yield proportionally weaker LLRs, which is what lets the
+/// Viterbi decoder discount them.
 ///
 /// # Panics
 ///

@@ -29,7 +29,7 @@ pub fn ht_tx_scale() -> f64 {
 ///
 /// The 127-long period is generated once per process; this is called once
 /// per symbol on both the transmit and receive paths.
-pub fn pilot_polarity(n: usize) -> f64 {
+fn pilot_polarity(n: usize) -> f64 {
     static SEQ: OnceLock<[f64; 127]> = OnceLock::new();
     let seq = SEQ.get_or_init(|| {
         let bits = Scrambler::new(0x7F).sequence(127);

@@ -20,8 +20,6 @@ use crate::pa::PaClass;
 pub const ENERGY_PER_CMAC_NJ: f64 = 0.02;
 /// Energy per Viterbi trellis step (64 states, add-compare-select) in nJ.
 pub const ENERGY_PER_VITERBI_BIT_NJ: f64 = 0.3;
-/// Energy per LDPC min-sum edge update in nJ.
-pub const ENERGY_PER_LDPC_EDGE_NJ: f64 = 0.05;
 
 /// A WLAN transceiver power budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,14 +107,8 @@ pub mod ops {
     }
 
     /// Viterbi energy in nJ for `bits` decoded bits.
-    pub fn viterbi_nj(bits: f64) -> f64 {
+    pub(crate) fn viterbi_nj(bits: f64) -> f64 {
         bits * super::ENERGY_PER_VITERBI_BIT_NJ * 64.0 / 64.0
-    }
-
-    /// LDPC energy in nJ for `bits` bits at `iters` min-sum iterations
-    /// (average variable degree ≈ 3, so edges ≈ 3·bits per iteration).
-    pub fn ldpc_nj(bits: f64, iters: f64) -> f64 {
-        bits * 3.0 * iters * super::ENERGY_PER_LDPC_EDGE_NJ
     }
 }
 

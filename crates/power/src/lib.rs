@@ -29,7 +29,6 @@
 //! ```
 
 pub mod adaptive;
-pub mod battery;
 pub mod budget;
 pub mod pa;
 

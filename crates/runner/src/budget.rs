@@ -74,12 +74,6 @@ impl Budget {
         self.max_trials = Some(trials);
         self
     }
-
-    /// Caps wall-clock time for this invocation.
-    pub fn with_wall_ms(mut self, ms: u64) -> Self {
-        self.wall_ms = Some(ms);
-        self
-    }
 }
 
 fn read_env_u64(name: &str) -> Option<u64> {
@@ -265,14 +259,20 @@ mod tests {
 
     #[test]
     fn wall_clock_budget_trips_after_deadline() {
-        let m = BudgetMeter::new(Budget::unlimited().with_wall_ms(1));
+        let m = BudgetMeter::new(Budget {
+            wall_ms: Some(1),
+            ..Budget::unlimited()
+        });
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(m.exhausted(), Some(StopReason::WallClock));
     }
 
     #[test]
     fn trial_limit_wins_over_wall_clock() {
-        let mut m = BudgetMeter::new(Budget::unlimited().with_max_trials(1).with_wall_ms(1));
+        let mut m = BudgetMeter::new(Budget {
+            wall_ms: Some(1),
+            ..Budget::unlimited().with_max_trials(1)
+        });
         m.add_trials(1);
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(m.exhausted(), Some(StopReason::TrialBudget));

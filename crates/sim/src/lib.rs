@@ -28,10 +28,6 @@ pub type Time = u64;
 
 /// One microsecond in [`Time`] units.
 pub const MICROSECOND: Time = 1_000;
-/// One millisecond in [`Time`] units.
-pub const MILLISECOND: Time = 1_000_000;
-/// One second in [`Time`] units.
-pub const SECOND: Time = 1_000_000_000;
 
 /// Handle returned by scheduling, usable to cancel the event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -323,11 +319,5 @@ mod tests {
         let mut s: Scheduler<()> = Scheduler::new();
         assert_eq!(s.drain_until(1_000), 0);
         assert_eq!(s.now(), 1_000);
-    }
-
-    #[test]
-    fn time_unit_constants() {
-        assert_eq!(MICROSECOND * 1_000, MILLISECOND);
-        assert_eq!(MILLISECOND * 1_000, SECOND);
     }
 }

@@ -64,7 +64,7 @@ fn main() {
     let tx = phy.transmit(message);
     let rx = ch.propagate(&tx, n0, &mut rng).expect("two transmit streams");
     let decoded = phy
-        .try_receive(&rx, n0, message.len())
+        .receive(&rx, n0, message.len())
         .expect("full-length frame");
     println!(
         "802.11n 2x2 MIMO ({:.0} Mbps) at 28 dB SNR: {}",

@@ -82,7 +82,7 @@ fn mimo_4x4_64qam_full_chain() {
         let ch = MimoMultipathChannel::realize(4, 4, &pdp, &mut rng);
         let tx = phy.transmit(&payload);
         let rx = ch.propagate(&tx, n0, &mut rng).unwrap();
-        if phy.try_receive(&rx, n0, payload.len()).unwrap() == payload {
+        if phy.receive(&rx, n0, payload.len()).unwrap() == payload {
             ok += 1;
         }
     }

@@ -413,12 +413,12 @@ fn knee_outcomes(family: u64, idx: usize, snr_db: f64) -> Outcomes {
                     let phy = HtPhy::new(m, r);
                     let mut samples = phy.transmit(&payload);
                     awgn.apply_in_place(&mut samples, &mut rng);
-                    phy.try_receive(&samples, payload.len())
+                    phy.receive(&samples, payload.len())
                 } else {
                     let phy = HtLdpcPhy::cached(m, r);
                     let mut samples = phy.transmit(&payload);
                     awgn.apply_in_place(&mut samples, &mut rng);
-                    phy.try_receive(&samples, payload.len())
+                    phy.receive(&samples, payload.len())
                 }
             }
             2 => {
@@ -426,14 +426,14 @@ fn knee_outcomes(family: u64, idx: usize, snr_db: f64) -> Outcomes {
                 let phy = mimo_phy(cfg);
                 let ch = MimoMultipathChannel::realize(cfg.0, cfg.0, &flat, &mut rng);
                 let rx = ch.propagate(&phy.transmit(&payload), n0, &mut rng).unwrap();
-                phy.try_receive(&rx, n0, payload.len())
+                phy.receive(&rx, n0, payload.len())
             }
             _ => {
                 let (n_rx, m, r) = STBC[idx];
                 let phy = StbcOfdmPhy::new(m, r, n_rx).unwrap();
                 let ch = MimoMultipathChannel::realize(n_rx, 2, &flat, &mut rng);
                 let rx = ch.propagate(&phy.transmit(&payload), n0, &mut rng).unwrap();
-                phy.try_receive(&rx, payload.len())
+                phy.receive(&rx, payload.len())
             }
         };
         outcomes.push(&payload, decoded);

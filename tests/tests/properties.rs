@@ -268,7 +268,7 @@ fn stbc_phy_roundtrips_any_payload() {
         let phy = StbcOfdmPhy::new(Modulation::Qpsk, CodeRate::R1_2, 1).unwrap();
         let tx = phy.transmit(&payload);
         let rx: Vec<Complex> = tx[0].iter().zip(&tx[1]).map(|(&a, &b)| a + b).collect();
-        assert_eq!(phy.try_receive(&[rx], payload.len()).unwrap(), payload);
+        assert_eq!(phy.receive(&[rx], payload.len()).unwrap(), payload);
     });
 }
 
@@ -290,7 +290,7 @@ fn mimo_phy_roundtrips_any_payload() {
         .unwrap();
         let tx = phy.transmit(&payload);
         assert_eq!(
-            phy.try_receive(&tx, 1e-9, payload.len()).unwrap(),
+            phy.receive(&tx, 1e-9, payload.len()).unwrap(),
             payload,
             "n_ss {n_ss}"
         );
