@@ -237,7 +237,9 @@ done
 # examples/ or perfbench/src. A name only its own file uses is either
 # private to that file or dead code kept alive by its own unit tests:
 # make it private, or delete it with its tests. Same test-module and
-# comment rules as the scans above.
+# comment rules as the scans above. Tracing is off for the loop: each
+# check would echo the whole file list.
+set +x
 API_FILES=$(find crates tests examples perfbench/src -name '*.rs' | sort)
 API_FAIL=0
 for f in crates/*/src/*.rs; do
@@ -253,4 +255,5 @@ for f in crates/*/src/*.rs; do
         fi
     done
 done
+set -x
 [ "$API_FAIL" -eq 0 ]
