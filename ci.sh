@@ -14,7 +14,7 @@ cargo build --release --offline
 # values included) diverges with the thread count.
 WLAN_THREADS=1 cargo test -q --offline
 cargo test -q --offline
-cargo clippy --workspace --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # The benchmark (perfbench/, its own package) builds against the crates'
 # public API by path; running its self-tests here makes an API change

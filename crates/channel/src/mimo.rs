@@ -228,7 +228,7 @@ mod tests {
         let mut rng = WlanRng::seed_from_u64(163);
         let ch = MimoMultipathChannel::realize(2, 2, &PowerDelayProfile::flat(), &mut rng);
         let one = vec![Complex::ONE; 8];
-        let err = ch.propagate(&[one.clone()], 0.0, &mut rng).unwrap_err();
+        let err = ch.propagate(std::slice::from_ref(&one), 0.0, &mut rng).unwrap_err();
         assert_eq!(err, WlanError::LengthMismatch { expected: 2, got: 1 });
         let rx = ch.propagate(&[one.clone(), one], 0.0, &mut rng).unwrap();
         assert_eq!(rx.len(), 2);

@@ -298,17 +298,31 @@ pub fn sweep_per_oracle(
     sweep_per(link, snrs_db, payload_len, frames, seed)
 }
 
-/// Frames per parallel work item. Small enough that a single-point sweep
-/// still fans out, large enough that scheduling overhead stays invisible
-/// next to a PHY chain. Results never depend on this value — only
-/// wall-clock does — because every frame has its own forked stream.
-const FRAMES_PER_BATCH: usize = 8;
+/// Frames per parallel work item of a sweep or a campaign wave. Small
+/// enough that a single-point sweep still fans out, large enough that
+/// scheduling overhead stays invisible next to a PHY chain. Results never
+/// depend on this value — only wall-clock does — because every frame has
+/// its own forked stream.
+pub const FRAMES_PER_BATCH: usize = 8;
 
-/// Error counts from one batch of frame trials at one SNR point.
-#[derive(Debug, Clone, Copy, Default)]
-struct TrialTally {
-    errors: usize,
-    erasures: usize,
+/// Integer tallies of a run of frame trials at one SNR point. Integers
+/// sum in any grouping, so batches and rounds fold order-independently.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoundTally {
+    /// Frame trials run.
+    pub trials: u64,
+    /// Frames the receiver got wrong (silent corruption plus erasures).
+    pub errors: u64,
+    /// Trials ending in a typed erasure.
+    pub erasures: u64,
+}
+
+impl std::ops::AddAssign for RoundTally {
+    fn add_assign(&mut self, rhs: Self) {
+        self.trials += rhs.trials;
+        self.errors += rhs.errors;
+        self.erasures += rhs.erasures;
+    }
 }
 
 /// Runs the single sweep trial at stream coordinates `(point, frame)`.
@@ -377,28 +391,34 @@ pub fn flow_verdicts(
     )
 }
 
-/// Runs frames `frame_range` of point `point` (integer counts only, so the
-/// per-point reduction over batches is order-independent).
-fn run_frame_batch(
+/// Runs frames `frames` of one point through [`frame_trial_at`]: the
+/// one frame-tally loop behind sweeps, campaign waves and fleet leases.
+/// Returns the tally and the typed erasures as `(frame, error)` in frame
+/// order. The loop itself allocates and formats nothing per frame; only
+/// an erasure pushes.
+pub fn run_frames(
     link: &dyn PhyLink,
     faults: &FaultChain,
     snr_db: f64,
     payload_len: usize,
     point_rng: &WlanRng,
-    frame_range: std::ops::Range<usize>,
-) -> TrialTally {
-    let mut tally = TrialTally::default();
-    for frame in frame_range {
-        match frame_trial_at(link, faults, snr_db, payload_len, point_rng, frame as u64) {
+    frames: std::ops::Range<u64>,
+) -> (RoundTally, Vec<(u64, WlanError)>) {
+    let mut tally = RoundTally::default();
+    let mut erasures = Vec::new();
+    for frame in frames {
+        tally.trials += 1;
+        match frame_trial_at(link, faults, snr_db, payload_len, point_rng, frame) {
             Ok(true) => {}
             Ok(false) => tally.errors += 1,
-            Err(_) => {
+            Err(e) => {
                 tally.errors += 1;
                 tally.erasures += 1;
+                erasures.push((frame, e));
             }
         }
     }
-    tally
+    (tally, erasures)
 }
 
 /// Sweeps SNR under a fault chain, counting typed erasures separately
@@ -438,22 +458,16 @@ pub fn sweep_per_faulted(
         .collect();
 
     let tallies = par::parallel_map(&work, |_, (point, frame_range)| {
-        run_frame_batch(
-            link,
-            faults,
-            snrs_db[*point],
-            payload_len,
-            &master.fork(*point as u64),
-            frame_range.clone(),
-        )
+        let frames = frame_range.start as u64..frame_range.end as u64;
+        let point_rng = master.fork(*point as u64);
+        run_frames(link, faults, snrs_db[*point], payload_len, &point_rng, frames).0
     });
 
     // Deterministic reduction: integer sums per point, folded in work-item
     // order.
-    let mut totals: Vec<TrialTally> = vec![TrialTally::default(); snrs_db.len()];
-    for ((point, _), tally) in work.iter().zip(&tallies) {
-        totals[*point].errors += tally.errors;
-        totals[*point].erasures += tally.erasures;
+    let mut totals = vec![RoundTally::default(); snrs_db.len()];
+    for ((point, _), tally) in work.iter().zip(tallies) {
+        totals[*point] += tally;
     }
 
     let points = snrs_db

@@ -17,13 +17,14 @@
 //!   uses. So lease results do not depend on which worker ran them, how
 //!   many times they were re-dispatched, or whether they fell back
 //!   in-process.
-//! * The coordinator folds results *in frame order per point* (a lease
-//!   completing out of order waits in a buffer until the point's
-//!   frontier reaches it) and applies
-//!   [`evaluate_status`](wlan_runner::per::evaluate_status) after every
-//!   folded round — the same pure stopping rule at the same round
-//!   boundaries. Rounds past a stopping decision are discarded unfolded,
-//!   exactly as the single-process campaign would never have run them.
+//! * The coordinator holds the single-process campaign's own state, a
+//!   [`PerProgress`], and folds results *in frame order per point* (a
+//!   lease completing out of order waits in a buffer until the point's
+//!   frontier reaches it), one [`PerProgress::fold_round`] per round —
+//!   the same fold, and so the same pure stopping rule at the same round
+//!   boundaries, that the single-process wave applies. Rounds past a
+//!   stopping decision are discarded unfolded, exactly as the
+//!   single-process campaign would never have run them.
 //! * Therefore per-point tallies, stopping decisions, and the trial
 //!   quarantine ledger are bit-identical to the single-process
 //!   campaign's for **any** worker count and **any** kill schedule —
@@ -44,19 +45,28 @@ use wlan_math::rng::{Rng, WlanRng};
 use wlan_obs::json;
 use wlan_runner::budget::{BudgetMeter, Outcome, StopReason};
 use wlan_runner::journal::{self, f64_from_hex, f64_to_hex, kv_u64, JournalError};
-use wlan_core::linksim::PhyLink;
+use wlan_core::linksim::{PhyLink, RoundTally};
 use wlan_fault::FaultChain;
 use wlan_runner::campaign;
-use wlan_runner::per::{
-    evaluate_status, PerCampaignConfig, PerProgress, PointProgress, PointStatus, ROUND_TRIALS,
-};
+use wlan_runner::per::{PerCampaignConfig, PerProgress, PointProgress, PointStatus, ROUND_TRIALS};
 use wlan_runner::quarantine::QuarantinedTrial;
 use wlan_runner::Resume;
 
 use crate::catalog::{FaultSpec, LinkSpec};
 use crate::duplex::{pipe, relay, PipeCloser};
-use crate::proto::{read_msg, write_msg, Msg, ProtoError, RoundTally};
-use crate::worker::{run_lease, serve, LeaseJob};
+use crate::proto::{read_msg, write_msg, Msg, ProtoError};
+use crate::worker::{run_lease, serve};
+
+/// Rounds of [`ROUND_TRIALS`] trials per lease.
+pub const LEASE_ROUNDS: u64 = 4;
+/// Outstanding leases per point (pipelining depth).
+pub const SPECULATION: usize = 2;
+/// At-most-K dispatch: a lease failing this many times is quarantined
+/// and its point abandoned.
+pub const MAX_DISPATCHES: u32 = 3;
+/// Base re-dispatch backoff; doubles per attempt, plus deterministic
+/// jitter in `[0, backoff/2)`.
+pub const RETRY_BACKOFF_MS: u64 = 50;
 
 /// Configuration for a distributed PER campaign: the underlying
 /// campaign plus the fleet geometry and failure-handling knobs.
@@ -67,19 +77,11 @@ pub struct DistConfig {
     pub per: PerCampaignConfig,
     /// Worker fleet size; `0` means pure in-process execution.
     pub workers: usize,
-    /// Rounds of [`ROUND_TRIALS`] trials per lease.
-    pub lease_rounds: u64,
     /// A lease (or a pending hello) past this deadline kills its worker.
     pub lease_timeout_ms: u64,
     /// Ping cadence for idle workers; an idle worker silent for four
     /// heartbeats is declared dead.
     pub heartbeat_ms: u64,
-    /// At-most-K dispatch: a lease failing this many times is
-    /// quarantined and its point abandoned.
-    pub max_dispatches: u32,
-    /// Base re-dispatch backoff; doubles per attempt, plus
-    /// deterministic jitter in `[0, backoff/2)`.
-    pub retry_backoff_ms: u64,
     /// Run leases in-process when no worker survives (graceful
     /// degradation). With this off, losing the whole fleet abandons the
     /// campaign instead.
@@ -88,8 +90,6 @@ pub struct DistConfig {
     pub chaos_kill_after_ms: Option<u64>,
     /// How many workers the chaos kill takes down.
     pub chaos_kill_count: usize,
-    /// Outstanding leases per point (pipelining depth).
-    pub speculation: usize,
 }
 
 impl DistConfig {
@@ -98,15 +98,11 @@ impl DistConfig {
         Self {
             per,
             workers,
-            lease_rounds: 4,
             lease_timeout_ms: 30_000,
             heartbeat_ms: 500,
-            max_dispatches: 3,
-            retry_backoff_ms: 50,
             fallback_in_process: true,
             chaos_kill_after_ms: None,
             chaos_kill_count: 1,
-            speculation: 2,
         }
     }
 
@@ -374,8 +370,8 @@ pub struct DistPerReport {
     /// Leases abandoned after exhausting their dispatch budget, in
     /// `(point, start)` order.
     pub lease_quarantine: Vec<QuarantinedLease>,
-    /// Whether the campaign finished, aggregated across all points via
-    /// [`Outcome::merge`].
+    /// Whether the campaign finished; a partial outcome counts the trials
+    /// banked and owed across all points.
     pub outcome: Outcome,
     /// How this invocation started (fresh / resumed / salvaged / cold).
     pub resume: Resume,
@@ -645,21 +641,18 @@ impl Fleet {
     }
 }
 
-/// Everything the coordinator mutates while the fleet runs.
 /// A validated lease result buffered until the fold frontier reaches
 /// it: the per-round tallies plus the quarantined `(frame, error)`
 /// pairs.
 type LeaseResult = (Vec<RoundTally>, Vec<(u64, String)>);
 
+/// Everything the coordinator mutates while the fleet runs.
 struct Coord<'a> {
     cfg: &'a DistConfig,
     fleet: &'a mut Fleet,
     link_id: String,
     fault_id: String,
-    snrs: Vec<f64>,
-    points: Vec<PointProgress>,
-    quarantine: Vec<QuarantinedTrial>,
-    seen_quars: HashSet<(usize, u64)>,
+    progress: PerProgress,
     lease_quarantine: Vec<QuarantinedLease>,
     abandoned: HashSet<usize>,
     leases: BTreeMap<u64, Lease>,
@@ -672,10 +665,6 @@ struct Coord<'a> {
 impl Coord<'_> {
     fn emit(&self, event: &str, fields: &[(&str, json::Value)]) {
         self.obs.event(event, fields);
-    }
-
-    fn alive_workers(&self) -> usize {
-        self.fleet.alive_workers()
     }
 
     /// Takes credit for workers the fleet attached since the last call
@@ -747,11 +736,11 @@ impl Coord<'_> {
     }
 
     fn point_resolved(&self, p: usize) -> bool {
-        self.points[p].status != PointStatus::Active || self.abandoned.contains(&p)
+        self.progress.points[p].status != PointStatus::Active || self.abandoned.contains(&p)
     }
 
     fn all_resolved(&self) -> bool {
-        (0..self.points.len()).all(|p| self.point_resolved(p))
+        (0..self.progress.points.len()).all(|p| self.point_resolved(p))
     }
 
     /// Declares worker `w` dead: kills it, frees its slot, and fails
@@ -793,7 +782,7 @@ impl Coord<'_> {
         lease.worker = None;
         lease.quars.clear();
         lease.last_error = reason.to_owned();
-        if lease.attempts >= self.cfg.max_dispatches {
+        if lease.attempts >= MAX_DISPATCHES {
             lease.state = LeaseState::Quarantined;
             let (point, start, end, attempts, error) = (
                 lease.point,
@@ -804,7 +793,7 @@ impl Coord<'_> {
             );
             self.lease_quarantine.push(QuarantinedLease {
                 point,
-                snr_db: self.snrs[point],
+                snr_db: self.cfg.per.snrs_db[point],
                 start,
                 end,
                 attempts,
@@ -818,14 +807,17 @@ impl Coord<'_> {
                     ("attempts", json::Value::U64(attempts as u64)),
                 ],
             );
-            self.abandon_point(point);
+            // Abandon the point: its banked tallies stay (an exact
+            // prefix); its remaining trials become `Partial { remaining }`.
+            self.abandoned.insert(point);
+            self.cancel_point_leases(point);
         } else {
             // Exponential backoff with deterministic jitter: the jitter
             // stream is a pure function of (seed, lease, attempt), so a
             // replayed failure schedule backs off identically.
             let attempts = lease.attempts;
             let shift = (attempts.saturating_sub(1)).min(10);
-            let base = self.cfg.retry_backoff_ms.saturating_mul(1 << shift);
+            let base = RETRY_BACKOFF_MS.saturating_mul(1 << shift);
             let jitter = (WlanRng::seed_from_u64(self.cfg.per.seed ^ 0x9e37_79b9_7f4a_7c15)
                 .fork(id)
                 .fork(attempts as u64)
@@ -844,14 +836,6 @@ impl Coord<'_> {
                 ],
             );
         }
-    }
-
-    /// Abandons a point: its outstanding leases are cancelled and no
-    /// new ones are created. Its banked tallies stay (they are an exact
-    /// prefix); its remaining trials become `Partial { remaining }`.
-    fn abandon_point(&mut self, point: usize) {
-        self.abandoned.insert(point);
-        self.cancel_point_leases(point);
     }
 
     fn cancel_point_leases(&mut self, point: usize) {
@@ -984,20 +968,18 @@ impl Coord<'_> {
     }
 
     /// Folds completed leases into the per-point tallies, in frame
-    /// order, applying the stopping rule at every round boundary.
-    /// Returns the number of rounds folded (any fold is checkpointed).
+    /// order, one [`PerProgress::fold_round`] per round — the stopping
+    /// rule runs at every round boundary. Returns the number of rounds
+    /// folded (any fold is checkpointed).
     fn fold(&mut self, meter: &mut BudgetMeter) -> u64 {
         let mut folded = 0u64;
-        for p in 0..self.points.len() {
-            'point: while self.points[p].status == PointStatus::Active
-                && !self.abandoned.contains(&p)
-            {
-                let pos = self.points[p].trials;
-                let Some((rounds, quars)) = self.completed.remove(&(p, pos)) else {
+        for p in 0..self.progress.points.len() {
+            while !self.point_resolved(p) {
+                let mut round_start = self.progress.points[p].trials;
+                let Some((rounds, quars)) = self.completed.remove(&(p, round_start)) else {
                     break;
                 };
-                let mut off = 0u64;
-                for r in &rounds {
+                for r in rounds {
                     // The budget caps trials *banked*, checked at the
                     // same round granularity the single-process wave
                     // loop uses; surplus results a worker already
@@ -1006,36 +988,19 @@ impl Coord<'_> {
                     if meter.exhausted().is_some() {
                         return folded;
                     }
-                    let round_start = pos + off;
-                    let round_end = round_start + r.trials;
-                    let pt = &mut self.points[p];
-                    pt.trials += r.trials;
-                    pt.errors += r.errors;
-                    pt.erasures += r.erasures;
+                    let round = round_start..round_start + r.trials;
+                    round_start = round.end;
                     meter.add_trials(r.trials);
                     folded += 1;
-                    for (frame, error) in &quars {
-                        if (round_start..round_end).contains(frame)
-                            && self.seen_quars.insert((p, *frame))
-                        {
-                            self.quarantine.push(QuarantinedTrial {
-                                seed: self.cfg.per.seed,
-                                point: p,
-                                snr_db: self.snrs[p],
-                                frame: *frame,
-                                error: error.clone(),
-                            });
-                        }
-                    }
-                    let status = evaluate_status(&self.points[p], &self.cfg.per);
-                    self.points[p].status = status;
+                    let erasures = quars.iter().filter(|(f, _)| round.contains(f));
+                    let erasures = erasures.map(|(f, e)| (*f, e));
+                    let status = self.progress.fold_round(&self.cfg.per, p, r, erasures);
                     if status != PointStatus::Active {
                         // The single-process campaign never runs past a
                         // stopping decision; discard the rest unfolded.
                         self.cancel_point_leases(p);
-                        break 'point;
+                        break;
                     }
-                    off += r.trials;
                 }
             }
         }
@@ -1045,7 +1010,7 @@ impl Coord<'_> {
     /// Creates new wave-aligned leases up to the speculation depth for
     /// every point that still owes trials.
     fn create_leases(&mut self, now: Instant) {
-        for p in 0..self.points.len() {
+        for p in 0..self.progress.points.len() {
             if self.point_resolved(p) {
                 continue;
             }
@@ -1064,7 +1029,7 @@ impl Coord<'_> {
                 // unboundedly ahead. Folded leases stay `Done` in the
                 // map but no longer hold a buffered result, so they
                 // must not count — they would starve the point of new
-                // leases once the first `speculation` folded.
+                // leases once the first `SPECULATION` folded.
                 let done_waiting = self
                     .leases
                     .values()
@@ -1074,7 +1039,7 @@ impl Coord<'_> {
                             && self.completed.contains_key(&(l.point, l.start))
                     })
                     .count();
-                if outstanding + done_waiting >= self.cfg.speculation.max(1)
+                if outstanding + done_waiting >= SPECULATION
                     || self.dispatched[p] >= self.cfg.per.max_frames
                 {
                     break;
@@ -1084,7 +1049,7 @@ impl Coord<'_> {
                     .cfg
                     .per
                     .max_frames
-                    .min(start + self.cfg.lease_rounds.max(1) * ROUND_TRIALS);
+                    .min(start + LEASE_ROUNDS * ROUND_TRIALS);
                 self.dispatched[p] = end;
                 let id = self.fleet.next_lease;
                 self.fleet.next_lease += 1;
@@ -1238,7 +1203,7 @@ impl Coord<'_> {
             payload_len: self.cfg.per.payload_len,
             link: self.link_id.clone(),
             fault: self.fault_id.clone(),
-            snrs: self.snrs.clone(),
+            snrs: self.cfg.per.snrs_db.clone(),
         }
     }
 
@@ -1256,32 +1221,18 @@ impl Coord<'_> {
         lease.state = LeaseState::Done;
         lease.attempts += 1;
         let (point, start, end) = (lease.point, lease.start, lease.end);
-        let (rounds, quars) = run_lease(
-            link,
-            faults,
-            self.cfg.per.seed,
-            self.cfg.per.payload_len,
-            LeaseJob {
-                point,
-                snr_db: self.snrs[point],
-                start,
-                end,
-            },
-        );
-        self.completed.insert((point, start), (rounds, quars));
+        let per = &self.cfg.per;
+        let snr_db = per.snrs_db[point];
+        let result = run_lease(link, faults, per.seed, per.payload_len, point, snr_db, start..end);
+        self.completed.insert((point, start), result);
         self.stats.fallback_leases += 1;
         self.stats.leases_completed += 1;
     }
 
-    /// Journal body lines: ledgers first, tallies after — the same
-    /// salvage-consistency ordering the single-process campaign uses
-    /// (lost tallies re-run and their quarantine entries deduplicate; a
-    /// tally never survives without its ledger entries).
+    /// Journal body lines: the PER body with the `qlease` ledger between
+    /// trial ledger and tallies (see [`PerProgress::encode`]).
     fn journal_body(&self) -> Vec<String> {
-        let mut body: Vec<String> = self.quarantine.iter().map(QuarantinedTrial::to_line).collect();
-        body.extend(self.lease_quarantine.iter().map(QuarantinedLease::to_line));
-        body.extend(self.points.iter().enumerate().map(|(i, p)| p.to_line(i)));
-        body
+        self.progress.encode(self.lease_quarantine.iter().map(QuarantinedLease::to_line))
     }
 }
 
@@ -1302,9 +1253,8 @@ impl Coord<'_> {
 ///
 /// # Panics
 ///
-/// Panics on a vacuous configuration, with the same preconditions as
-/// the single-process campaign (no SNR points, zero payload, zero
-/// frames).
+/// Panics on a vacuous configuration (see
+/// [`PerCampaignConfig::assert_valid`]).
 pub fn run_dist_per_campaign(
     link_spec: LinkSpec,
     fault_spec: FaultSpec,
@@ -1343,10 +1293,7 @@ pub fn run_dist_per_campaign_on(
     key_suffix: &str,
     stop: Option<&std::sync::atomic::AtomicBool>,
 ) -> DistPerReport {
-    assert!(!cfg.per.snrs_db.is_empty(), "need at least one SNR point");
-    assert!(cfg.per.payload_len > 0, "payload must be nonempty");
-    assert!(cfg.per.max_frames > 0, "need at least one frame per point");
-    assert!(cfg.per.min_frames > 0, "min_frames must be at least 1");
+    cfg.per.assert_valid();
 
     let link = link_spec.build();
     let faults = fault_spec.build();
@@ -1357,34 +1304,23 @@ pub fn run_dist_per_campaign_on(
         cfg.per.journal_key(link.as_ref(), &faults)
     );
 
-    // PER's restore ladder and body decoder, plus the two dist extras:
-    // `qlease` ledger lines are validated but *not* restored (a
-    // re-invocation retries abandoned ranges fresh rather than
-    // inheriting last run's fleet failures), and every restored frontier
-    // must sit on the lease grid, since distributed folds stop only at
-    // round boundaries.
+    // PER's restore ladder and body decoder. `qlease` ledger lines are
+    // validated but *not* restored: a re-invocation retries abandoned
+    // ranges fresh rather than inheriting last run's fleet failures.
     let journal_path = cfg.per.journal.as_deref();
-    let on_grid =
-        |p: &PointProgress| p.trials.is_multiple_of(ROUND_TRIALS) || p.trials == cfg.per.max_frames;
-    let (PerProgress { points, quarantine, .. }, resume) = campaign::restore(
+    let (progress, resume) = campaign::restore(
         journal_path,
         &key,
         true,
         || PerProgress::fresh(&cfg.per),
         |body, complete| {
-            let mut progress = PerProgress::default();
-            journal::decode_lines(body, |line| {
-                if line.starts_with("qlease ") {
-                    QuarantinedLease::from_line(line).is_some()
-                } else {
-                    progress.decode_line(&cfg.per, line) && progress.points.last().is_none_or(on_grid)
-                }
-            })?;
-            progress.finish(&cfg.per, complete)
+            PerProgress::decode(&cfg.per, body, complete, |line| {
+                QuarantinedLease::from_line(line).is_some()
+            })
         },
         PerProgress::trials,
     );
-    let banked: u64 = points.iter().map(|p| p.trials).sum();
+    let banked = progress.trials();
     let mut meter = BudgetMeter::resumed(cfg.per.budget, banked);
     let mut journal_error: Option<JournalError> = None;
     let mut checkpoint = |coord: &Coord| {
@@ -1398,17 +1334,12 @@ pub fn run_dist_per_campaign_on(
     let obs = wlan_obs::global();
     let start = Instant::now();
 
-    let seen_quars: HashSet<(usize, u64)> =
-        quarantine.iter().map(|q| (q.point, q.frame)).collect();
     let mut coord = Coord {
         cfg,
         fleet,
         link_id: link_spec.id(),
         fault_id: fault_spec.id(),
-        snrs: cfg.per.snrs_db.clone(),
-        points,
-        quarantine,
-        seen_quars,
+        progress,
         lease_quarantine: Vec::new(),
         abandoned: HashSet::new(),
         leases: BTreeMap::new(),
@@ -1425,7 +1356,7 @@ pub fn run_dist_per_campaign_on(
     for w in 0..coord.fleet.slots.len() {
         coord.send_hello(w, start);
     }
-    coord.dispatched = coord.points.iter().map(|p| p.trials).collect();
+    coord.dispatched = coord.progress.points.iter().map(|p| p.trials).collect();
 
     obs.event(
         "campaign_start",
@@ -1495,7 +1426,7 @@ pub fn run_dist_per_campaign_on(
         coord.create_leases(now);
         coord.dispatch(now);
 
-        if coord.alive_workers() == 0 {
+        if coord.fleet.alive_workers() == 0 {
             if !cfg.fallback_in_process {
                 break Some(StopReason::Abandoned);
             }
@@ -1526,35 +1457,22 @@ pub fn run_dist_per_campaign_on(
     // exit state; a complete one re-loads as complete.
     checkpoint(&coord);
 
-    let mut outcome = Outcome::Complete;
-    for (p, pt) in coord.points.iter().enumerate() {
-        if pt.status == PointStatus::Active {
-            let reason = if coord.abandoned.contains(&p) {
-                StopReason::Abandoned
-            } else {
-                stop_reason.unwrap_or(StopReason::Abandoned)
-            };
-            outcome = outcome.merge(Outcome::Partial {
-                completed: pt.trials,
-                remaining: cfg.per.max_frames - pt.trials,
-                reason,
-            });
-        }
-    }
-    // `merge` summed only the unfinished points' trials; report
-    // `completed` over the whole campaign, finished points included.
-    if let Outcome::Partial {
-        remaining, reason, ..
-    } = outcome
-    {
-        outcome = Outcome::Partial {
-            completed: coord.points.iter().map(|p| p.trials).sum(),
-            remaining,
-            reason,
-        };
-    }
+    // The first unfinished point names the reason: its own abandonment,
+    // else whatever ended the loop.
+    let unfinished = coord.progress.points.iter().position(|p| p.status == PointStatus::Active);
+    let outcome = match unfinished {
+        None => Outcome::Complete,
+        Some(p) => Outcome::Partial {
+            completed: coord.progress.trials(),
+            remaining: coord.progress.remaining(&cfg.per),
+            reason: match stop_reason {
+                Some(reason) if !coord.abandoned.contains(&p) => reason,
+                _ => StopReason::Abandoned,
+            },
+        },
+    };
 
-    coord.quarantine.sort_by_key(|q| (q.point, q.frame));
+    coord.progress.quarantine.sort_by_key(|q| (q.point, q.frame));
     coord.lease_quarantine.sort_by_key(|q| (q.point, q.start));
 
     obs.event(
@@ -1562,12 +1480,9 @@ pub fn run_dist_per_campaign_on(
         &[
             ("kind", json::Value::Str("dist_per".into())),
             ("complete", json::Value::Bool(outcome.is_complete())),
-            (
-                "banked_trials",
-                json::Value::U64(coord.points.iter().map(|p| p.trials).sum()),
-            ),
+            ("banked_trials", json::Value::U64(coord.progress.trials())),
             ("worker_deaths", json::Value::U64(coord.stats.worker_deaths)),
-            ("quarantined", json::Value::U64(coord.quarantine.len() as u64)),
+            ("quarantined", json::Value::U64(coord.progress.quarantine.len() as u64)),
         ],
     );
 
@@ -1576,8 +1491,8 @@ pub fn run_dist_per_campaign_on(
         fault: faults.name(),
         rate_mbps: link.rate_mbps(),
         seed: cfg.per.seed,
-        points: coord.points,
-        quarantine: coord.quarantine,
+        points: coord.progress.points,
+        quarantine: coord.progress.quarantine,
         lease_quarantine: coord.lease_quarantine,
         outcome,
         resume,
@@ -1599,7 +1514,7 @@ mod tests {
     }
 
     fn sorted_quarantine(mut q: Vec<QuarantinedTrial>) -> Vec<QuarantinedTrial> {
-        q.sort_by(|a, b| (a.point, a.frame).cmp(&(b.point, b.frame)));
+        q.sort_by_key(|q| (q.point, q.frame));
         q
     }
 
@@ -1623,7 +1538,7 @@ mod tests {
         assert_eq!(report.stats.worker_deaths, 0);
     }
 
-    /// Points longer than `speculation × lease_rounds × 32` frames need
+    /// Points longer than `SPECULATION × LEASE_ROUNDS × 32` frames need
     /// the coordinator to keep minting leases *after* the first batch
     /// folds. (Regression: folded leases stay `Done` in the lease map;
     /// counting them against the speculation depth starved every long
@@ -1632,8 +1547,8 @@ mod tests {
     fn long_points_keep_leasing_past_the_speculation_depth() {
         let spec = LinkSpec::Fhss;
         let fault = FaultSpec::Clean;
-        // 320 frames per point: with lease_rounds=4 (128 trials) and
-        // speculation=2, completing a point takes 3 lease generations.
+        // 320 frames per point: with LEASE_ROUNDS = 4 (128 trials) and
+        // SPECULATION = 2, completing a point takes 3 lease generations.
         let per = PerCampaignConfig::new(&[2.0, 5.0], 20, 320, 99)
             .with_budget(Budget::unlimited())
             .with_threads(1);
@@ -1848,25 +1763,26 @@ mod tests {
     fn multi_round_leases_get_scaled_deadlines() {
         let spec = LinkSpec::Fhss;
         let fault = FaultSpec::Clean;
-        // One point of 256 frames, leased as a single 8-round lease.
+        // One point of 256 frames, leased as two 4-round leases.
         let per = PerCampaignConfig::new(&[2.0], 20, 256, 99)
             .with_budget(Budget::unlimited())
             .with_threads(1);
         let baseline = run_per_campaign(&*spec.build(), &fault.build(), &per);
 
         // Every worker→coordinator line crosses a relay that stalls it
-        // 500 ms (and lines queue serially behind each other): far over
-        // the old flat 300 ms deadline, comfortably under the scaled
-        // 8 × 300 ms one.
-        let mut cfg = DistConfig::new(per, 1)
-            .with_lease_timeout_ms(300)
+        // 800 ms, and lines queue serially: a lease's `done` waits behind
+        // the `ready` of the hello resent at 700 ms. That is over the old
+        // flat 700 ms deadline and comfortably under the scaled 4 × 700
+        // ms one. The long heartbeat keeps a `pong` out of the queue.
+        let cfg = DistConfig::new(per, 1)
+            .with_lease_timeout_ms(700)
+            .with_heartbeat_ms(5_000)
             .without_fallback();
-        cfg.lease_rounds = 8;
         let mut factory = InProcessFactory {
             to_worker: TransportFaults::none(),
             from_worker: TransportFaults {
                 stall: 1.0,
-                stall_ms: 500,
+                stall_ms: 800,
                 ..TransportFaults::none()
             },
             relay_seed: 0,

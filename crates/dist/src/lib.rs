@@ -55,9 +55,9 @@ pub use coord::{
     run_dist_per_campaign, run_dist_per_campaign_on, DistConfig, DistPerReport, DistStats, Fleet,
     InProcessFactory, ProcessFactory, QuarantinedLease, WorkerFactory, WorkerIo,
 };
-pub use proto::{Msg, ProtoError, RoundTally};
+pub use proto::{Msg, ProtoError};
 pub use service::{run_campaign_service, Acceptor, ServeCampaign, ServeConfig, ServeReport};
 pub use transport::{
     connect_role, connect_worker, run_tcp_worker, server_handshake, Role, WorkerOpts,
 };
-pub use worker::{run_lease, serve, LeaseJob, ServeEnd};
+pub use worker::{run_lease, serve, ServeEnd};

@@ -34,6 +34,7 @@
 
 use std::io::{BufRead, Write};
 
+use wlan_core::linksim::RoundTally;
 use wlan_runner::journal::{f64_from_hex, f64_to_hex, fnv1a64, kv, kv_u64};
 
 /// Frame prefix magic.
@@ -177,18 +178,6 @@ pub fn read_msg(r: &mut impl BufRead) -> Result<Option<Msg>, ProtoError> {
             Msg::parse(text).ok_or(ProtoError::UnknownMessage).map(Some)
         }
     }
-}
-
-/// Integer tallies for one round (≤ `ROUND_TRIALS` frame trials) of a
-/// lease: `(trials, errors, erasures)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundTally {
-    /// Frame trials run in this round.
-    pub trials: u64,
-    /// Frames the receiver got wrong.
-    pub errors: u64,
-    /// Trials ending in a typed erasure.
-    pub erasures: u64,
 }
 
 /// Every protocol message. Coordinator→worker: `Hello`, `Lease`,

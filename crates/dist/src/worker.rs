@@ -2,10 +2,13 @@
 //!
 //! A worker is the same binary as the coordinator, re-invoked in worker
 //! mode: it reads protocol frames from stdin, runs leased trial ranges,
-//! and writes results to stdout. It holds *no* campaign state beyond
-//! the `hello` configuration — every lease names its exact trial range,
-//! so a worker can die at any instant and lose nothing the coordinator
-//! cannot re-dispatch.
+//! and writes results to stdout. A lease runs as rounds of the one
+//! frame-tally loop every PER path shares
+//! ([`run_frames`](wlan_core::linksim::run_frames)), so a worker computes
+//! nothing a single-process wave would not. It holds *no* campaign state
+//! beyond the `hello` configuration — every lease names its exact trial
+//! range, so a worker can die at any instant and lose nothing the
+//! coordinator cannot re-dispatch.
 //!
 //! Workers are deliberately forgiving on input: a damaged frame (the
 //! chaos relay bit-flips and truncates) is skipped, not fatal — the
@@ -14,14 +17,15 @@
 //! the worker, because both mean the coordinator is gone.
 
 use std::io::{BufReader, Read, Write};
+use std::ops::Range;
 
-use wlan_core::linksim::{frame_trial_at, PhyLink};
+use wlan_core::linksim::{run_frames, PhyLink, RoundTally};
 use wlan_fault::FaultChain;
 use wlan_math::rng::WlanRng;
 use wlan_runner::per::ROUND_TRIALS;
 
 use crate::catalog::{FaultSpec, LinkSpec};
-use crate::proto::{read_msg, write_msg, Msg, ProtoError, RoundTally};
+use crate::proto::{read_msg, write_msg, Msg, ProtoError};
 
 /// Campaign identity a worker reconstructs from [`Msg::Hello`].
 struct WorkerState {
@@ -32,22 +36,9 @@ struct WorkerState {
     snrs: Vec<f64>,
 }
 
-/// The coordinates of one lease execution: which point, at what SNR,
-/// over which wave-aligned frame range.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeaseJob {
-    /// SNR point index (the RNG stream id).
-    pub point: usize,
-    /// SNR in dB at that point.
-    pub snr_db: f64,
-    /// First frame of the leased range.
-    pub start: u64,
-    /// One past the last frame.
-    pub end: u64,
-}
-
-/// Runs one lease's trials: rounds of [`ROUND_TRIALS`] frames aligned
-/// from `job.start`, each trial drawing its universe from
+/// Runs frames `frames` of point `point` (at `snr_db`) as rounds of
+/// [`ROUND_TRIALS`] frames aligned from `frames.start`, one
+/// [`run_frames`] call per round. Each trial draws its universe from
 /// `seed → fork(point) → fork(frame)` — the identical stream addressing
 /// the single-process campaign uses, which is what makes lease results
 /// independent of *which* worker runs them, how often they are
@@ -60,39 +51,18 @@ pub fn run_lease(
     faults: &FaultChain,
     seed: u64,
     payload_len: usize,
-    job: LeaseJob,
+    point: usize,
+    snr_db: f64,
+    frames: Range<u64>,
 ) -> (Vec<RoundTally>, Vec<(u64, String)>) {
-    let LeaseJob {
-        point,
-        snr_db,
-        start,
-        end,
-    } = job;
     let point_rng = WlanRng::seed_from_u64(seed).fork(point as u64);
     let mut rounds = Vec::new();
     let mut quars = Vec::new();
-    let mut frame = start;
-    while frame < end {
-        let round_end = end.min(frame + ROUND_TRIALS);
-        let mut tally = RoundTally {
-            trials: 0,
-            errors: 0,
-            erasures: 0,
-        };
-        while frame < round_end {
-            tally.trials += 1;
-            match frame_trial_at(link, faults, snr_db, payload_len, &point_rng, frame) {
-                Ok(true) => {}
-                Ok(false) => tally.errors += 1,
-                Err(e) => {
-                    tally.errors += 1;
-                    tally.erasures += 1;
-                    quars.push((frame, e.to_string()));
-                }
-            }
-            frame += 1;
-        }
+    for start in frames.clone().step_by(ROUND_TRIALS as usize) {
+        let round = start..frames.end.min(start + ROUND_TRIALS);
+        let (tally, erasures) = run_frames(link, faults, snr_db, payload_len, &point_rng, round);
         rounds.push(tally);
+        quars.extend(erasures.into_iter().map(|(frame, e)| (frame, e.to_string())));
     }
     (rounds, quars)
 }
@@ -172,12 +142,9 @@ pub fn serve(input: impl Read, output: impl Write) -> ServeEnd {
                     &st.faults,
                     st.seed,
                     st.payload_len,
-                    LeaseJob {
-                        point,
-                        snr_db,
-                        start,
-                        end,
-                    },
+                    point,
+                    snr_db,
+                    start..end,
                 );
                 for (frame, error) in quars {
                     let msg = Msg::QuarTrial {
@@ -212,15 +179,6 @@ mod tests {
     use crate::proto::encode_frame;
     use std::io::Cursor;
     use wlan_core::linksim::FhssLink;
-
-    fn job(point: usize, snr_db: f64, start: u64, end: u64) -> LeaseJob {
-        LeaseJob {
-            point,
-            snr_db,
-            start,
-            end,
-        }
-    }
 
     fn hello() -> Msg {
         Msg::Hello {
@@ -264,7 +222,7 @@ mod tests {
             panic!("expected done, got {out:?}");
         };
         assert_eq!(*lease, 7);
-        let direct = run_lease(&FhssLink, &FaultChain::clean(), 99, 20, job(1, 5.0, 0, 64));
+        let direct = run_lease(&FhssLink, &FaultChain::clean(), 99, 20, 1, 5.0, 0..64);
         assert_eq!(*rounds, direct.0, "served lease must equal direct run");
         assert_eq!(rounds.len(), 2);
         assert!(rounds.iter().all(|r| r.trials == 32));
@@ -275,8 +233,8 @@ mod tests {
         // The same lease run twice (as by two different workers after a
         // re-dispatch) is bit-identical.
         let l = FhssLink;
-        let a = run_lease(&l, &FaultChain::clean(), 42, 20, job(0, 3.0, 32, 160));
-        let b = run_lease(&l, &FaultChain::clean(), 42, 20, job(0, 3.0, 32, 160));
+        let a = run_lease(&l, &FaultChain::clean(), 42, 20, 0, 3.0, 32..160);
+        let b = run_lease(&l, &FaultChain::clean(), 42, 20, 0, 3.0, 32..160);
         assert_eq!(a, b);
     }
 
@@ -286,9 +244,9 @@ mod tests {
         // round by round: the round grid is anchored at frame 0, so any
         // lease split on a round boundary reproduces the same rounds.
         let l = FhssLink;
-        let full = run_lease(&l, &FaultChain::clean(), 7, 20, job(0, 2.0, 0, 96));
-        let first = run_lease(&l, &FaultChain::clean(), 7, 20, job(0, 2.0, 0, 32));
-        let rest = run_lease(&l, &FaultChain::clean(), 7, 20, job(0, 2.0, 32, 96));
+        let full = run_lease(&l, &FaultChain::clean(), 7, 20, 0, 2.0, 0..96);
+        let first = run_lease(&l, &FaultChain::clean(), 7, 20, 0, 2.0, 0..32);
+        let rest = run_lease(&l, &FaultChain::clean(), 7, 20, 0, 2.0, 32..96);
         let mut stitched = first.0.clone();
         stitched.extend(rest.0.clone());
         assert_eq!(full.0, stitched);

@@ -59,20 +59,17 @@ pub fn despread(chips: &[Complex]) -> Vec<Complex> {
     chips.chunks(SPREAD_FACTOR).map(despread_symbol).collect()
 }
 
-/// Aperiodic autocorrelation of the Barker sequence at integer lag `k`
-/// (unnormalized).
-pub fn autocorrelation(k: usize) -> f64 {
-    if k >= SPREAD_FACTOR {
-        return 0.0;
-    }
-    (0..SPREAD_FACTOR - k)
-        .map(|i| BARKER_11[i] * BARKER_11[i + k])
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Aperiodic autocorrelation of the Barker sequence at lag `k < 11`
+    /// (unnormalized).
+    fn autocorrelation(k: usize) -> f64 {
+        (0..SPREAD_FACTOR - k)
+            .map(|i| BARKER_11[i] * BARKER_11[i + k])
+            .sum()
+    }
 
     #[test]
     fn barker_sidelobes_are_bounded_by_one() {

@@ -93,11 +93,6 @@ impl GeProcess {
         self.bad
     }
 
-    /// Returns the chain to its initial (good) state.
-    pub fn reset(&mut self) {
-        self.bad = false;
-    }
-
     /// The parameters the chain was built with.
     pub fn params(&self) -> GeParams {
         self.params
@@ -221,16 +216,5 @@ mod tests {
         let power = wlan_math::complex::mean_power(&samples);
         // Half the samples carry ~4.0 extra power on top of the unit signal.
         assert!(power > 1.5, "mean power {power}");
-    }
-
-    #[test]
-    fn process_reset_restores_good_state() {
-        let mut chain = GeProcess::new(GeParams::new(1.0, 1.0));
-        let mut rng = WlanRng::seed_from_u64(7);
-        chain.step(&mut rng);
-        assert!(chain.is_bad());
-        chain.reset();
-        assert!(!chain.is_bad());
-        assert_eq!(chain.params(), GeParams::new(1.0, 1.0));
     }
 }

@@ -8,9 +8,9 @@
 //! throughput.
 //!
 //! [`cts_to_self_overhead_us`] returns a typed [`WlanError`] on a
-//! degenerate rate for programmatic callers like the city simulator; the
-//! throughput functions panic instead, with the input contract documented
-//! under `# Panics`. Neither can silently return NaN/∞: every input that
+//! degenerate rate for programmatic callers like the city simulator;
+//! [`erp_throughput_mbps`] panics instead, with the input contract
+//! documented under `# Panics`. Neither can silently return NaN/∞: every input that
 //! would is rejected up front. A DSSS CTS rate *faster* than the g data
 //! rate is unusual but physically meaningful (11 Mbps CCK CTS protecting a
 //! 6 Mbps OFDM frame) and is deliberately allowed — the overhead formula
@@ -84,20 +84,15 @@ pub fn erp_throughput_mbps(
     erp_core(g_rate_mbps, payload, protection, dsss_cts_rate_mbps)
 }
 
-/// The protection penalty: protected / unprotected throughput (≤ 1).
-///
-/// # Panics
-///
-/// Panics if `payload` is zero or either rate is nonpositive, infinite,
-/// or NaN.
-pub fn protection_penalty(g_rate_mbps: f64, payload: usize, dsss_cts_rate_mbps: f64) -> f64 {
-    erp_throughput_mbps(g_rate_mbps, payload, true, dsss_cts_rate_mbps)
-        / erp_throughput_mbps(g_rate_mbps, payload, false, dsss_cts_rate_mbps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The protection penalty: protected / unprotected throughput (≤ 1).
+    fn protection_penalty(g_rate_mbps: f64, payload: usize, dsss_cts_rate_mbps: f64) -> f64 {
+        erp_throughput_mbps(g_rate_mbps, payload, true, dsss_cts_rate_mbps)
+            / erp_throughput_mbps(g_rate_mbps, payload, false, dsss_cts_rate_mbps)
+    }
 
     #[test]
     fn cts_overhead_is_dominated_by_the_long_preamble() {

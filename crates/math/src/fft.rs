@@ -323,18 +323,6 @@ pub fn ifft(input: &[Complex]) -> Vec<Complex> {
     buf
 }
 
-/// Cyclically shifts the spectrum so the DC bin is centred (`fftshift`).
-///
-/// Useful when mapping OFDM subcarriers indexed `-N/2..N/2` onto FFT bins.
-pub fn fftshift(data: &[Complex]) -> Vec<Complex> {
-    let n = data.len();
-    let half = n / 2;
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&data[half..]);
-    out.extend_from_slice(&data[..half]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,13 +504,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
         let _ = fft(&vec![Complex::ZERO; 48]);
-    }
-
-    #[test]
-    fn fftshift_centres_dc() {
-        let x: Vec<Complex> = (0..8).map(|i| Complex::from_re(i as f64)).collect();
-        let sh = fftshift(&x);
-        assert_eq!(sh[4], Complex::from_re(0.0));
-        assert_eq!(sh[0], Complex::from_re(4.0));
     }
 }

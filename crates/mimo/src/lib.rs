@@ -11,7 +11,6 @@
 //!   multiplexing,
 //! - [`stbc_phy`] — an Alamouti space-time block coded OFDM frame chain
 //!   (transmit diversity),
-//! - [`mrc`] — maximal-ratio receive combining,
 //! - [`beamforming`] — closed-loop SVD transmit beamforming with
 //!   water-filling power allocation (the paper's "closed loop, transmit
 //!   side beamforming"),
@@ -34,7 +33,6 @@ pub mod detect;
 pub mod ht;
 pub mod ht_ldpc;
 pub mod mcs;
-pub mod mrc;
 pub mod phy;
 pub mod stbc_phy;
 

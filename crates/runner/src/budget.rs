@@ -141,40 +141,6 @@ impl Outcome {
     pub fn is_complete(&self) -> bool {
         matches!(self, Outcome::Complete)
     }
-
-    /// Merges two shard outcomes into one campaign-level outcome.
-    ///
-    /// A distributed coordinator must report `completed`/`remaining`
-    /// aggregated over the *merged* campaign state, not per-process: two
-    /// shards each holding "10 remaining" owe 20 together. `Complete`
-    /// is the identity (a finished shard owes nothing and its banked
-    /// trials are already in the merged tallies); two `Partial`s sum
-    /// their counts and keep the first reason (the trial budget is the
-    /// deterministic one, and shards under a shared budget all stop for
-    /// the same reason anyway).
-    #[must_use]
-    pub fn merge(self, other: Outcome) -> Outcome {
-        match (self, other) {
-            (Outcome::Complete, o) => o,
-            (o, Outcome::Complete) => o,
-            (
-                Outcome::Partial {
-                    completed: c1,
-                    remaining: r1,
-                    reason,
-                },
-                Outcome::Partial {
-                    completed: c2,
-                    remaining: r2,
-                    ..
-                },
-            ) => Outcome::Partial {
-                completed: c1.saturating_add(c2),
-                remaining: r1.saturating_add(r2),
-                reason,
-            },
-        }
-    }
 }
 
 /// Meters one campaign invocation against its [`Budget`]. The wall
@@ -299,40 +265,6 @@ mod tests {
         m.add_trials(u64::MAX);
         m.add_trials(10);
         assert_eq!(m.trials(), u64::MAX);
-    }
-
-    #[test]
-    fn merge_aggregates_partial_counts_across_shards() {
-        let a = Outcome::Partial {
-            completed: 96,
-            remaining: 32,
-            reason: StopReason::WallClock,
-        };
-        let b = Outcome::Partial {
-            completed: 64,
-            remaining: 128,
-            reason: StopReason::TrialBudget,
-        };
-        assert_eq!(
-            a.merge(b),
-            Outcome::Partial {
-                completed: 160,
-                remaining: 160,
-                reason: StopReason::WallClock,
-            }
-        );
-    }
-
-    #[test]
-    fn merge_complete_is_identity() {
-        let p = Outcome::Partial {
-            completed: 5,
-            remaining: 7,
-            reason: StopReason::Abandoned,
-        };
-        assert_eq!(Outcome::Complete.merge(p), p);
-        assert_eq!(p.merge(Outcome::Complete), p);
-        assert_eq!(Outcome::Complete.merge(Outcome::Complete), Outcome::Complete);
     }
 
     #[test]

@@ -26,7 +26,9 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 
-use wlan_core::linksim::{frame_trial_at, FaultSweep, FaultSweepPoint, PhyLink};
+use wlan_core::linksim::{
+    frame_trial_at, run_frames, FaultSweep, FaultSweepPoint, PhyLink, RoundTally, FRAMES_PER_BATCH,
+};
 use wlan_fault::FaultChain;
 use wlan_math::ci::{wilson95, Interval};
 use wlan_math::par;
@@ -44,7 +46,6 @@ use crate::Resume;
 /// point executes is a pure function of its tallies — never of where an
 /// interruption fell.
 pub const ROUND_TRIALS: u64 = 32;
-const FRAMES_PER_BATCH: usize = 8;
 
 /// Configuration for a survivable PER campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,6 +115,20 @@ impl PerCampaignConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
+    }
+
+    /// The preconditions every PER campaign, single-process or
+    /// distributed, checks before it starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is vacuous: no SNR points, zero
+    /// `payload_len`, zero `max_frames`, or `min_frames == 0`.
+    pub fn assert_valid(&self) {
+        assert!(!self.snrs_db.is_empty(), "need at least one SNR point");
+        assert!(self.payload_len > 0, "payload must be nonempty");
+        assert!(self.max_frames > 0, "need at least one frame per point");
+        assert!(self.min_frames > 0, "min_frames must be at least 1");
     }
 
     /// The journal key: every parameter that shapes trial streams or
@@ -213,7 +228,7 @@ impl PointProgress {
         (self.trials > 0).then(|| wilson95(self.errors, self.trials))
     }
 
-    /// Journal body line for this point (see [`PerProgress::decode_line`]).
+    /// Journal body line for this point (see [`PerProgress::decode`]).
     pub fn to_line(self, index: usize) -> String {
         format!(
             "point i={index} trials={} errors={} erasures={} status={}",
@@ -225,7 +240,9 @@ impl PointProgress {
     }
 
     /// Parses [`PointProgress::to_line`] output for point `index` of
-    /// `cfg`; `None` on any malformation or out-of-range tally.
+    /// `cfg`; `None` on any malformation or out-of-range tally. A
+    /// campaign banks whole rounds only, so a frontier off the
+    /// [`ROUND_TRIALS`] grid (short of `max_frames`) is malformed too.
     fn from_line(line: &str, index: usize, cfg: &PerCampaignConfig) -> Option<Self> {
         let mut tokens = line.strip_prefix("point ")?.split_whitespace();
         let i = kv_u64(tokens.next()?, "i")? as usize;
@@ -237,6 +254,7 @@ impl PointProgress {
             && i == index
             && i < cfg.snrs_db.len()
             && trials <= cfg.max_frames
+            && (trials.is_multiple_of(ROUND_TRIALS) || trials == cfg.max_frames)
             && errors <= trials
             && erasures <= errors;
         valid.then(|| PointProgress {
@@ -250,9 +268,9 @@ impl PointProgress {
 }
 
 /// What a PER journal restores: per-point tallies and the trial
-/// quarantine ledger. The distributed coordinator journals the same
-/// records (plus its own `qlease` lines) and decodes them with
-/// [`PerProgress::decode_line`] and [`PerProgress::finish`].
+/// quarantine ledger. The distributed coordinator holds one too, folds
+/// its workers' rounds into it with [`PerProgress::fold_round`], and
+/// journals it with its own `qlease` lines between ledger and tallies.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerProgress {
     /// Per-point tallies, in SNR order.
@@ -271,38 +289,90 @@ impl PerProgress {
         Self::default().pad(cfg)
     }
 
-    /// Applies one journal body line — a `point` tally (points must come
-    /// in index order) or a `quar` ledger entry. `false` means the line
-    /// is malformed or inconsistent with `cfg`.
-    pub fn decode_line(&mut self, cfg: &PerCampaignConfig, line: &str) -> bool {
-        if line.starts_with("point ") {
-            let Some(p) = PointProgress::from_line(line, self.points.len(), cfg) else {
-                return false;
-            };
-            self.points.push(p);
-        } else {
-            let Some(q) = QuarantinedTrial::from_line(line, cfg.seed) else {
-                return false;
-            };
-            self.seen.insert((q.point, q.frame));
-            self.quarantine.push(q);
+    /// Folds one round of point `point` — its tally and its erasures as
+    /// `(frame, error)` — and applies the stopping rule at the round
+    /// boundary. An erasure already in the ledger is not recorded twice.
+    /// Returns the point's new status.
+    pub fn fold_round<E: ToString>(
+        &mut self,
+        cfg: &PerCampaignConfig,
+        point: usize,
+        tally: RoundTally,
+        erasures: impl IntoIterator<Item = (u64, E)>,
+    ) -> PointStatus {
+        let p = &mut self.points[point];
+        p.trials += tally.trials;
+        p.errors += tally.errors;
+        p.erasures += tally.erasures;
+        p.status = evaluate_status(p, cfg);
+        let status = p.status;
+        for (frame, error) in erasures {
+            if self.seen.insert((point, frame)) {
+                self.quarantine.push(QuarantinedTrial {
+                    seed: cfg.seed,
+                    point,
+                    snr_db: cfg.snrs_db[point],
+                    frame,
+                    error: error.to_string(),
+                });
+            }
         }
-        true
+        status
     }
 
-    /// Ends decoding. With `complete` set (an intact journal) every
+    /// Journal body lines: the ledger, then `extra` (the coordinator's
+    /// `qlease` lines), then the tallies. A salvaged prefix then never
+    /// holds a tally whose ledger entries were lost: either the full
+    /// ledger precedes the surviving tallies, or lost tallies re-run and
+    /// their entries deduplicate against the restored ledger.
+    pub fn encode(&self, extra: impl IntoIterator<Item = String>) -> Vec<String> {
+        let mut body: Vec<String> = self.quarantine.iter().map(QuarantinedTrial::to_line).collect();
+        body.extend(extra);
+        body.extend(self.points.iter().enumerate().map(|(i, p)| p.to_line(i)));
+        body
+    }
+
+    /// Inverse of [`PerProgress::encode`]: `point` tallies in index
+    /// order and `quar` ledger entries; any other line must pass `extra`
+    /// and is not restored. With `complete` set (an intact journal) every
     /// configured point must be present; a salvaged prefix may cover only
     /// the first points, and the rest start fresh.
-    pub fn finish(self, cfg: &PerCampaignConfig, complete: bool) -> Result<Self, JournalError> {
-        if complete && self.points.len() != cfg.snrs_db.len() {
+    pub fn decode(
+        cfg: &PerCampaignConfig,
+        body: &[String],
+        complete: bool,
+        extra: impl Fn(&str) -> bool,
+    ) -> Result<Self, JournalError> {
+        let mut state = Self::default();
+        journal::decode_lines(body, |line| {
+            if line.starts_with("point ") {
+                let Some(p) = PointProgress::from_line(line, state.points.len(), cfg) else {
+                    return false;
+                };
+                state.points.push(p);
+            } else if let Some(q) = QuarantinedTrial::from_line(line, cfg.seed) {
+                state.seen.insert((q.point, q.frame));
+                state.quarantine.push(q);
+            } else {
+                return extra(line);
+            }
+            true
+        })?;
+        if complete && state.points.len() != cfg.snrs_db.len() {
             return Err(JournalError::Truncated);
         }
-        Ok(self.pad(cfg))
+        Ok(state.pad(cfg))
     }
 
     /// Total trials banked across all points.
     pub fn trials(&self) -> u64 {
         self.points.iter().map(|p| p.trials).sum()
+    }
+
+    /// Trials still owed by the points that are not done.
+    pub fn remaining(&self, cfg: &PerCampaignConfig) -> u64 {
+        let active = self.points.iter().filter(|p| p.status == PointStatus::Active);
+        active.map(|p| cfg.max_frames - p.trials).sum()
     }
 
     /// Appends fresh points up to the configured count and recomputes
@@ -380,18 +450,14 @@ impl PerCampaignReport {
 ///
 /// # Panics
 ///
-/// Panics if the configuration is vacuous: no SNR points, zero
-/// `payload_len`, zero `max_frames`, or `min_frames == 0`.
+/// Panics on a vacuous configuration (see
+/// [`PerCampaignConfig::assert_valid`]).
 pub fn run_per_campaign(
     link: &dyn PhyLink,
     faults: &FaultChain,
     cfg: &PerCampaignConfig,
 ) -> PerCampaignReport {
-    assert!(!cfg.snrs_db.is_empty(), "need at least one SNR point");
-    assert!(cfg.payload_len > 0, "payload must be nonempty");
-    assert!(cfg.max_frames > 0, "need at least one frame per point");
-    assert!(cfg.min_frames > 0, "min_frames must be at least 1");
-
+    cfg.assert_valid();
     let campaign = PerCampaign {
         link,
         faults,
@@ -435,19 +501,11 @@ impl Campaign for PerCampaign<'_> {
     }
 
     fn encode(&self, state: &PerProgress) -> Vec<String> {
-        // Ledger first, tallies after: a salvaged prefix then never holds
-        // a tally whose quarantine entries were lost — either the full
-        // ledger precedes the surviving tallies, or lost tallies re-run
-        // and their entries deduplicate against the restored ledger.
-        let mut body: Vec<String> = state.quarantine.iter().map(QuarantinedTrial::to_line).collect();
-        body.extend(state.points.iter().enumerate().map(|(i, p)| p.to_line(i)));
-        body
+        state.encode([])
     }
 
     fn decode(&self, body: &[String], complete: bool) -> Result<PerProgress, JournalError> {
-        let mut state = PerProgress::default();
-        journal::decode_lines(body, |line| state.decode_line(self.cfg, line))?;
-        state.finish(self.cfg, complete)
+        PerProgress::decode(self.cfg, body, complete, |_| false)
     }
 
     fn trials(&self, state: &PerProgress) -> u64 {
@@ -455,72 +513,45 @@ impl Campaign for PerCampaign<'_> {
     }
 
     /// Up to [`ROUND_TRIALS`] new frames for every active point, split
-    /// into the one-shot sweep's 8-frame batch grain, folded in work-item
-    /// order; then the stopping rule at the round boundary.
+    /// into the one-shot sweep's 8-frame batch grain; each point's
+    /// batches then fold as one round, in work-item order.
     fn wave(&self, state: &mut PerProgress) -> Wave {
         let cfg = self.cfg;
-        let active: Vec<usize> = (0..state.points.len())
-            .filter(|&i| state.points[i].status == PointStatus::Active)
-            .collect();
         let mut work: Vec<(usize, std::ops::Range<u64>)> = Vec::new();
-        for &i in &active {
-            let start = state.points[i].trials;
-            let end = cfg.max_frames.min(start + ROUND_TRIALS);
-            for b in par::batches((end - start) as usize, FRAMES_PER_BATCH) {
-                work.push((i, start + b.start as u64..start + b.end as u64));
+        for (i, p) in state.points.iter().enumerate() {
+            if p.status != PointStatus::Active {
+                continue;
+            }
+            let end = cfg.max_frames.min(p.trials + ROUND_TRIALS);
+            for start in (p.trials..end).step_by(FRAMES_PER_BATCH) {
+                work.push((i, start..end.min(start + FRAMES_PER_BATCH as u64)));
             }
         }
 
-        let run_batch = |_: usize, (point, frames): &(usize, std::ops::Range<u64>)| {
+        let threads = cfg.threads.unwrap_or_else(par::num_threads);
+        let results = par::parallel_map_with_threads(threads, &work, |_, (point, frames)| {
             let point_rng = self.master.fork(*point as u64);
             let snr_db = cfg.snrs_db[*point];
-            let mut tally = (0u64, 0u64, 0u64); // (trials, errors, erasures)
-            let mut quars: Vec<(u64, String)> = Vec::new();
-            for frame in frames.clone() {
-                tally.0 += 1;
-                let trial =
-                    frame_trial_at(self.link, self.faults, snr_db, cfg.payload_len, &point_rng, frame);
-                match trial {
-                    Ok(true) => {}
-                    Ok(false) => tally.1 += 1,
-                    Err(e) => {
-                        tally.1 += 1;
-                        tally.2 += 1;
-                        quars.push((frame, e.to_string()));
-                    }
+            run_frames(self.link, self.faults, snr_db, cfg.payload_len, &point_rng, frames.clone())
+        });
+        let mut rounds: Vec<(usize, RoundTally, Vec<_>)> = Vec::new();
+        for ((point, _), (tally, erasures)) in work.iter().zip(results) {
+            match rounds.last_mut() {
+                Some((p, round, round_erasures)) if p == point => {
+                    *round += tally;
+                    round_erasures.extend(erasures);
                 }
-            }
-            (tally, quars)
-        };
-        let threads = cfg.threads.unwrap_or_else(par::num_threads);
-        let results = par::parallel_map_with_threads(threads, &work, run_batch);
-
-        let mut wave = Wave::default();
-        for ((point, _), ((trials, errors, erasures), quars)) in work.iter().zip(&results) {
-            let p = &mut state.points[*point];
-            p.trials += trials;
-            p.errors += errors;
-            p.erasures += erasures;
-            wave.trials += trials;
-            wave.quarantined += quars.len() as u64;
-            for (frame, error) in quars {
-                if state.seen.insert((*point, *frame)) {
-                    state.quarantine.push(QuarantinedTrial {
-                        seed: cfg.seed,
-                        point: *point,
-                        snr_db: cfg.snrs_db[*point],
-                        frame: *frame,
-                        error: error.clone(),
-                    });
-                }
+                _ => rounds.push((*point, tally, erasures)),
             }
         }
-        for i in active {
-            let status = evaluate_status(&state.points[i], cfg);
-            if status == PointStatus::StoppedEarly {
-                wave.early_stops.push(i);
+
+        let mut wave = Wave::default();
+        for (point, tally, erasures) in rounds {
+            wave.trials += tally.trials;
+            wave.quarantined += erasures.len() as u64;
+            if state.fold_round(cfg, point, tally, erasures) == PointStatus::StoppedEarly {
+                wave.early_stops.push(point);
             }
-            state.points[i].status = status;
         }
         wave
     }
@@ -530,12 +561,7 @@ impl Campaign for PerCampaign<'_> {
     }
 
     fn remaining(&self, state: &PerProgress) -> u64 {
-        state
-            .points
-            .iter()
-            .filter(|p| p.status == PointStatus::Active)
-            .map(|p| self.cfg.max_frames - p.trials)
-            .sum()
+        state.remaining(self.cfg)
     }
 }
 
@@ -552,10 +578,10 @@ pub fn replay_trial(
 }
 
 /// The stopping rule: a pure function of a point's integer tallies and
-/// the campaign configuration, evaluated only at round boundaries. The
-/// distributed coordinator applies the same function at the same
-/// boundaries, which is what makes its per-point results bit-identical
-/// to the single-process campaign's.
+/// the campaign configuration, evaluated only at round boundaries by
+/// [`PerProgress::fold_round`]. The distributed coordinator folds through
+/// the same method at the same boundaries, which is what makes its
+/// per-point results bit-identical to the single-process campaign's.
 pub fn evaluate_status(p: &PointProgress, cfg: &PerCampaignConfig) -> PointStatus {
     if p.trials >= cfg.max_frames {
         return PointStatus::Exhausted;

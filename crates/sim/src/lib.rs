@@ -3,9 +3,9 @@
 //! The MAC and mesh experiments need to model contention in time: stations
 //! counting down backoff slots, frames occupying the medium, ACK timeouts.
 //! [`Scheduler`] provides the classic event-queue core — nanosecond virtual
-//! time, strict (time, insertion-order) determinism, and O(log n) schedule /
-//! cancel — with no threads and no wall-clock dependence, so every run is
-//! exactly reproducible.
+//! time, strict (time, insertion-order) determinism, and O(log n)
+//! scheduling — with no threads and no wall-clock dependence, so every run
+//! is exactly reproducible.
 //!
 //! # Examples
 //!
@@ -21,7 +21,7 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Simulated time in nanoseconds.
 pub type Time = u64;
@@ -29,7 +29,7 @@ pub type Time = u64;
 /// One microsecond in [`Time`] units.
 pub const MICROSECOND: Time = 1_000;
 
-/// Handle returned by scheduling, usable to cancel the event.
+/// Handle returned by scheduling; its order breaks timestamp ties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
@@ -42,7 +42,6 @@ pub struct Scheduler<E> {
     now: Time,
     seq: u64,
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    cancelled: HashSet<EventId>,
 }
 
 #[derive(Debug, Clone)]
@@ -79,7 +78,6 @@ impl<E> Scheduler<E> {
             now: 0,
             seq: 0,
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
         }
     }
 
@@ -106,47 +104,23 @@ impl<E> Scheduler<E> {
         self.schedule_at(self.now + dt, event)
     }
 
-    /// Cancels a pending event. Returns `true` if the event existed and had
-    /// not yet fired.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.seq {
-            return false;
-        }
-        // Lazy deletion: remember the id, skip it on pop.
-        self.cancelled.insert(id)
-    }
-
     /// Pops the next event, advancing the clock to its timestamp.
     ///
-    /// Returns `None` when no (uncancelled) events remain.
+    /// Returns `None` when no events remain.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            self.now = entry.time;
-            return Some((entry.time, entry.event));
-        }
-        None
+        let Reverse(entry) = self.heap.pop()?;
+        self.now = entry.time;
+        Some((entry.time, entry.event))
     }
 
     /// Timestamp of the next pending event without popping it.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.cancelled.contains(&entry.id) {
-                let id = entry.id;
-                self.heap.pop();
-                self.cancelled.remove(&id);
-                continue;
-            }
-            return Some(entry.time);
-        }
-        None
+    pub fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|Reverse(entry)| entry.time)
     }
 
     /// Truncates the run at `deadline`: discards **every** still-pending
     /// event, advances the clock to `deadline` (clamped to never move
-    /// backwards), and returns how many uncancelled events were dropped.
+    /// backwards), and returns how many events were dropped.
     ///
     /// This is the budget cut for event-driven runs: when wall-clock or
     /// trial budgets end a simulation early, the abandoned queue is work
@@ -158,19 +132,15 @@ impl<E> Scheduler<E> {
     ///
     /// The scheduler remains usable afterwards (empty, at `deadline`).
     pub fn drain_until(&mut self, deadline: Time) -> usize {
-        let mut dropped = 0;
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if !self.cancelled.remove(&entry.id) {
-                dropped += 1;
-            }
-        }
+        let dropped = self.heap.len();
+        self.heap.clear();
         self.now = self.now.max(deadline);
         dropped
     }
 
-    /// Number of pending (uncancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
     /// `true` when no events are pending.
@@ -225,30 +195,13 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_suppresses_events() {
+    fn peek_time_reports_the_next_event_without_popping() {
         let mut s: Scheduler<u32> = Scheduler::new();
-        let a = s.schedule_at(10, 1);
+        assert_eq!(s.peek_time(), None);
         s.schedule_at(20, 2);
-        assert!(s.cancel(a));
-        assert!(!s.cancel(a), "double cancel must report false");
-        assert_eq!(s.pop(), Some((20, 2)));
-        assert_eq!(s.len(), 0);
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        assert!(!s.cancel(EventId(99)));
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        let a = s.schedule_at(10, 1);
-        s.schedule_at(20, 2);
-        s.cancel(a);
-        assert_eq!(s.peek_time(), Some(20));
-        assert_eq!(s.len(), 1);
+        s.schedule_at(10, 1);
+        assert_eq!(s.peek_time(), Some(10));
+        assert_eq!((s.len(), s.now()), (2, 0));
     }
 
     #[test]
@@ -292,16 +245,6 @@ mod tests {
         // Still usable after the cut.
         s.schedule_in(5, 9);
         assert_eq!(s.pop(), Some((105, 9)));
-    }
-
-    #[test]
-    fn drain_until_does_not_count_cancelled_events() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        let a = s.schedule_at(10, 1);
-        s.schedule_at(20, 2);
-        s.cancel(a);
-        assert_eq!(s.drain_until(30), 1, "cancelled events were never work");
-        assert_eq!(s.len(), 0);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+use wlan_dist::coord::MAX_DISPATCHES;
 use wlan_dist::proto::read_frame;
 use wlan_dist::transport::{
     encode_connect, parse_handshake_reply, HANDSHAKE_TIMEOUT_MS, PROTO_VERSION,
@@ -49,9 +50,7 @@ fn baseline(spec: LinkSpec, fault: FaultSpec, threads: Option<usize>) -> PerCamp
     // The coordinator folds lease results in frame order, so its ledger
     // comes out (point, frame)-sorted; normalise the baseline the same
     // way before comparing.
-    report
-        .quarantine
-        .sort_by(|a, b| (a.point, a.frame).cmp(&(b.point, b.frame)));
+    report.quarantine.sort_by_key(|q| (q.point, q.frame));
     report
 }
 
@@ -176,7 +175,7 @@ fn transport_faults_never_panic_and_account_for_every_lease() {
                     assert!(q.start < q.end, "severity={severity}: empty replay range");
                     assert!(q.end <= MAX_FRAMES, "severity={severity}: range out of bounds");
                     assert!(
-                        q.attempts >= cfg.max_dispatches,
+                        q.attempts >= MAX_DISPATCHES,
                         "severity={severity}: lease quarantined before its dispatch budget"
                     );
                 }
@@ -306,7 +305,7 @@ fn run_over_tcp(
 }
 
 /// The acceptance matrix over sockets: {1 worker, 3 workers, 3 workers
-/// + kill-and-reconnect, fleet loss → in-process fallback} × {serial,
+/// with kill-and-reconnect, fleet loss → in-process fallback} × {serial,
 /// default threading}, all bit-identical to the single-process
 /// baseline (and therefore to the stdio and in-process runs of the
 /// sibling matrix above, which compare against the same baseline).

@@ -318,6 +318,98 @@ fn bit_flip_in_journal_tail_salvages_the_verified_prefix() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The same salvage for a distributed campaign's `" dist v1"` journal:
+/// banked rounds are folded by the coordinator, the tail is flipped, and
+/// the next invocation restores the verified prefix through the same
+/// ladder, then finishes equal by `f64::to_bits` to the single-process
+/// campaign — tallies, rates and quarantine ledger.
+#[test]
+fn bit_flip_in_dist_journal_tail_salvages_the_verified_prefix() {
+    use wlan_dist::{run_dist_per_campaign, DistConfig, FaultSpec, InProcessFactory, LinkSpec};
+
+    let spec = LinkSpec::Fhss;
+    let fault = FaultSpec::Single {
+        kind: FaultKind::FrameTruncation,
+        severity: 0.5,
+    };
+    let path = tmp("dist_salvage");
+    let _ = std::fs::remove_file(&path);
+    let run = |budget: Budget| {
+        let per = per_cfg(Some(1)).with_journal(path.clone()).with_budget(budget);
+        run_dist_per_campaign(spec, fault, &DistConfig::new(per, 1), &mut InProcessFactory::clean())
+    };
+
+    let mut baseline = run_per_campaign(&*spec.build(), &fault.build(), &per_cfg(Some(1)));
+    baseline.quarantine.sort_by_key(|q| (q.point, q.frame));
+    assert!(!baseline.quarantine.is_empty(), "the ledger must take part in the salvage");
+
+    // Bank one round per invocation: several verified `sum` lines.
+    let mut completed = 0u64;
+    for _ in 0..2 {
+        let r = run(Budget::unlimited().with_max_trials(completed + 1));
+        assert!(!r.outcome.is_complete());
+        completed = r.completed_trials();
+    }
+    assert!(completed > 0);
+
+    let mut bytes = std::fs::read(&path).unwrap();
+    let idx = bytes.len() - 2;
+    bytes[idx] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let report = run(Budget::unlimited());
+    let Resume::Salvaged { trials, .. } = &report.resume else {
+        panic!("expected salvage, got {:?}", report.resume);
+    };
+    assert!(*trials > 0, "the verified prefix must not be empty");
+    assert!(report.outcome.is_complete());
+    assert_eq!(report.points, baseline.points);
+    assert_eq!(report.quarantine, baseline.quarantine);
+    for (a, b) in report.points.iter().zip(&baseline.points) {
+        assert_eq!(a.per().to_bits(), b.per().to_bits());
+        assert_eq!(a.erasure_rate().to_bits(), b.erasure_rate().to_bits());
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Campaigns bank whole rounds only, so a checksummed dist journal whose
+/// point frontier sits off the [`ROUND_TRIALS`] grid is malformed: it
+/// cold-starts, where the same line on the grid resumes.
+#[test]
+fn dist_journal_frontier_off_the_round_grid_cold_starts() {
+    use wlan_dist::{run_dist_per_campaign, DistConfig, FaultSpec, InProcessFactory, LinkSpec};
+    use wlan_runner::journal;
+    use wlan_runner::per::ROUND_TRIALS;
+
+    let spec = LinkSpec::Fhss;
+    let fault = FaultSpec::Clean;
+    let path = tmp("dist_grid");
+    let per = per_cfg(Some(1)).with_journal(path.clone());
+    let key = format!("{} dist v1", per.journal_key(&*spec.build(), &fault.build()));
+    let baseline = run_per_campaign(&*spec.build(), &fault.build(), &per_cfg(Some(1)));
+
+    for (trials, on_grid) in [(ROUND_TRIALS, true), (ROUND_TRIALS + 8, false)] {
+        let _ = std::fs::remove_file(&path);
+        let body: Vec<String> = (0..SNRS.len())
+            .map(|i| {
+                let t = if i == 0 { trials } else { 0 };
+                format!("point i={i} trials={t} errors=0 erasures=0 status=active")
+            })
+            .collect();
+        journal::save(&path, &key, &body).unwrap();
+        let cfg = DistConfig::new(per.clone(), 1);
+        let report = run_dist_per_campaign(spec, fault, &cfg, &mut InProcessFactory::clean());
+        if on_grid {
+            assert_eq!(report.resume, Resume::Resumed { trials });
+        } else {
+            let error = JournalError::Malformed { line: 3 };
+            assert_eq!(report.resume, Resume::ColdStart { error });
+            assert_eq!(report.points, baseline.points, "a cold start still finishes exactly");
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Quarantine replay determinism matrix: a campaign run single-process
 /// or distributed, serial or threaded, must produce the *same*
 /// quarantine ledger, and every entry must replay to the identical
@@ -352,9 +444,7 @@ fn quarantine_replay_is_deterministic_across_threads_and_workers() {
         !baseline.quarantine.is_empty(),
         "matrix needs a non-empty ledger to mean anything"
     );
-    baseline
-        .quarantine
-        .sort_by(|a, b| (a.point, a.frame).cmp(&(b.point, b.frame)));
+    baseline.quarantine.sort_by_key(|q| (q.point, q.frame));
 
     for threads in [Some(1), Some(2), None] {
         for workers in [1usize, 2] {
