@@ -152,14 +152,16 @@ impl MimoMultipathChannel {
         }
         let len = tx.iter().map(|t| t.len()).max().unwrap_or(0);
         let mut rx = Vec::with_capacity(self.n_rx);
+        // One filter buffer serves every antenna pair. Each pair's output
+        // is added whole, in transmit-antenna order, which fixes the
+        // summation order of every received sample.
+        let mut filtered = Vec::new();
         for r in 0..self.n_rx {
             let mut acc = vec![Complex::ZERO; len];
             for (t, stream) in tx.iter().enumerate() {
-                let filtered = self.pair(r, t).filter(stream);
-                for (i, v) in filtered.into_iter().enumerate() {
-                    if i < len {
-                        acc[i] += v;
-                    }
+                self.pair(r, t).filter_into(stream, &mut filtered);
+                for (a, &v) in acc.iter_mut().zip(&filtered) {
+                    *a += v;
                 }
             }
             if n0 > 0.0 {

@@ -147,9 +147,19 @@ impl MultipathChannel {
     ///
     /// Output length is `signal.len() + taps − 1`.
     pub fn filter(&self, signal: &[Complex]) -> Vec<Complex> {
+        let mut out = Vec::new();
+        self.filter_into(signal, &mut out);
+        out
+    }
+
+    /// [`MultipathChannel::filter`] into a caller-owned buffer, which is
+    /// cleared and refilled: the same sums in the same order, with no
+    /// allocation once the buffer has grown.
+    pub fn filter_into(&self, signal: &[Complex], out: &mut Vec<Complex>) {
         let n = signal.len();
         let l = self.taps.len();
-        let mut out = vec![Complex::ZERO; n + l - 1];
+        out.clear();
+        out.resize(n + l - 1, Complex::ZERO);
         for (i, &s) in signal.iter().enumerate() {
             if s.norm_sqr() == 0.0 {
                 continue;
@@ -158,7 +168,6 @@ impl MultipathChannel {
                 out[i + j] += s * h;
             }
         }
-        out
     }
 
     /// Frequency response at `num_bins` uniformly spaced frequencies

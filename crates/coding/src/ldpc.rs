@@ -266,7 +266,10 @@ impl LdpcCode {
                 // Compute sign product and two smallest magnitudes. The
                 // gathers through `row_vars` skip bounds checks: every entry
                 // is a column index < n, validated once when the CSR layout
-                // is built in `new`.
+                // is built in `new`. The updates are selects on the strict
+                // `<` tests, not branches, so the data-dependent outcomes
+                // cost no mispredictions; a tie or a NaN magnitude (every
+                // test false) leaves the minima unchanged.
                 let mut sign = 1.0f64;
                 let mut min1 = f64::INFINITY;
                 let mut min2 = f64::INFINITY;
@@ -274,17 +277,13 @@ impl LdpcCode {
                 for (idx, &v) in vars.iter().enumerate() {
                     // SAFETY: `v < n == totals.len()`, checked in `new`.
                     let msg = unsafe { *totals.get_unchecked(v as usize) } - msgs[idx];
-                    if msg < 0.0 {
-                        sign = -sign;
-                    }
+                    sign = if msg < 0.0 { -sign } else { sign };
                     let mag = msg.abs();
-                    if mag < min1 {
-                        min2 = min1;
-                        min1 = mag;
-                        min_idx = idx;
-                    } else if mag < min2 {
-                        min2 = mag;
-                    }
+                    let (below1, below2) = (mag < min1, mag < min2);
+                    let second = if below2 { mag } else { min2 };
+                    min2 = if below1 { min1 } else { second };
+                    min1 = if below1 { mag } else { min1 };
+                    min_idx = if below1 { idx } else { min_idx };
                 }
                 for (idx, &v) in vars.iter().enumerate() {
                     let old = msgs[idx];

@@ -342,7 +342,22 @@ pub fn frame_trial_at(
     point_rng: &WlanRng,
     frame: u64,
 ) -> Result<bool, WlanError> {
-    let result = trial(link, faults, snr_db, payload_len, point_rng, frame);
+    let mut payload = Vec::with_capacity(payload_len);
+    counted_trial(link, faults, snr_db, payload_len, point_rng, frame, &mut payload)
+}
+
+/// [`frame_trial_at`] with the payload drawn into a caller-owned buffer,
+/// so a loop over frames allocates it once.
+fn counted_trial(
+    link: &dyn PhyLink,
+    faults: &FaultChain,
+    snr_db: f64,
+    payload_len: usize,
+    point_rng: &WlanRng,
+    frame: u64,
+    payload: &mut Vec<u8>,
+) -> Result<bool, WlanError> {
+    let result = trial(link, faults, snr_db, payload_len, point_rng, frame, payload);
     let (c_frames, c_errors, c_erasures) = trial_counters();
     c_frames.inc();
     match &result {
@@ -356,8 +371,9 @@ pub fn frame_trial_at(
     result
 }
 
-/// The trial at `point_rng.fork(frame)`: payload bytes are drawn first,
-/// then the link's chain consumes the rest of the stream. Counts nothing.
+/// The trial at `point_rng.fork(frame)`: payload bytes are drawn first
+/// (into `payload`, which is cleared), then the link's chain consumes the
+/// rest of the stream. Counts nothing.
 fn trial(
     link: &dyn PhyLink,
     faults: &FaultChain,
@@ -365,10 +381,12 @@ fn trial(
     payload_len: usize,
     point_rng: &WlanRng,
     frame: u64,
+    payload: &mut Vec<u8>,
 ) -> Result<bool, WlanError> {
     let mut rng = point_rng.fork(frame);
-    let payload: Vec<u8> = (0..payload_len).map(|_| rng.gen()).collect();
-    link.frame_trial_faulted(snr_db, &payload, faults, &mut rng)
+    payload.clear();
+    payload.extend((0..payload_len).map(|_| rng.gen::<u8>()));
+    link.frame_trial_faulted(snr_db, payload, faults, &mut rng)
 }
 
 /// Per-frame verdicts for one SNR point: frame `j` runs on
@@ -384,9 +402,10 @@ pub fn flow_verdicts(
     point_rng: &WlanRng,
     frames: usize,
 ) -> Option<Vec<Result<bool, WlanError>>> {
+    let mut payload = Vec::with_capacity(payload_len);
     Some(
         (0..frames as u64)
-            .map(|j| trial(link, faults, snr_db, payload_len, point_rng, j))
+            .map(|j| trial(link, faults, snr_db, payload_len, point_rng, j, &mut payload))
             .collect(),
     )
 }
@@ -394,8 +413,9 @@ pub fn flow_verdicts(
 /// Runs frames `frames` of one point through [`frame_trial_at`]: the
 /// one frame-tally loop behind sweeps, campaign waves and fleet leases.
 /// Returns the tally and the typed erasures as `(frame, error)` in frame
-/// order. The loop itself allocates and formats nothing per frame; only
-/// an erasure pushes.
+/// order. The loop itself allocates and formats nothing per frame: the
+/// payload is drawn into one buffer per call, and only an erasure
+/// pushes.
 pub fn run_frames(
     link: &dyn PhyLink,
     faults: &FaultChain,
@@ -406,9 +426,10 @@ pub fn run_frames(
 ) -> (RoundTally, Vec<(u64, WlanError)>) {
     let mut tally = RoundTally::default();
     let mut erasures = Vec::new();
+    let mut payload = Vec::with_capacity(payload_len);
     for frame in frames {
         tally.trials += 1;
-        match frame_trial_at(link, faults, snr_db, payload_len, point_rng, frame) {
+        match counted_trial(link, faults, snr_db, payload_len, point_rng, frame, &mut payload) {
             Ok(true) => {}
             Ok(false) => tally.errors += 1,
             Err(e) => {
@@ -1004,7 +1025,7 @@ mod tests {
     fn mimo_link_rejects_unsupported_antenna_counts() {
         let mut rng = WlanRng::seed_from_u64(24);
         let clean = FaultChain::clean();
-        for (n_streams, n_rx) in [(0, 1), (5, 5), (2, 0)] {
+        for (n_streams, n_rx) in [(0, 1), (5, 5), (2, 0), (2, 5)] {
             let link = MimoLink::flat(n_streams, n_rx);
             let rate = link.rate_mbps();
             assert!((rate - 12.0 * n_streams as f64).abs() < 1e-9, "{rate} Mbps");

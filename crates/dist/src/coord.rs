@@ -1128,7 +1128,7 @@ impl Coord<'_> {
         }
     }
 
-    /// Liveness: hello deadlines, lease deadlines, idle heartbeats.
+    /// Liveness: hello deadlines, lease deadlines, heartbeat silence.
     fn police(&mut self, now: Instant) {
         let timeout = Duration::from_millis(self.cfg.lease_timeout_ms);
         let heartbeat = Duration::from_millis(self.cfg.heartbeat_ms.max(1));
@@ -1178,21 +1178,31 @@ impl Coord<'_> {
                     // from a hung one; reclaim the slot the hard way.
                     self.worker_dead(w, "lease deadline exceeded", now);
                 }
-            } else {
-                if now.duration_since(slot.last_seen) > 4 * heartbeat {
-                    self.worker_dead(w, "heartbeat silence", now);
-                    continue;
-                }
-                if now.duration_since(slot.last_ping) >= heartbeat {
-                    slot.last_ping = now;
-                    let n = now.duration_since(slot.last_seen).as_millis() as u64;
-                    let Some(slot) = self.fleet.slots[w].as_mut() else {
-                        continue;
-                    };
-                    if write_msg(&mut slot.writer, &Msg::Ping { n }).is_err() {
-                        self.worker_dead(w, "write failed", now);
-                    }
-                }
+            } else if now.duration_since(slot.last_seen) > 4 * heartbeat {
+                self.worker_dead(w, "heartbeat silence", now);
+            }
+        }
+    }
+
+    /// Heartbeats: pings each ready worker that is still idle once
+    /// `heartbeat_ms` has passed since its last ping. Runs after
+    /// `dispatch`, so a worker that is about to get a lease gets
+    /// the lease alone, with no ping (and pong) queued ahead of it.
+    fn ping_idle(&mut self, now: Instant) {
+        let heartbeat = Duration::from_millis(self.cfg.heartbeat_ms.max(1));
+        for w in 0..self.fleet.slots.len() {
+            let Some(slot) = self.fleet.slots[w].as_mut() else {
+                continue;
+            };
+            if !(slot.alive && slot.ready && slot.inflight.is_none())
+                || now.duration_since(slot.last_ping) < heartbeat
+            {
+                continue;
+            }
+            slot.last_ping = now;
+            let n = now.duration_since(slot.last_seen).as_millis() as u64;
+            if write_msg(&mut slot.writer, &Msg::Ping { n }).is_err() {
+                self.worker_dead(w, "write failed", now);
             }
         }
     }
@@ -1418,6 +1428,7 @@ pub fn run_dist_per_campaign_on(
                 break Some(StopReason::Interrupted);
             }
             coord.police(now);
+            coord.ping_idle(now);
             coord.pump_events(Duration::from_millis(5));
             continue;
         }
@@ -1425,6 +1436,7 @@ pub fn run_dist_per_campaign_on(
         coord.police(now);
         coord.create_leases(now);
         coord.dispatch(now);
+        coord.ping_idle(now);
 
         if coord.fleet.alive_workers() == 0 {
             if !cfg.fallback_in_process {
@@ -1504,6 +1516,7 @@ pub fn run_dist_per_campaign_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
     use wlan_runner::budget::Budget;
     use wlan_runner::per::run_per_campaign;
 
@@ -1773,10 +1786,10 @@ mod tests {
         // 800 ms, and lines queue serially: a lease's `done` waits behind
         // the `ready` of the hello resent at 700 ms. That is over the old
         // flat 700 ms deadline and comfortably under the scaled 4 × 700
-        // ms one. The long heartbeat keeps a `pong` out of the queue.
+        // ms one. A worker that gets a lease is not pinged first, so no
+        // `pong` joins the queue at the default heartbeat.
         let cfg = DistConfig::new(per, 1)
             .with_lease_timeout_ms(700)
-            .with_heartbeat_ms(5_000)
             .without_fallback();
         let mut factory = InProcessFactory {
             to_worker: TransportFaults::none(),
@@ -1791,6 +1804,84 @@ mod tests {
         assert!(report.outcome.is_complete(), "{:?}", report.outcome);
         assert_eq!(report.stats.timeouts, 0, "healthy progress must not time out");
         assert_eq!(report.points, baseline.points);
+    }
+
+    /// Keeps a copy of every byte the coordinator writes to a worker.
+    struct Tee {
+        inner: Box<dyn Write + Send>,
+        copy: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Write for Tee {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.inner.write(buf)?;
+            self.copy.lock().unwrap().extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn idle_worker_gets_its_lease_without_a_ping_first() {
+        // Every worker→coordinator line stalls 60 ms, three heartbeats:
+        // when the worker's `ready` and its first `done` land it has been
+        // idle (unpinged) for over `heartbeat_ms`, and the next lease must
+        // still go out alone, not behind a `ping`.
+        let spec = LinkSpec::Fhss;
+        let fault = FaultSpec::Clean;
+        let per = PerCampaignConfig::new(&[2.0], 20, 256, 99)
+            .with_budget(Budget::unlimited())
+            .with_threads(1);
+        let baseline = run_per_campaign(&*spec.build(), &fault.build(), &per);
+        let cfg = DistConfig::new(per, 1)
+            .with_lease_timeout_ms(5_000)
+            .with_heartbeat_ms(20)
+            .without_fallback();
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        struct Recording {
+            inner: InProcessFactory,
+            sent: Arc<Mutex<Vec<u8>>>,
+        }
+        impl WorkerFactory for Recording {
+            fn spawn(&mut self, id: usize) -> std::io::Result<WorkerIo> {
+                let mut io = self.inner.spawn(id)?;
+                io.writer = Box::new(Tee { inner: io.writer, copy: Arc::clone(&self.sent) });
+                Ok(io)
+            }
+        }
+        let mut factory = Recording {
+            inner: InProcessFactory {
+                to_worker: TransportFaults::none(),
+                from_worker: TransportFaults {
+                    stall: 1.0,
+                    stall_ms: 60,
+                    ..TransportFaults::none()
+                },
+                relay_seed: 0,
+            },
+            sent: Arc::clone(&sent),
+        };
+        let report = run_dist_per_campaign(spec, fault, &cfg, &mut factory);
+        assert!(report.outcome.is_complete(), "{:?}", report.outcome);
+        assert_eq!(report.points, baseline.points);
+
+        let bytes = sent.lock().unwrap().clone();
+        let mut reader = &bytes[..];
+        let mut msgs = Vec::new();
+        while let Ok(Some(msg)) = read_msg(&mut reader) {
+            msgs.push(msg);
+        }
+        let leases = msgs.iter().filter(|m| matches!(m, Msg::Lease { .. })).count();
+        assert!(leases >= 2, "{leases} leases in {msgs:?}");
+        for pair in msgs.windows(2) {
+            assert!(
+                !matches!(pair, [Msg::Ping { .. }, Msg::Lease { .. }]),
+                "a lease went out right behind a ping: {msgs:?}"
+            );
+        }
     }
 
     #[test]

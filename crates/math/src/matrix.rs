@@ -202,20 +202,6 @@ impl CMatrix {
             .collect()
     }
 
-    /// Like [`CMatrix::mul_vec`], but appends the product to a caller-owned
-    /// buffer — the same accumulation order, so results are bit-identical,
-    /// with no per-call allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()`.
-    pub fn mul_vec_append(&self, x: &[Complex], out: &mut Vec<Complex>) {
-        assert_eq!(x.len(), self.cols, "vector length mismatch");
-        out.extend(
-            (0..self.rows).map(|r| (0..self.cols).map(|c| self.get(r, c) * x[c]).sum::<Complex>()),
-        );
-    }
-
     /// Inverse by Gauss–Jordan elimination with partial pivoting.
     ///
     /// # Errors

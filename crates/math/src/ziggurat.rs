@@ -7,6 +7,12 @@
 //! path is one `u64` draw, two table reads, one multiply and one compare
 //! (~98.5 % of draws at 256 layers), several times cheaper.
 //!
+//! Only that fast path is inlined into callers: [`standard_normal`] is a
+//! handful of instructions, and the wedge and tail rejections live in one
+//! cold, never-inlined function that takes the rejected word and keeps
+//! drawing from the same generator. The split moves no draw: every
+//! caller sees the same normals from the same words in the same order.
+//!
 //! The layer tables are built once per process by bisecting the ziggurat
 //! closure condition — no magic constants to trust — and the construction
 //! is pure `f64` arithmetic, so the sampler is exactly reproducible: a
@@ -91,22 +97,45 @@ fn tables() -> &'static Tables {
     })
 }
 
+/// The signed in-layer uniform of a candidate: the top 53 bits of `bits`
+/// scaled onto `[-1, 1)`. The shifted value is below 2⁵³, so the signed
+/// conversion (one instruction, unlike the unsigned one) is exact.
+#[inline]
+fn signed_uniform(bits: u64) -> f64 {
+    ((bits >> 11) as i64) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0
+}
+
 /// One standard-normal draw.
 ///
 /// Layer choice and the in-layer uniform share a single `u64` (8 low bits
-/// pick the layer, the top 53 make the signed uniform); rejected
-/// candidates (wedges, the tail) draw more, so the per-sample draw count
-/// is data-dependent but fully determined by the stream.
+/// pick the layer, the top 53 make the signed uniform). The inlined fast
+/// path is that one word, the layer index, the uniform, one multiply and
+/// one compare; a rejected candidate goes to [`rejected`], which keeps
+/// drawing from the same `rng`, so the per-sample draw count is
+/// data-dependent but fully determined by the stream.
+#[inline]
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let t = tables();
+    let bits = rng.next_u64();
+    let i = (bits & 0xFF) as usize;
+    let x = signed_uniform(bits) * t.x[i];
+    if x.abs() < t.x[i + 1] {
+        return x;
+    }
+    rejected(t, bits, rng)
+}
+
+/// The slow path of [`standard_normal`] for a candidate `bits` that
+/// missed its layer's rectangle: the tail beyond `r` for the base layer,
+/// the wedge test otherwise, and a fresh candidate (fast test first) after
+/// each wedge rejection.
+#[cold]
+#[inline(never)]
+fn rejected<R: Rng + ?Sized>(t: &Tables, mut bits: u64, rng: &mut R) -> f64 {
     loop {
-        let bits = rng.next_u64();
         let i = (bits & 0xFF) as usize;
-        let u = (bits >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0;
+        let u = signed_uniform(bits);
         let x = u * t.x[i];
-        if x.abs() < t.x[i + 1] {
-            return x;
-        }
         if i == 0 {
             // Base layer outside the rectangle: sample the tail beyond r
             // (Marsaglia's exponential-rejection scheme).
@@ -122,6 +151,12 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         // Wedge: exact accept/reject against the density.
         let y = t.f[i] + rng.next_f64() * (t.f[i + 1] - t.f[i]);
         if y < density(x) {
+            return x;
+        }
+        bits = rng.next_u64();
+        let i = (bits & 0xFF) as usize;
+        let x = signed_uniform(bits) * t.x[i];
+        if x.abs() < t.x[i + 1] {
             return x;
         }
     }

@@ -4,6 +4,13 @@
 //! `n0` per receive antenna, recover `x`. Zero-forcing inverts the channel
 //! (noise-enhancing on ill-conditioned channels) and MMSE regularizes by
 //! the noise level. The ZF/MMSE gap at low SNR is one of the E7 ablations.
+//!
+//! [`detect`] and [`mmse`] work on a [`CMatrix`] per call. The receivers
+//! instead prepare a [`LinearDetector`] once per subcarrier and run it down
+//! the frame's symbols; it holds the channel, `Hᴴ` and the inverse in
+//! fixed 4×4 stack arrays (802.11n's antenna limit, [`MAX_ANTENNAS`]) and
+//! repeats `CMatrix`'s operations in `CMatrix`'s order, so both give the
+//! same bits with no allocation per carrier.
 
 use wlan_math::{CMatrix, Complex, WlanError};
 
@@ -126,6 +133,123 @@ pub fn detect(
     }
 }
 
+/// Largest antenna or stream count a [`SmallMatrix`] and a prepared
+/// [`LinearDetector`] hold: 802.11n's four.
+pub const MAX_ANTENNAS: usize = 4;
+
+/// A fixed square block whose top-left corner holds a matrix of up to
+/// [`MAX_ANTENNAS`] rows and columns; the rest stays zero.
+type Block = [[Complex; MAX_ANTENNAS]; MAX_ANTENNAS];
+
+const ZERO_BLOCK: Block = [[Complex::ZERO; MAX_ANTENNAS]; MAX_ANTENNAS];
+
+/// A channel matrix of at most [`MAX_ANTENNAS`] rows and columns held on
+/// the stack: one subcarrier's `n_rx × n_ss` estimate in the MIMO
+/// receivers, with no heap allocation per carrier.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SmallMatrix {
+    rows: usize,
+    cols: usize,
+    a: Block,
+}
+
+impl SmallMatrix {
+    /// A `rows × cols` zero matrix.
+    ///
+    /// # Errors
+    ///
+    /// [`WlanError::InvalidConfig`] if a dimension is not 1–4.
+    pub fn zeros(rows: usize, cols: usize) -> Result<Self, WlanError> {
+        let dims = 1..=MAX_ANTENNAS;
+        if !dims.contains(&rows) || !dims.contains(&cols) {
+            return Err(WlanError::InvalidConfig("antenna and stream counts must be 1-4"));
+        }
+        Ok(SmallMatrix { rows, cols, a: ZERO_BLOCK })
+    }
+
+    /// Element at `(r, c)`.
+    #[inline]
+    pub fn get(&self, r: usize, c: usize) -> Complex {
+        debug_assert!(r < self.rows && c < self.cols, "index out of bounds");
+        self.a[r][c]
+    }
+
+    /// Sets the element at `(r, c)`.
+    #[inline]
+    pub fn set(&mut self, r: usize, c: usize, v: Complex) {
+        debug_assert!(r < self.rows && c < self.cols, "index out of bounds");
+        self.a[r][c] = v;
+    }
+}
+
+impl TryFrom<&CMatrix> for SmallMatrix {
+    type Error = WlanError;
+
+    fn try_from(h: &CMatrix) -> Result<Self, WlanError> {
+        let mut m = SmallMatrix::zeros(h.rows(), h.cols())?;
+        for r in 0..h.rows() {
+            for c in 0..h.cols() {
+                m.set(r, c, h.get(r, c));
+            }
+        }
+        Ok(m)
+    }
+}
+
+/// `M·x` for the top-left `rows × x.len()` corner of `m`, each row a fold
+/// from zero in column order: [`CMatrix::mul_vec`]'s operation order.
+#[inline]
+fn mul_vec_into(m: &Block, rows: usize, x: &[Complex], out: &mut [Complex]) {
+    for (o, row) in out[..rows].iter_mut().zip(m) {
+        *o = row.iter().zip(x).fold(Complex::ZERO, |acc, (&a, &b)| acc + a * b);
+    }
+}
+
+/// Gauss–Jordan inverse of the top-left `n × n` corner of `a`, with
+/// [`CMatrix::inverse`]'s exact operation order: partial pivot on the
+/// largest `norm()` (the last of equals, as `max_by` picks), one
+/// `recip()` per pivot row, and elimination that skips exact-zero
+/// factors.
+fn invert(mut a: Block, n: usize) -> Result<Block, WlanError> {
+    let mut inv = ZERO_BLOCK;
+    for (i, row) in inv.iter_mut().enumerate().take(n) {
+        row[i] = Complex::ONE;
+    }
+    for col in 0..n {
+        let mut pivot_row = col;
+        for i in col + 1..n {
+            if a[pivot_row][col].norm().total_cmp(&a[i][col].norm()).is_le() {
+                pivot_row = i;
+            }
+        }
+        if a[pivot_row][col].norm() < 1e-300 {
+            return Err(WlanError::SingularChannel);
+        }
+        a.swap(col, pivot_row);
+        inv.swap(col, pivot_row);
+        let inv_pivot = a[col][col].recip();
+        for c in 0..n {
+            a[col][c] *= inv_pivot;
+            inv[col][c] *= inv_pivot;
+        }
+        let (pivot_a, pivot_inv) = (a[col], inv[col]);
+        for r in 0..n {
+            if r == col {
+                continue;
+            }
+            let factor = a[r][col];
+            if factor.norm_sqr() == 0.0 {
+                continue;
+            }
+            for c in 0..n {
+                a[r][c] -= factor * pivot_a[c];
+                inv[r][c] -= factor * pivot_inv[c];
+            }
+        }
+    }
+    Ok(inv)
+}
+
 /// A linear detector prepared once per (channel, noise) pair and applied to
 /// a batch of observations — the structure-of-arrays half of the MIMO-OFDM
 /// receive kernel.
@@ -133,28 +257,41 @@ pub fn detect(
 /// For OFDM the channel matrix of a subcarrier is constant across all of a
 /// frame's symbols, so the expensive factorization (Gram matrix, regularized
 /// inverse, per-stream SINR and unbiasing gains) is hoisted out of the
-/// per-symbol loop. Application preserves the exact floating-point operation
-/// sequence of [`mmse`] and of zero-forcing — matched filter, then inverse,
-/// then per-stream unbiasing — so batched and per-symbol detection are
-/// bit-identical; the batch equivalence suite pins this.
+/// per-symbol loop. `Hᴴ`, the inverse and the per-stream gains live in
+/// fixed [`MAX_ANTENNAS`]-square stack arrays, so preparing and detecting
+/// allocate nothing. Every product, the inverse and the unbiasing keep the
+/// exact floating-point operation sequence of [`mmse`] and of
+/// zero-forcing over [`CMatrix`] — matched filter, then inverse, then
+/// per-stream unbiasing — so batched and per-symbol detection are
+/// bit-identical; the batch equivalence suite and the detector pin in
+/// `kernel_pins` hold this.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearDetector {
-    /// `Hᴴ` (matched filter).
-    hh: CMatrix,
-    /// `(HᴴH)⁻¹` for ZF, `(HᴴH + n0·I)⁻¹` for MMSE.
-    inv: CMatrix,
+    /// `Hᴴ` (matched filter), `n_ss × n_rx`.
+    hh: Block,
+    /// `(HᴴH)⁻¹` for ZF, `(HᴴH + n0·I)⁻¹` for MMSE, `n_ss × n_ss`.
+    inv: Block,
     /// Per-stream post-detection SINR (the CSI weight for soft demapping).
-    sinr: Vec<f64>,
+    sinr: [f64; MAX_ANTENNAS],
     /// Per-stream unbiasing divisors `(1 − E_ii)` — `None` for ZF, which is
     /// already unbiased.
-    unbias: Option<Vec<f64>>,
+    unbias: Option<[f64; MAX_ANTENNAS]>,
     n_rx: usize,
     n_ss: usize,
-    /// Matched-filter / output scratch, reused across observations.
-    scratch: Vec<Complex>,
 }
 
 impl LinearDetector {
+    /// Factors the detector for one `(h, n0)` pair; `h` is copied into a
+    /// [`SmallMatrix`] and handed to [`LinearDetector::prepare_small`].
+    ///
+    /// # Errors
+    ///
+    /// [`WlanError::InvalidConfig`] if `h` has more than [`MAX_ANTENNAS`]
+    /// rows or columns, otherwise as [`LinearDetector::prepare_small`].
+    pub fn prepare(detector: Detector, h: &CMatrix, n0: f64) -> Result<Self, WlanError> {
+        Self::prepare_small(detector, &SmallMatrix::try_from(h)?, n0)
+    }
+
     /// Factors the detector for one `(h, n0)` pair.
     ///
     /// # Errors
@@ -162,61 +299,69 @@ impl LinearDetector {
     /// Returns [`WlanError::SingularChannel`] on a rank-deficient channel
     /// (ZF only, in practice), [`WlanError::NonFinite`] /
     /// [`WlanError::InvalidConfig`] on degenerate inputs. Never panics.
-    pub fn prepare(detector: Detector, h: &CMatrix, n0: f64) -> Result<Self, WlanError> {
+    pub fn prepare_small(detector: Detector, h: &SmallMatrix, n0: f64) -> Result<Self, WlanError> {
         if !n0.is_finite() {
             return Err(WlanError::NonFinite("noise variance"));
         }
         if n0 <= 0.0 {
             return Err(WlanError::InvalidConfig("noise variance must be positive"));
         }
-        for r in 0..h.rows() {
-            for c in 0..h.cols() {
-                if !h.get(r, c).is_finite() {
-                    return Err(WlanError::NonFinite("channel matrix"));
+        let (n_rx, n_ss) = (h.rows, h.cols);
+        if !h.a.iter().flatten().all(|v| v.is_finite()) {
+            return Err(WlanError::NonFinite("channel matrix"));
+        }
+        let mut hh = ZERO_BLOCK;
+        for (r, h_row) in h.a.iter().enumerate().take(n_rx) {
+            for (hh_row, &v) in hh.iter_mut().zip(h_row).take(n_ss) {
+                hh_row[r] = v.conj();
+            }
+        }
+        // Gram matrix HᴴH: CMatrix's product, which skips zero entries of
+        // the left factor.
+        let mut gram = ZERO_BLOCK;
+        for (g, hh_row) in gram.iter_mut().zip(&hh).take(n_ss) {
+            for (&a, h_row) in hh_row.iter().zip(&h.a).take(n_rx) {
+                if a.norm_sqr() == 0.0 {
+                    continue;
+                }
+                for (o, &b) in g.iter_mut().zip(h_row).take(n_ss) {
+                    *o += a * b;
                 }
             }
         }
-        let gram = h.gram();
-        let (inv, sinr, unbias) = match detector {
+        let mut sinr = [0.0; MAX_ANTENNAS];
+        let (inv, unbias) = match detector {
             Detector::ZeroForcing => {
-                let gram_inv = gram.inverse()?;
+                let inv = invert(gram, n_ss)?;
                 // Post-ZF SNR of stream i: 1 / (n0 · [(HᴴH)⁻¹]_ii).
-                let sinr = (0..h.cols())
-                    .map(|i| {
-                        let d = gram_inv.get(i, i).re.max(1e-300);
-                        1.0 / (n0 * d)
-                    })
-                    .collect();
-                (gram_inv, sinr, None)
+                for (i, s) in sinr.iter_mut().enumerate().take(n_ss) {
+                    let d = inv[i][i].re.max(1e-300);
+                    *s = 1.0 / (n0 * d);
+                }
+                (inv, None)
             }
             Detector::Mmse => {
-                let reg_inv = gram.add_diagonal(n0).inverse()?;
+                for (i, row) in gram.iter_mut().enumerate().take(n_ss) {
+                    row[i] += Complex::from_re(n0);
+                }
+                let inv = invert(gram, n_ss)?;
                 // Error covariance E = n0·(HᴴH + n0 I)⁻¹: SINR_i = 1/E_ii − 1
                 // and the bias factor of stream i is (1 − E_ii).
-                let mut sinr = Vec::with_capacity(h.cols());
-                let mut unbias = Vec::with_capacity(h.cols());
-                for i in 0..h.cols() {
-                    let e_ii = (n0 * reg_inv.get(i, i).re).clamp(1e-12, 1.0);
-                    sinr.push((1.0 / e_ii - 1.0).max(0.0));
-                    unbias.push((1.0 - e_ii).max(1e-12));
+                let mut unbias = [0.0; MAX_ANTENNAS];
+                for i in 0..n_ss {
+                    let e_ii = (n0 * inv[i][i].re).clamp(1e-12, 1.0);
+                    sinr[i] = (1.0 / e_ii - 1.0).max(0.0);
+                    unbias[i] = (1.0 - e_ii).max(1e-12);
                 }
-                (reg_inv, sinr, Some(unbias))
+                (inv, Some(unbias))
             }
         };
-        Ok(LinearDetector {
-            hh: h.hermitian(),
-            inv,
-            sinr,
-            unbias,
-            n_rx: h.rows(),
-            n_ss: h.cols(),
-            scratch: Vec::new(),
-        })
+        Ok(LinearDetector { hh, inv, sinr, unbias, n_rx, n_ss })
     }
 
     /// Per-stream post-detection SINR (constant across a batch).
     pub fn sinr(&self) -> &[f64] {
-        &self.sinr
+        &self.sinr[..self.n_ss]
     }
 
     /// Number of spatial streams each observation resolves into.
@@ -224,18 +369,14 @@ impl LinearDetector {
         self.n_ss
     }
 
-    /// Detects one observation, appending `n_streams` symbol estimates to
-    /// `symbols`; on error nothing is appended.
+    /// Detects one observation into the first `n_streams` entries of
+    /// `out`.
     ///
     /// # Errors
     ///
     /// [`WlanError::LengthMismatch`] on a wrong observation length,
     /// [`WlanError::NonFinite`] on a non-finite observation.
-    fn detect_append(
-        &mut self,
-        y: &[Complex],
-        symbols: &mut Vec<Complex>,
-    ) -> Result<(), WlanError> {
+    fn detect_into(&self, y: &[Complex], out: &mut [Complex; MAX_ANTENNAS]) -> Result<(), WlanError> {
         if y.len() != self.n_rx {
             return Err(WlanError::LengthMismatch {
                 expected: self.n_rx,
@@ -246,16 +387,14 @@ impl LinearDetector {
             return Err(WlanError::NonFinite("received vector"));
         }
         // Matched filter then inverse — the op order of mmse()/zero_forcing().
-        self.scratch.clear();
-        self.hh.mul_vec_append(y, &mut self.scratch);
-        let base = symbols.len();
-        self.inv.mul_vec_append(&self.scratch, symbols);
+        let mut matched = [Complex::ZERO; MAX_ANTENNAS];
+        mul_vec_into(&self.hh, self.n_ss, y, &mut matched);
+        mul_vec_into(&self.inv, self.n_ss, &matched[..self.n_ss], out);
         if let Some(unbias) = &self.unbias {
-            for (s, &d) in symbols[base..].iter_mut().zip(unbias) {
+            for (s, &d) in out.iter_mut().zip(unbias).take(self.n_ss) {
                 // Componentwise division, matching `mmse`'s `b / divisor`
                 // exactly (not a multiply by the reciprocal).
-                let unbiased = *s / d;
-                *s = unbiased;
+                *s = *s / d;
             }
         }
         Ok(())
@@ -280,18 +419,18 @@ impl LinearDetector {
     ) -> Result<(), WlanError> {
         if !ys.len().is_multiple_of(self.n_rx) {
             return Err(WlanError::LengthMismatch {
-                expected: ys.len().next_multiple_of(self.n_rx.max(1)),
+                expected: ys.len().next_multiple_of(self.n_rx),
                 got: ys.len(),
             });
         }
+        let mut out = [Complex::ZERO; MAX_ANTENNAS];
         for y in ys.chunks_exact(self.n_rx) {
-            match self.detect_append(y, symbols) {
-                Ok(()) => ok.push(true),
-                Err(_) => {
-                    symbols.extend(std::iter::repeat_n(Complex::ZERO, self.n_ss));
-                    ok.push(false);
-                }
+            let detected = self.detect_into(y, &mut out).is_ok();
+            if !detected {
+                out = [Complex::ZERO; MAX_ANTENNAS];
             }
+            symbols.extend_from_slice(&out[..self.n_ss]);
+            ok.push(detected);
         }
         Ok(())
     }
@@ -299,9 +438,12 @@ impl LinearDetector {
     /// Detects one observation into a [`Detected`] (per-call allocation;
     /// the equivalence tests compare this against [`detect`]).
     pub fn detect_one(&mut self, y: &[Complex]) -> Result<Detected, WlanError> {
-        let mut symbols = Vec::with_capacity(self.n_ss);
-        self.detect_append(y, &mut symbols)?;
-        Ok(Detected { symbols, sinr: self.sinr.clone() })
+        let mut out = [Complex::ZERO; MAX_ANTENNAS];
+        self.detect_into(y, &mut out)?;
+        Ok(Detected {
+            symbols: out[..self.n_ss].to_vec(),
+            sinr: self.sinr().to_vec(),
+        })
     }
 }
 

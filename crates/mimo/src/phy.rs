@@ -12,11 +12,11 @@
 //! `1/√N_ss` so a 4-stream transmission radiates the same total power as a
 //! SISO one — the fair comparison the range experiment (E5) needs.
 
-use crate::detect::{Detector, LinearDetector};
+use crate::detect::{Detector, LinearDetector, SmallMatrix, MAX_ANTENNAS};
 use wlan_coding::codec::DataCodec;
 use wlan_coding::interleaver::Interleaver;
 use wlan_coding::CodeRate;
-use wlan_math::{fft, CMatrix, Complex, WlanError};
+use wlan_math::{fft, Complex, WlanError};
 use wlan_ofdm::params::{data_carriers, Modulation, N_CP, N_DATA, N_FFT, N_SYM_SAMPLES};
 use wlan_ofdm::preamble::ltf_value;
 use wlan_ofdm::qam::{self, Constellation};
@@ -31,8 +31,15 @@ pub const P_HTLTF: [[f64; 4]; 4] = [
     [-1.0, 1.0, 1.0, 1.0],
 ];
 
-/// Why a configuration without receive antennas is rejected.
-pub(crate) const NO_RX_ANTENNA: &str = "need at least one receive antenna";
+/// Checks a receive antenna count against 802.11n's 1–4, the most a
+/// per-carrier [`SmallMatrix`] estimate holds.
+pub(crate) fn check_rx_antennas(n_rx: usize) -> Result<(), WlanError> {
+    if (1..=MAX_ANTENNAS).contains(&n_rx) {
+        Ok(())
+    } else {
+        Err(WlanError::InvalidConfig("receive antenna count must be 1-4"))
+    }
+}
 
 /// PHY rate in Mbps of `n_streams` spatial streams on the 48-data-carrier
 /// symbol (20 MHz, long GI).
@@ -62,7 +69,8 @@ pub(crate) fn write_training(antennas: &mut [Vec<Complex>], n_ltf: usize, power_
 pub struct MimoOfdmConfig {
     /// Number of spatial streams (equals transmit antennas here), 1–4.
     pub n_streams: usize,
-    /// Number of receive antennas (≥ `n_streams` for linear detection).
+    /// Number of receive antennas, 1–4 (≥ `n_streams` for linear
+    /// detection).
     pub n_rx: usize,
     /// Per-subcarrier modulation.
     pub modulation: Modulation,
@@ -103,15 +111,12 @@ impl MimoOfdmPhy {
     ///
     /// # Errors
     ///
-    /// [`WlanError::InvalidConfig`] if `n_streams` is not 1–4 or `n_rx` is
-    /// zero.
+    /// [`WlanError::InvalidConfig`] if `n_streams` or `n_rx` is not 1–4.
     pub fn new(cfg: MimoOfdmConfig) -> Result<Self, WlanError> {
         if !(1..=4).contains(&cfg.n_streams) {
             return Err(WlanError::InvalidConfig("stream count must be 1-4"));
         }
-        if cfg.n_rx == 0 {
-            return Err(WlanError::InvalidConfig(NO_RX_ANTENNA));
-        }
+        check_rx_antennas(cfg.n_rx)?;
         Ok(MimoOfdmPhy {
             cfg,
             scrambler_seed: 0x5D,
@@ -211,7 +216,7 @@ impl MimoOfdmPhy {
     ///
     /// Detection is batched: every symbol of every antenna is FFT'd in one
     /// planned pass, and each subcarrier's linear detector is factored
-    /// once ([`LinearDetector::prepare`]) and applied across all data
+    /// once ([`LinearDetector::prepare_small`]) and applied across all data
     /// symbols — identical arithmetic to per-symbol detection, hoisted out
     /// of the hot loop. The bit path after demapping then runs one symbol
     /// at a time: each stream's LLRs are deinterleaved, merged back in
@@ -227,7 +232,7 @@ impl MimoOfdmPhy {
         let n_ltf = self.num_training_symbols();
         let n_sym = self.num_data_symbols(payload_len);
         let spectra = Spectra::new(rx, n_rx, n_ltf + n_sym)?;
-        let channel = spectra.channel(n_ss, n_ltf);
+        let channel = spectra.channel(n_ss, n_ltf)?;
 
         // Structure-of-arrays detection: factor each subcarrier's detector
         // once, then run it down the frame's symbols. LLR planes are
@@ -245,7 +250,7 @@ impl MimoOfdmPhy {
             // A carrier whose detector cannot be factored (rank-deficient or
             // non-finite channel) stays all-erasures, exactly as per-symbol
             // detection errors did.
-            let Ok(mut det) = LinearDetector::prepare(self.cfg.detector, &channel[c], n0_eff)
+            let Ok(mut det) = LinearDetector::prepare_small(self.cfg.detector, &channel[c], n0_eff)
             else {
                 continue;
             };
@@ -342,12 +347,13 @@ impl Spectra {
     /// The `n_rx × n_ss` channel matrix at every data carrier, estimated
     /// from the first `n_ltf` symbols under the orthogonal `P` covers. It
     /// includes the transmit power scaling, which is what detection and
-    /// combining should see.
-    pub(crate) fn channel(&self, n_ss: usize, n_ltf: usize) -> Vec<CMatrix> {
+    /// combining should see. The PHYs' constructors hold `n_rx` and `n_ss`
+    /// to 1–4, so every estimate fits its stack [`SmallMatrix`].
+    pub(crate) fn channel(&self, n_ss: usize, n_ltf: usize) -> Result<Vec<SmallMatrix>, WlanError> {
         let estimate = |&k: &i32| {
             let bin = carrier_to_bin(k);
             let l = ltf_value(k);
-            let mut h = CMatrix::zeros(self.n_rx, n_ss);
+            let mut h = SmallMatrix::zeros(self.n_rx, n_ss)?;
             for r in 0..self.n_rx {
                 for (i, p_row) in P_HTLTF.iter().enumerate().take(n_ss) {
                     let mut acc = Complex::ZERO;
@@ -357,7 +363,7 @@ impl Spectra {
                     h.set(r, i, acc.scale(1.0 / (n_ltf as f64 * l)));
                 }
             }
-            h
+            Ok(h)
         };
         data_carriers().iter().map(estimate).collect()
     }
@@ -492,7 +498,7 @@ mod tests {
             code_rate: CodeRate::R1_2,
             detector: Detector::Mmse,
         };
-        for (n_streams, n_rx) in [(0, 1), (5, 5), (2, 0)] {
+        for (n_streams, n_rx) in [(0, 1), (5, 5), (2, 0), (2, 5)] {
             let err = MimoOfdmPhy::new(config(n_streams, n_rx)).unwrap_err();
             assert!(matches!(err, WlanError::InvalidConfig(_)), "{err:?}");
         }

@@ -12,7 +12,7 @@
 
 use std::f64::consts::FRAC_1_SQRT_2;
 
-use crate::phy::{rate_mbps, write_training, Spectra, NO_RX_ANTENNA};
+use crate::phy::{check_rx_antennas, rate_mbps, write_training, Spectra};
 use wlan_coding::codec::DataCodec;
 use wlan_coding::interleaver::Interleaver;
 use wlan_coding::CodeRate;
@@ -65,15 +65,13 @@ impl StbcOfdmPhy {
     ///
     /// # Errors
     ///
-    /// [`WlanError::InvalidConfig`] if `n_rx` is zero.
+    /// [`WlanError::InvalidConfig`] if `n_rx` is not 1–4.
     pub fn new(
         modulation: Modulation,
         code_rate: CodeRate,
         n_rx: usize,
     ) -> Result<Self, WlanError> {
-        if n_rx == 0 {
-            return Err(WlanError::InvalidConfig(NO_RX_ANTENNA));
-        }
+        check_rx_antennas(n_rx)?;
         Ok(StbcOfdmPhy {
             modulation,
             code_rate,
@@ -155,7 +153,7 @@ impl StbcOfdmPhy {
     pub fn receive(&self, rx: &[Vec<Complex>], payload_len: usize) -> Result<Vec<u8>, WlanError> {
         let n_sym = self.num_data_symbols(payload_len);
         let spectra = Spectra::new(rx, self.n_rx, 2 + n_sym)?;
-        let h = spectra.channel(2, 2);
+        let h = spectra.channel(2, 2)?;
 
         // Alamouti combining per subcarrier over symbol pairs: the pair is
         // combined at its first symbol, and each symbol is then demapped
@@ -333,7 +331,9 @@ mod tests {
         let rx = identity_rx(&tx);
         let err = phy.receive(&[rx], 3).unwrap_err();
         assert_eq!(err, WlanError::LengthMismatch { expected: 2, got: 1 });
-        let err = StbcOfdmPhy::new(Modulation::Bpsk, CodeRate::R1_2, 0).unwrap_err();
-        assert!(matches!(err, WlanError::InvalidConfig(_)), "{err:?}");
+        for n_rx in [0, 5] {
+            let err = StbcOfdmPhy::new(Modulation::Bpsk, CodeRate::R1_2, n_rx).unwrap_err();
+            assert!(matches!(err, WlanError::InvalidConfig(_)), "{err:?}");
+        }
     }
 }

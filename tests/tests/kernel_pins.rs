@@ -1,8 +1,9 @@
 //! Golden pins for the OFDM chains' kernels: FFT spectra, transmitted
 //! 802.11a and 802.11n (HT-20 BCC and LDPC, spatial multiplexing, STBC)
-//! sample streams, receiver outputs near each config's PER knee and the
-//! metro-sized PER-table calibration, all as FNV-1a-64 digests over exact
-//! IEEE bit patterns.
+//! sample streams, receiver outputs near each config's PER knee, the
+//! metro-sized PER-table calibration, the Gaussian sampler's draws and
+//! the prepared MIMO detector's outputs, all as FNV-1a-64 digests over
+//! exact IEEE bit patterns.
 //!
 //! The digests were recorded from the straightforward per-stage chain
 //! (frame-sized bit vectors, one stage at a time, a per-butterfly
@@ -13,13 +14,15 @@
 
 use wlan_city::PerTableSet;
 use wlan_core::channel::mimo::MimoMultipathChannel;
+use wlan_core::channel::noise::complex_gaussian;
 use wlan_core::channel::{Awgn, PowerDelayProfile};
 use wlan_core::coding::CodeRate;
 use wlan_core::math::fft::{self, FftPlan};
-use wlan_core::math::rng::{Rng, WlanRng};
+use wlan_core::math::rng::{Rng, RngCore, WlanRng};
 use wlan_core::math::special::db_to_lin;
-use wlan_core::math::{Complex, WlanError};
-use wlan_core::mimo::detect::Detector;
+use wlan_core::math::ziggurat::standard_normal;
+use wlan_core::math::{CMatrix, Complex, WlanError};
+use wlan_core::mimo::detect::{Detector, LinearDetector};
 use wlan_core::mimo::ht::HtPhy;
 use wlan_core::mimo::ht_ldpc::HtLdpcPhy;
 use wlan_core::mimo::phy::{MimoOfdmConfig, MimoOfdmPhy};
@@ -510,4 +513,145 @@ fn ht_mimo_stbc_receive_near_each_knee_is_pinned() {
             );
         }
     }
+}
+
+/// Counts the `u64` words drawn through it.
+struct CountingRng<'a> {
+    rng: &'a mut WlanRng,
+    draws: u64,
+}
+
+impl RngCore for CountingRng<'_> {
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.rng.next_u64()
+    }
+}
+
+// The sampler and detector pins were recorded from the ziggurat with its
+// rejections inline and from the `CMatrix`-backed detector; the split fast
+// path and the stack-array detector must reproduce them.
+
+#[test]
+fn gaussian_draws_are_pinned() {
+    // Digest of the first 10⁶ standard normals of one stream, the number
+    // of `u64` words they consumed, and the generator's next word after
+    // them (its state). The run must take both rejection paths: a tail
+    // draw lands beyond the base layer's edge r ≈ 3.654, and a draw that
+    // took more than one word without reaching the tail went through a
+    // wedge test.
+    let mut rng = WlanRng::seed_from_u64(0x005E_ED2A);
+    let mut counting = CountingRng { rng: &mut rng, draws: 0 };
+    let mut bytes = Vec::with_capacity(8_000_000);
+    let (mut tails, mut wedges) = (0usize, 0usize);
+    for _ in 0..1_000_000 {
+        let before = counting.draws;
+        let z = standard_normal(&mut counting);
+        bytes.extend_from_slice(&z.to_bits().to_le_bytes());
+        if z.abs() > 3.7 {
+            tails += 1;
+        } else if counting.draws - before > 1 && z.abs() < 3.6 {
+            wedges += 1;
+        }
+    }
+    let draws = counting.draws;
+    let next = rng.next_u64();
+    let digest = fnv1a64(&bytes);
+    assert!(tails > 0 && wedges > 0, "{tails} tail and {wedges} wedge draws");
+    assert_eq!(
+        (digest, draws, next),
+        (0x67d1_adfe_1185_a1d5, 1_021_938, 0x80e1_6ab5_4576_732a),
+        "digest {digest:#018x}, {draws} words, next word {next:#018x}"
+    );
+}
+
+fn push_f64(bytes: &mut Vec<u8>, x: f64) {
+    bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+}
+
+/// Prepares `detector` for `h` and runs it over the observations `ys`,
+/// appending the outcome (the error, or the SINRs, symbols and ok flags)
+/// to `bytes`; returns the ok flags.
+fn push_detection(
+    bytes: &mut Vec<u8>,
+    detector: Detector,
+    h: &CMatrix,
+    n0: f64,
+    ys: &[Complex],
+) -> Result<Vec<bool>, WlanError> {
+    let mut det = match LinearDetector::prepare(detector, h, n0) {
+        Ok(det) => det,
+        Err(e) => {
+            bytes.push(0);
+            bytes.extend_from_slice(e.to_string().as_bytes());
+            return Err(e);
+        }
+    };
+    bytes.push(1);
+    for &s in det.sinr() {
+        push_f64(bytes, s);
+    }
+    let (mut symbols, mut ok) = (Vec::new(), Vec::new());
+    det.detect_batch(ys, &mut symbols, &mut ok).expect("whole observations");
+    push_samples(bytes, &symbols);
+    bytes.extend(ok.iter().map(|&o| u8::from(o)));
+    Ok(ok)
+}
+
+#[test]
+fn linear_detector_outputs_are_pinned() {
+    // Every 1..4 × 1..4 shape, both detectors, two noise levels, random
+    // channels salted with exact (and negative) zeros so the Gram
+    // product's zero skip is exercised, and six observations each, the
+    // third of them non-finite.
+    let mut rng = WlanRng::seed_from_u64(0xDE7EC7);
+    let mut bytes = Vec::new();
+    let nan = Complex::new(f64::NAN, 0.0);
+    for n_rx in 1..=4usize {
+        for n_ss in 1..=4usize {
+            for detector in [Detector::ZeroForcing, Detector::Mmse] {
+                for n0 in [0.01, 0.3] {
+                    let h: Vec<Complex> = (0..n_rx * n_ss)
+                        .map(|i| {
+                            let v = complex_gaussian(&mut rng);
+                            match i % 5 {
+                                1 => Complex::ZERO,
+                                3 => Complex::new(-0.0, v.im),
+                                _ => v,
+                            }
+                        })
+                        .collect();
+                    let h = CMatrix::from_vec(n_rx, n_ss, h);
+                    let mut ys: Vec<Complex> =
+                        (0..6 * n_rx).map(|_| complex_gaussian(&mut rng)).collect();
+                    ys[2 * n_rx] = nan;
+                    if let Ok(ok) = push_detection(&mut bytes, detector, &h, n0, &ys) {
+                        assert!(!ok[2], "{n_rx}x{n_ss}: a non-finite observation is an erasure");
+                    }
+                }
+            }
+        }
+    }
+    // A rank-one channel: ZF must report it, MMSE regularizes it.
+    let one = CMatrix::from_rows(&[&[Complex::ONE, Complex::ONE], &[Complex::ONE, Complex::ONE]]);
+    let ys = [Complex::ONE, Complex::I, nan, Complex::ONE];
+    assert_eq!(
+        push_detection(&mut bytes, Detector::ZeroForcing, &one, 0.1, &ys),
+        Err(WlanError::SingularChannel)
+    );
+    assert_eq!(
+        push_detection(&mut bytes, Detector::Mmse, &one, 0.1, &ys),
+        Ok(vec![true, false])
+    );
+    // HᴴH + n0·I = [[1, 1], [1, 3.5]] exactly: a pivot tie in column 0.
+    let half = Complex::from_re(0.5);
+    let tie = CMatrix::from_rows(&[
+        &[half, Complex::ONE],
+        &[half, Complex::ONE],
+        &[Complex::ZERO, Complex::ONE],
+    ]);
+    let ys = [Complex::ONE, Complex::I, -Complex::ONE];
+    push_detection(&mut bytes, Detector::Mmse, &tie, 0.5, &ys).expect("regularized");
+    let digest = fnv1a64(&bytes);
+    assert_eq!(digest, 0xa069_3472_82c0_0bdc, "detector digest {digest:#018x}");
 }
