@@ -16,6 +16,7 @@ use wlan_city::PerTableSet;
 use wlan_core::channel::mimo::MimoMultipathChannel;
 use wlan_core::channel::noise::complex_gaussian;
 use wlan_core::channel::{Awgn, PowerDelayProfile};
+use wlan_core::coding::ldpc::{LdpcCode, LdpcDecode, MinSum};
 use wlan_core::coding::CodeRate;
 use wlan_core::math::fft::{self, FftPlan};
 use wlan_core::math::rng::{Rng, RngCore, WlanRng};
@@ -654,4 +655,156 @@ fn linear_detector_outputs_are_pinned() {
     push_detection(&mut bytes, Detector::Mmse, &tie, 0.5, &ys).expect("regularized");
     let digest = fnv1a64(&bytes);
     assert_eq!(digest, 0xa069_3472_82c0_0bdc, "detector digest {digest:#018x}");
+}
+
+// ---------------------------------------------------------------------
+// The LDPC decoder: every code the HT-LDPC knee pins build (16-QAM r1/2,
+// the code of the faulted benchmark links, among them) and E06's
+// rate-1/2 648-bit code, over noisy, hostile and tied blocks.
+
+/// The code `HtLdpcPhy::new(m, r)` builds: the fewest symbols reaching
+/// 1296 coded bits that hold a whole number of information bits.
+fn ht_ldpc_code(m: Modulation, r: CodeRate) -> LdpcCode {
+    let n_cbps = 52 * m.bits_per_subcarrier();
+    let (num, den) = r.as_fraction();
+    let mut span = 1296usize.div_ceil(n_cbps);
+    while !(span * n_cbps * num).is_multiple_of(den) {
+        span += 1;
+    }
+    let n = span * n_cbps;
+    let k = n * num / den;
+    let phy = HtLdpcPhy::cached(m, r);
+    assert_eq!(phy.rate_mbps(), k as f64 / (span as f64 * 4.0), "{m} r={r}");
+    LdpcCode::new(k, n - k, 0x11AC)
+}
+
+fn ldpc_pin_codes() -> Vec<LdpcCode> {
+    let mut codes: Vec<LdpcCode> = HT_LDPC.iter().map(|&(m, r)| ht_ldpc_code(m, r)).collect();
+    codes.push(LdpcCode::rate_half(648, 11));
+    codes
+}
+
+/// The decoder inputs of one code: a codeword's BPSK-over-AWGN LLRs at
+/// five noise levels (converging to hopeless), then hostile blocks —
+/// signed zeros, NaNs, infinities, all-equal magnitudes (every minimum
+/// ties) with flipped bits, and blocks that are all −0.0 or all NaN.
+fn ldpc_pin_blocks(code: &LdpcCode, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = WlanRng::seed_from_u64(0x1D9C).fork(seed);
+    let info: Vec<u8> = (0..code.info_len()).map(|_| rng.gen_range(0..2u8)).collect();
+    let cw = code.encode(&info);
+    let x = |b: u8| if b == 0 { 1.0 } else { -1.0 };
+    let noisy = |sigma: f64, rng: &mut WlanRng| -> Vec<f64> {
+        cw.iter()
+            .map(|&b| 2.0 * (x(b) + sigma * rng.gen_gaussian()) / (sigma * sigma))
+            .collect()
+    };
+    let mut blocks: Vec<Vec<f64>> = [0.45, 0.6, 0.75, 0.9, 1.3]
+        .iter()
+        .map(|&sigma| noisy(sigma, &mut rng))
+        .collect();
+    let mut zeros = noisy(0.6, &mut rng);
+    for (i, l) in zeros.iter_mut().enumerate() {
+        match i % 9 {
+            2 => *l = 0.0,
+            6 => *l = -0.0,
+            _ => {}
+        }
+    }
+    blocks.push(zeros);
+    let mut nans = noisy(0.6, &mut rng);
+    for l in nans.iter_mut().step_by(37) {
+        *l = f64::NAN;
+    }
+    blocks.push(nans);
+    let mut infs = noisy(0.7, &mut rng);
+    for (i, l) in infs.iter_mut().enumerate().filter(|(i, _)| i % 53 == 5) {
+        *l = if i % 2 == 0 { f64::INFINITY } else { f64::NEG_INFINITY };
+    }
+    blocks.push(infs);
+    let mut ties: Vec<f64> = cw.iter().map(|&b| x(b)).collect();
+    for l in ties.iter_mut().step_by(23) {
+        *l = -*l;
+    }
+    blocks.push(ties);
+    blocks.push(vec![-0.0; cw.len()]);
+    blocks.push(vec![f64::NAN; cw.len()]);
+    blocks
+}
+
+const LDPC_PIN_VARIANTS: [MinSum; 2] = [MinSum::Plain, MinSum::Normalized(0.8)];
+
+fn push_ldpc_decode(bytes: &mut Vec<u8>, out: &LdpcDecode) {
+    bytes.extend_from_slice(&out.info_bits);
+    bytes.push(u8::from(out.converged));
+    bytes.extend_from_slice(&(out.iterations as u64).to_le_bytes());
+}
+
+#[test]
+fn ldpc_decodes_are_pinned() {
+    // Every code × every block × both variants at the chains' 40
+    // iterations, plus the first two noisy blocks cut at 0 and 3
+    // iterations.
+    let mut bytes = Vec::new();
+    let (mut converged, mut failed, mut iterated) = (0usize, 0usize, 0usize);
+    for (c, code) in ldpc_pin_codes().iter().enumerate() {
+        let blocks = ldpc_pin_blocks(code, c as u64);
+        for variant in LDPC_PIN_VARIANTS {
+            for (b, llrs) in blocks.iter().enumerate() {
+                let out = code.decode(llrs, 40, variant);
+                push_ldpc_decode(&mut bytes, &out);
+                if out.converged {
+                    converged += 1;
+                    iterated += usize::from(out.iterations > 0);
+                } else {
+                    failed += 1;
+                }
+                if b < 2 {
+                    for cut in [0, 3] {
+                        push_ldpc_decode(&mut bytes, &code.decode(llrs, cut, variant));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        converged > 0 && failed > 0 && iterated > 0,
+        "{converged} converged ({iterated} after iterating), {failed} failed"
+    );
+    let digest = fnv1a64(&bytes);
+    assert_eq!(digest, 0x0297_f4ca_25a8_8f92, "LDPC decode digest {digest:#018x}");
+}
+
+#[test]
+fn ht_ldpc_receive_by_codeword_count_is_pinned() {
+    // Frames of exactly 1, 2, 3 and 4 codewords (the payload that fills
+    // the last one) near three configs' knees, eight frames each.
+    let mut bytes = Vec::new();
+    let (mut right, mut wrong) = (0usize, 0usize);
+    for (idx, snr_db) in [(2usize, 4.0), (4, 9.5), (9, 19.5)] {
+        let (m, r) = HT_LDPC[idx];
+        let phy = HtLdpcPhy::cached(m, r);
+        let k = ht_ldpc_code(m, r).info_len();
+        let awgn = Awgn::from_snr_db(snr_db);
+        for codewords in 1..=4usize {
+            let len = (codewords * k - 16) / 8;
+            assert_eq!(phy.num_data_symbols(len), phy.num_data_symbols(1) * codewords);
+            let mut outcomes = Outcomes::default();
+            for frame in 0..8 {
+                let mut rng = WlanRng::seed_from_u64(0x1DC)
+                    .fork(idx as u64)
+                    .fork(codewords as u64)
+                    .fork(frame);
+                let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                let mut samples = phy.transmit(&payload);
+                awgn.apply_in_place(&mut samples, &mut rng);
+                outcomes.push(&payload, phy.receive(&samples, len));
+            }
+            right += outcomes.right;
+            wrong += outcomes.wrong;
+            bytes.extend_from_slice(&outcomes.bytes);
+        }
+    }
+    assert!(right > 0 && wrong > 0, "{right} right / {wrong} wrong decodes");
+    let digest = fnv1a64(&bytes);
+    assert_eq!(digest, 0xdf5b_d79a_0544_e132, "HT-LDPC receive digest {digest:#018x}");
 }
