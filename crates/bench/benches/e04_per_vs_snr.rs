@@ -80,13 +80,15 @@ fn experiment(c: &mut Timer) {
         }
     }
 
+    // Each E4 trial is one frame, so the two rates coincide. The file is
+    // written before the timing loop below, so its counters and wall
+    // clock cover the experiment alone.
+    run.finish(trial_total, trial_total);
+
     let link = OfdmLink::awgn(OfdmRate::R24);
     c.bench_function("e04_ofdm24_frame_at_15db", |b| {
         b.iter(|| sweep_per(&link, &[15.0], payload, 5, 1))
     });
-
-    // Each E4 trial is one frame, so the two rates coincide.
-    run.finish(trial_total, trial_total);
 }
 
 fn main() {

@@ -138,17 +138,19 @@ fn experiment(c: &mut Timer) {
          inside long bursts, so protection roughly breaks even there."
     );
 
+    // Frames actually simulated at the PHY (fault-catalog campaigns plus
+    // the MAC tables' per-frame attempts live under `counters`); trials
+    // counts the campaign trials the robustness table allocated. Both are
+    // read, and the file written, before the timing loop below, so the
+    // counters and wall clock cover the experiment alone.
+    let frames = wlan_obs::global().counter("linksim.frames").value();
+    run.finish(frames, trials);
+
     c.bench_function("e16_ofdm_burst_sweep", |b| {
         let link = OfdmLink::awgn(OfdmRate::R24);
         let chain = FaultKind::BurstInterference.chain(1.0);
         b.iter(|| sweep_per_faulted(&link, &chain, &[snr_db], 100, 5, 16))
     });
-
-    // Frames actually simulated at the PHY (fault-catalog campaigns plus
-    // the MAC tables' per-frame attempts live under `counters`); trials
-    // counts the campaign trials the robustness table allocated.
-    let frames = wlan_obs::global().counter("linksim.frames").value();
-    run.finish(frames, trials);
 }
 
 fn main() {

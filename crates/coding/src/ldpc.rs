@@ -218,22 +218,37 @@ impl LdpcCode {
         self.decode_checked(llrs, max_iters, variant)
     }
 
-    /// Like [`LdpcCode::decode`], but a mis-sized LLR block (a truncated
-    /// codeword) returns [`wlan_math::WlanError::LengthMismatch`] instead
-    /// of panicking.
-    pub fn try_decode(
+    /// Decodes two codewords at once, each exactly as
+    /// [`LdpcCode::decode`] would decode it alone: the same hard
+    /// decisions, convergence flag and iteration count.
+    ///
+    /// On x86_64 the two blocks run the layered min-sum schedule side by
+    /// side, one in each `f64` lane of an SSE2 register (SSE2 is baseline
+    /// there); elsewhere this is two `decode` calls. A mis-sized block (a
+    /// truncated codeword) returns [`wlan_math::WlanError::LengthMismatch`].
+    pub fn decode_pair(
         &self,
-        llrs: &[f64],
+        a: &[f64],
+        b: &[f64],
         max_iters: usize,
         variant: MinSum,
-    ) -> Result<LdpcDecode, wlan_math::WlanError> {
-        if llrs.len() != self.codeword_len() {
+    ) -> Result<(LdpcDecode, LdpcDecode), wlan_math::WlanError> {
+        let n = self.codeword_len();
+        if let Some(llrs) = [a, b].into_iter().find(|llrs| llrs.len() != n) {
             return Err(wlan_math::WlanError::LengthMismatch {
-                expected: self.codeword_len(),
+                expected: n,
                 got: llrs.len(),
             });
         }
-        Ok(self.decode_checked(llrs, max_iters, variant))
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        #[cfg(target_arch = "x86_64")]
+        let pair = unsafe { self.decode_pair_sse2(a, b, max_iters, variant) };
+        #[cfg(not(target_arch = "x86_64"))]
+        let pair = (
+            self.decode_checked(a, max_iters, variant),
+            self.decode_checked(b, max_iters, variant),
+        );
+        Ok(pair)
     }
 
     fn decode_checked(&self, llrs: &[f64], max_iters: usize, variant: MinSum) -> LdpcDecode {
@@ -312,6 +327,143 @@ impl LdpcCode {
             converged: false,
             iterations: max_iters,
         }
+    }
+
+    /// The two-lane form of [`LdpcCode::decode_checked`]: lane 0 holds
+    /// codeword `a`, lane 1 codeword `b`, and each lane runs the scalar
+    /// loop's IEEE operations in its order. The negation is a sign-bit
+    /// xor, `abs` clears the sign bit, `min1`/`second` are `minpd` (which
+    /// is exactly `mag < min ? mag : min`, false on NaN like `<`), every
+    /// other `if` is an and/andnot/or select on a `cmplt_pd` mask, and
+    /// `min_idx` is carried as an `f64` lane compared with `cmpeq_pd`.
+    /// After each iteration every unfinished lane's syndrome is checked;
+    /// a lane that clears it is recorded at that iteration and left
+    /// running, its later updates discarded.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "sse2")]
+    fn decode_pair_sse2(
+        &self,
+        a: &[f64],
+        b: &[f64],
+        max_iters: usize,
+        variant: MinSum,
+    ) -> (LdpcDecode, LdpcDecode) {
+        use std::arch::x86_64::*;
+
+        let alpha = _mm_set1_pd(match variant {
+            MinSum::Plain => 1.0,
+            MinSum::Normalized(a) => a,
+        });
+        let sign_bit = _mm_set1_pd(-0.0);
+        let zero = _mm_setzero_pd();
+        let one = _mm_set1_pd(1.0);
+        let select = |mask: __m128d, yes: __m128d, no: __m128d| {
+            _mm_or_pd(_mm_and_pd(mask, yes), _mm_andnot_pd(mask, no))
+        };
+
+        let mut check_msgs = vec![zero; self.row_vars.len()];
+        let mut totals: Vec<__m128d> = a.iter().zip(b).map(|(&x, &y)| _mm_set_pd(y, x)).collect();
+        let mut done: [Option<LdpcDecode>; 2] = [None, None];
+        self.record_cleared(&totals, 0, &mut done);
+
+        let mut iter = 0;
+        while iter < max_iters && done.iter().any(Option::is_none) {
+            iter += 1;
+            for row in 0..self.m {
+                let (start, end) =
+                    (self.row_offsets[row] as usize, self.row_offsets[row + 1] as usize);
+                let vars = &self.row_vars[start..end];
+                let msgs = &mut check_msgs[start..end];
+                let mut sign = one;
+                let mut min1 = _mm_set1_pd(f64::INFINITY);
+                let mut min2 = min1;
+                let mut min_idx = zero;
+                let mut idx = zero;
+                for (&v, &old) in vars.iter().zip(msgs.iter()) {
+                    // SAFETY: `v < n == totals.len()`, checked in `new`.
+                    let msg = _mm_sub_pd(unsafe { *totals.get_unchecked(v as usize) }, old);
+                    sign = _mm_xor_pd(sign, _mm_and_pd(_mm_cmplt_pd(msg, zero), sign_bit));
+                    let mag = _mm_andnot_pd(sign_bit, msg);
+                    let below1 = _mm_cmplt_pd(mag, min1);
+                    let second = _mm_min_pd(mag, min2);
+                    min2 = select(below1, min1, second);
+                    min1 = _mm_min_pd(mag, min1);
+                    min_idx = select(below1, idx, min_idx);
+                    idx = _mm_add_pd(idx, one);
+                }
+                idx = zero;
+                for (&v, msg) in vars.iter().zip(msgs.iter_mut()) {
+                    let old = *msg;
+                    // SAFETY: `v < n == totals.len()`, checked in `new`.
+                    let total = unsafe { totals.get_unchecked_mut(v as usize) };
+                    let incoming = _mm_sub_pd(*total, old);
+                    let excl_sign =
+                        _mm_xor_pd(sign, _mm_and_pd(_mm_cmplt_pd(incoming, zero), sign_bit));
+                    let mag = select(_mm_cmpeq_pd(idx, min_idx), min2, min1);
+                    let new = _mm_mul_pd(_mm_mul_pd(alpha, excl_sign), mag);
+                    *msg = new;
+                    *total = _mm_add_pd(*total, _mm_sub_pd(new, old));
+                    idx = _mm_add_pd(idx, one);
+                }
+            }
+            self.record_cleared(&totals, iter, &mut done);
+        }
+
+        let [a, b] = std::array::from_fn(|lane| {
+            done[lane].take().unwrap_or_else(|| LdpcDecode {
+                info_bits: Self::hard_prefix_lane(&totals, self.k, lane),
+                converged: false,
+                iterations: max_iters,
+            })
+        });
+        (a, b)
+    }
+
+    /// Records every unfinished lane of `totals` whose hard decisions
+    /// satisfy every check as converged at `iter`. The row walk stops as
+    /// soon as every unfinished lane has failed a check.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "sse2")]
+    fn record_cleared(
+        &self,
+        totals: &[std::arch::x86_64::__m128d],
+        iter: usize,
+        done: &mut [Option<LdpcDecode>; 2],
+    ) {
+        use std::arch::x86_64::*;
+        let pending = (0..2).filter(|&lane| done[lane].is_none()).fold(0, |m, l| m | 1 << l);
+        let zero = _mm_setzero_pd();
+        let mut failed = 0;
+        for w in self.row_offsets.windows(2) {
+            let parity = self.row_vars[w[0] as usize..w[1] as usize]
+                .iter()
+                .fold(zero, |acc, &c| _mm_xor_pd(acc, _mm_cmplt_pd(totals[c as usize], zero)));
+            failed |= _mm_movemask_pd(parity);
+            if failed & pending == pending {
+                return;
+            }
+        }
+        for (lane, slot) in done.iter_mut().enumerate() {
+            if pending & !failed & (1 << lane) != 0 {
+                *slot = Some(LdpcDecode {
+                    info_bits: Self::hard_prefix_lane(totals, self.k, lane),
+                    converged: true,
+                    iterations: iter,
+                });
+            }
+        }
+    }
+
+    /// The hard decisions on the first `k` totals of `lane`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "sse2")]
+    fn hard_prefix_lane(totals: &[std::arch::x86_64::__m128d], k: usize, lane: usize) -> Vec<u8> {
+        use std::arch::x86_64::*;
+        let zero = _mm_setzero_pd();
+        totals[..k]
+            .iter()
+            .map(|&t| (_mm_movemask_pd(_mm_cmplt_pd(t, zero)) >> lane & 1) as u8)
+            .collect()
     }
 
     /// Whether the hard decisions implied by `totals` satisfy every check,
@@ -510,22 +662,25 @@ mod tests {
     #[test]
     fn try_decode_reports_truncated_codewords() {
         let code = test_code();
-        let err = code
-            .try_decode(&vec![0.0; code.codeword_len() - 3], 10, MinSum::Plain)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            wlan_math::WlanError::LengthMismatch {
-                expected: code.codeword_len(),
-                got: code.codeword_len() - 3,
-            }
-        );
+        let n = code.codeword_len();
+        let (short, whole) = (vec![0.0; n - 3], vec![0.0; n]);
+        for (a, b) in [(&short, &whole), (&whole, &short)] {
+            let err = code.decode_pair(a, b, 10, MinSum::Plain).unwrap_err();
+            assert_eq!(
+                err,
+                wlan_math::WlanError::LengthMismatch {
+                    expected: n,
+                    got: n - 3,
+                }
+            );
+        }
         // The happy path agrees with the panicking decoder.
         let info: Vec<u8> = (0..code.info_len()).map(|i| (i % 2) as u8).collect();
         let cw = code.encode(&info);
         let llrs: Vec<f64> = cw.iter().map(|&b| if b == 0 { 4.0 } else { -4.0 }).collect();
-        let out = code.try_decode(&llrs, 20, MinSum::Plain).unwrap();
-        assert_eq!(out, code.decode(&llrs, 20, MinSum::Plain));
-        assert!(out.converged);
+        let (a, b) = code.decode_pair(&llrs, &whole, 20, MinSum::Plain).unwrap();
+        assert_eq!(a, code.decode(&llrs, 20, MinSum::Plain));
+        assert_eq!(b, code.decode(&whole, 20, MinSum::Plain));
+        assert!(a.converged);
     }
 }

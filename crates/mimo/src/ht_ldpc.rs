@@ -138,9 +138,10 @@ impl HtLdpcPhy {
         frame
     }
 
-    /// Decodes a frame; per-codeword min-sum BP with early termination. A
-    /// truncated stream returns [`WlanError::FrameTruncated`] instead of
-    /// panicking.
+    /// Decodes a frame; per-codeword min-sum BP with early termination,
+    /// two codewords at a time ([`LdpcCode::decode_pair`]) and an odd last
+    /// one alone. A truncated stream returns [`WlanError::FrameTruncated`]
+    /// instead of panicking.
     pub fn receive(&self, samples: &[Complex], payload_len: usize) -> Result<Vec<u8>, WlanError> {
         let needed = self.frame_samples(payload_len);
         if samples.len() < needed {
@@ -150,19 +151,29 @@ impl HtLdpcPhy {
             });
         }
         let channel = HtChannel::estimate(&samples[..N_SYM_SAMPLES]);
+        let n = self.code.codeword_len();
         let n_cbps = N_DATA_HT20 * self.modulation.bits_per_subcarrier();
         let blocks = samples[N_SYM_SAMPLES..needed].chunks_exact(self.span * N_SYM_SAMPLES);
         let mut scrambled = Vec::with_capacity(blocks.len() * self.code.info_len());
-        // One LLR buffer for the whole frame: every slot is overwritten per
-        // codeword.
-        let mut llrs = vec![0.0f64; self.code.codeword_len()];
-        for block in blocks {
+        // Every codeword's LLRs in one buffer, so they can be decoded in
+        // pairs.
+        let mut llrs = vec![0.0f64; blocks.len() * n];
+        for (block, codeword) in blocks.zip(llrs.chunks_exact_mut(n)) {
             let slots = block.chunks_exact(N_SYM_SAMPLES);
-            for (slot, out) in slots.zip(llrs.chunks_exact_mut(n_cbps)) {
+            for (slot, out) in slots.zip(codeword.chunks_exact_mut(n_cbps)) {
                 channel.demap_symbol(slot, self.modulation, out);
             }
-            let decoded = self.code.try_decode(&llrs, self.max_iters, MIN_SUM)?;
-            scrambled.extend(decoded.info_bits);
+        }
+        let mut pairs = llrs.chunks_exact(2 * n);
+        for pair in pairs.by_ref() {
+            let (a, b) = pair.split_at(n);
+            let (a, b) = self.code.decode_pair(a, b, self.max_iters, MIN_SUM)?;
+            scrambled.extend(a.info_bits);
+            scrambled.extend(b.info_bits);
+        }
+        let last = pairs.remainder();
+        if !last.is_empty() {
+            scrambled.extend(self.code.decode(last, self.max_iters, MIN_SUM).info_bits);
         }
         let descrambled = Scrambler::new(self.scrambler_seed).scramble(&scrambled);
         Ok(bits::bits_to_bytes(&descrambled[16..16 + 8 * payload_len]))

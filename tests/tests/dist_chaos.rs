@@ -287,10 +287,17 @@ fn run_over_tcp(
         })
         .collect();
     let mut fleet = Fleet::from_joiners(joiners);
-    // Let the fleet form before the coordinator's first pass — late
-    // joiners would still attach, but the matrix wants real TCP
-    // sharding from lease one, not a race with the fallback decision.
-    std::thread::sleep(Duration::from_millis(100));
+    // Wait (bounded) until every worker has handshaken into the fleet
+    // before the coordinator's first pass — late joiners would still
+    // attach, but the matrix wants real TCP sharding from lease one, and
+    // a worker that attaches after a chaos kill does the leases the
+    // fleet-loss case must see fall back in-process.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while fleet.alive_workers() < workers && Instant::now() < deadline {
+        fleet.idle_tick(50);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(fleet.alive_workers(), workers, "the TCP fleet must form");
     let report = run_dist_per_campaign_on(spec, fault, cfg, &mut fleet, "", None);
     fleet.shutdown();
     acceptor.close();

@@ -808,3 +808,36 @@ fn ht_ldpc_receive_by_codeword_count_is_pinned() {
     let digest = fnv1a64(&bytes);
     assert_eq!(digest, 0xdf5b_d79a_0544_e132, "HT-LDPC receive digest {digest:#018x}");
 }
+
+#[test]
+fn decode_pair_matches_two_decodes() {
+    // Each block beside itself and beside three others (so a lane that
+    // converges runs beside one that fails, and a lane done at iteration
+    // 0 beside one that iterates), both variants, at 40 iterations and
+    // cut at 0 and 3.
+    let mut mixed = 0usize;
+    for (c, code) in ldpc_pin_codes().iter().enumerate() {
+        let blocks = ldpc_pin_blocks(code, c as u64);
+        let count = blocks.len();
+        for variant in LDPC_PIN_VARIANTS {
+            for max_iters in [40, 0, 3] {
+                let singles: Vec<LdpcDecode> =
+                    blocks.iter().map(|llrs| code.decode(llrs, max_iters, variant)).collect();
+                for i in 0..count {
+                    for j in [i, (i + 1) % count, (i + 4) % count, (i + 7) % count] {
+                        let pair = code
+                            .decode_pair(&blocks[i], &blocks[j], max_iters, variant)
+                            .expect("whole codewords");
+                        assert_eq!(
+                            pair,
+                            (singles[i].clone(), singles[j].clone()),
+                            "code {c}, blocks ({i}, {j}), {variant:?}, {max_iters} iterations"
+                        );
+                        mixed += usize::from(singles[i].converged != singles[j].converged);
+                    }
+                }
+            }
+        }
+    }
+    assert!(mixed > 0, "no pair ran a converging lane beside a failing one");
+}
