@@ -302,8 +302,7 @@ impl LdpcCode {
                 }
                 for (idx, &v) in vars.iter().enumerate() {
                     let old = msgs[idx];
-                    // SAFETY: `v < n == totals.len()`, checked in `new`.
-                    let total = unsafe { totals.get_unchecked_mut(v as usize) };
+                    let total = &mut totals[v as usize];
                     let incoming = *total - old;
                     let excl_sign = if incoming < 0.0 { -sign } else { sign };
                     let mag = if idx == min_idx { min2 } else { min1 };
@@ -380,8 +379,7 @@ impl LdpcCode {
                 let mut min_idx = zero;
                 let mut idx = zero;
                 for (&v, &old) in vars.iter().zip(msgs.iter()) {
-                    // SAFETY: `v < n == totals.len()`, checked in `new`.
-                    let msg = _mm_sub_pd(unsafe { *totals.get_unchecked(v as usize) }, old);
+                    let msg = _mm_sub_pd(totals[v as usize], old);
                     sign = _mm_xor_pd(sign, _mm_and_pd(_mm_cmplt_pd(msg, zero), sign_bit));
                     let mag = _mm_andnot_pd(sign_bit, msg);
                     let below1 = _mm_cmplt_pd(mag, min1);
@@ -394,8 +392,7 @@ impl LdpcCode {
                 idx = zero;
                 for (&v, msg) in vars.iter().zip(msgs.iter_mut()) {
                     let old = *msg;
-                    // SAFETY: `v < n == totals.len()`, checked in `new`.
-                    let total = unsafe { totals.get_unchecked_mut(v as usize) };
+                    let total = &mut totals[v as usize];
                     let incoming = _mm_sub_pd(*total, old);
                     let excl_sign =
                         _mm_xor_pd(sign, _mm_and_pd(_mm_cmplt_pd(incoming, zero), sign_bit));
