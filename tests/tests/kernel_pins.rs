@@ -1,9 +1,9 @@
 //! Golden pins for the OFDM chains' kernels: FFT spectra, transmitted
 //! 802.11a and 802.11n (HT-20 BCC and LDPC, spatial multiplexing, STBC)
 //! sample streams, receiver outputs near each config's PER knee, the
-//! metro-sized PER-table calibration, the Gaussian sampler's draws and
-//! the prepared MIMO detector's outputs, all as FNV-1a-64 digests over
-//! exact IEEE bit patterns.
+//! metro-sized PER-table calibration, the Gaussian sampler's draws, the
+//! prepared MIMO detector's outputs and the LDPC decoder's outputs, all
+//! as FNV-1a-64 digests over exact IEEE bit patterns.
 //!
 //! The digests were recorded from the straightforward per-stage chain
 //! (frame-sized bit vectors, one stage at a time, a per-butterfly
@@ -660,7 +660,9 @@ fn linear_detector_outputs_are_pinned() {
 // ---------------------------------------------------------------------
 // The LDPC decoder: every code the HT-LDPC knee pins build (16-QAM r1/2,
 // the code of the faulted benchmark links, among them) and E06's
-// rate-1/2 648-bit code, over noisy, hostile and tied blocks.
+// rate-1/2 648-bit code, over noisy, hostile and tied blocks. Recorded
+// from the scalar decoder alone, before the two-lane `decode_pair`
+// existed; the receive pins below now run through it.
 
 /// The code `HtLdpcPhy::new(m, r)` builds: the fewest symbols reaching
 /// 1296 coded bits that hold a whole number of information bits.
