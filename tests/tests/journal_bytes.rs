@@ -14,12 +14,13 @@ use wlan_core::mac::arq::{ArqConfig, GeLossConfig};
 use wlan_core::mac::traffic::TrafficConfig;
 use wlan_core::mac::MacProfile;
 use wlan_dist::{run_dist_per_campaign, DistConfig, FaultSpec, InProcessFactory, LinkSpec};
-use wlan_runner::budget::Budget;
+use wlan_runner::budget::{Budget, Outcome, StopReason};
 use wlan_runner::capacity::{run_capacity_campaign, CapacityCampaignConfig};
 use wlan_runner::coverage::{run_coverage_campaign, CoverageCampaignConfig};
 use wlan_runner::journal::fnv1a64;
 use wlan_runner::per::{run_per_campaign, PerCampaignConfig};
 use wlan_runner::traffic::{run_traffic_campaign, TrafficCampaignConfig};
+use wlan_runner::Resume;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("wlan_jb_{}_{name}.journal", std::process::id()))
@@ -99,6 +100,61 @@ fn dist_journal_bytes_are_pinned() {
             (0x82ed, 0x3a6f_89fc_aace_911f)
         ],
         "dist: {got:x?}"
+    );
+
+    // Fleet loss without fallback abandons. (a) From a fresh journal the
+    // campaign gives up at once and journals its fresh state.
+    let run = |path: &Path, budget: Budget, fallback: bool| {
+        let per = per_cfg()
+            .with_journal(path.to_path_buf())
+            .with_budget(budget);
+        let cfg = DistConfig::new(per, 0);
+        let cfg = if fallback { cfg } else { cfg.without_fallback() };
+        run_dist_per_campaign(LinkSpec::Fhss, fault, &cfg, &mut InProcessFactory::clean())
+    };
+    let path = tmp("dist_abandon");
+    let _ = std::fs::remove_file(&path);
+    let fresh = run(&path, Budget::unlimited(), false);
+    let got = (pin(&path), fresh.outcome, fresh.resume);
+    let abandoned = |completed, remaining| Outcome::Partial {
+        completed,
+        remaining,
+        reason: StopReason::Abandoned,
+    };
+    assert_eq!(
+        got,
+        ((0x1a5, 0x71b6_d999_4681_cdf0), abandoned(0, 480), Resume::Fresh),
+        "dist abandoned fresh: {got:x?}"
+    );
+
+    // (b) Banked in-process to the mid cap, then re-invoked with no fleet
+    // and no fallback: the journal keeps the banked bytes, and the outcome
+    // counts the banked trials as completed.
+    let banked = run(&path, Budget::unlimited().with_max_trials(96), true);
+    let bytes = std::fs::read(&path).expect("banked journal");
+    let banked = (bytes.len(), fnv1a64(&bytes), banked.outcome, banked.resume);
+    let resumed = run(&path, Budget::unlimited(), false);
+    let got = (banked, (pin(&path), resumed.outcome, resumed.resume));
+    assert_eq!(
+        got,
+        (
+            (
+                0x2cbd,
+                0x7c3f_0546_05fc_cbb2,
+                Outcome::Partial {
+                    completed: 96,
+                    remaining: 320,
+                    reason: StopReason::TrialBudget,
+                },
+                Resume::Fresh
+            ),
+            (
+                (0x2cbd, 0x7c3f_0546_05fc_cbb2),
+                abandoned(96, 320),
+                Resume::Resumed { trials: 96 }
+            )
+        ),
+        "dist abandoned resumed: {got:x?}"
     );
 }
 
