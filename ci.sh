@@ -223,18 +223,20 @@ for f in crates/coding/src/*.rs crates/ofdm/src/*.rs crates/mimo/src/*.rs crates
         ' "$f"
 done
 
-# One restore ladder (DESIGN.md "Survivable campaigns"): every campaign
-# kind resumes through wlan_runner::campaign, so non-test code under
-# crates/ may call journal::load(/journal::load_salvage( only from
-# crates/runner/src/campaign.rs — a new campaign kind cannot grow its
-# own resume ladder. Same test-module and comment rules as the scan
-# above.
+# One campaign loop (DESIGN.md "Survivable campaigns"): every campaign
+# kind, the distributed coordinator included, restores, meters its
+# budget and checkpoints through wlan_runner::campaign::drive, so
+# non-test code under crates/ may call journal::load(,
+# journal::load_salvage(, journal::save(, campaign::restore( and
+# BudgetMeter::resumed( only from crates/runner/src/campaign.rs — a new
+# campaign kind cannot grow its own resume ladder, checkpoint or budget
+# loop. Same test-module and comment rules as the scan above.
 for f in $(find crates -name '*.rs' ! -path crates/runner/src/campaign.rs | sort); do
         awk '
             /#\[cfg\(test\)\]/ { exit }
             /^[[:space:]]*\/\// { next }
-            /journal::load\(|journal::load_salvage\(/ {
-                printf "%s:%d: journal load outside crates/runner/src/campaign.rs: %s\n",
+            /journal::(load|load_salvage|save)\(|campaign::restore\(|BudgetMeter::resumed\(/ {
+                printf "%s:%d: campaign loop step outside crates/runner/src/campaign.rs: %s\n",
                        FILENAME, FNR, $0
                 found = 1
             }

@@ -8,7 +8,7 @@
 //!
 //! Every entry point returns a typed [`WlanError`] on degenerate inputs,
 //! like every other public path: the city-scale simulator evaluates
-//! [`try_noise_plus_interference_dbm`] once per cell per epoch inside a
+//! [`noise_plus_interference_dbm`] once per cell per epoch inside a
 //! long campaign, and a malformed layout must surface as a typed
 //! configuration error, never a panic mid-run.
 
@@ -30,7 +30,7 @@ pub struct Interferer {
 /// Mean SINR (dB) of a link of length `signal_distance_m` in the presence
 /// of co-channel interferers (mean interference = duty-weighted received
 /// power; all stations use the same budget): the link's received power
-/// minus [`try_noise_plus_interference_dbm`].
+/// minus [`noise_plus_interference_dbm`].
 ///
 /// # Errors
 ///
@@ -48,7 +48,7 @@ pub fn co_channel_sinr_db(
         ));
     }
     let signal_dbm = budget.rx_power_dbm(model.path_loss_db(signal_distance_m));
-    Ok(signal_dbm - try_noise_plus_interference_dbm(budget, model, interferers)?)
+    Ok(signal_dbm - noise_plus_interference_dbm(budget, model, interferers)?)
 }
 
 /// Receiver noise floor plus the duty-weighted received power of
@@ -61,7 +61,7 @@ pub fn co_channel_sinr_db(
 ///
 /// [`WlanError::InvalidConfig`] if an interferer distance is nonpositive,
 /// infinite, or NaN, or a duty cycle is outside `[0, 1]` (NaN included).
-pub fn try_noise_plus_interference_dbm(
+pub fn noise_plus_interference_dbm(
     budget: &LinkBudget,
     model: &PathLossModel,
     interferers: &[Interferer],
@@ -296,7 +296,7 @@ mod tests {
                 }
             }
             let whole = co_channel_sinr_db(&budget, &model, d, &interferers);
-            let ni = try_noise_plus_interference_dbm(&budget, &model, &interferers);
+            let ni = noise_plus_interference_dbm(&budget, &model, &interferers);
             match (whole, ni) {
                 (Ok(s), Ok(ni)) => {
                     let split = budget.rx_power_dbm(model.path_loss_db(d)) - ni;

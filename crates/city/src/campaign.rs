@@ -175,8 +175,8 @@ impl Campaign for CityCampaign<'_> {
         self.city.run_epoch(state, self.threads);
         Wave {
             trials: state.attempts - attempts,
-            quarantined: 0,
             early_stops: if self.early_stop(state) { vec![0] } else { Vec::new() },
+            ..Wave::default()
         }
     }
 

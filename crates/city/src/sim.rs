@@ -27,7 +27,7 @@
 use crate::edca::{AccessCategory, EdcaParams};
 use crate::layout::{propagation, CityConfig, CityLayout, Generation};
 use crate::pertable::PerTableSet;
-use wlan_channel::interference::{try_noise_plus_interference_dbm, Interferer};
+use wlan_channel::interference::{noise_plus_interference_dbm, Interferer};
 use wlan_channel::pathloss::{LinkBudget, PathLossModel};
 use wlan_mac::params::MacProfile;
 use wlan_mac::protection::cts_to_self_overhead_us;
@@ -486,7 +486,7 @@ impl City {
                 duty_cycle: busy_prev[i as usize].clamp(0.0, 1.0),
             })
             .collect();
-        try_noise_plus_interference_dbm(&self.budget, &self.model, &interferers).ok()
+        noise_plus_interference_dbm(&self.budget, &self.model, &interferers).ok()
     }
 
     /// Mean SINR (dB) of station `s` at AP `bss`: its received power minus

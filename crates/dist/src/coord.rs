@@ -1,12 +1,24 @@
 //! The coordinator: wave-aligned leases over a fleet of mortal workers.
 //!
-//! The coordinator owns the campaign state (tallies, stopping decisions,
-//! budgets, the journal) and never runs trials itself unless every
-//! worker is gone. Workers own nothing: each lease names an exact
-//! `(point, trial-range)` whose result is a pure function of the
-//! campaign seed, so a worker's death loses only wall-clock time — the
-//! lease is re-dispatched (with exponential backoff and deterministic
-//! jitter) to any surviving worker, or run in-process as a last resort.
+//! The coordinator owns the campaign state (tallies and stopping
+//! decisions) and never runs trials itself unless every worker is gone.
+//! Workers own nothing: each lease names an exact `(point, trial-range)`
+//! whose result is a pure function of the campaign seed, so a worker's
+//! death loses only wall-clock time — the lease is re-dispatched (with
+//! exponential backoff and deterministic jitter) to any surviving
+//! worker, or run in-process as a last resort.
+//!
+//! # One campaign loop
+//!
+//! The coordinator is a [`Campaign`] kind (`"dist_per"`) that
+//! [`campaign::drive`] restores, meters, checkpoints and stops like any
+//! other. A wave runs the passes — drain joiners, chaos kill, fold,
+//! stop-flag drain, police, create, dispatch, ping idle, in-process
+//! fallback, a 5 ms pump — until a round folds. It halts `Abandoned` on
+//! fleet loss without fallback or once every active point is abandoned,
+//! and `Interrupted` once a stop-flag drain has nothing in flight. The
+//! trial cap is checked before each round the fold banks (a round-aligned
+//! prefix, as in one process); a wall-clock budget only between waves.
 //!
 //! # Bit-identity argument
 //!
@@ -33,21 +45,23 @@
 //! Only *liveness* is wall-clock dependent (which worker dies, how often
 //! a lease retries); *results* never are.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use wlan_fault::TransportFaults;
 use wlan_math::rng::{Rng, WlanRng};
 use wlan_obs::json;
-use wlan_runner::budget::{BudgetMeter, Outcome, StopReason};
-use wlan_runner::journal::{self, f64_from_hex, f64_to_hex, kv_u64, JournalError};
+use wlan_runner::budget::{Outcome, StopReason};
+use wlan_runner::journal::{f64_from_hex, f64_to_hex, kv_u64, JournalError};
 use wlan_core::linksim::{PhyLink, RoundTally};
 use wlan_fault::FaultChain;
-use wlan_runner::campaign;
+use wlan_runner::campaign::{self, Campaign, Wave};
 use wlan_runner::per::{PerCampaignConfig, PerProgress, PointProgress, PointStatus, ROUND_TRIALS};
 use wlan_runner::quarantine::QuarantinedTrial;
 use wlan_runner::Resume;
@@ -440,7 +454,6 @@ struct Lease {
     worker: Option<usize>,
     deadline: Instant,
     quars: Vec<(u64, String)>,
-    last_error: String,
 }
 
 struct Slot {
@@ -573,12 +586,16 @@ impl Fleet {
         w
     }
 
+    /// Attaches every queued late joiner; returns their slot indices.
+    fn attach_joiners(&mut self, now: Instant) -> Vec<usize> {
+        let ios: Vec<WorkerIo> = self.joiners.iter().flat_map(|rx| rx.try_iter()).collect();
+        ios.into_iter().map(|io| self.attach(io, now)).collect()
+    }
+
     /// Workers currently alive (attached and not declared dead).
     pub fn alive_workers(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.as_ref().map(|s| s.alive).unwrap_or(false))
-            .count()
+        let alive = self.slots.iter().flatten().filter(|s| s.alive);
+        alive.count()
     }
 
     /// Keeps an idle fleet warm between campaigns: attaches queued
@@ -589,15 +606,7 @@ impl Fleet {
     /// read deadlines instead of timing out and churning reconnects.
     pub fn idle_tick(&mut self, heartbeat_ms: u64) {
         let now = Instant::now();
-        let mut ios = Vec::new();
-        if let Some(rx) = &self.joiners {
-            while let Ok(io) = rx.try_recv() {
-                ios.push(io);
-            }
-        }
-        for io in ios {
-            self.attach(io, now);
-        }
+        self.attach_joiners(now);
         let heartbeat = Duration::from_millis(heartbeat_ms.max(1));
         for slot in self.slots.iter_mut().flatten() {
             if slot.alive && now.duration_since(slot.last_ping) >= heartbeat {
@@ -646,13 +655,21 @@ impl Fleet {
 /// pairs.
 type LeaseResult = (Vec<RoundTally>, Vec<(u64, String)>);
 
-/// Everything the coordinator mutates while the fleet runs.
+/// Everything the coordinator mutates while the fleet runs. The folded
+/// state, a [`PerProgress`], is the campaign's: each wave borrows it.
 struct Coord<'a> {
     cfg: &'a DistConfig,
     fleet: &'a mut Fleet,
-    link_id: String,
-    fault_id: String,
-    progress: PerProgress,
+    link: Box<dyn PhyLink>,
+    faults: FaultChain,
+    /// This campaign's hello, sent to every worker that joins it.
+    hello: Msg,
+    /// The drain flag of [`run_dist_per_campaign_on`].
+    stop: Option<&'a AtomicBool>,
+    /// Campaign start, which times the chaos kill.
+    start: Instant,
+    chaos_done: bool,
+    fallback_announced: bool,
     lease_quarantine: Vec<QuarantinedLease>,
     abandoned: HashSet<usize>,
     leases: BTreeMap<u64, Lease>,
@@ -663,37 +680,20 @@ struct Coord<'a> {
 }
 
 impl Coord<'_> {
-    fn emit(&self, event: &str, fields: &[(&str, json::Value)]) {
-        self.obs.event(event, fields);
-    }
-
-    /// Takes credit for workers the fleet attached since the last call
-    /// (initial spawns and late joiners alike).
-    fn credit_spawns(&mut self) {
-        self.stats.workers_spawned += std::mem::take(&mut self.fleet.fresh_spawns);
-    }
-
     /// Attaches any queued late joiners and sends them this campaign's
     /// hello — a reconnecting (or brand-new) worker rejoins the pool
-    /// mid-campaign as a fresh slot.
+    /// mid-campaign as a fresh slot — then takes credit for every worker
+    /// the fleet attached since the last call (initial spawns included).
     fn drain_joiners(&mut self, now: Instant) {
-        let mut ios = Vec::new();
-        if let Some(rx) = &self.fleet.joiners {
-            while let Ok(io) = rx.try_recv() {
-                ios.push(io);
-            }
-        }
-        for io in ios {
-            let w = self.fleet.attach(io, now);
+        for w in self.fleet.attach_joiners(now) {
             self.send_hello(w, now);
         }
-        self.credit_spawns();
+        self.stats.workers_spawned += std::mem::take(&mut self.fleet.fresh_spawns);
     }
 
     /// Sends the campaign hello to slot `w` and resets its per-campaign
     /// bookkeeping.
     fn send_hello(&mut self, w: usize, now: Instant) {
-        let hello = self.hello_msg();
         let failed = {
             let Some(slot) = self.fleet.slots[w].as_mut() else {
                 return;
@@ -708,7 +708,7 @@ impl Coord<'_> {
             slot.last_ping = now;
             slot.hello_sent = now;
             slot.hello_resends = 0;
-            write_msg(&mut slot.writer, &hello).is_err()
+            write_msg(&mut slot.writer, &self.hello).is_err()
         };
         if failed {
             // The reader thread will also deliver the EOF; declaring
@@ -719,28 +719,21 @@ impl Coord<'_> {
 
     /// Receives events, blocking up to `wait` for the first one.
     fn pump_events(&mut self, wait: Duration) {
-        match self.fleet.rx.recv_timeout(wait) {
-            Ok(ev) => self.handle_event(ev, Instant::now()),
-            Err(_) => return,
-        }
+        let Ok(ev) = self.fleet.rx.recv_timeout(wait) else {
+            return;
+        };
+        self.handle_event(ev, Instant::now());
         while let Ok(ev) = self.fleet.rx.try_recv() {
             self.handle_event(ev, Instant::now());
         }
     }
 
-    /// Receives any already-queued events without blocking.
-    fn drain_events(&mut self, now: Instant) {
-        while let Ok(ev) = self.fleet.rx.try_recv() {
-            self.handle_event(ev, now);
-        }
+    fn point_resolved(&self, progress: &PerProgress, p: usize) -> bool {
+        progress.points[p].status != PointStatus::Active || self.abandoned.contains(&p)
     }
 
-    fn point_resolved(&self, p: usize) -> bool {
-        self.progress.points[p].status != PointStatus::Active || self.abandoned.contains(&p)
-    }
-
-    fn all_resolved(&self) -> bool {
-        (0..self.progress.points.len()).all(|p| self.point_resolved(p))
+    fn all_resolved(&self, progress: &PerProgress) -> bool {
+        (0..progress.points.len()).all(|p| self.point_resolved(progress, p))
     }
 
     /// Declares worker `w` dead: kills it, frees its slot, and fails
@@ -757,7 +750,7 @@ impl Coord<'_> {
         (slot.kill)();
         let inflight = slot.inflight.take();
         self.stats.worker_deaths += 1;
-        self.emit(
+        self.obs.event(
             wlan_obs::events::DIST_WORKER_DEATH,
             &[
                 ("worker", json::Value::U64(w as u64)),
@@ -781,25 +774,18 @@ impl Coord<'_> {
         }
         lease.worker = None;
         lease.quars.clear();
-        lease.last_error = reason.to_owned();
         if lease.attempts >= MAX_DISPATCHES {
             lease.state = LeaseState::Quarantined;
-            let (point, start, end, attempts, error) = (
-                lease.point,
-                lease.start,
-                lease.end,
-                lease.attempts,
-                lease.last_error.clone(),
-            );
+            let (point, attempts) = (lease.point, lease.attempts);
             self.lease_quarantine.push(QuarantinedLease {
                 point,
                 snr_db: self.cfg.per.snrs_db[point],
-                start,
-                end,
+                start: lease.start,
+                end: lease.end,
                 attempts,
-                error,
+                error: reason.to_owned(),
             });
-            self.emit(
+            self.obs.event(
                 wlan_obs::events::DIST_LEASE_QUARANTINED,
                 &[
                     ("lease", json::Value::U64(id)),
@@ -827,7 +813,7 @@ impl Coord<'_> {
             lease.state = LeaseState::Pending;
             lease.not_before = now + Duration::from_millis(backoff);
             self.stats.redispatches += 1;
-            self.emit(
+            self.obs.event(
                 wlan_obs::events::DIST_REDISPATCH,
                 &[
                     ("lease", json::Value::U64(id)),
@@ -910,7 +896,7 @@ impl Coord<'_> {
         let quars = std::mem::take(&mut lease.quars);
         self.completed.insert(key, (rounds, quars));
         self.stats.leases_completed += 1;
-        self.emit(
+        self.obs.event(
             wlan_obs::events::DIST_ACK,
             &[
                 ("lease", json::Value::U64(id)),
@@ -969,33 +955,36 @@ impl Coord<'_> {
 
     /// Folds completed leases into the per-point tallies, in frame
     /// order, one [`PerProgress::fold_round`] per round — the stopping
-    /// rule runs at every round boundary. Returns the number of rounds
-    /// folded (any fold is checkpointed).
-    fn fold(&mut self, meter: &mut BudgetMeter) -> u64 {
-        let mut folded = 0u64;
-        for p in 0..self.progress.points.len() {
-            while !self.point_resolved(p) {
-                let mut round_start = self.progress.points[p].trials;
+    /// rule runs at every round boundary. Returns what was folded.
+    fn fold(&mut self, progress: &mut PerProgress) -> Wave {
+        let cap = self.cfg.per.budget.max_trials.unwrap_or(u64::MAX);
+        let mut wave = Wave::default();
+        for p in 0..progress.points.len() {
+            while !self.point_resolved(progress, p) {
+                let mut round_start = progress.points[p].trials;
                 let Some((rounds, quars)) = self.completed.remove(&(p, round_start)) else {
                     break;
                 };
                 for r in rounds {
-                    // The budget caps trials *banked*, checked at the
-                    // same round granularity the single-process wave
-                    // loop uses; surplus results a worker already
-                    // computed are discarded, keeping the tallies an
-                    // exact round-aligned prefix.
-                    if meter.exhausted().is_some() {
-                        return folded;
+                    // The trial cap bounds trials *banked* (restored ones
+                    // included), checked at the same round granularity
+                    // the single-process wave loop uses; surplus results
+                    // a worker already computed are discarded, keeping
+                    // the tallies an exact round-aligned prefix.
+                    if progress.trials() >= cap {
+                        return wave;
                     }
                     let round = round_start..round_start + r.trials;
                     round_start = round.end;
-                    meter.add_trials(r.trials);
-                    folded += 1;
+                    wave.trials += r.trials;
+                    wave.quarantined += r.erasures;
                     let erasures = quars.iter().filter(|(f, _)| round.contains(f));
                     let erasures = erasures.map(|(f, e)| (*f, e));
-                    let status = self.progress.fold_round(&self.cfg.per, p, r, erasures);
+                    let status = progress.fold_round(&self.cfg.per, p, r, erasures);
                     if status != PointStatus::Active {
+                        if status == PointStatus::StoppedEarly {
+                            wave.early_stops.push(p);
+                        }
                         // The single-process campaign never runs past a
                         // stopping decision; discard the rest unfolded.
                         self.cancel_point_leases(p);
@@ -1004,44 +993,33 @@ impl Coord<'_> {
                 }
             }
         }
-        folded
+        wave
     }
 
     /// Creates new wave-aligned leases up to the speculation depth for
     /// every point that still owes trials.
-    fn create_leases(&mut self, now: Instant) {
-        for p in 0..self.progress.points.len() {
-            if self.point_resolved(p) {
+    fn create_leases(&mut self, progress: &PerProgress, now: Instant) {
+        for p in 0..progress.points.len() {
+            if self.point_resolved(progress, p) {
                 continue;
             }
             loop {
-                let outstanding = self
-                    .leases
-                    .values()
-                    .filter(|l| {
-                        l.point == p
-                            && matches!(l.state, LeaseState::Pending | LeaseState::InFlight)
-                    })
-                    .count();
-                // Count buffered-but-unfolded leases against the depth
-                // (their results still sit in `completed` waiting for
-                // the frontier), or a stalled point would lease
-                // unboundedly ahead. Folded leases stay `Done` in the
-                // map but no longer hold a buffered result, so they
-                // must not count — they would starve the point of new
-                // leases once the first `SPECULATION` folded.
-                let done_waiting = self
-                    .leases
-                    .values()
-                    .filter(|l| {
-                        l.point == p
-                            && l.state == LeaseState::Done
-                            && self.completed.contains_key(&(l.point, l.start))
-                    })
-                    .count();
-                if outstanding + done_waiting >= SPECULATION
-                    || self.dispatched[p] >= self.cfg.per.max_frames
-                {
+                // Outstanding leases count against the depth, and so do
+                // buffered-but-unfolded ones (their results still sit in
+                // `completed` waiting for the frontier), or a stalled
+                // point would lease unboundedly ahead. Folded leases stay
+                // `Done` in the map but no longer hold a buffered result,
+                // so they must not count — they would starve the point of
+                // new leases once the first `SPECULATION` folded.
+                let held = self.leases.values().filter(|l| {
+                    l.point == p
+                        && match l.state {
+                            LeaseState::Pending | LeaseState::InFlight => true,
+                            LeaseState::Done => self.completed.contains_key(&(p, l.start)),
+                            LeaseState::Quarantined | LeaseState::Cancelled => false,
+                        }
+                });
+                if held.count() >= SPECULATION || self.dispatched[p] >= self.cfg.per.max_frames {
                     break;
                 }
                 let start = self.dispatched[p];
@@ -1065,7 +1043,6 @@ impl Coord<'_> {
                         worker: None,
                         deadline: now,
                         quars: Vec::new(),
-                        last_error: String::new(),
                     },
                 );
             }
@@ -1084,10 +1061,8 @@ impl Coord<'_> {
             // `worker_dead` clears `alive`, so a failed write naturally
             // drops that slot out of the next search.
             let Some(w) = (0..self.fleet.slots.len()).find(|&w| {
-                self.fleet.slots[w]
-                    .as_ref()
-                    .map(|s| s.alive && s.ready && s.inflight.is_none())
-                    .unwrap_or(false)
+                let slot = self.fleet.slots[w].as_ref();
+                slot.is_some_and(|s| s.alive && s.ready && s.inflight.is_none())
             }) else {
                 break;
             };
@@ -1116,7 +1091,7 @@ impl Coord<'_> {
             lease.deadline = now + self.cfg.lease_deadline(lease.start, lease.end);
             let (point, attempt) = (lease.point, lease.attempts);
             slot.inflight = Some(id);
-            self.emit(
+            self.obs.event(
                 wlan_obs::events::DIST_DISPATCH,
                 &[
                     ("lease", json::Value::U64(id)),
@@ -1144,11 +1119,7 @@ impl Coord<'_> {
                     if slot.hello_resends < 2 {
                         slot.hello_resends += 1;
                         slot.hello_sent = now;
-                        let hello = self.hello_msg();
-                        let Some(slot) = self.fleet.slots[w].as_mut() else {
-                            continue;
-                        };
-                        if write_msg(&mut slot.writer, &hello).is_err() {
+                        if write_msg(&mut slot.writer, &self.hello).is_err() {
                             self.worker_dead(w, "write failed", now);
                         }
                     } else {
@@ -1158,15 +1129,13 @@ impl Coord<'_> {
                 continue;
             }
             if let Some(id) = slot.inflight {
-                let expired = self
-                    .leases
-                    .get(&id)
-                    .map(|l| l.state == LeaseState::InFlight && now >= l.deadline)
-                    .unwrap_or(false);
+                let lease = self.leases.get(&id);
+                let expired =
+                    lease.is_some_and(|l| l.state == LeaseState::InFlight && now >= l.deadline);
                 if expired {
                     self.stats.timeouts += 1;
                     let attempt = self.leases.get(&id).map(|l| l.attempts).unwrap_or(0);
-                    self.emit(
+                    self.obs.event(
                         wlan_obs::events::DIST_TIMEOUT,
                         &[
                             ("lease", json::Value::U64(id)),
@@ -1207,21 +1176,11 @@ impl Coord<'_> {
         }
     }
 
-    fn hello_msg(&self) -> Msg {
-        Msg::Hello {
-            seed: self.cfg.per.seed,
-            payload_len: self.cfg.per.payload_len,
-            link: self.link_id.clone(),
-            fault: self.fault_id.clone(),
-            snrs: self.cfg.per.snrs_db.clone(),
-        }
-    }
-
     /// Runs one pending lease on the coordinator's own thread — the
     /// graceful-degradation path once every worker is gone. Inline
     /// execution uses the same [`run_lease`] the workers do, so results
     /// stay bit-identical; it simply cannot fail or time out.
-    fn run_inline(&mut self, id: u64, link: &dyn PhyLink, faults: &FaultChain) {
+    fn run_inline(&mut self, id: u64) {
         let Some(lease) = self.leases.get_mut(&id) else {
             return;
         };
@@ -1233,16 +1192,166 @@ impl Coord<'_> {
         let (point, start, end) = (lease.point, lease.start, lease.end);
         let per = &self.cfg.per;
         let snr_db = per.snrs_db[point];
+        let (link, faults) = (&*self.link, &self.faults);
         let result = run_lease(link, faults, per.seed, per.payload_len, point, snr_db, start..end);
         self.completed.insert((point, start), result);
         self.stats.fallback_leases += 1;
         self.stats.leases_completed += 1;
     }
 
-    /// Journal body lines: the PER body with the `qlease` ledger between
-    /// trial ledger and tallies (see [`PerProgress::encode`]).
-    fn journal_body(&self) -> Vec<String> {
-        self.progress.encode(self.lease_quarantine.iter().map(QuarantinedLease::to_line))
+    /// Chaos harness: once `chaos_kill_after_ms` has passed, kills the
+    /// first `chaos_kill_count` live workers, once.
+    fn chaos(&mut self, now: Instant) {
+        let Some(ms) = self.cfg.chaos_kill_after_ms else {
+            return;
+        };
+        if self.chaos_done || now.duration_since(self.start) < Duration::from_millis(ms) {
+            return;
+        }
+        self.chaos_done = true;
+        let victims: Vec<usize> = (0..self.fleet.slots.len())
+            .filter(|&w| self.fleet.slots[w].as_ref().is_some_and(|s| s.alive))
+            .take(self.cfg.chaos_kill_count)
+            .collect();
+        for w in victims {
+            self.worker_dead(w, "chaos kill", now);
+        }
+    }
+
+    /// One wave (module docs, *One campaign loop*): it ends once a
+    /// round folds, so a checkpoint after every wave is one after every
+    /// fold that banked a round.
+    fn wave(&mut self, progress: &mut PerProgress) -> Wave {
+        if self.dispatched.is_empty() {
+            self.dispatched = progress.points.iter().map(|p| p.trials).collect();
+        }
+        loop {
+            let now = Instant::now();
+            // Joiners first: a worker queued before the campaign started
+            // (or one reconnecting right now) must be attached before the
+            // zero-workers fallback/abandon decision below sees the fleet.
+            self.drain_joiners(now);
+            self.chaos(now);
+
+            let wave = self.fold(progress);
+            if self.all_resolved(progress) {
+                let abandoned = progress.points.iter().any(|p| p.status == PointStatus::Active);
+                return Wave {
+                    halt: abandoned.then_some(StopReason::Abandoned),
+                    ..wave
+                };
+            }
+            if wave.trials > 0 {
+                return wave;
+            }
+
+            // Cooperative drain: stop creating and dispatching work, let
+            // in-flight leases finish (deadlines still policed so a hung
+            // worker cannot wedge the drain), fold what arrives, and halt
+            // Interrupted once nothing is in flight. The exit checkpoint
+            // makes the drained state the resume point.
+            if self.stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+                if !self.leases.values().any(|l| l.state == LeaseState::InFlight) {
+                    return Wave {
+                        halt: Some(StopReason::Interrupted),
+                        ..Wave::default()
+                    };
+                }
+                self.police(now);
+                self.ping_idle(now);
+                self.pump_events(Duration::from_millis(5));
+                continue;
+            }
+
+            self.police(now);
+            self.create_leases(progress, now);
+            self.dispatch(now);
+            self.ping_idle(now);
+
+            if self.fleet.alive_workers() == 0 {
+                if !self.cfg.fallback_in_process {
+                    return Wave {
+                        halt: Some(StopReason::Abandoned),
+                        ..Wave::default()
+                    };
+                }
+                let pending: Vec<u64> = self
+                    .leases
+                    .iter()
+                    .filter(|(_, l)| l.state == LeaseState::Pending)
+                    .map(|(id, _)| *id)
+                    .collect();
+                if !self.fallback_announced {
+                    self.fallback_announced = true;
+                    self.obs.event(
+                        wlan_obs::events::DIST_FALLBACK,
+                        &[("leases_left", json::Value::U64(pending.len() as u64))],
+                    );
+                }
+                if let Some(&id) = pending.first() {
+                    self.run_inline(id);
+                }
+                self.pump_events(Duration::ZERO);
+                continue;
+            }
+
+            self.pump_events(Duration::from_millis(5));
+        }
+    }
+}
+
+/// The coordinator as a campaign kind: [`campaign::drive`] restores,
+/// meters the budget, checkpoints and stops it, as it does every other
+/// kind.
+struct DistCampaign<'a> {
+    cfg: &'a DistConfig,
+    key: String,
+    coord: RefCell<Coord<'a>>,
+}
+
+impl Campaign for DistCampaign<'_> {
+    type State = PerProgress;
+    const KIND: &'static str = "dist_per";
+    const SALVAGE: bool = true;
+
+    fn key(&self) -> String {
+        self.key.clone()
+    }
+
+    fn fresh(&self) -> PerProgress {
+        PerProgress::fresh(&self.cfg.per)
+    }
+
+    /// The PER body with the `qlease` ledger between trial ledger and
+    /// tallies (see [`PerProgress::encode`]).
+    fn encode(&self, state: &PerProgress) -> Vec<String> {
+        let coord = self.coord.borrow();
+        state.encode(coord.lease_quarantine.iter().map(QuarantinedLease::to_line))
+    }
+
+    /// `qlease` ledger lines are validated but *not* restored: a
+    /// re-invocation retries abandoned ranges fresh rather than
+    /// inheriting last run's fleet failures.
+    fn decode(&self, body: &[String], complete: bool) -> Result<PerProgress, JournalError> {
+        PerProgress::decode(&self.cfg.per, body, complete, |line| {
+            QuarantinedLease::from_line(line).is_some()
+        })
+    }
+
+    fn trials(&self, state: &PerProgress) -> u64 {
+        state.trials()
+    }
+
+    fn wave(&self, state: &mut PerProgress) -> Wave {
+        self.coord.borrow_mut().wave(state)
+    }
+
+    fn done(&self, state: &PerProgress) -> bool {
+        state.points.iter().all(|p| p.status != PointStatus::Active)
+    }
+
+    fn remaining(&self, state: &PerProgress) -> u64 {
+        state.remaining(&self.cfg.per)
     }
 }
 
@@ -1301,7 +1410,7 @@ pub fn run_dist_per_campaign_on(
     cfg: &DistConfig,
     fleet: &mut Fleet,
     key_suffix: &str,
-    stop: Option<&std::sync::atomic::AtomicBool>,
+    stop: Option<&AtomicBool>,
 ) -> DistPerReport {
     cfg.per.assert_valid();
 
@@ -1313,202 +1422,73 @@ pub fn run_dist_per_campaign_on(
         "{} dist v1{key_suffix}",
         cfg.per.journal_key(link.as_ref(), &faults)
     );
-
-    // PER's restore ladder and body decoder. `qlease` ledger lines are
-    // validated but *not* restored: a re-invocation retries abandoned
-    // ranges fresh rather than inheriting last run's fleet failures.
-    let journal_path = cfg.per.journal.as_deref();
-    let (progress, resume) = campaign::restore(
-        journal_path,
-        &key,
-        true,
-        || PerProgress::fresh(&cfg.per),
-        |body, complete| {
-            PerProgress::decode(&cfg.per, body, complete, |line| {
-                QuarantinedLease::from_line(line).is_some()
-            })
-        },
-        PerProgress::trials,
-    );
-    let banked = progress.trials();
-    let mut meter = BudgetMeter::resumed(cfg.per.budget, banked);
-    let mut journal_error: Option<JournalError> = None;
-    let mut checkpoint = |coord: &Coord| {
-        if let Some(path) = journal_path {
-            if let Err(e) = journal::save(path, &key, &coord.journal_body()) {
-                journal_error.get_or_insert(e);
-            }
-        }
-    };
-
-    let obs = wlan_obs::global();
-    let start = Instant::now();
+    let (name, fault, rate_mbps) = (link.name(), faults.name(), link.rate_mbps());
 
     let mut coord = Coord {
         cfg,
         fleet,
-        link_id: link_spec.id(),
-        fault_id: fault_spec.id(),
-        progress,
+        link,
+        faults,
+        hello: Msg::Hello {
+            seed: cfg.per.seed,
+            payload_len: cfg.per.payload_len,
+            link: link_spec.id(),
+            fault: fault_spec.id(),
+            snrs: cfg.per.snrs_db.clone(),
+        },
+        stop,
+        start: Instant::now(),
+        chaos_done: false,
+        fallback_announced: false,
         lease_quarantine: Vec::new(),
         abandoned: HashSet::new(),
         leases: BTreeMap::new(),
         dispatched: Vec::new(),
         completed: HashMap::new(),
         stats: DistStats::default(),
-        obs,
+        obs: wlan_obs::global(),
     };
-    // Take credit for the fleet's existing spawns, then (re)hello every
-    // connected worker — a fleet that just finished campaign N has
-    // slots whose per-campaign state (ready, strikes, inflight) belongs
-    // to N; the hello reset scrubs it for this campaign.
-    coord.credit_spawns();
+    // (Re)hello every connected worker — a fleet that just finished
+    // campaign N has slots whose per-campaign state (ready, strikes,
+    // inflight) belongs to N; the hello reset scrubs it for this
+    // campaign — then attach queued joiners and take credit for all.
     for w in 0..coord.fleet.slots.len() {
-        coord.send_hello(w, start);
+        coord.send_hello(w, coord.start);
     }
-    coord.dispatched = coord.progress.points.iter().map(|p| p.trials).collect();
+    coord.drain_joiners(coord.start);
 
-    obs.event(
-        "campaign_start",
-        &[
-            ("kind", json::Value::Str("dist_per".into())),
-            ("link", json::Value::Str(link.name())),
-            ("workers", json::Value::U64(cfg.workers as u64)),
-            ("banked_trials", json::Value::U64(banked)),
-        ],
-    );
-
-    let mut chaos_done = false;
-    let mut fallback_announced = false;
-    let stop_reason = loop {
-        let now = Instant::now();
-        // Joiners first: a worker queued before the campaign started (or
-        // one reconnecting right now) must be attached before the
-        // zero-workers fallback/abandon decision below sees the fleet.
-        coord.drain_joiners(now);
-        if let Some(ms) = cfg.chaos_kill_after_ms {
-            if !chaos_done && now.duration_since(start) >= Duration::from_millis(ms) {
-                chaos_done = true;
-                let victims: Vec<usize> = (0..coord.fleet.slots.len())
-                    .filter(|&w| {
-                        coord.fleet.slots[w]
-                            .as_ref()
-                            .map(|s| s.alive)
-                            .unwrap_or(false)
-                    })
-                    .take(cfg.chaos_kill_count)
-                    .collect();
-                for w in victims {
-                    coord.worker_dead(w, "chaos kill", now);
-                }
-            }
-        }
-
-        if coord.fold(&mut meter) > 0 {
-            checkpoint(&coord);
-        }
-        if coord.all_resolved() {
-            break None;
-        }
-        if let Some(reason) = meter.exhausted() {
-            break Some(reason);
-        }
-
-        // Cooperative drain: stop creating and dispatching work, let
-        // in-flight leases finish (deadlines still policed so a hung
-        // worker cannot wedge the drain), fold what arrives, and exit
-        // Interrupted once nothing is in flight. The checkpoint below
-        // makes the drained state the resume point.
-        if stop.is_some_and(|s| s.load(std::sync::atomic::Ordering::Relaxed)) {
-            let inflight = coord
-                .leases
-                .values()
-                .any(|l| l.state == LeaseState::InFlight);
-            if !inflight {
-                break Some(StopReason::Interrupted);
-            }
-            coord.police(now);
-            coord.ping_idle(now);
-            coord.pump_events(Duration::from_millis(5));
-            continue;
-        }
-
-        coord.police(now);
-        coord.create_leases(now);
-        coord.dispatch(now);
-        coord.ping_idle(now);
-
-        if coord.fleet.alive_workers() == 0 {
-            if !cfg.fallback_in_process {
-                break Some(StopReason::Abandoned);
-            }
-            let pending: Vec<u64> = coord
-                .leases
-                .iter()
-                .filter(|(_, l)| l.state == LeaseState::Pending)
-                .map(|(id, _)| *id)
-                .collect();
-            if !fallback_announced {
-                fallback_announced = true;
-                coord.emit(
-                    wlan_obs::events::DIST_FALLBACK,
-                    &[("leases_left", json::Value::U64(pending.len() as u64))],
-                );
-            }
-            if let Some(&id) = pending.first() {
-                coord.run_inline(id, link.as_ref(), &faults);
-            }
-            coord.drain_events(now);
-            continue;
-        }
-
-        coord.pump_events(Duration::from_millis(5));
+    let c = DistCampaign {
+        cfg,
+        key,
+        coord: RefCell::new(coord),
     };
-
-    // Final checkpoint: a budget-stopped campaign resumes from its exact
-    // exit state; a complete one re-loads as complete.
-    checkpoint(&coord);
+    let run = campaign::drive(&c, cfg.per.budget, cfg.per.journal.as_deref(), 1);
+    let mut coord = c.coord.into_inner();
+    let mut progress = run.state;
 
     // The first unfinished point names the reason: its own abandonment,
-    // else whatever ended the loop.
-    let unfinished = coord.progress.points.iter().position(|p| p.status == PointStatus::Active);
-    let outcome = match unfinished {
-        None => Outcome::Complete,
-        Some(p) => Outcome::Partial {
-            completed: coord.progress.trials(),
-            remaining: coord.progress.remaining(&cfg.per),
-            reason: match stop_reason {
-                Some(reason) if !coord.abandoned.contains(&p) => reason,
-                _ => StopReason::Abandoned,
-            },
-        },
-    };
+    // else whatever stopped the campaign.
+    let mut outcome = run.outcome;
+    if let Outcome::Partial { reason, .. } = &mut outcome {
+        let first = progress.points.iter().position(|p| p.status == PointStatus::Active);
+        if first.is_some_and(|p| coord.abandoned.contains(&p)) {
+            *reason = StopReason::Abandoned;
+        }
+    }
 
-    coord.progress.quarantine.sort_by_key(|q| (q.point, q.frame));
+    progress.quarantine.sort_by_key(|q| (q.point, q.frame));
     coord.lease_quarantine.sort_by_key(|q| (q.point, q.start));
-
-    obs.event(
-        "campaign_done",
-        &[
-            ("kind", json::Value::Str("dist_per".into())),
-            ("complete", json::Value::Bool(outcome.is_complete())),
-            ("banked_trials", json::Value::U64(coord.progress.trials())),
-            ("worker_deaths", json::Value::U64(coord.stats.worker_deaths)),
-            ("quarantined", json::Value::U64(coord.progress.quarantine.len() as u64)),
-        ],
-    );
-
     DistPerReport {
-        name: link.name(),
-        fault: faults.name(),
-        rate_mbps: link.rate_mbps(),
+        name,
+        fault,
+        rate_mbps,
         seed: cfg.per.seed,
-        points: coord.progress.points,
-        quarantine: coord.progress.quarantine,
+        points: progress.points,
+        quarantine: progress.quarantine,
         lease_quarantine: coord.lease_quarantine,
         outcome,
-        resume,
-        journal_error,
+        resume: run.resume,
+        journal_error: run.journal_error,
         stats: coord.stats,
     }
 }

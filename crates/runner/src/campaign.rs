@@ -1,6 +1,7 @@
 //! One budget/journal/resume loop for every campaign kind.
 //!
-//! A campaign kind (PER, traffic, coverage, capacity, city) describes
+//! A campaign kind (PER, traffic, coverage, capacity, city and the
+//! distributed PER coordinator) describes
 //! *what* a wave computes and how its state is journaled, by
 //! implementing [`Campaign`]; [`drive`] alone decides *when* things
 //! happen:
@@ -10,13 +11,14 @@
 //! 2. seed the [`BudgetMeter`] with the restored trials (the trial cap
 //!    is cumulative across resume, the wall clock per-invocation);
 //! 3. loop: stop if the campaign's stopping rule holds or the budget is
-//!    spent, checkpoint if the cadence is due, run one wave;
+//!    spent, checkpoint if the cadence is due, run one wave, and stop if
+//!    the wave halted ([`Wave::halt`]);
 //! 4. checkpoint on exit and report an [`Outcome`].
 //!
 //! Every decision is taken between waves and is a pure function of the
-//! folded state (plus the budget), which is what makes a budget-stopped
-//! campaign an exact prefix of the uninterrupted one, and a resumed one
-//! bit-identical to it.
+//! folded state (plus the budget, and a halt the wave reports), which is
+//! what makes a budget-stopped campaign an exact prefix of the
+//! uninterrupted one, and a resumed one bit-identical to it.
 //!
 //! Observability is write-only, as everywhere: [`drive`] counts
 //! `runner.waves`, `runner.trials`, `runner.early_stops` and
@@ -29,7 +31,7 @@ use std::path::Path;
 
 use wlan_obs::json::Value;
 
-use crate::budget::{Budget, BudgetMeter, Outcome};
+use crate::budget::{Budget, BudgetMeter, Outcome, StopReason};
 use crate::journal::{self, JournalError};
 use crate::Resume;
 
@@ -78,6 +80,10 @@ pub struct Wave {
     /// Units (SNR points, or 0 for a campaign-wide rule) that the
     /// stopping rule retired early in this wave.
     pub early_stops: Vec<usize>,
+    /// Set when the campaign cannot go on in this invocation (its fleet
+    /// is lost, or an operator asked it to stop): [`drive`] stops after
+    /// this wave with the reason, and still writes its exit checkpoint.
+    pub halt: Option<StopReason>,
 }
 
 /// The result of [`drive`].
@@ -108,14 +114,7 @@ pub fn drive<C: Campaign>(
     checkpoint_every: u64,
 ) -> Driven<C::State> {
     let key = c.key();
-    let (mut state, resume) = restore(
-        journal,
-        &key,
-        C::SALVAGE,
-        || c.fresh(),
-        |body, complete| c.decode(body, complete),
-        |s| c.trials(s),
-    );
+    let (mut state, resume) = restore(c, journal, &key);
     let mut meter = BudgetMeter::resumed(budget, c.trials(&state));
 
     let obs = wlan_obs::global();
@@ -182,6 +181,9 @@ pub fn drive<C: Campaign>(
                 ("quarantined", Value::U64(wave.quarantined)),
             ],
         );
+        if wave.halt.is_some() {
+            break wave.halt;
+        }
     };
     // The exit checkpoint makes a budget-stopped campaign resumable from
     // its exact exit state, and a complete one reload as complete (which
@@ -215,27 +217,19 @@ pub fn drive<C: Campaign>(
     }
 }
 
-/// The restore ladder, shared by [`drive`] and the distributed
-/// coordinator. Never panics:
+/// The restore ladder of [`drive`]. Never panics:
 ///
 /// * no journal configured, or none on disk yet: `fresh()`, [`Resume::Fresh`];
 /// * a verified journal that decodes: [`Resume::Resumed`];
-/// * with `salvage`, a damaged journal whose verified prefix decodes
-///   (`complete = false`) to something other than `fresh()`:
+/// * with [`Campaign::SALVAGE`], a damaged journal whose verified prefix
+///   decodes (`complete = false`) to something other than `fresh()`:
 ///   [`Resume::Salvaged`], so only the damaged tail re-runs;
 /// * anything else: `fresh()`, [`Resume::ColdStart`] with the typed error.
-pub fn restore<S: PartialEq>(
-    journal: Option<&Path>,
-    key: &str,
-    salvage: bool,
-    fresh: impl Fn() -> S,
-    decode: impl Fn(&[String], bool) -> Result<S, JournalError>,
-    trials: impl Fn(&S) -> u64,
-) -> (S, Resume) {
+fn restore<C: Campaign>(c: &C, journal: Option<&Path>, key: &str) -> (C::State, Resume) {
     let Some(path) = journal else {
-        return (fresh(), Resume::Fresh);
+        return (c.fresh(), Resume::Fresh);
     };
-    let (body, damage) = if salvage {
+    let (body, damage) = if C::SALVAGE {
         journal::load_salvage(path, key)
     } else {
         match journal::load(path, key) {
@@ -244,25 +238,25 @@ pub fn restore<S: PartialEq>(
         }
     };
     let error = match damage {
-        None => match decode(&body, true) {
+        None => match c.decode(&body, true) {
             Ok(state) => {
-                let trials = trials(&state);
+                let trials = c.trials(&state);
                 return (state, Resume::Resumed { trials });
             }
             Err(error) => error,
         },
         Some(JournalError::Io(std::io::ErrorKind::NotFound)) => {
-            return (fresh(), Resume::Fresh);
+            return (c.fresh(), Resume::Fresh);
         }
-        Some(error) => match salvage.then(|| decode(&body, false)) {
-            Some(Ok(state)) if state != fresh() => {
-                let trials = trials(&state);
+        Some(error) => match C::SALVAGE.then(|| c.decode(&body, false)) {
+            Some(Ok(state)) if state != c.fresh() => {
+                let trials = c.trials(&state);
                 return (state, Resume::Salvaged { trials, error });
             }
             _ => error,
         },
     };
-    (fresh(), Resume::ColdStart { error })
+    (c.fresh(), Resume::ColdStart { error })
 }
 
 #[cfg(test)]
@@ -278,6 +272,10 @@ mod tests {
         per_wave: u64,
         /// Checkpoints written so far.
         saves: Cell<u64>,
+        /// Halt with `Interrupted` after this many waves.
+        halt_after: Option<u64>,
+        /// Waves run so far.
+        waves: Cell<u64>,
     }
 
     impl<const S: bool> Campaign for Toy<S> {
@@ -314,8 +312,10 @@ mod tests {
         fn wave(&self, done: &mut u64) -> Wave {
             let trials = self.per_wave.min(self.units - *done);
             *done += trials;
+            self.waves.set(self.waves.get() + 1);
             Wave {
                 trials,
+                halt: (self.halt_after == Some(self.waves.get())).then_some(StopReason::Interrupted),
                 ..Wave::default()
             }
         }
@@ -332,6 +332,8 @@ mod tests {
             units,
             per_wave: 4,
             saves: Cell::new(0),
+            halt_after: None,
+            waves: Cell::new(0),
         }
     }
 
@@ -383,14 +385,7 @@ mod tests {
     }
 
     fn restore_toy<const S: bool>(c: &Toy<S>, path: &Path) -> (u64, Resume) {
-        restore(
-            Some(path),
-            &c.key(),
-            S,
-            || c.fresh(),
-            |body, complete| c.decode(body, complete),
-            |s| c.trials(s),
-        )
+        restore(c, Some(path), &c.key())
     }
 
     #[test]
@@ -466,6 +461,33 @@ mod tests {
         let c = toy::<true>(10);
         let d = drive(&c, capped(8), Some(&path), 1);
         assert_eq!((d.waves, c.saves.get()), (0, 0));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn halted_wave_stops_with_its_reason_and_checkpoints() {
+        let path = tmp("halt");
+        let c = Toy {
+            halt_after: Some(2),
+            ..toy::<true>(10)
+        };
+        let d = drive(&c, Budget::unlimited(), Some(&path), 1);
+        let interrupted = Outcome::Partial {
+            completed: 8,
+            remaining: 2,
+            reason: StopReason::Interrupted,
+        };
+        assert_eq!((d.state, d.waves, d.outcome), (8, 2, interrupted));
+        // One checkpoint before the second wave, one on exit.
+        assert_eq!(c.saves.get(), 2);
+        assert_eq!(
+            restore_toy(&toy::<true>(10), &path),
+            (8, Resume::Resumed { trials: 8 })
+        );
+        // Driven again, it finishes as the uninterrupted run does.
+        let resumed = drive(&toy::<true>(10), Budget::unlimited(), Some(&path), 1);
+        let whole = drive(&toy::<true>(10), Budget::unlimited(), None, 1);
+        assert_eq!((resumed.state, resumed.outcome), (whole.state, whole.outcome));
         let _ = std::fs::remove_file(&path);
     }
 }

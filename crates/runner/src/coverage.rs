@@ -278,12 +278,12 @@ impl Campaign for CoverageCampaign<'_> {
         t.samples = end;
         Wave {
             trials: end - start,
-            quarantined: 0,
             early_stops: if end < cfg.max_samples && self.done(t) {
                 vec![0]
             } else {
                 Vec::new()
             },
+            ..Wave::default()
         }
     }
 

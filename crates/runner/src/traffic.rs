@@ -311,7 +311,7 @@ impl Campaign for TrafficCampaign<'_> {
         Wave {
             trials: wave.len() as u64,
             quarantined: quarantined as u64,
-            early_stops: Vec::new(),
+            ..Wave::default()
         }
     }
 
