@@ -54,14 +54,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use wlan_core::linksim::{PhyLink, RoundTally};
+use wlan_fault::FaultChain;
 use wlan_fault::TransportFaults;
 use wlan_math::rng::{Rng, WlanRng};
 use wlan_obs::json;
 use wlan_runner::budget::{Outcome, StopReason};
-use wlan_runner::journal::{f64_from_hex, f64_to_hex, kv_u64, JournalError};
-use wlan_core::linksim::{PhyLink, RoundTally};
-use wlan_fault::FaultChain;
 use wlan_runner::campaign::{self, Campaign, Wave};
+use wlan_runner::journal::{f64_from_hex, f64_to_hex, kv_u64, JournalError};
 use wlan_runner::per::{PerCampaignConfig, PerProgress, PointProgress, PointStatus, ROUND_TRIALS};
 use wlan_runner::quarantine::QuarantinedTrial;
 use wlan_runner::Resume;
@@ -1235,9 +1235,9 @@ impl Coord<'_> {
 
             let wave = self.fold(progress);
             if self.all_resolved(progress) {
-                let abandoned = progress.points.iter().any(|p| p.status == PointStatus::Active);
+                // A point still active here was abandoned.
                 return Wave {
-                    halt: abandoned.then_some(StopReason::Abandoned),
+                    halt: first_active(progress).map(|_| StopReason::Abandoned),
                     ..wave
                 };
             }
@@ -1251,7 +1251,8 @@ impl Coord<'_> {
             // Interrupted once nothing is in flight. The exit checkpoint
             // makes the drained state the resume point.
             if self.stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                if !self.leases.values().any(|l| l.state == LeaseState::InFlight) {
+                let mut leases = self.leases.values();
+                if !leases.any(|l| l.state == LeaseState::InFlight) {
                     return Wave {
                         halt: Some(StopReason::Interrupted),
                         ..Wave::default()
@@ -1298,6 +1299,12 @@ impl Coord<'_> {
             self.pump_events(Duration::from_millis(5));
         }
     }
+}
+
+/// The first point still owed trials, if any.
+fn first_active(progress: &PerProgress) -> Option<usize> {
+    let mut points = progress.points.iter();
+    points.position(|p| p.status == PointStatus::Active)
 }
 
 /// The coordinator as a campaign kind: [`campaign::drive`] restores,
@@ -1347,7 +1354,7 @@ impl Campaign for DistCampaign<'_> {
     }
 
     fn done(&self, state: &PerProgress) -> bool {
-        state.points.iter().all(|p| p.status != PointStatus::Active)
+        first_active(state).is_none()
     }
 
     fn remaining(&self, state: &PerProgress) -> u64 {
@@ -1470,8 +1477,7 @@ pub fn run_dist_per_campaign_on(
     // else whatever stopped the campaign.
     let mut outcome = run.outcome;
     if let Outcome::Partial { reason, .. } = &mut outcome {
-        let first = progress.points.iter().position(|p| p.status == PointStatus::Active);
-        if first.is_some_and(|p| coord.abandoned.contains(&p)) {
+        if first_active(&progress).is_some_and(|p| coord.abandoned.contains(&p)) {
             *reason = StopReason::Abandoned;
         }
     }

@@ -313,9 +313,10 @@ mod tests {
             let trials = self.per_wave.min(self.units - *done);
             *done += trials;
             self.waves.set(self.waves.get() + 1);
+            let halt = self.halt_after == Some(self.waves.get());
             Wave {
                 trials,
-                halt: (self.halt_after == Some(self.waves.get())).then_some(StopReason::Interrupted),
+                halt: halt.then_some(StopReason::Interrupted),
                 ..Wave::default()
             }
         }
@@ -487,7 +488,10 @@ mod tests {
         // Driven again, it finishes as the uninterrupted run does.
         let resumed = drive(&toy::<true>(10), Budget::unlimited(), Some(&path), 1);
         let whole = drive(&toy::<true>(10), Budget::unlimited(), None, 1);
-        assert_eq!((resumed.state, resumed.outcome), (whole.state, whole.outcome));
+        assert_eq!(
+            (resumed.state, resumed.outcome),
+            (whole.state, whole.outcome)
+        );
         let _ = std::fs::remove_file(&path);
     }
 }

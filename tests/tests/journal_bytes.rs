@@ -108,8 +108,10 @@ fn dist_journal_bytes_are_pinned() {
         let per = per_cfg()
             .with_journal(path.to_path_buf())
             .with_budget(budget);
-        let cfg = DistConfig::new(per, 0);
-        let cfg = if fallback { cfg } else { cfg.without_fallback() };
+        let mut cfg = DistConfig::new(per, 0);
+        if !fallback {
+            cfg = cfg.without_fallback();
+        }
         run_dist_per_campaign(LinkSpec::Fhss, fault, &cfg, &mut InProcessFactory::clean())
     };
     let path = tmp("dist_abandon");
@@ -123,7 +125,11 @@ fn dist_journal_bytes_are_pinned() {
     };
     assert_eq!(
         got,
-        ((0x1a5, 0x71b6_d999_4681_cdf0), abandoned(0, 480), Resume::Fresh),
+        (
+            (0x1a5, 0x71b6_d999_4681_cdf0),
+            abandoned(0, 480),
+            Resume::Fresh
+        ),
         "dist abandoned fresh: {got:x?}"
     );
 
