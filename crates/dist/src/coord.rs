@@ -1870,6 +1870,145 @@ mod tests {
         }
     }
 
+    /// What a scripted worker saw or did, in log order.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Script {
+        Got { worker: usize, point: usize },
+        Answered { worker: usize, point: usize },
+    }
+
+    type ScriptLog = Arc<(Mutex<Vec<Script>>, std::sync::Condvar)>;
+
+    /// Leases received so far for `point`.
+    fn got(log: &[Script], point: usize) -> usize {
+        let got = log
+            .iter()
+            .filter(|e| matches!(e, Script::Got { point: p, .. } if *p == point));
+        got.count()
+    }
+
+    /// A worker thread that answers like [`serve`] (clean FHSS, seed 7,
+    /// SNRs 12 and 2 dB) but holds three leases back until the shared
+    /// log says so: point 0's first lease until point 0's speculative
+    /// lease is out, that lease until point 1's first lease is out, and
+    /// point 1's first lease until point 1's second lease is out.
+    fn scripted_worker(w: usize, log: ScriptLog) -> WorkerIo {
+        let (cw, from_coord, c1) = pipe();
+        let (mut to_coord, cr, c2) = pipe();
+        std::thread::spawn(move || {
+            let mut from_coord = BufReader::new(from_coord);
+            let (lock, cvar) = &*log;
+            while let Ok(Some(msg)) = read_msg(&mut from_coord) {
+                let reply = match msg {
+                    Msg::Hello { .. } => Msg::Ready,
+                    Msg::Ping { n } => Msg::Pong { n },
+                    Msg::Lease {
+                        id,
+                        point,
+                        start,
+                        end,
+                    } => {
+                        let mut seen = lock.lock().unwrap();
+                        seen.push(Script::Got { worker: w, point });
+                        cvar.notify_all();
+                        let hold = |s: &mut Vec<Script>| match (point, start) {
+                            (0, 0) => got(s, 0) < 2,
+                            (0, _) => got(s, 1) < 1,
+                            (1, 0) => got(s, 1) < 2,
+                            _ => false,
+                        };
+                        let wait = Duration::from_secs(10);
+                        let (mut seen, _) = cvar.wait_timeout_while(seen, wait, hold).unwrap();
+                        seen.push(Script::Answered { worker: w, point });
+                        drop(seen);
+                        let snr_db = [12.0, 2.0][point];
+                        let clean = FaultChain::clean();
+                        let frames = start..end;
+                        let (rounds, _) =
+                            run_lease(&FhssLinkForTest, &clean, 7, 20, point, snr_db, frames);
+                        Msg::Done { lease: id, rounds }
+                    }
+                    _ => break,
+                };
+                if write_msg(&mut to_coord, &reply).is_err() {
+                    break;
+                }
+            }
+        });
+        WorkerIo {
+            writer: Box::new(cw),
+            reader: Box::new(cr),
+            kill: Box::new(move || {
+                c1.close();
+                c2.close();
+            }),
+        }
+    }
+
+    #[test]
+    fn cancelled_in_flight_lease_is_dropped_and_its_worker_reused() {
+        // Point 0 (12 dB, no errors) stops early inside its first lease;
+        // point 1 (2 dB) runs to max_frames in two leases. The scripted
+        // holds fix the order: point 0's speculative lease is in flight
+        // while its first lease folds and stops the point, and it is
+        // answered only after point 1's first lease went out, which the
+        // coordinator dispatches after that fold. Point 1's second lease
+        // then has one idle worker to go to: the one that answered late.
+        let mut per = PerCampaignConfig::new(&[12.0, 2.0], 20, 256, 7)
+            .with_budget(Budget::unlimited())
+            .with_threads(1)
+            .with_target_half_width(0.02);
+        per.min_frames = 32;
+        let baseline = run_per_campaign(&FhssLinkForTest, &FaultChain::clean(), &per);
+        assert_eq!(baseline.points[0].status, PointStatus::StoppedEarly);
+        assert!(baseline.points[0].trials <= LEASE_ROUNDS * ROUND_TRIALS);
+        assert_eq!(baseline.points[1].trials, 256);
+
+        struct Scripted(ScriptLog);
+        impl WorkerFactory for Scripted {
+            fn spawn(&mut self, id: usize) -> std::io::Result<WorkerIo> {
+                Ok(scripted_worker(id, Arc::clone(&self.0)))
+            }
+        }
+        let log = ScriptLog::default();
+        let cfg = DistConfig::new(per, 2).without_fallback();
+        let mut factory = Scripted(Arc::clone(&log));
+        let report = run_dist_per_campaign(LinkSpec::Fhss, FaultSpec::Clean, &cfg, &mut factory);
+        let log = log.0.lock().unwrap().clone();
+
+        // Point 0's second answer is the late one: it is not counted
+        // as a completed lease, so it was never folded.
+        let answered = |e: &&Script| matches!(e, Script::Answered { .. });
+        let mut late = log
+            .iter()
+            .filter(|e| matches!(e, Script::Answered { point: 0, .. }));
+        let Some(&Script::Answered { worker: late, .. }) = late.nth(1) else {
+            panic!("point 0's speculative lease was never answered: {log:?}");
+        };
+        let answers = log.iter().filter(answered).count() as u64;
+        assert_eq!(report.stats.leases_completed, answers - 1, "{log:?}");
+        assert_eq!(report.stats.worker_deaths, 0);
+        // The worker that answered late takes the next lease.
+        let at = log.iter().position(|e| {
+            *e == Script::Answered {
+                worker: late,
+                point: 0,
+            }
+        });
+        let rest = &log[at.map_or(log.len(), |i| i + 1)..];
+        let next = rest.iter().find(|e| matches!(e, Script::Got { .. }));
+        assert_eq!(
+            next,
+            Some(&Script::Got {
+                worker: late,
+                point: 1
+            }),
+            "{log:?}"
+        );
+        assert!(report.outcome.is_complete(), "{:?}", report.outcome);
+        assert_eq!(report.points, baseline.points);
+    }
+
     #[test]
     fn one_fleet_runs_queued_campaigns_back_to_back() {
         // Two different campaigns over the same two workers; each must
