@@ -57,12 +57,19 @@ rm -rf "$SMOKE_DIR"
 # to a chaos kill mid-flight must print a result table byte-identical to
 # a 1-worker run. This drives the real subprocess path — pipes, frames,
 # timeouts, redispatch — that the in-process chaos harness
-# (tests/dist_chaos.rs) can only approximate.
+# (tests/dist_chaos.rs) can only approximate. The kill fires right after
+# the sixth lease is dispatched, and the run's fleet line must report
+# the death, so the diff never passes on a run the kill missed.
 cargo build --release --offline -p wlan-dist --example distributed_campaign
 CHAOS=target/release/examples/distributed_campaign
 CHAOS_DIR=$(mktemp -d)
 "$CHAOS" --workers 1 > "$CHAOS_DIR/one_worker.txt" 2>/dev/null
-"$CHAOS" --workers 3 --kill-one-after-ms 300 > "$CHAOS_DIR/chaos.txt" 2>"$CHAOS_DIR/chaos.log"
+"$CHAOS" --workers 3 --kill-one-after-leases 6 > "$CHAOS_DIR/chaos.txt" 2>"$CHAOS_DIR/chaos.log"
+grep -Eq '^fleet: [0-9]+ spawned, [1-9][0-9]* died' "$CHAOS_DIR/chaos.log" || {
+    echo "chaos smoke: no worker death reported" >&2
+    cat "$CHAOS_DIR/chaos.log" >&2
+    exit 1
+}
 diff "$CHAOS_DIR/one_worker.txt" "$CHAOS_DIR/chaos.txt"
 
 # Networked campaign service smoke (DESIGN.md "Service mode & TCP

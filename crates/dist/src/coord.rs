@@ -12,13 +12,21 @@
 //!
 //! The coordinator is a [`Campaign`] kind (`"dist_per"`) that
 //! [`campaign::drive`] restores, meters, checkpoints and stops like any
-//! other. A wave runs the passes — drain joiners, chaos kill, fold,
-//! stop-flag drain, police, create, dispatch, ping idle, in-process
-//! fallback, a 5 ms pump — until a round folds. It halts `Abandoned` on
-//! fleet loss without fallback or once every active point is abandoned,
-//! and `Interrupted` once a stop-flag drain has nothing in flight. The
-//! trial cap is checked before each round the fold banks (a round-aligned
+//! other. A wave runs the passes — drain joiners, fold, stop-flag drain,
+//! police, create, dispatch, chaos kill, ping idle, in-process fallback,
+//! a 5 ms pump — until a round folds. It halts `Abandoned` on fleet loss
+//! without fallback or once every active point is abandoned, and
+//! `Interrupted` once a stop-flag drain has nothing in flight. The trial
+//! cap is checked before each round the fold banks (a round-aligned
 //! prefix, as in one process); a wall-clock budget only between waves.
+//!
+//! # One owner per fact
+//!
+//! The lease table holds only leases still owed: pending while no worker
+//! runs it, in flight while one does. An accepted result moves to the
+//! fold buffer, a quarantined lease to the lease quarantine (which is
+//! also what marks its point abandoned), and a resolved point's leases
+//! are dropped. A worker is live while its fleet slot is occupied.
 //!
 //! # Bit-identity argument
 //!
@@ -100,8 +108,9 @@ pub struct DistConfig {
     /// degradation). With this off, losing the whole fleet abandons the
     /// campaign instead.
     pub fallback_in_process: bool,
-    /// Chaos harness: kill workers this long after start.
-    pub chaos_kill_after_ms: Option<u64>,
+    /// Chaos harness: kill workers right after the dispatch pass that
+    /// sends out this many leases, so the kill lands on work in flight.
+    pub chaos_kill_after_leases: Option<u64>,
     /// How many workers the chaos kill takes down.
     pub chaos_kill_count: usize,
 }
@@ -115,7 +124,7 @@ impl DistConfig {
             lease_timeout_ms: 30_000,
             heartbeat_ms: 500,
             fallback_in_process: true,
-            chaos_kill_after_ms: None,
+            chaos_kill_after_leases: None,
             chaos_kill_count: 1,
         }
     }
@@ -132,9 +141,10 @@ impl DistConfig {
         self
     }
 
-    /// Arms the chaos kill: take down `count` workers after `ms`.
-    pub fn with_chaos_kill(mut self, ms: u64, count: usize) -> Self {
-        self.chaos_kill_after_ms = Some(ms);
+    /// Arms the chaos kill: take down `count` workers once `leases`
+    /// leases have been dispatched.
+    pub fn with_chaos_kill(mut self, leases: u64, count: usize) -> Self {
+        self.chaos_kill_after_leases = Some(leases);
         self.chaos_kill_count = count;
         self
     }
@@ -435,22 +445,16 @@ impl DistPerReport {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LeaseState {
-    Pending,
-    InFlight,
-    Done,
-    Quarantined,
-    Cancelled,
-}
-
+/// A lease the campaign is still owed. It leaves the lease table when
+/// its result is accepted, when it is quarantined, or when its point is
+/// resolved.
 struct Lease {
     point: usize,
     start: u64,
     end: u64,
     attempts: u32,
-    state: LeaseState,
     not_before: Instant,
+    /// The worker running it; `None` while it waits for dispatch.
     worker: Option<usize>,
     deadline: Instant,
     quars: Vec<(u64, String)>,
@@ -459,7 +463,6 @@ struct Lease {
 struct Slot {
     writer: Box<dyn Write + Send>,
     kill: Box<dyn FnMut() + Send>,
-    alive: bool,
     ready: bool,
     strikes: u32,
     inflight: Option<u64>,
@@ -560,7 +563,7 @@ impl Fleet {
 
     /// Attaches a connected worker as a new slot (slots are never
     /// reused: a reconnecting worker gets a fresh index, and its old
-    /// slot stays dead). Returns the slot index.
+    /// slot stays empty). Returns the slot index.
     fn attach(&mut self, io: WorkerIo, now: Instant) -> usize {
         let w = self.slots.len();
         let tx = self.tx.clone();
@@ -569,7 +572,6 @@ impl Fleet {
         self.slots.push(Some(Slot {
             writer: io.writer,
             kill: io.kill,
-            alive: true,
             ready: false,
             strikes: 0,
             inflight: None,
@@ -594,8 +596,15 @@ impl Fleet {
 
     /// Workers currently alive (attached and not declared dead).
     pub fn alive_workers(&self) -> usize {
-        let alive = self.slots.iter().flatten().filter(|s| s.alive);
-        alive.count()
+        self.slots.iter().flatten().count()
+    }
+
+    /// Declares worker `w` dead: empties its slot and kills it. Returns
+    /// the slot if it was live.
+    fn kill(&mut self, w: usize) -> Option<Slot> {
+        let mut slot = self.slots.get_mut(w)?.take()?;
+        (slot.kill)();
+        Some(slot)
     }
 
     /// Keeps an idle fleet warm between campaigns: attaches queued
@@ -608,24 +617,21 @@ impl Fleet {
         let now = Instant::now();
         self.attach_joiners(now);
         let heartbeat = Duration::from_millis(heartbeat_ms.max(1));
-        for slot in self.slots.iter_mut().flatten() {
-            if slot.alive && now.duration_since(slot.last_ping) >= heartbeat {
+        for w in 0..self.slots.len() {
+            let Some(slot) = self.slots[w].as_mut() else {
+                continue;
+            };
+            if now.duration_since(slot.last_ping) >= heartbeat {
                 slot.last_ping = now;
                 if write_msg(&mut slot.writer, &Msg::Ping { n: 0 }).is_err() {
-                    slot.alive = false;
-                    (slot.kill)();
+                    self.kill(w);
                 }
             }
         }
         while let Ok(ev) = self.rx.try_recv() {
             match ev {
                 Event::Eof(w) => {
-                    if let Some(Some(slot)) = self.slots.get_mut(w) {
-                        if slot.alive {
-                            slot.alive = false;
-                            (slot.kill)();
-                        }
-                    }
+                    self.kill(w);
                 }
                 Event::Msg(w, _) => {
                     if let Some(Some(slot)) = self.slots.get_mut(w) {
@@ -640,12 +646,11 @@ impl Fleet {
     /// Polite shutdown frame to every live worker, then the hard kill
     /// (which also reaps subprocesses and severs in-process pipes).
     pub fn shutdown(&mut self) {
-        for slot in self.slots.iter_mut().flatten() {
-            if slot.alive {
+        for w in 0..self.slots.len() {
+            if let Some(slot) = self.slots[w].as_mut() {
                 let _ = write_msg(&mut slot.writer, &Msg::Shutdown);
-                (slot.kill)();
-                slot.alive = false;
             }
+            self.kill(w);
         }
     }
 }
@@ -666,12 +671,13 @@ struct Coord<'a> {
     hello: Msg,
     /// The drain flag of [`run_dist_per_campaign_on`].
     stop: Option<&'a AtomicBool>,
-    /// Campaign start, which times the chaos kill.
-    start: Instant,
-    chaos_done: bool,
+    /// Dispatches left before the chaos kill; `None` once it fired (or
+    /// when it is not armed).
+    chaos_in: Option<u64>,
     fallback_announced: bool,
+    /// Quarantined leases; a point with one here is abandoned.
     lease_quarantine: Vec<QuarantinedLease>,
-    abandoned: HashSet<usize>,
+    /// The leases still owed, by id.
     leases: BTreeMap<u64, Lease>,
     dispatched: Vec<u64>,
     completed: HashMap<(usize, u64), LeaseResult>,
@@ -698,9 +704,6 @@ impl Coord<'_> {
             let Some(slot) = self.fleet.slots[w].as_mut() else {
                 return;
             };
-            if !slot.alive {
-                return;
-            }
             slot.ready = false;
             slot.strikes = 0;
             slot.inflight = None;
@@ -728,8 +731,13 @@ impl Coord<'_> {
         }
     }
 
+    /// Whether point `p` was abandoned (one of its leases quarantined).
+    fn abandoned(&self, p: usize) -> bool {
+        self.lease_quarantine.iter().any(|q| q.point == p)
+    }
+
     fn point_resolved(&self, progress: &PerProgress, p: usize) -> bool {
-        progress.points[p].status != PointStatus::Active || self.abandoned.contains(&p)
+        progress.points[p].status != PointStatus::Active || self.abandoned(p)
     }
 
     fn all_resolved(&self, progress: &PerProgress) -> bool {
@@ -739,16 +747,9 @@ impl Coord<'_> {
     /// Declares worker `w` dead: kills it, frees its slot, and fails
     /// whatever lease it held.
     fn worker_dead(&mut self, w: usize, reason: &str, now: Instant) {
-        let Some(slot) = self.fleet.slots[w].as_mut() else {
+        let Some(slot) = self.fleet.kill(w) else {
             return;
         };
-        if !slot.alive {
-            return;
-        }
-        slot.alive = false;
-        slot.ready = false;
-        (slot.kill)();
-        let inflight = slot.inflight.take();
         self.stats.worker_deaths += 1;
         self.obs.event(
             wlan_obs::events::DIST_WORKER_DEATH,
@@ -757,7 +758,7 @@ impl Coord<'_> {
                 ("reason", json::Value::Str(reason.to_owned())),
             ],
         );
-        if let Some(id) = inflight {
+        if let Some(id) = slot.inflight {
             self.fail_lease(id, &format!("worker {w} died: {reason}"), now);
         }
     }
@@ -769,13 +770,7 @@ impl Coord<'_> {
         let Some(lease) = self.leases.get_mut(&id) else {
             return;
         };
-        if !matches!(lease.state, LeaseState::InFlight | LeaseState::Pending) {
-            return;
-        }
-        lease.worker = None;
-        lease.quars.clear();
         if lease.attempts >= MAX_DISPATCHES {
-            lease.state = LeaseState::Quarantined;
             let (point, attempts) = (lease.point, lease.attempts);
             self.lease_quarantine.push(QuarantinedLease {
                 point,
@@ -793,10 +788,10 @@ impl Coord<'_> {
                     ("attempts", json::Value::U64(attempts as u64)),
                 ],
             );
-            // Abandon the point: its banked tallies stay (an exact
-            // prefix); its remaining trials become `Partial { remaining }`.
-            self.abandoned.insert(point);
-            self.cancel_point_leases(point);
+            // The quarantine abandons the point: its banked tallies stay
+            // (an exact prefix); its remaining trials become
+            // `Partial { remaining }`.
+            self.cancel_point(point);
         } else {
             // Exponential backoff with deterministic jitter: the jitter
             // stream is a pure function of (seed, lease, attempt), so a
@@ -810,7 +805,8 @@ impl Coord<'_> {
                 .next_f64()
                 * (base as f64 / 2.0)) as u64;
             let backoff = base + jitter;
-            lease.state = LeaseState::Pending;
+            lease.worker = None;
+            lease.quars.clear();
             lease.not_before = now + Duration::from_millis(backoff);
             self.stats.redispatches += 1;
             self.obs.event(
@@ -824,16 +820,11 @@ impl Coord<'_> {
         }
     }
 
-    fn cancel_point_leases(&mut self, point: usize) {
-        for lease in self.leases.values_mut() {
-            if lease.point == point
-                && matches!(lease.state, LeaseState::Pending | LeaseState::InFlight)
-            {
-                lease.state = LeaseState::Cancelled;
-                // An in-flight worker finishes and its stale result is
-                // ignored; the slot frees when Done (or death) arrives.
-            }
-        }
+    /// Drops the leases and buffered results of a resolved point. A
+    /// worker running one of them finishes; its `done` matches no lease
+    /// and is dropped, and the slot frees when it (or a death) arrives.
+    fn cancel_point(&mut self, point: usize) {
+        self.leases.retain(|_, l| l.point != point);
         self.completed.retain(|(p, _), _| *p != point);
     }
 
@@ -876,25 +867,20 @@ impl Coord<'_> {
                 slot.inflight = None;
             }
         }
-        let Some(lease) = self.leases.get(&id) else {
-            return;
+        let Some(lease) = self.leases.get(&id).filter(|l| l.worker == Some(w)) else {
+            return; // a stale, duplicate or cancelled result
         };
-        if lease.state != LeaseState::InFlight || lease.worker != Some(w) {
-            return; // stale or cancelled result
-        }
         if !Self::valid_done(lease, &rounds) {
             self.strike(w, now);
             self.fail_lease(id, "result failed validation", now);
             return;
         }
         let trials: u64 = rounds.iter().map(|r| r.trials).sum();
-        let Some(lease) = self.leases.get_mut(&id) else {
+        let Some(lease) = self.leases.remove(&id) else {
             return;
         };
-        lease.state = LeaseState::Done;
-        let key = (lease.point, lease.start);
-        let quars = std::mem::take(&mut lease.quars);
-        self.completed.insert(key, (rounds, quars));
+        self.completed
+            .insert((lease.point, lease.start), (rounds, lease.quars));
         self.stats.leases_completed += 1;
         self.obs.event(
             wlan_obs::events::DIST_ACK,
@@ -939,7 +925,7 @@ impl Coord<'_> {
                         error,
                     } => {
                         if let Some(lease) = self.leases.get_mut(&id) {
-                            if lease.state == LeaseState::InFlight && lease.worker == Some(w) {
+                            if lease.worker == Some(w) {
                                 lease.quars.push((frame, error));
                             }
                         }
@@ -987,7 +973,7 @@ impl Coord<'_> {
                         }
                         // The single-process campaign never runs past a
                         // stopping decision; discard the rest unfolded.
-                        self.cancel_point_leases(p);
+                        self.cancel_point(p);
                         break;
                     }
                 }
@@ -1003,23 +989,12 @@ impl Coord<'_> {
             if self.point_resolved(progress, p) {
                 continue;
             }
-            loop {
-                // Outstanding leases count against the depth, and so do
-                // buffered-but-unfolded ones (their results still sit in
-                // `completed` waiting for the frontier), or a stalled
-                // point would lease unboundedly ahead. Folded leases stay
-                // `Done` in the map but no longer hold a buffered result,
-                // so they must not count — they would starve the point of
-                // new leases once the first `SPECULATION` folded.
-                let held = self.leases.values().filter(|l| {
-                    l.point == p
-                        && match l.state {
-                            LeaseState::Pending | LeaseState::InFlight => true,
-                            LeaseState::Done => self.completed.contains_key(&(p, l.start)),
-                            LeaseState::Quarantined | LeaseState::Cancelled => false,
-                        }
-                });
-                if held.count() >= SPECULATION || self.dispatched[p] >= self.cfg.per.max_frames {
+            // The depth counts owed leases and buffered results, or a
+            // stalled point would lease unboundedly ahead.
+            let owed = self.leases.values().filter(|l| l.point == p).count();
+            let buffered = self.completed.keys().filter(|(q, _)| *q == p).count();
+            for _ in owed + buffered..SPECULATION {
+                if self.dispatched[p] >= self.cfg.per.max_frames {
                     break;
                 }
                 let start = self.dispatched[p];
@@ -1038,7 +1013,6 @@ impl Coord<'_> {
                         start,
                         end,
                         attempts: 0,
-                        state: LeaseState::Pending,
                         not_before: now,
                         worker: None,
                         deadline: now,
@@ -1054,15 +1028,15 @@ impl Coord<'_> {
         let due: Vec<u64> = self
             .leases
             .iter()
-            .filter(|(_, l)| l.state == LeaseState::Pending && now >= l.not_before)
+            .filter(|(_, l)| l.worker.is_none() && now >= l.not_before)
             .map(|(id, _)| *id)
             .collect();
         for id in due {
-            // `worker_dead` clears `alive`, so a failed write naturally
-            // drops that slot out of the next search.
+            // `worker_dead` empties the slot, so a failed write naturally
+            // drops it out of the next search.
             let Some(w) = (0..self.fleet.slots.len()).find(|&w| {
                 let slot = self.fleet.slots[w].as_ref();
-                slot.is_some_and(|s| s.alive && s.ready && s.inflight.is_none())
+                slot.is_some_and(|s| s.ready && s.inflight.is_none())
             }) else {
                 break;
             };
@@ -1079,18 +1053,20 @@ impl Coord<'_> {
                 continue;
             };
             if write_msg(&mut slot.writer, &msg).is_err() {
-                // The lease stays Pending (it never reached the worker,
+                // The lease stays pending (it never reached the worker,
                 // so this is not a dispatch attempt) and retries on a
                 // surviving worker next pass.
                 self.worker_dead(w, "write failed", now);
                 continue;
             }
-            lease.state = LeaseState::InFlight;
             lease.worker = Some(w);
             lease.attempts += 1;
             lease.deadline = now + self.cfg.lease_deadline(lease.start, lease.end);
             let (point, attempt) = (lease.point, lease.attempts);
             slot.inflight = Some(id);
+            if let Some(left) = &mut self.chaos_in {
+                *left = left.saturating_sub(1);
+            }
             self.obs.event(
                 wlan_obs::events::DIST_DISPATCH,
                 &[
@@ -1111,9 +1087,6 @@ impl Coord<'_> {
             let Some(slot) = self.fleet.slots[w].as_mut() else {
                 continue;
             };
-            if !slot.alive {
-                continue;
-            }
             if !slot.ready {
                 if now.duration_since(slot.hello_sent) >= timeout {
                     if slot.hello_resends < 2 {
@@ -1129,12 +1102,9 @@ impl Coord<'_> {
                 continue;
             }
             if let Some(id) = slot.inflight {
-                let lease = self.leases.get(&id);
-                let expired =
-                    lease.is_some_and(|l| l.state == LeaseState::InFlight && now >= l.deadline);
-                if expired {
+                let lease = self.leases.get(&id).filter(|l| l.worker == Some(w));
+                if let Some(attempt) = lease.filter(|l| now >= l.deadline).map(|l| l.attempts) {
                     self.stats.timeouts += 1;
-                    let attempt = self.leases.get(&id).map(|l| l.attempts).unwrap_or(0);
                     self.obs.event(
                         wlan_obs::events::DIST_TIMEOUT,
                         &[
@@ -1163,7 +1133,7 @@ impl Coord<'_> {
             let Some(slot) = self.fleet.slots[w].as_mut() else {
                 continue;
             };
-            if !(slot.alive && slot.ready && slot.inflight.is_none())
+            if !(slot.ready && slot.inflight.is_none())
                 || now.duration_since(slot.last_ping) < heartbeat
             {
                 continue;
@@ -1181,14 +1151,9 @@ impl Coord<'_> {
     /// execution uses the same [`run_lease`] the workers do, so results
     /// stay bit-identical; it simply cannot fail or time out.
     fn run_inline(&mut self, id: u64) {
-        let Some(lease) = self.leases.get_mut(&id) else {
+        let Some(lease) = self.leases.remove(&id) else {
             return;
         };
-        if lease.state != LeaseState::Pending {
-            return;
-        }
-        lease.state = LeaseState::Done;
-        lease.attempts += 1;
         let (point, start, end) = (lease.point, lease.start, lease.end);
         let per = &self.cfg.per;
         let snr_db = per.snrs_db[point];
@@ -1199,18 +1164,16 @@ impl Coord<'_> {
         self.stats.leases_completed += 1;
     }
 
-    /// Chaos harness: once `chaos_kill_after_ms` has passed, kills the
-    /// first `chaos_kill_count` live workers, once.
+    /// Chaos harness: once the dispatch passes have sent
+    /// `chaos_kill_after_leases` leases, kills the first
+    /// `chaos_kill_count` live workers, once.
     fn chaos(&mut self, now: Instant) {
-        let Some(ms) = self.cfg.chaos_kill_after_ms else {
-            return;
-        };
-        if self.chaos_done || now.duration_since(self.start) < Duration::from_millis(ms) {
+        if self.chaos_in != Some(0) {
             return;
         }
-        self.chaos_done = true;
+        self.chaos_in = None;
         let victims: Vec<usize> = (0..self.fleet.slots.len())
-            .filter(|&w| self.fleet.slots[w].as_ref().is_some_and(|s| s.alive))
+            .filter(|&w| self.fleet.slots[w].is_some())
             .take(self.cfg.chaos_kill_count)
             .collect();
         for w in victims {
@@ -1231,7 +1194,6 @@ impl Coord<'_> {
             // (or one reconnecting right now) must be attached before the
             // zero-workers fallback/abandon decision below sees the fleet.
             self.drain_joiners(now);
-            self.chaos(now);
 
             let wave = self.fold(progress);
             if self.all_resolved(progress) {
@@ -1252,7 +1214,7 @@ impl Coord<'_> {
             // makes the drained state the resume point.
             if self.stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
                 let mut leases = self.leases.values();
-                if !leases.any(|l| l.state == LeaseState::InFlight) {
+                if !leases.any(|l| l.worker.is_some()) {
                     return Wave {
                         halt: Some(StopReason::Interrupted),
                         ..Wave::default()
@@ -1267,6 +1229,7 @@ impl Coord<'_> {
             self.police(now);
             self.create_leases(progress, now);
             self.dispatch(now);
+            self.chaos(now);
             self.ping_idle(now);
 
             if self.fleet.alive_workers() == 0 {
@@ -1279,7 +1242,7 @@ impl Coord<'_> {
                 let pending: Vec<u64> = self
                     .leases
                     .iter()
-                    .filter(|(_, l)| l.state == LeaseState::Pending)
+                    .filter(|(_, l)| l.worker.is_none())
                     .map(|(id, _)| *id)
                     .collect();
                 if !self.fallback_announced {
@@ -1444,11 +1407,9 @@ pub fn run_dist_per_campaign_on(
             snrs: cfg.per.snrs_db.clone(),
         },
         stop,
-        start: Instant::now(),
-        chaos_done: false,
+        chaos_in: cfg.chaos_kill_after_leases,
         fallback_announced: false,
         lease_quarantine: Vec::new(),
-        abandoned: HashSet::new(),
         leases: BTreeMap::new(),
         dispatched: Vec::new(),
         completed: HashMap::new(),
@@ -1459,10 +1420,11 @@ pub fn run_dist_per_campaign_on(
     // campaign N has slots whose per-campaign state (ready, strikes,
     // inflight) belongs to N; the hello reset scrubs it for this
     // campaign — then attach queued joiners and take credit for all.
+    let now = Instant::now();
     for w in 0..coord.fleet.slots.len() {
-        coord.send_hello(w, coord.start);
+        coord.send_hello(w, now);
     }
-    coord.drain_joiners(coord.start);
+    coord.drain_joiners(now);
 
     let c = DistCampaign {
         cfg,
@@ -1477,7 +1439,7 @@ pub fn run_dist_per_campaign_on(
     // else whatever stopped the campaign.
     let mut outcome = run.outcome;
     if let Outcome::Partial { reason, .. } = &mut outcome {
-        if first_active(&progress).is_some_and(|p| coord.abandoned.contains(&p)) {
+        if first_active(&progress).is_some_and(|p| coord.abandoned(p)) {
             *reason = StopReason::Abandoned;
         }
     }
@@ -1672,8 +1634,8 @@ mod tests {
         let fault = FaultSpec::Clean;
         let baseline = run_per_campaign(&*spec.build(), &fault.build(), &base_per());
 
-        // Kill 2 of 3 workers essentially immediately: the survivors
-        // (or the fallback) must still produce identical results.
+        // Kill 2 of 3 workers right after the first dispatch: the
+        // survivors (or the fallback) must still produce identical results.
         let cfg = DistConfig::new(base_per(), 3)
             .with_chaos_kill(1, 2)
             .with_lease_timeout_ms(2_000)

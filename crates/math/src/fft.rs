@@ -200,8 +200,7 @@ impl FftPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len()` is not a multiple of `self.len()`; see
-    /// [`FftPlan::try_ifft_batch`].
+    /// Panics if `data.len()` is not a multiple of `self.len()`.
     pub fn ifft_batch(&self, data: &mut [Complex]) {
         assert_eq!(data.len() % self.n, 0, "batch must be whole blocks");
         for block in data.chunks_exact_mut(self.n) {
@@ -220,21 +219,6 @@ impl FftPlan {
         }
         for block in data.chunks_exact_mut(self.n) {
             self.execute(block, false);
-        }
-        Ok(())
-    }
-
-    /// Like [`FftPlan::ifft_batch`], but a ragged batch returns
-    /// [`WlanError::LengthMismatch`] instead of panicking.
-    pub fn try_ifft_batch(&self, data: &mut [Complex]) -> Result<(), WlanError> {
-        if !data.len().is_multiple_of(self.n) {
-            return Err(WlanError::LengthMismatch {
-                expected: data.len().next_multiple_of(self.n.max(1)),
-                got: data.len(),
-            });
-        }
-        for block in data.chunks_exact_mut(self.n) {
-            self.execute(block, true);
         }
         Ok(())
     }
@@ -456,13 +440,11 @@ mod tests {
     #[test]
     fn try_variants_report_typed_errors() {
         let plan = FftPlan::new(8);
-        let mut short = vec![Complex::ZERO; 6];
-        assert_eq!(
-            plan.try_ifft_batch(&mut short).unwrap_err(),
-            WlanError::LengthMismatch { expected: 8, got: 6 }
-        );
         let mut ragged = vec![Complex::ZERO; 12];
-        assert!(plan.try_fft_batch(&mut ragged).is_err());
+        assert_eq!(
+            plan.try_fft_batch(&mut ragged).unwrap_err(),
+            WlanError::LengthMismatch { expected: 16, got: 12 }
+        );
     }
 
     #[test]

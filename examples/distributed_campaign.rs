@@ -9,7 +9,7 @@
 //! to the chaos kill mid-flight.
 //!
 //! Usage:
-//!   distributed_campaign [--workers N] [--kill-one-after-ms M] [--journal PATH]
+//!   distributed_campaign [--workers N] [--kill-one-after-leases L] [--journal PATH]
 //!   distributed_campaign --worker        (internal: worker mode)
 
 use wlan_core::ofdm::OfdmRate;
@@ -19,7 +19,7 @@ use wlan_runner::{Outcome, Resume};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: distributed_campaign [--workers N] [--kill-one-after-ms M] [--journal PATH]"
+        "usage: distributed_campaign [--workers N] [--kill-one-after-leases L] [--journal PATH]"
     );
     std::process::exit(2);
 }
@@ -34,7 +34,7 @@ fn main() {
     }
 
     let mut workers: usize = 3;
-    let mut kill_after_ms: Option<u64> = None;
+    let mut kill_after_leases: Option<u64> = None;
     let mut journal: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -43,8 +43,8 @@ fn main() {
                 Some(n) => workers = n,
                 None => usage(),
             },
-            "--kill-one-after-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => kill_after_ms = Some(ms),
+            "--kill-one-after-leases" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(n) => kill_after_leases = Some(n),
                 None => usage(),
             },
             "--journal" => match it.next() {
@@ -68,8 +68,8 @@ fn main() {
     let mut cfg = DistConfig::new(per, workers)
         .with_lease_timeout_ms(10_000)
         .with_heartbeat_ms(200);
-    if let Some(ms) = kill_after_ms {
-        cfg = cfg.with_chaos_kill(ms, 1);
+    if let Some(n) = kill_after_leases {
+        cfg = cfg.with_chaos_kill(n, 1);
     }
 
     let Ok(exe) = std::env::current_exe() else {

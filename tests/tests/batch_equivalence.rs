@@ -150,7 +150,7 @@ fn fft_plan_batch_is_bit_identical_to_single_transforms() {
         // round-trip sanity bound (the precision contract itself is pinned
         // in wlan-math's round-trip tests).
         let mut inverse = batched.clone();
-        plan.try_ifft_batch(&mut inverse).expect("whole blocks");
+        plan.ifft_batch(&mut inverse);
         for (i, block) in blocks.iter().enumerate() {
             let single = fft::ifft(&batched[i * n..(i + 1) * n]);
             for k in 0..n {

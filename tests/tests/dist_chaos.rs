@@ -108,8 +108,8 @@ fn kill_schedule_matrix_is_bit_identical_to_single_process() {
             run_dist_per_campaign(spec, fault, &DistConfig::new(per_cfg(threads), 3), &mut factory);
         assert_bit_identical(&report, &base, &format!("threads={threads:?} workers=3"));
 
-        // Three workers, two killed almost immediately: survivors absorb
-        // the re-dispatched leases.
+        // Three workers, two killed right after the first dispatch:
+        // survivors absorb the re-dispatched leases.
         let mut factory = InProcessFactory::clean();
         let cfg = DistConfig::new(per_cfg(threads), 3).with_chaos_kill(1, 2);
         let report = run_dist_per_campaign(spec, fault, &cfg, &mut factory);
