@@ -109,7 +109,7 @@ pub struct DistConfig {
     /// campaign instead.
     pub fallback_in_process: bool,
     /// Chaos harness: kill workers right after the dispatch pass that
-    /// sends out this many leases, so the kill lands on work in flight.
+    /// sends out this many leases, while that work is in flight.
     pub chaos_kill_after_leases: Option<u64>,
     /// How many workers the chaos kill takes down.
     pub chaos_kill_count: usize,
