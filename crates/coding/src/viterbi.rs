@@ -182,11 +182,17 @@ impl ViterbiKernel {
     /// fully allocation-free entry point for hot paths that recycle their
     /// output storage.
     fn decode_into(&mut self, frame: FrameLlrs<'_>, bits: &mut Vec<u8>) -> Result<(), WlanError> {
+        bits.clear();
+        bits.extend_from_slice(self.decode_scratch(frame)?);
+        Ok(())
+    }
+
+    /// Decodes one frame into the kernel's own buffer and returns its
+    /// `num_bits` answer bits.
+    fn decode_scratch(&mut self, frame: FrameLlrs<'_>) -> Result<&[u8], WlanError> {
         let total_steps = frame.check()?;
         self.run_trellis(frame.llrs, total_steps, frame.terminated);
-        bits.clear();
-        bits.extend_from_slice(&self.decoded[..frame.num_bits]);
-        Ok(())
+        Ok(&self.decoded[..frame.num_bits])
     }
 
     /// Decodes one frame, allocating the output.
@@ -589,6 +595,21 @@ impl ViterbiDecoder {
         with_thread_kernel(|k| k.decode(FrameLlrs::terminated(llrs, num_info)))
     }
 
+    /// [`ViterbiDecoder::decode_soft`] into a caller-owned buffer of
+    /// `out.len()` information bits: no allocation once this thread's
+    /// kernel has decoded a frame as long.
+    ///
+    /// # Errors
+    ///
+    /// [`WlanError::LengthMismatch`] if `llrs.len() != (out.len() + 6) * 2`.
+    pub fn decode_soft_into(&self, llrs: &[f64], out: &mut [u8]) -> Result<(), WlanError> {
+        with_thread_kernel(|k| {
+            let frame = FrameLlrs::terminated(llrs, out.len());
+            out.copy_from_slice(k.decode_scratch(frame)?);
+            Ok(())
+        })
+    }
+
     /// Decodes a stream that is *not* zero-terminated (e.g. the 802.11a DATA
     /// field, whose pad bits follow the tail): traceback starts from the
     /// best-metric end state instead of state 0. All `num_bits` inputs are
@@ -987,6 +1008,28 @@ mod tests {
             ])
             .unwrap_err();
         assert_eq!(err, WlanError::LengthMismatch { expected: 8, got: 5 });
+    }
+
+    #[test]
+    fn decode_soft_into_matches_decode_soft() {
+        // The 802.11a SIGNAL field's shape: 18 bits, terminated, with
+        // noisy soft values so the trellis has choices to make.
+        use wlan_math::rng::{Rng, WlanRng};
+        let mut rng = WlanRng::seed_from_u64(18);
+        for _ in 0..20 {
+            let data: Vec<u8> = (0..18).map(|_| rng.gen_bool(0.5) as u8).collect();
+            let coded = ConvEncoder::new().encode_terminated(&data);
+            let llrs: Vec<f64> = coded
+                .iter()
+                .map(|&b| if b == 0 { 1.0 } else { -1.0 } + 1.5 * (rng.next_f64() - 0.5))
+                .collect();
+            let decoder = ViterbiDecoder::new();
+            let mut out = [0u8; 18];
+            decoder.decode_soft_into(&llrs, &mut out).unwrap();
+            assert_eq!(out.to_vec(), decoder.decode_soft(&llrs, 18).unwrap());
+        }
+        let err = ViterbiDecoder::new().decode_soft_into(&[0.0; 47], &mut [0u8; 18]);
+        assert_eq!(err, Err(WlanError::LengthMismatch { expected: 48, got: 47 }));
     }
 
     #[test]

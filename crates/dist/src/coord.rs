@@ -14,11 +14,20 @@
 //! [`campaign::drive`] restores, meters, checkpoints and stops like any
 //! other. A wave runs the passes — drain joiners, fold, stop-flag drain,
 //! police, create, dispatch, chaos kill, ping idle, in-process fallback,
-//! a 5 ms pump — until a round folds. It halts `Abandoned` on fleet loss
+//! a 5 ms pump — until a round folds, and returns after that fold's
+//! dispatch and chaos passes, so a freed worker runs its next lease
+//! while `drive` writes the checkpoint. It halts `Abandoned` on fleet loss
 //! without fallback or once every active point is abandoned, and
 //! `Interrupted` once a stop-flag drain has nothing in flight. The trial
 //! cap is checked before each round the fold banks (a round-aligned
 //! prefix, as in one process); a wall-clock budget only between waves.
+//!
+//! # Dispatch order
+//!
+//! Due leases go out by (rank, id), a lease's rank being how many owed
+//! leases of its point start before it: each active point's first
+//! owed lease before any speculative one, whose work an early stop
+//! would discard. The in-process fallback runs leases in id order.
 //!
 //! # One owner per fact
 //!
@@ -368,6 +377,11 @@ pub struct DistStats {
     pub fallback_leases: u64,
     /// Leases that completed with valid results.
     pub leases_completed: u64,
+    /// Trials run (by a worker or the in-process fallback) that were
+    /// never folded: late results for cancelled leases, rounds past a
+    /// stop or the trial cap, and buffered results a resolved point or
+    /// the campaign's end dropped.
+    pub discarded_trials: u64,
 }
 
 /// The result of a distributed campaign invocation: the single-process
@@ -825,7 +839,13 @@ impl Coord<'_> {
     /// and is dropped, and the slot frees when it (or a death) arrives.
     fn cancel_point(&mut self, point: usize) {
         self.leases.retain(|_, l| l.point != point);
-        self.completed.retain(|(p, _), _| *p != point);
+        let discarded = &mut self.stats.discarded_trials;
+        self.completed.retain(|(p, _), (rounds, _)| {
+            if *p == point {
+                *discarded += trials(rounds);
+            }
+            *p != point
+        });
     }
 
     /// Validates a `done` against its lease's exact round grid. Chaos
@@ -862,20 +882,22 @@ impl Coord<'_> {
     }
 
     fn handle_done(&mut self, w: usize, id: u64, rounds: Vec<RoundTally>, now: Instant) {
-        if let Some(slot) = self.fleet.slots[w].as_mut() {
-            if slot.inflight == Some(id) {
-                slot.inflight = None;
-            }
-        }
+        let slot = self.fleet.slots[w].as_mut();
+        let was_running = slot.is_some_and(|s| s.inflight.take_if(|i| *i == id).is_some());
         let Some(lease) = self.leases.get(&id).filter(|l| l.worker == Some(w)) else {
-            return; // a stale, duplicate or cancelled result
+            // A stale, duplicate or cancelled result. Only a cancelled
+            // lease's own worker still runs it: that work is wasted.
+            if was_running {
+                self.stats.discarded_trials += trials(&rounds);
+            }
+            return;
         };
         if !Self::valid_done(lease, &rounds) {
             self.strike(w, now);
             self.fail_lease(id, "result failed validation", now);
             return;
         }
-        let trials: u64 = rounds.iter().map(|r| r.trials).sum();
+        let trials = trials(&rounds);
         let Some(lease) = self.leases.remove(&id) else {
             return;
         };
@@ -951,6 +973,7 @@ impl Coord<'_> {
                 let Some((rounds, quars)) = self.completed.remove(&(p, round_start)) else {
                     break;
                 };
+                let mut unfolded = trials(&rounds);
                 for r in rounds {
                     // The trial cap bounds trials *banked* (restored ones
                     // included), checked at the same round granularity
@@ -958,8 +981,10 @@ impl Coord<'_> {
                     // a worker already computed are discarded, keeping
                     // the tallies an exact round-aligned prefix.
                     if progress.trials() >= cap {
+                        self.stats.discarded_trials += unfolded;
                         return wave;
                     }
+                    unfolded -= r.trials;
                     let round = round_start..round_start + r.trials;
                     round_start = round.end;
                     wave.trials += r.trials;
@@ -973,6 +998,7 @@ impl Coord<'_> {
                         }
                         // The single-process campaign never runs past a
                         // stopping decision; discard the rest unfolded.
+                        self.stats.discarded_trials += unfolded;
                         self.cancel_point(p);
                         break;
                     }
@@ -1023,15 +1049,22 @@ impl Coord<'_> {
         }
     }
 
-    /// Dispatches due pending leases to idle ready workers.
+    /// Dispatches due pending leases to idle ready workers by (rank, id)
+    /// (module docs, *Dispatch order*).
     fn dispatch(&mut self, now: Instant) {
-        let due: Vec<u64> = self
+        let rank = |l: &Lease| {
+            let ahead = self.leases.values();
+            let ahead = ahead.filter(|o| o.point == l.point && o.start < l.start);
+            ahead.count()
+        };
+        let mut due: Vec<(usize, u64)> = self
             .leases
             .iter()
             .filter(|(_, l)| l.worker.is_none() && now >= l.not_before)
-            .map(|(id, _)| *id)
+            .map(|(id, l)| (rank(l), *id))
             .collect();
-        for id in due {
+        due.sort_unstable();
+        for (_, id) in due {
             // `worker_dead` empties the slot, so a failed write naturally
             // drops it out of the next search.
             let Some(w) = (0..self.fleet.slots.len()).find(|&w| {
@@ -1203,9 +1236,6 @@ impl Coord<'_> {
                     ..wave
                 };
             }
-            if wave.trials > 0 {
-                return wave;
-            }
 
             // Cooperative drain: stop creating and dispatching work, let
             // in-flight leases finish (deadlines still policed so a hung
@@ -1213,6 +1243,9 @@ impl Coord<'_> {
             // Interrupted once nothing is in flight. The exit checkpoint
             // makes the drained state the resume point.
             if self.stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+                if wave.trials > 0 {
+                    return wave;
+                }
                 let mut leases = self.leases.values();
                 if !leases.any(|l| l.worker.is_some()) {
                     return Wave {
@@ -1230,6 +1263,12 @@ impl Coord<'_> {
             self.create_leases(progress, now);
             self.dispatch(now);
             self.chaos(now);
+            // A wave that banked a round returns only now, so the worker
+            // whose result it folded holds its next lease while `drive`
+            // writes the checkpoint.
+            if wave.trials > 0 {
+                return wave;
+            }
             self.ping_idle(now);
 
             if self.fleet.alive_workers() == 0 {
@@ -1262,6 +1301,11 @@ impl Coord<'_> {
             self.pump_events(Duration::from_millis(5));
         }
     }
+}
+
+/// Trials in a lease result's rounds.
+fn trials(rounds: &[RoundTally]) -> u64 {
+    rounds.iter().map(|r| r.trials).sum()
 }
 
 /// The first point still owed trials, if any.
@@ -1434,6 +1478,9 @@ pub fn run_dist_per_campaign_on(
     let run = campaign::drive(&c, cfg.per.budget, cfg.per.journal.as_deref(), 1);
     let mut coord = c.coord.into_inner();
     let mut progress = run.state;
+    // Results still buffered when the campaign stops are never folded.
+    let unfolded = coord.completed.values().map(|(rounds, _)| trials(rounds));
+    coord.stats.discarded_trials += unfolded.sum::<u64>();
 
     // The first unfinished point names the reason: its own abandonment,
     // else whatever stopped the campaign.
@@ -1849,12 +1896,14 @@ mod tests {
         got.count()
     }
 
+    /// When a scripted worker must keep holding the lease of `point`
+    /// starting at `start`, given the shared log.
+    type Hold = fn(log: &[Script], point: usize, start: u64) -> bool;
+
     /// A worker thread that answers like [`serve`] (clean FHSS, seed 7,
-    /// SNRs 12 and 2 dB) but holds three leases back until the shared
-    /// log says so: point 0's first lease until point 0's speculative
-    /// lease is out, that lease until point 1's first lease is out, and
-    /// point 1's first lease until point 1's second lease is out.
-    fn scripted_worker(w: usize, log: ScriptLog) -> WorkerIo {
+    /// SNRs 12, 2 and 2 dB) but holds each lease back while `hold` says
+    /// so.
+    fn scripted_worker(w: usize, log: ScriptLog, hold: Hold) -> WorkerIo {
         let (cw, from_coord, c1) = pipe();
         let (mut to_coord, cr, c2) = pipe();
         std::thread::spawn(move || {
@@ -1873,17 +1922,12 @@ mod tests {
                         let mut seen = lock.lock().unwrap();
                         seen.push(Script::Got { worker: w, point });
                         cvar.notify_all();
-                        let hold = |s: &mut Vec<Script>| match (point, start) {
-                            (0, 0) => got(s, 0) < 2,
-                            (0, _) => got(s, 1) < 1,
-                            (1, 0) => got(s, 1) < 2,
-                            _ => false,
-                        };
+                        let held = |s: &mut Vec<Script>| hold(s, point, start);
                         let wait = Duration::from_secs(10);
-                        let (mut seen, _) = cvar.wait_timeout_while(seen, wait, hold).unwrap();
+                        let (mut seen, _) = cvar.wait_timeout_while(seen, wait, held).unwrap();
                         seen.push(Script::Answered { worker: w, point });
                         drop(seen);
-                        let snr_db = [12.0, 2.0][point];
+                        let snr_db = [12.0, 2.0, 2.0][point];
                         let clean = FaultChain::clean();
                         let frames = start..end;
                         let (rounds, _) =
@@ -1907,16 +1951,69 @@ mod tests {
         }
     }
 
+    /// Spawns scripted workers that share one log and one hold rule.
+    struct Scripted(ScriptLog, Hold);
+
+    impl WorkerFactory for Scripted {
+        fn spawn(&mut self, id: usize) -> std::io::Result<WorkerIo> {
+            Ok(scripted_worker(id, Arc::clone(&self.0), self.1))
+        }
+    }
+
+    #[test]
+    fn first_leases_go_out_before_speculative_ones() {
+        // Both workers hold every answer until two leases are out, so the
+        // first two leases are both chosen before any result folds: each
+        // point's first lease, not point 0's speculative one.
+        let per = PerCampaignConfig::new(&[12.0, 2.0], 20, 256, 7)
+            .with_budget(Budget::unlimited())
+            .with_threads(1);
+        let baseline = run_per_campaign(&FhssLinkForTest, &FaultChain::clean(), &per);
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        struct Recording(Scripted, Arc<Mutex<Vec<u8>>>);
+        impl WorkerFactory for Recording {
+            fn spawn(&mut self, id: usize) -> std::io::Result<WorkerIo> {
+                let mut io = self.0.spawn(id)?;
+                io.writer = Box::new(Tee {
+                    inner: io.writer,
+                    copy: Arc::clone(&self.1),
+                });
+                Ok(io)
+            }
+        }
+        let two_out: Hold =
+            |s, _, _| s.iter().filter(|e| matches!(e, Script::Got { .. })).count() < 2;
+        let mut factory = Recording(Scripted(ScriptLog::default(), two_out), Arc::clone(&sent));
+        let cfg = DistConfig::new(per, 2).without_fallback();
+        let report = run_dist_per_campaign(LinkSpec::Fhss, FaultSpec::Clean, &cfg, &mut factory);
+        assert!(report.outcome.is_complete(), "{:?}", report.outcome);
+        assert_eq!(report.points, baseline.points);
+
+        // The coordinator writes from one thread, so the tee holds whole
+        // frames in send order.
+        let bytes = sent.lock().unwrap().clone();
+        let mut reader = &bytes[..];
+        let mut leases = Vec::new();
+        while let Ok(Some(msg)) = read_msg(&mut reader) {
+            if let Msg::Lease { point, start, .. } = msg {
+                leases.push((point, start));
+            }
+        }
+        assert_eq!(leases[..2], [(0, 0), (1, 0)], "{leases:?}");
+    }
+
     #[test]
     fn cancelled_in_flight_lease_is_dropped_and_its_worker_reused() {
         // Point 0 (12 dB, no errors) stops early inside its first lease;
-        // point 1 (2 dB) runs to max_frames in two leases. The scripted
-        // holds fix the order: point 0's speculative lease is in flight
-        // while its first lease folds and stops the point, and it is
-        // answered only after point 1's first lease went out, which the
-        // coordinator dispatches after that fold. Point 1's second lease
-        // then has one idle worker to go to: the one that answered late.
-        let mut per = PerCampaignConfig::new(&[12.0, 2.0], 20, 256, 7)
+        // points 1 and 2 (2 dB) run to max_frames in two leases each.
+        // Rank order sends every point's first lease before a speculative
+        // one, so point 0's speculative lease needs a fourth worker, and
+        // it goes out while point 0's first lease is held. That lease
+        // then folds and stops the point; its freed worker takes point
+        // 1's second lease. The speculative lease is answered only after
+        // that, with every other worker held, so point 2's second lease
+        // has one idle worker to go to: the one that answered late.
+        let mut per = PerCampaignConfig::new(&[12.0, 2.0, 2.0], 20, 256, 7)
             .with_budget(Budget::unlimited())
             .with_threads(1)
             .with_target_half_width(0.02);
@@ -1926,15 +2023,15 @@ mod tests {
         assert!(baseline.points[0].trials <= LEASE_ROUNDS * ROUND_TRIALS);
         assert_eq!(baseline.points[1].trials, 256);
 
-        struct Scripted(ScriptLog);
-        impl WorkerFactory for Scripted {
-            fn spawn(&mut self, id: usize) -> std::io::Result<WorkerIo> {
-                Ok(scripted_worker(id, Arc::clone(&self.0)))
-            }
-        }
+        let holds: Hold = |s, point, start| match (point, start) {
+            (0, 0) => got(s, 0) < 2,
+            (0, _) => got(s, 1) < 2,
+            (2, 128) => false,
+            _ => got(s, 2) < 2,
+        };
         let log = ScriptLog::default();
-        let cfg = DistConfig::new(per, 2).without_fallback();
-        let mut factory = Scripted(Arc::clone(&log));
+        let cfg = DistConfig::new(per, 4).without_fallback();
+        let mut factory = Scripted(Arc::clone(&log), holds);
         let report = run_dist_per_campaign(LinkSpec::Fhss, FaultSpec::Clean, &cfg, &mut factory);
         let log = log.0.lock().unwrap().clone();
 
@@ -1963,12 +2060,49 @@ mod tests {
             next,
             Some(&Script::Got {
                 worker: late,
-                point: 1
+                point: 2
             }),
             "{log:?}"
         );
         assert!(report.outcome.is_complete(), "{:?}", report.outcome);
         assert_eq!(report.points, baseline.points);
+    }
+
+    #[test]
+    fn a_campaign_without_early_stops_discards_nothing() {
+        let cfg = DistConfig::new(base_per(), 2);
+        let mut factory = InProcessFactory::clean();
+        let report = run_dist_per_campaign(LinkSpec::Fhss, FaultSpec::Clean, &cfg, &mut factory);
+        assert!(report.outcome.is_complete(), "{:?}", report.outcome);
+        assert_eq!(report.stats.discarded_trials, 0);
+    }
+
+    #[test]
+    fn one_worker_discards_each_stopping_lease_remainder() {
+        // One worker runs one lease at a time, each at its point's fold
+        // frontier, so the only waste is the rest of the lease in which a
+        // point stopped: its end (lease-aligned, capped at max_frames)
+        // minus the trials the single-process campaign banked.
+        let mut per = PerCampaignConfig::new(&[4.0, 8.0, 12.0], 20, 512, 7)
+            .with_budget(Budget::unlimited())
+            .with_threads(1)
+            .with_target_half_width(0.05);
+        per.min_frames = 32;
+        let baseline = run_per_campaign(&FhssLinkForTest, &FaultChain::clean(), &per);
+        let lease = LEASE_ROUNDS * ROUND_TRIALS;
+        let points = &baseline.points;
+        let stopped = points
+            .iter()
+            .filter(|p| p.status == PointStatus::StoppedEarly);
+        let end = |trials: u64| per.max_frames.min(trials.div_ceil(lease) * lease);
+        let expected: u64 = stopped.map(|p| end(p.trials) - p.trials).sum();
+        assert!(expected > 0, "no point stopped inside a lease: {points:?}");
+
+        let cfg = DistConfig::new(per, 1);
+        let mut factory = InProcessFactory::clean();
+        let report = run_dist_per_campaign(LinkSpec::Fhss, FaultSpec::Clean, &cfg, &mut factory);
+        assert_eq!(report.points, baseline.points);
+        assert_eq!(report.stats.discarded_trials, expected);
     }
 
     #[test]

@@ -157,8 +157,14 @@ impl OfdmPhy {
             info[5 + i] = ((length >> i) & 1) as u8;
         }
         info[17] = info[..17].iter().fold(0u8, |a, &b| a ^ b);
-        // Tail bits come from encode_terminated; BPSK rate 1/2, one symbol.
-        let coded = ConvEncoder::new().encode_terminated(&info);
+        // BPSK rate 1/2, one symbol: the 18 bits then six zero tail bits.
+        let mut encoder = ConvEncoder::new();
+        let mut coded = [0u8; N_DATA];
+        for (i, pair) in coded.chunks_exact_mut(2).enumerate() {
+            let packed = encoder.push_packed(info.get(i).copied().unwrap_or(0));
+            pair[0] = packed >> 1;
+            pair[1] = packed & 1;
+        }
         let mut interleaved = [0u8; N_DATA];
         signal_interleaver().interleave_into(&coded, &mut interleaved);
         let mut data = [Complex::ZERO; N_DATA];
@@ -179,8 +185,9 @@ impl OfdmPhy {
         }
         let mut deinterleaved = [0.0; N_DATA];
         signal_interleaver().deinterleave_soft_into(&llrs, &mut deinterleaved);
-        let info = ViterbiDecoder::new()
-            .decode_soft(&deinterleaved, 18)
+        let mut info = [0u8; 18];
+        ViterbiDecoder::new()
+            .decode_soft_into(&deinterleaved, &mut info)
             .map_err(|_| RxError::TooShort)?;
         let parity = info[..17].iter().fold(0u8, |a, &b| a ^ b);
         if parity != info[17] {

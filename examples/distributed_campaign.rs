@@ -91,12 +91,13 @@ fn main() {
         Resume::ColdStart { error } => eprintln!("cold start: {error}"),
     }
     eprintln!(
-        "fleet: {} spawned, {} died, {} timeouts, {} redispatches, {} fallback leases",
+        "fleet: {} spawned, {} died, {} timeouts, {} redispatches, {} fallback leases, {} discarded trials",
         report.stats.workers_spawned,
         report.stats.worker_deaths,
         report.stats.timeouts,
         report.stats.redispatches,
         report.stats.fallback_leases,
+        report.stats.discarded_trials,
     );
     match &report.outcome {
         Outcome::Complete => eprintln!("campaign complete"),
