@@ -183,13 +183,13 @@ impl ViterbiKernel {
     /// output storage.
     fn decode_into(&mut self, frame: FrameLlrs<'_>, bits: &mut Vec<u8>) -> Result<(), WlanError> {
         bits.clear();
-        bits.extend_from_slice(self.decode_scratch(frame)?);
+        bits.extend_from_slice(self.decode_arena(frame)?);
         Ok(())
     }
 
     /// Decodes one frame into the kernel's own buffer and returns its
     /// `num_bits` answer bits.
-    fn decode_scratch(&mut self, frame: FrameLlrs<'_>) -> Result<&[u8], WlanError> {
+    fn decode_arena(&mut self, frame: FrameLlrs<'_>) -> Result<&[u8], WlanError> {
         let total_steps = frame.check()?;
         self.run_trellis(frame.llrs, total_steps, frame.terminated);
         Ok(&self.decoded[..frame.num_bits])
@@ -605,7 +605,7 @@ impl ViterbiDecoder {
     pub fn decode_soft_into(&self, llrs: &[f64], out: &mut [u8]) -> Result<(), WlanError> {
         with_thread_kernel(|k| {
             let frame = FrameLlrs::terminated(llrs, out.len());
-            out.copy_from_slice(k.decode_scratch(frame)?);
+            out.copy_from_slice(k.decode_arena(frame)?);
             Ok(())
         })
     }
